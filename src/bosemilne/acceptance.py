@@ -202,11 +202,8 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
         ctx.model(0.0), dispersion._slit_grid(1.0, 60, 1e-4), theta_tol=1e-4)
     data_c = fz.build_factorization(ctx.model(0.0), coarse_table, k=1.0)
     etas, vps, ns = fz.spectrum_table(data_c, n_nodes=60)
-    coeffs = tuple(fz.SpectrumCoefficient(eta=float(e), n_value=float(n))
-                   for e, n in zip(etas, ns))
     sol_c = field.MilneSolution(model=ctx.model(0.0), factorization=data_c,
-                                n_table=coeffs, k=1.0, k0=data_c.k0,
-                                _etas=etas, _vps=vps, _ns=ns)
+                                k=1.0, k0=data_c.k0, _etas=etas, _vps=vps, _ns=ns)
     res_coarse = field.boundary_residual(sol_c)
     ok = res_fine <= 1e-3 and res_fine < res_coarse
     return CriterionResult(

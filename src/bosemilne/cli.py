@@ -144,7 +144,7 @@ def _write_table(path: str, header: list[str], rows: list[list], fmt: str,
 
 
 def cmd_v1(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "tol": 1e-10, "threads": 1,
+    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "threads": 1,
                          "format": "csv", "out": None})
     _validate_common(cfg)
     alpha = cfg["alpha"]
@@ -176,14 +176,14 @@ def cmd_v1(args) -> int:
     except DivergenceError as exc:
         diagnostics.append(f"exact V1 integral divergent: {exc}")
 
-    env = _envelope("v1", {"alpha": alpha, "tol": cfg["tol"], "threads": cfg["threads"]},
+    env = _envelope("v1", {"alpha": alpha, "threads": cfg["threads"]},
                     values, diagnostics)
     _emit(env, cfg["out"])
     return 0
 
 
 def cmd_dispersion(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "tol": 1e-10, "threads": 1,
+    cfg = _merged(args, {"alpha": 0.0, "threads": 1,
                          "format": "csv", "out": "dispersion.csv",
                          "grid_mu": None})
     _validate_common(cfg)
@@ -220,7 +220,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "tol": 1e-9, "threads": 1,
+    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "threads": 1,
                          "format": "csv", "out": "profile.csv",
                          "grid_x": "0:20:9", "grid_mu": "-2:0.9:13"})
     _validate_common(cfg)
@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         if alpha:
             p.add_argument("--alpha", type=float, help="scattering exponent in [0, 3]")
         p.add_argument("--k", type=float, help="imposed dimensionless gradient")
-        p.add_argument("--tol", type=float, help="tolerance")
         p.add_argument("--threads", type=int, help="worker cap (results identical)")
         p.add_argument("--format", choices=("csv", "json"), help="table format")
         p.add_argument("--out", help="output path")
@@ -344,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dom-freqs", dest="dom_freqs", type=int)
     p.add_argument("--dom-length", dest="dom_length", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
+    p.add_argument("--tol", type=float, help="fixed-point residual tolerance")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

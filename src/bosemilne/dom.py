@@ -6,8 +6,8 @@ Solves the dimensionless transport equation
     S(x) = (1/(2 l0)) int w^(a+4) E(w) dw int_-1^1 phi(x, v', w') dv'
 
 on a truncated slab [0, L] with zero inflow at x = 0 and the asymptotic state
-K0 + K (x - v/w^a) imposed as inflow at x = L, K0 being re-estimated from the
-interior linear fit each outer iteration (Marshak-style closure). The source
+K0 + K (x - v/w^a) imposed as inflow at x = L, K0 being the intercept of the
+interior linear fit of S (Marshak-style closure). The source
 S is isotropic and frequency-independent, so the far field is S(x) = K0 + Kx
 exactly and the intercept of the interior fit is the temperature jump.
 
@@ -20,9 +20,11 @@ integrating-factor (exponential) update with a linear-in-cell source, which
 is exact for both discrete modes and keeps optically thick high-frequency
 cells positive.
 
-Outer fixed-point iterations are Anderson-accelerated; with conservative
-scattering the plain iteration contracts only like 1 - O(1/L^2), which is too
-slow at L = 30.
+The far-end intercept is a fixed linear functional of S (the intercept row of
+the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
+its fixed point solves a linear system of len(x_nodes) unknowns. GMRES solves
+it directly; with conservative scattering the plain iteration contracts only
+like 1 - O(1/L^2), which is too slow at L = 30. Iteration counts are sweeps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import quadrature
 from .errors import ConfigurationError, ConvergenceError, DomainError, ExtractionError
@@ -164,9 +167,11 @@ class _Sweeper:
         self.cw_pos = (np.outer(self.ap, grid.w_weights) / (2.0 * l0d)).ravel()
         self.cw_neg = (np.outer(self.am, grid.w_weights) / (2.0 * l0d)).ravel()
 
-    def apply(self, S: np.ndarray, k: float, k0: float,
+    def apply(self, S: np.ndarray, inflow_pos: np.ndarray, inflow_neg: np.ndarray,
               keep_phi: bool = False):
-        """One transport sweep; returns the recomputed source (and phi if asked)."""
+        """One transport sweep from the inflow at x = 0 (positive channels) and
+        x = L (negative channels); returns the recomputed source (and phi if
+        asked)."""
         x = self.grid.x_nodes
         n = len(x) - 1
         Sl, Sr = S[:-1], S[1:]
@@ -175,7 +180,7 @@ class _Sweeper:
         store_p = np.empty((len(self.mu_pos), n + 1)) if keep_phi else None
         store_m = np.empty((len(self.mu_neg), n + 1)) if keep_phi else None
 
-        phi = np.zeros_like(self.mu_pos)
+        phi = inflow_pos
         out[0] += self.cw_pos @ phi
         if keep_phi:
             store_p[:, 0] = phi
@@ -185,7 +190,7 @@ class _Sweeper:
             if keep_phi:
                 store_p[:, j + 1] = phi
 
-        phi = k0 + k * (self.grid.L - self.mu_neg)
+        phi = inflow_neg
         out[n] += self.cw_neg @ phi
         if keep_phi:
             store_m[:, n] = phi
@@ -211,13 +216,17 @@ def _f1(tau: np.ndarray) -> np.ndarray:
 
 
 def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *,
-          tol: float = 1e-9, max_iter: int = 2000, anderson_depth: int = 13,
+          tol: float = 1e-9, max_iter: int = 2000,
           fit_window: tuple[float, float] | None = None) -> DomResult:
-    """Source iteration with Anderson acceleration and iterated far-end closure.
+    """Fixed point of the sweep map by GMRES, with the far-end closure.
 
-    Stops when the max-norm change of S between outer iterations drops below
-    tol * max(1, |k| L). The intercept check at the end enforces slope
-    agreement with k and fit linearity.
+    One sweep G(S) = T S + b is affine in S: b = G(0) is the sweep of a zero
+    source at gradient k, and T v sweeps v with zero gradient and far-end
+    value k0(v) = p . v[window]. GMRES without restarts solves (I - T) S = b
+    from S = k x until the 2-norm of G(S) - S, which bounds its max-norm,
+    drops below tol * max(1, |k| L). Every sweep counts towards max_iter.
+    The intercept check at the end enforces slope agreement with k and fit
+    linearity.
     """
     sweeper = _Sweeper(model, grid)
     x = grid.x_nodes
@@ -225,49 +234,47 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *,
     sel = (x >= window[0]) & (x <= window[1])
     if int(np.sum(sel)) < 8:
         raise ExtractionError("fit window contains fewer than 8 nodes")
-    A = np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T
+    # intercept row of the least-squares fit S ~ a + b x over the window
+    p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
+    zero_inflow = np.zeros_like(sweeper.mu_pos)
+    far = grid.L - sweeper.mu_neg
+    sweeps = 0
+    last = math.inf
 
-    scale = max(1.0, abs(k) * grid.L)
-    S = k * x.copy()
-    hist_f: list[np.ndarray] = []
-    hist_x: list[np.ndarray] = []
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        coef, *_ = np.linalg.lstsq(A, S[sel], rcond=None)
-        k0_iter = float(coef[0])
-        G = sweeper.apply(S, k, k0_iter)
-        F = G - S
-        residual = float(np.max(np.abs(F)))
-        if residual <= tol * scale:
-            S = G
-            break
-        hist_f.append(F)
-        hist_x.append(S.copy())
-        if len(hist_f) > anderson_depth + 1:
-            hist_f.pop(0)
-            hist_x.pop(0)
-        if len(hist_f) >= 2:
-            dF = np.stack([hist_f[i + 1] - hist_f[i] for i in range(len(hist_f) - 1)], axis=1)
-            dX = np.stack([hist_x[i + 1] - hist_x[i] for i in range(len(hist_x) - 1)], axis=1)
-            gamma, *_ = np.linalg.lstsq(dF, F, rcond=None)
-            S = S + F - (dX + dF) @ gamma
-        else:
-            S = G
-    else:
+    def sweep(S, far_value, keep_phi=False):
+        nonlocal sweeps
+        if sweeps == max_iter:
+            raise ConvergenceError(
+                f"source iteration did not reach tol={tol} within {max_iter} "
+                f"sweeps (last residual {last:.3e})")
+        sweeps += 1
+        return sweeper.apply(S, zero_inflow, far_value, keep_phi=keep_phi)
+
+    def track(rel_residual):
+        nonlocal last
+        last = rel_residual * b_norm
+
+    b = sweep(np.zeros_like(x), k * far)
+    b_norm = float(np.linalg.norm(b))
+    op = LinearOperator((len(x), len(x)), dtype=float,
+                        matvec=lambda v: v - sweep(v, np.full_like(far, p @ v[sel])))
+    S, info = gmres(op, b, x0=k * x, rtol=0.0, atol=tol * max(1.0, abs(k) * grid.L),
+                    restart=len(x), maxiter=1, callback=track, callback_type="pr_norm")
+    if info != 0:
         raise ConvergenceError(
-            f"source iteration did not reach tol={tol} within {max_iter} "
-            f"iterations (last residual {residual:.3e})")
+            f"GMRES did not reach tol={tol} in {len(x)} steps "
+            f"(last residual {last:.3e})")
 
     k0, slope = extract_k0(x, S, window, k)
-    coef, *_ = np.linalg.lstsq(A, S[sel], rcond=None)
-    _, store_p, store_m = sweeper.apply(S, k, float(coef[0]), keep_phi=True)
+    G, store_p, store_m = sweep(S, k0 + k * far, keep_phi=True)
     n_pos = len(sweeper.vp)
     n_w = len(grid.w_nodes)
     phi = np.empty((len(x), len(grid.v_nodes), n_w))
     phi[:, grid.v_nodes > 0, :] = store_p.T.reshape(len(x), n_pos, n_w)
     phi[:, grid.v_nodes < 0, :] = store_m.T.reshape(len(x), len(sweeper.vm), n_w)
     return DomResult(phi=phi, source=S, k0_extracted=k0, slope=slope,
-                     fit_window=window, iterations=it, residual=residual,
+                     fit_window=window, iterations=sweeps,
+                     residual=float(np.max(np.abs(G - S))),
                      diagnostics=grid.diagnostics)
 
 
@@ -322,17 +329,5 @@ def mode_sweep_residual(model: AlphaModel, grid: DomGrid, mode: str) -> float:
         phi_pos = x[None, :] - sweeper.mu_pos[:, None]
         phi_neg = x[None, :] - sweeper.mu_neg[:, None]
     S = sweeper.cw_pos @ phi_pos + sweeper.cw_neg @ phi_neg
-
-    n = len(x) - 1
-    Sl, Sr = S[:-1], S[1:]
-    dS = Sr - Sl
-    worst = 0.0
-    phi = phi_pos[:, 0].copy()
-    for j in range(n):
-        phi = phi * sweeper.Ep[:, j] + Sl[j] * (1.0 - sweeper.Ep[:, j]) + dS[j] * sweeper.Fp[:, j]
-        worst = max(worst, float(np.max(np.abs(phi - phi_pos[:, j + 1]))))
-    phi = phi_neg[:, n].copy()
-    for j in range(n - 1, -1, -1):
-        phi = phi * sweeper.Em[:, j] + Sr[j] * (1.0 - sweeper.Em[:, j]) - dS[j] * sweeper.Fm[:, j]
-        worst = max(worst, float(np.max(np.abs(phi - phi_neg[:, j]))))
-    return worst
+    _, store_p, store_m = sweeper.apply(S, phi_pos[:, 0], phi_neg[:, -1], keep_phi=True)
+    return float(max(np.max(np.abs(store_p - phi_pos)), np.max(np.abs(store_m - phi_neg))))

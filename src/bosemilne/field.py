@@ -33,8 +33,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import quadrature
 from .errors import DomainError, RangeError
-from .factorization import (FactorizationData, N_SIGN, SpectrumCoefficient,
-                            build_factorization, spectrum_table)
+from .factorization import FactorizationData, N_SIGN, build_factorization, spectrum_table
 from .dispersion import build_theta_table
 from .special import AlphaModel
 
@@ -61,7 +60,6 @@ class MilneSolution:
 
     model: AlphaModel
     factorization: FactorizationData
-    n_table: tuple[SpectrumCoefficient, ...]
     k: float
     k0: float
     _etas: np.ndarray = dc_field(repr=False)
@@ -106,10 +104,8 @@ def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None,
         table = build_theta_table(model, threads=threads)
     data = build_factorization(model, table, k=k)
     etas, vps, ns = spectrum_table(data, threads=threads)
-    coeffs = tuple(SpectrumCoefficient(eta=float(e), n_value=float(n))
-                   for e, n in zip(etas, ns))
-    return MilneSolution(model=model, factorization=data, n_table=coeffs,
-                         k=k, k0=data.k0, _etas=etas, _vps=vps, _ns=ns)
+    return MilneSolution(model=model, factorization=data, k=k, k0=data.k0,
+                         _etas=etas, _vps=vps, _ns=ns)
 
 
 def _continuum_integral(sol: MilneSolution, x: float, mu: float,
@@ -131,7 +127,7 @@ def _continuum_integral(sol: MilneSolution, x: float, mu: float,
             quadrature.PvIntegrand(f=f, pole=mu, interval=(a, b)),
             tol=tol, max_depth=30)
     else:
-        pv = quadrature.integrate(f, a, b, tol, max_depth=30,
+        pv = quadrature.integrate(lambda eta: f(eta) / (eta - mu), a, b, tol, max_depth=30,
                                   scale=float(np.max(np.abs(sol._ns)) + 1e-300))
     return pv + _continuum_tail(sol, x, mu)
 

@@ -59,7 +59,6 @@ class QuadConfig:
 
     base_order: int = 64
     max_depth: int = 12
-    tol: float = 1e-12
 
 
 @dataclass(frozen=True)

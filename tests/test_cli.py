@@ -195,6 +195,14 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["v1", "dispersion", "profile", "validate"])
+def test_tol_rejected_where_unused(command):
+    # only oracle has a tolerance to set; argparse rejects the flag elsewhere
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["dispersion", "--alpha", "0", "--grid-mu", "0.05:0.9:40"],
     ["profile", "--alpha", "0", "--grid-x", "0:8:4", "--grid-mu=-0.8:0.8:7"],

@@ -49,6 +49,14 @@ class TestEvaluate:
             field._continuum_integral(sol0, 0.5, 1.5) / (2 * sol0.model.l0_alpha)
         assert val == pytest.approx(no_delta, rel=1e-12)
 
+    @pytest.mark.parametrize("mu,h", [(-1.0, 2.907809), (0.0, 1.0)])
+    def test_emergent_distribution(self, sol0, mu, h):
+        # one-speed Milne problem: phi(0, -m) = K H(m) / sqrt(3), with
+        # Chandrasekhar's H(1) = 2.907809 and H(0) = 1
+        want = sol0.k * h / math.sqrt(3.0)
+        tol = 1e-5 * (1.0 + sol0.factorization.v1)
+        assert abs(evaluate(sol0, 0.0, mu) - want) <= tol
+
     def test_linearity_in_k(self, ctx, table0):
         sol1 = solve_milne(ctx.model(0.0), k=1.0, table=table0)
         sol2 = solve_milne(ctx.model(0.0), k=-2.0, table=table0)
@@ -70,7 +78,6 @@ class TestBoundaryResidual:
     def test_sign_flip_detector(self, sol0):
         flipped = MilneSolution(
             model=sol0.model, factorization=sol0.factorization,
-            n_table=tuple(type(c)(eta=c.eta, n_value=-c.n_value) for c in sol0.n_table),
             k=sol0.k, k0=sol0.k0,
             _etas=sol0._etas, _vps=sol0._vps, _ns=-sol0._ns)
         assert boundary_residual(flipped) > 0.1
