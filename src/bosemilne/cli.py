@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__, acceptance, dispersion, dom, factorization as fz, field, saddle
 from .errors import BoseMilneError, ConfigurationError, DivergenceError
-from .quadrature import QuadConfig
 from .special import AlphaModel
 
 _CONFIG_KEYS = {
@@ -99,8 +98,10 @@ def _validate_common(cfg: dict):
         raise ConfigurationError(f"format must be csv or json, got {cfg.get('format')!r}")
 
 
-def _envelope(command: str, inputs: dict, values: dict, diagnostics: list[str]) -> dict:
-    q = QuadConfig()
+def _envelope(command: str, model: AlphaModel, inputs: dict, values: dict,
+              diagnostics: list[str]) -> dict:
+    """The result envelope; provenance reports the model that ran."""
+    q = model.quad_cfg
     return {
         "command": command,
         "inputs": inputs,
@@ -108,7 +109,7 @@ def _envelope(command: str, inputs: dict, values: dict, diagnostics: list[str]) 
         "provenance": {
             "version": __version__,
             "quadrature": {"base_order": q.base_order, "max_depth": q.max_depth,
-                           "omega_cut": 80.0},
+                           "omega_cut": model.omega_cut},
         },
         "diagnostics": diagnostics,
     }
@@ -176,7 +177,7 @@ def cmd_v1(args) -> int:
     except DivergenceError as exc:
         diagnostics.append(f"exact V1 integral divergent: {exc}")
 
-    env = _envelope("v1", {"alpha": alpha, "threads": cfg["threads"]},
+    env = _envelope("v1", model, {"alpha": alpha, "threads": cfg["threads"]},
                     values, diagnostics)
     _emit(env, cfg["out"])
     return 0
@@ -196,10 +197,9 @@ def cmd_dispersion(args) -> int:
     else:
         grid = _parse_range(cfg["grid_mu"], "grid-mu", geometric=True)
 
-    rows = []
-    for mu in grid:
-        s = dispersion.lambda_boundary(model, float(mu))
-        rows.append([s.mu, s.lambda_real, s.im_plus, s.theta])
+    rows = [[s.mu, s.lambda_real, s.im_plus, s.theta]
+            for s in dispersion.evaluate_boundary(table.boundary_fn, grid,
+                                                  threads=cfg["threads"])]
     _write_table(cfg["out"], ["mu", "lambda_real", "im_plus", "theta"],
                  rows, cfg["format"], digits=17)
 
@@ -210,7 +210,7 @@ def cmd_dispersion(args) -> int:
     if table.tail_exponent is not None:
         values["tail_exponent"] = _val(table.tail_exponent,
                                        2.0 * (table.tail_fit_residual or 0.0))
-    env = _envelope("dispersion",
+    env = _envelope("dispersion", model,
                     {"alpha": alpha, "grid_mu": cfg["grid_mu"] or "default",
                      "threads": cfg["threads"], "out": cfg["out"],
                      "format": cfg["format"]},
@@ -245,7 +245,7 @@ def cmd_profile(args) -> int:
         "v1": _val(sol.factorization.v1, sol.factorization.v1_error),
         "boundary_residual": _val(residual, "exact-by-construction"),
     }
-    env = _envelope("profile",
+    env = _envelope("profile", model,
                     {"alpha": alpha, "k": cfg["k"], "grid_x": cfg["grid_x"],
                      "grid_mu": cfg["grid_mu"], "threads": cfg["threads"],
                      "out": cfg["out"], "format": cfg["format"]},
@@ -283,7 +283,7 @@ def cmd_oracle(args) -> int:
                                      "exact-by-construction")
     except DivergenceError as exc:
         diagnostics.append(f"no exact V1 reference: {exc}")
-    env = _envelope("oracle",
+    env = _envelope("oracle", model,
                     {"alpha": alpha, "k": cfg["k"], "tol": cfg["tol"],
                      "dom_cells": cfg["dom_cells"], "dom_angles": cfg["dom_angles"],
                      "dom_freqs": cfg["dom_freqs"], "dom_length": cfg["dom_length"],

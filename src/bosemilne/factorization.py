@@ -104,9 +104,7 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable, *,
         edge = table.slit_edge
 
         def resid(mus):
-            mus = np.atleast_1d(np.asarray(mus, dtype=float))
-            out = np.array([math.pi - table.boundary_fn(m).theta for m in mus])
-            return out
+            return np.array([math.pi - s.theta for s in table.boundary_fn(mus)])
 
         body, err1 = quadrature.integrate_with_error(
             resid, 0.0, 0.9 * edge, tol, rule=rule, max_depth=24)
@@ -115,10 +113,7 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable, *,
         s0 = -math.log(0.1 * edge)
 
         def edge_piece(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            mus = edge - np.exp(-s)
-            vals = np.array([math.pi - table.boundary_fn(m).theta for m in mus])
-            return vals * np.exp(-s)
+            return resid(edge - np.exp(-s)) * np.exp(-s)
 
         near, err2 = quadrature.integrate_with_error(
             edge_piece, s0, s0 + 45.0, tol, rule=rule, max_depth=24)

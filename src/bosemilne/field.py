@@ -33,7 +33,8 @@ from scipy.interpolate import PchipInterpolator
 
 from . import quadrature
 from .errors import DomainError, RangeError
-from .factorization import FactorizationData, N_SIGN, build_factorization, spectrum_table
+from .factorization import (FactorizationData, N_SIGN, build_factorization, spectrum_table,
+                            v_cut)
 from .dispersion import build_theta_table
 from .special import AlphaModel
 
@@ -160,13 +161,14 @@ def _delta_term(sol: MilneSolution, x: float, mu: float) -> float:
     arg = x / mu
     if arg > _EXP_UNDERFLOW:
         return 0.0
-    if not (sol.eta_min <= mu <= sol.eta_max):
-        if x > 0.0 and arg > 50.0:
-            return 0.0
+    if not (sol.eta_min <= mu <= sol.eta_max) and x > 0.0 and arg > 50.0:
+        return 0.0
+    if mu > sol.eta_max:
         raise RangeError(
             f"mu={mu} outside the interpolable continuum range "
             f"[{sol.eta_min:.3g}, {sol.eta_max:.3g}]")
-    vp = float(sol.vp_interp(mu))
+    # below the continuum table Vp comes from its principal-value integral
+    vp = v_cut(sol.factorization, mu) if mu < sol.eta_min else float(sol.vp_interp(mu))
     theta = float(table.theta_at(mu))
     return N_SIGN * sol.k * mu * math.exp(-vp) * math.cos(theta) * math.exp(-arg)
 

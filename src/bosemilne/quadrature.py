@@ -1,7 +1,8 @@
 """Reusable numerical integration.
 
-Fixed Gauss-Legendre rules, a deterministic globally-adaptive integrator, and
-Cauchy principal-value integrals by singularity subtraction:
+Fixed Gauss-Legendre rules, a deterministic globally-adaptive integrator, its
+batched first step for many intervals at once, and Cauchy principal-value
+integrals by singularity subtraction:
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
 
@@ -29,6 +30,8 @@ __all__ = [
     "gauss_rule",
     "integrate",
     "integrate_with_error",
+    "first_panel",
+    "integrate_rows",
     "pv_integral",
 ]
 
@@ -111,6 +114,19 @@ def _panel(f, a, b, rule, whole=None):
     return m, left, right, fine, abs(fine - whole)
 
 
+def _converged(err, total, tol, scale):
+    """The stopping test err <= tol * max(|total|, scale, 1e-300).
+
+    Elementwise for arrays (first_panel); plain floats keep the adaptive loop
+    free of numpy call overhead.
+    """
+    if isinstance(total, np.ndarray):
+        floor = np.abs(total) if scale is None else np.maximum(np.abs(total), scale)
+        return err <= tol * np.maximum(floor, 1e-300)
+    floor = abs(total) if scale is None else max(abs(total), scale)
+    return err <= tol * max(floor, 1e-300)
+
+
 def integrate_with_error(
     f: Callable,
     a: float,
@@ -148,10 +164,7 @@ def integrate_with_error(
         total = total + fine
         err_total += err
 
-    while True:
-        floor = abs(total) if scale is None else max(abs(total), scale)
-        if err_total <= tol * max(floor, 1e-300):
-            break
+    while not _converged(err_total, total, tol, scale):
         neg_err, _, lo, hi, m, left, right, depth = heapq.heappop(heap)
         if depth >= max_depth:
             raise AccuracyError(
@@ -170,6 +183,54 @@ def integrate_with_error(
             err_total += err2
 
     return total, err_total
+
+
+def first_panel(f: Callable, a, b, tol: float = 1e-10, *,
+                rule: QuadratureRule | None = None,
+                scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The first panel of integrate_with_error on many intervals in one call.
+
+    Row i applies the rule to (a[i], b[i]) and to its two halves. f is called
+    once, with an (n, 3 * order) array of nodes (whole, left and right half of
+    each row), and must evaluate elementwise. Returns (value, ok): the
+    two-half estimate of each row, and whether it passes the stopping test of
+    integrate_with_error (a row with a >= b never passes). A row's value
+    depends on that row alone, not on how many rows share the call.
+    """
+    rule = rule or gauss_rule(64)
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
+    m = 0.5 * (a + b)
+    spans = (rule.map_to(a, b), rule.map_to(a, m), rule.map_to(m, b))
+    vals = np.asarray(f(np.concatenate([x for x, _ in spans], axis=1)))
+    k = rule.order
+    whole, left, right = ((w * vals[:, i * k:(i + 1) * k]).sum(axis=1)
+                          for i, (_, w) in enumerate(spans))
+    fine = left + right
+    ok = (a[:, 0] < b[:, 0]) & _converged(np.abs(fine - whole), fine, tol, scale)
+    return fine, ok
+
+
+def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(),
+                   rule: QuadratureRule | None = None, max_depth: int = 12,
+                   scale: float | None = None) -> np.ndarray:
+    """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
+
+    All rows get first_panel in one call, each parameter passed as an (n, 1)
+    column. A row whose panel fails the test is redone by integrate with its
+    own scalar parameters, so it keeps that path's accuracy and its
+    AccuracyError; the result of a row does not depend on the other rows.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    params = [np.asarray(p, dtype=float) for p in params]
+    cols = [p[:, None] for p in params]
+    vals, ok = first_panel(lambda x: f(x, *cols), a, b, tol, rule=rule, scale=scale)
+    for i in np.flatnonzero(~ok):
+        row = [p[i] for p in params]
+        vals[i] = integrate(lambda x: f(x, *row), a[i], b[i], tol, rule=rule,
+                            max_depth=max_depth, scale=scale)
+    return vals
 
 
 def integrate(

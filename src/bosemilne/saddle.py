@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dispersion import (DispersionSample, DispersionTable, _slit_grid,
+from .dispersion import (DispersionTable, _samples, _slit_grid,
                          _table_from_boundary, lambda_case, lambda_case_pv)
 from .errors import ConsistencyError, ConvergenceError, DomainError
 
@@ -99,14 +99,12 @@ def surrogate_theta_table(alpha: float, omega0: float | None = None,
     edge = w0 ** (-alpha)
     stretch = w0 ** alpha
 
-    def boundary(mu: float) -> DispersionSample:
-        if mu <= 0:
-            raise DomainError(f"mu must be positive, got {mu}")
-        y = stretch * mu
-        re = float(lambda_case_pv(y))
-        im = 0.5 * math.pi * y if y < 1.0 else 0.0
-        return DispersionSample(mu=mu, lambda_real=re, im_plus=im,
-                                theta=math.atan2(im, re))
+    def boundary(mus):
+        mus = np.asarray(mus, dtype=float)
+        if np.any(mus <= 0):
+            raise DomainError(f"mu must be positive, got {mus[mus <= 0][0]}")
+        y = stretch * mus
+        return _samples(mus, lambda_case_pv(y), np.where(y < 1.0, 0.5 * math.pi * y, 0.0))
 
     grid = _slit_grid(edge, n, 1e-4)
     return _table_from_boundary(boundary, grid, alpha, edge,

@@ -117,11 +117,26 @@ def test_profile_alpha_two_not_constructible(capsys):
     assert code == 1
 
 
-def test_profile_range_error_surfaces(capsys):
-    # mu below the tabulated continuum at x = 0 cannot be interpolated
-    code, _ = run_cli(["profile", "--alpha", "0", "--grid-x", "0:1:2",
-                       "--grid-mu", "5e-5:6e-5:2"], capsys)
-    assert code == 1
+def test_profile_below_continuum_table(tmp_path, capsys):
+    # mu below the first continuum node (1e-4) takes Vp from its integral
+    out_csv = tmp_path / "p.csv"
+    for grid_x, grid_mu in (("0:0:1", "5e-5:5e-5:1"), ("0:1:2", "5e-5:6e-5:2")):
+        code, _ = run_cli(["profile", "--alpha", "0", "--grid-x", grid_x,
+                           "--grid-mu", grid_mu, "--out", str(out_csv)], capsys)
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out_csv.read_text().splitlines()[1:]]
+        assert all(abs(phi) <= 1e-5 for x, mu, phi in rows if x == 0.0)
+
+
+def test_envelope_reports_the_model_that_ran():
+    from bosemilne.quadrature import QuadConfig
+    from bosemilne.special import AlphaModel
+    model = AlphaModel.build(0.0, omega_cut=60.0,
+                             quad=QuadConfig(base_order=48, max_depth=9))
+    env = cli._envelope("v1", model, {}, {}, [])
+    assert env["provenance"]["quadrature"] == {"base_order": 48, "max_depth": 9,
+                                               "omega_cut": 60.0}
 
 
 class TestOracleCommand:

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from bosemilne import dispersion
+from bosemilne import dispersion, quadrature
 from bosemilne.dispersion import (DispersionTable, build_theta_table,
                                   default_mu_grid, index_kappa, lambda_boundary,
-                                  lambda_case, lambda_case_boundary,
-                                  lambda_case_pv, lambda_general,
-                                  weighted_case_average)
+                                  lambda_boundary_batch, lambda_case,
+                                  lambda_case_boundary, lambda_case_pv,
+                                  lambda_general, weighted_case_average)
 from bosemilne.errors import ConsistencyError, DomainError
 from bosemilne.special import einstein
 
@@ -99,6 +99,31 @@ class TestLambdaGeneral:
             b = np.conj(lambda_general(model, complex(z)))
             assert a == pytest.approx(b, rel=1e-13)
 
+    def test_second_order_zero_alpha2_oracle(self, model2):
+        # criterion 5's documented deviation at |z| = 1000, from the defining
+        # integral at 30 digits; the criterion itself asks for 1e-6 and fails
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            z, a = mp.mpc(0, 1000), 2
+
+            def l0(p):
+                return mp.gamma(p + 5) * mp.zeta(p + 4)
+
+            def f(w):
+                u = w ** a * z
+                lam_c = 1 + u / 2 * mp.log((u - 1) / (u + 1))
+                return w ** (a + 4) * mp.exp(w) / mp.expm1(w) ** 2 * lam_c
+
+            wc = 1 / mp.sqrt(1000)  # where |w^a z| = 1
+            lam = mp.quad(f, [0, wc, 8 * wc, 64 * wc, 10, mp.inf]) / l0(a)
+            ref = l0(-a) / (3 * l0(a))
+            want = float(abs(z * z * lam + ref) / ref)
+        assert want == pytest.approx(9.15064509449e-3, rel=1e-11)
+        zc = 1000j
+        ref_prog = model2.l0_neg / (3.0 * model2.l0_alpha)
+        got = abs(zc * zc * lambda_general(model2, zc) + ref_prog) / ref_prog
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_real_argument_rejected_for_positive_alpha(self, model1):
         with pytest.raises(DomainError):
             lambda_general(model1, 0.7)
@@ -121,22 +146,62 @@ class TestLambdaBoundary:
         assert s.lambda_real == pytest.approx(LAM_C_2, rel=1e-13)
         assert s.theta == math.pi
 
-    def test_against_independent_quadrature(self, model1):
-        # scipy QUADPACK on the raw integrand, split at the log singularity
+    def test_against_independent_quadrature(self, ctx):
+        # scipy QUADPACK on the raw integrand, split at the log singularity;
+        # mu covers ws = mu^(-1/a) beyond the cut 80, next to it, ws = 1 and
+        # ws < 1 (mu = 100)
         from scipy.integrate import quad
-        mu = 0.5
-        ws = 1.0 / mu
+        for alpha in (0.5, 1.0, 2.0):
+            model = ctx.model(alpha)
+            for mu in (1e-5, 79.5 ** -alpha, 0.5, 1.0, 100.0):
+                ws = mu ** (-1.0 / alpha)
 
-        def f(w):
-            y = w * mu
-            lam_pv = 1.0 - 0.5 * y * math.log(abs((1 + y) / (1 - y)))
-            return w ** 5 * float(einstein(w)) * (lam_pv - 1.0)
+                def f(w):
+                    y = w ** alpha * mu
+                    lam_pv = 1.0 - 0.5 * y * math.log(abs((1 + y) / (1 - y)))
+                    return w ** (alpha + 4) * float(einstein(w)) * (lam_pv - 1.0)
 
-        v1, _ = quad(f, 0.0, ws, limit=400)
-        v2, _ = quad(f, ws, 80.0, limit=400)
-        want = 1.0 + (v1 + v2) / model1.l0_alpha
-        s = lambda_boundary(model1, mu)
-        assert s.lambda_real == pytest.approx(want, rel=1e-9)
+                cuts = [0.0, ws, 80.0] if ws < 80.0 else [0.0, 80.0]
+                val = sum(quad(f, lo, hi, limit=400, epsabs=1e-15 * model.l0_alpha,
+                               epsrel=1e-13)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+                xi, _ = quad(lambda w: w ** (2 * alpha + 4) * float(einstein(w)),
+                             0.0, min(ws, 80.0), limit=400, epsabs=0.0, epsrel=1e-13)
+                s = lambda_boundary(model, mu)
+                # Re lam+ = 1 + O(1) integral: near mu = 100 it cancels to ~1e-7,
+                # so the two quadratures agree only to an absolute ~1e-14 there
+                assert s.lambda_real == pytest.approx(1.0 + val / model.l0_alpha,
+                                                      rel=1e-9, abs=1e-13)
+                assert s.im_plus == pytest.approx(
+                    0.5 * math.pi * mu * xi / model.l0_alpha, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_batch_rows_independent(self, ctx, alpha):
+        # one call, the reversed call and one-row calls give the same bits,
+        # which keeps tables identical whatever chunk or worker a mu lands in
+        model = ctx.model(alpha)
+        mus = np.concatenate([np.geomspace(1e-6, 3000.0, 37), [79.5 ** -alpha, 1.0]])
+        batch = lambda_boundary_batch(model, mus)
+        backwards = lambda_boundary_batch(model, mus[::-1])[::-1]
+        single = [lambda_boundary(model, float(m)) for m in mus]
+        assert batch == backwards == single
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_fallback_rows_agree(self, ctx, alpha, monkeypatch):
+        # tol=1e-15 is below what the first 64-point panel can certify, so
+        # rows go through the adaptive integrator instead
+        model = ctx.model(alpha)
+        mus = np.array([1e-5, 79.5 ** -alpha, 0.3, 1.0, 7.0, 100.0])
+        calls = []
+        adaptive = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *a, **k: calls.append(1) or adaptive(*a, **k))
+        default = lambda_boundary_batch(model, mus)
+        assert not calls
+        strict = lambda_boundary_batch(model, mus, tol=1e-15)
+        assert calls
+        for got, want in zip(strict, default):
+            assert got.lambda_real == pytest.approx(want.lambda_real, rel=1e-10, abs=1e-10)
+            assert got.im_plus == want.im_plus
 
     def test_nonpositive_mu_rejected(self, model1):
         with pytest.raises(DomainError):

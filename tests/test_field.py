@@ -57,6 +57,15 @@ class TestEvaluate:
         tol = 1e-5 * (1.0 + sol0.factorization.v1)
         assert abs(evaluate(sol0, 0.0, mu) - want) <= tol
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("mu", [5e-5, 1e-5])
+    def test_zero_inflow_below_continuum_table(self, ctx, alpha, mu):
+        # 0 < mu < eta_min = 1e-4: Vp comes from v_cut, not the Vp table
+        sol = ctx.solution(alpha)
+        assert mu < sol.eta_min
+        val = evaluate(sol, 0.0, mu)
+        assert abs(val) <= 1e-5 * abs(sol.k) * (1.0 + sol.factorization.v1)
+
     def test_linearity_in_k(self, ctx, table0):
         sol1 = solve_milne(ctx.model(0.0), k=1.0, table=table0)
         sol2 = solve_milne(ctx.model(0.0), k=-2.0, table=table0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
-from bosemilne.quadrature import (PvIntegrand, gauss_rule, integrate,
-                                  integrate_with_error, pv_integral)
+from bosemilne.quadrature import (PvIntegrand, first_panel, gauss_rule, integrate,
+                                  integrate_rows, integrate_with_error, pv_integral)
 from bosemilne.special import einstein
 
 
@@ -126,3 +126,31 @@ def test_error_estimate_is_a_bound():
     val, err = integrate_with_error(f, 0.0, 4.0, 1e-10)
     exact, _ = integrate_with_error(f, 0.0, 4.0, 1e-14, max_depth=20)
     assert abs(val - exact) <= max(err, 1e-13)
+
+
+class TestBatchedRows:
+    def test_first_panel_flags(self):
+        # smooth rows pass on the first panel; a reversed interval never does
+        a = np.array([0.0, 1.0, 2.0])
+        b = np.array([1.0, 3.0, 1.0])
+        vals, ok = first_panel(np.exp, a, b, 1e-12)
+        assert ok.tolist() == [True, True, False]
+        assert vals[:2] == pytest.approx(np.exp(b[:2]) - np.exp(a[:2]), rel=1e-14)
+
+    def test_rows_match_adaptive(self):
+        # sqrt(x + p) needs bisection for p = 1e-12 only; every row must equal
+        # what integrate returns for its own parameter
+        p = np.array([1.0, 1e-12, 0.5])
+
+        def f(x, q):
+            return np.sqrt(x + q)
+
+        got = integrate_rows(f, np.zeros(3), np.ones(3), 1e-10, params=(p,),
+                             max_depth=30)
+        want = [integrate(lambda x: f(x, q), 0.0, 1.0, 1e-10, max_depth=30) for q in p]
+        assert got[1] == want[1]
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_fallback_keeps_accuracy_error(self):
+        with pytest.raises(AccuracyError):
+            integrate_rows(lambda x: 1.0 / np.sqrt(x), [0.0], [1.0], 1e-14, max_depth=2)
