@@ -13,7 +13,7 @@ envelope.schema.json); table commands additionally write a CSV or JSON table
 to --out. A key=value config file supplies defaults that explicit flags
 override. Numbers in JSON are the shortest round-trip decimals; the
 dispersion CSV uses 17 significant digits. Identical configurations produce
-byte-identical outputs regardless of --threads.
+byte-identical outputs; --threads is accepted and has no effect.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """
@@ -232,11 +232,9 @@ def cmd_profile(args) -> int:
     if np.any(xs < 0):
         raise ConfigurationError("grid-x must be nonnegative")
 
-    from .util import ordered_map
-    points = [(float(x), float(mu)) for x in xs for mu in mus]
-    phis = ordered_map(lambda p: field.evaluate(sol, p[0], p[1]), points,
-                       threads=cfg["threads"])
-    rows = [[x, mu, phi] for (x, mu), phi in zip(points, phis)]
+    xg, mug = (g.ravel() for g in np.meshgrid(xs, mus, indexing="ij"))
+    phis = field.evaluate(sol, xg, mug)
+    rows = [list(r) for r in zip(xg.tolist(), mug.tolist(), phis.tolist())]
     _write_table(cfg["out"], ["x", "mu", "phi"], rows, cfg["format"])
 
     residual = field.boundary_residual(sol)
@@ -317,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         if alpha:
             p.add_argument("--alpha", type=float, help="scattering exponent in [0, 3]")
         p.add_argument("--k", type=float, help="imposed dimensionless gradient")
-        p.add_argument("--threads", type=int, help="worker cap (results identical)")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; has no effect (runs are serial)")
         p.add_argument("--format", choices=("csv", "json"), help="table format")
         p.add_argument("--out", help="output path")
 

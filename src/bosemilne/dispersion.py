@@ -397,8 +397,8 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
 def evaluate_boundary(boundary_fn, mus, *, threads: int = 1) -> list[DispersionSample]:
     """boundary_fn over mus in fixed-size chunks, in input order.
 
-    Chunks bound the memory of one batch and are what `threads` workers
-    share; a row's value never depends on the chunk it lands in.
+    Chunks bound the memory of one batch; a row's value never depends on the
+    chunk it lands in. `threads` has no effect (util.ordered_map is serial).
     """
     mus = np.asarray(mus, dtype=float)
     chunks = [mus[i:i + _CHUNK] for i in range(0, len(mus), _CHUNK)]

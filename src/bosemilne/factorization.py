@@ -40,9 +40,7 @@ import numpy as np
 from . import quadrature
 from .dispersion import DispersionTable
 from .errors import DivergenceError, DomainError, RangeError
-from .quadrature import PvIntegrand, pv_integral
 from .special import AlphaModel
-from .util import ordered_map
 
 __all__ = [
     "FactorizationData",
@@ -64,6 +62,10 @@ __all__ = [
 # Derived from the jump of C0/X across the cut and confirmed operationally:
 # with -1 the boundary residual at x=0 is at quadrature level, with +1 it is O(1).
 N_SIGN = -1.0
+
+# rows per lockstep call in v_cut and field.evaluate; bounds the node arrays
+# of one step
+ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -177,22 +179,23 @@ def build_factorization(model: AlphaModel, table: DispersionTable,
                              v1_error=est.error, k=k)
 
 
-def _tail_cauchy(data: FactorizationData, z) -> complex:
-    """int_{mu_max}^inf (theta - pi)/(t - z) dt via the fitted tail model.
+def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
+    """int_{mu_max}^inf (theta - pi)/(t - z) dt via the fitted tail model, for every z.
 
     Substituting u = 1/t maps it to a regular integral on (0, 1/mu_max);
-    valid whenever z is not on (mu_max, inf).
+    valid whenever z is not on (mu_max, inf). Real or complex z.
     """
+    z = np.atleast_1d(z)
     p, c = data.table.tail_exponent, data.table.tail_coeff
     if p is None:
-        return 0.0
+        return np.zeros(z.shape)
     u_max = 1.0 / data.table.mu_max
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
+    def f(u, z):
         return u ** (-p - 1.0) / (1.0 - z * u)
 
-    val = quadrature.integrate(f, 0.0, u_max, 1e-10, max_depth=24)
+    val = quadrature.integrate_rows(f, np.zeros(z.shape), np.full(z.shape, u_max), 1e-10,
+                                    params=(z,), max_depth=24)
     return -c * val
 
 
@@ -215,25 +218,33 @@ def v_transform(data: FactorizationData, z, *, tol: float = 1e-10) -> complex:
     if 0.0 < zc.real < table.mu_max:
         pts.append(zc.real)
     val = quadrature.integrate(f, 0.0, table.mu_max, tol, max_depth=30, points=pts)
-    val += _tail_cauchy(data, zc)
+    val += complex(_tail_cauchy(data, zc)[0])
     return val / math.pi
 
 
-def v_cut(data: FactorizationData, eta: float, *, tol: float = 1e-9) -> float:
-    """Principal value Vp(eta) of the Cauchy transform on the cut, 0 < eta < mu_max."""
+def v_cut(data: FactorizationData, eta, *, tol: float = 1e-9):
+    """Principal value Vp(eta) of the Cauchy transform on the cut, 0 < eta < mu_max.
+
+    Scalar or 1-d array eta; the principal values go through
+    quadrature.pv_rows, ROWS etas per call.
+    """
     table = data.table
-    if not (0.0 < eta < table.mu_max):
-        raise RangeError(f"eta={eta} outside the tabulated cut (0, {table.mu_max})")
+    arr = np.asarray(eta, dtype=float)
+    etas = np.atleast_1d(arr)
+    outside = ~((0.0 < etas) & (etas < table.mu_max))
+    if np.any(outside):
+        raise RangeError(f"eta={etas[outside][0]} outside the tabulated cut (0, {table.mu_max})")
     interp, deriv = data._g_interp, data._g_deriv
 
     def g(t):
-        return interp(np.asarray(t, dtype=float)) - math.pi
+        return interp(t) - math.pi
 
-    pv = pv_integral(PvIntegrand(f=g, pole=eta, interval=(0.0, table.mu_max),
-                                 fprime=lambda t: float(deriv(t))),
-                     tol=tol, max_depth=30)
-    pv += float(np.real(_tail_cauchy(data, eta)))
-    return pv / math.pi
+    out = np.empty(etas.shape)
+    for s in range(0, len(etas), ROWS):
+        e = etas[s:s + ROWS]
+        pv = quadrature.pv_rows(g, e, 0.0, table.mu_max, tol, slopes=deriv(e), max_depth=30)
+        out[s:s + ROWS] = (pv + _tail_cauchy(data, e).real) / math.pi
+    return out if arr.ndim else float(out[0])
 
 
 def x_factor(data: FactorizationData, z, *, tol: float = 1e-10) -> complex:
@@ -296,7 +307,7 @@ def n_jump_complex(data: FactorizationData, eta: float) -> complex:
 
 
 def spectrum_table(data: FactorizationData, etas: Sequence[float] | None = None,
-                   *, n_nodes: int = 400, threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   *, n_nodes: int = 400) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate (eta, Vp(eta), n(eta)) over the cut.
 
     Returns arrays (etas, vp, n). Default nodes subsample the theta grid to
@@ -313,7 +324,7 @@ def spectrum_table(data: FactorizationData, etas: Sequence[float] | None = None,
             inner = inner[idx]
         etas = inner
     etas = np.asarray(etas, dtype=float)
-    vps = np.array(ordered_map(lambda e: v_cut(data, e), etas, threads=threads))
+    vps = v_cut(data, etas)
     ns = np.array([n_coefficient(data, e, vp=vp).n_value
                    for e, vp in zip(etas, vps)])
     return etas, vps, ns

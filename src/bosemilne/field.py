@@ -13,9 +13,12 @@ delta-mode coefficient is evaluated in the cancellation-free form
     lam(mu)/xi_a(mu) * n(mu) = N_SIGN * K * mu * e^{-Vp(mu)} * cos(theta(mu)),
 
 where the truncated moment xi_a cancels exactly against the one hiding in
-sin(pi - theta); this keeps the term finite where xi_a underflows. Outside a
+sin(pi - theta); this keeps the term finite where xi_a underflows. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
-term is absent.
+term is absent. At the edge itself (mu = 1) the continuum integrand
+diverges like a log-log, and beyond the table of an alpha > 0 solution
+(mu >= eta_max) the algebraic tail has its pole inside its integral: both
+raise RangeError before any integration.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -24,7 +27,6 @@ end-to-end consistency meter of the whole pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -33,8 +35,8 @@ from scipy.interpolate import PchipInterpolator
 
 from . import quadrature
 from .errors import DomainError, RangeError
-from .factorization import (FactorizationData, N_SIGN, build_factorization, spectrum_table,
-                            v_cut)
+from .factorization import (FactorizationData, N_SIGN, ROWS, build_factorization,
+                            spectrum_table, v_cut)
 from .dispersion import build_theta_table
 from .special import AlphaModel
 
@@ -104,85 +106,130 @@ def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None,
     if table is None:
         table = build_theta_table(model, threads=threads)
     data = build_factorization(model, table, k=k)
-    etas, vps, ns = spectrum_table(data, threads=threads)
+    etas, vps, ns = spectrum_table(data)
     return MilneSolution(model=model, factorization=data, k=k, k0=data.k0,
                          _etas=etas, _vps=vps, _ns=ns)
 
 
-def _continuum_integral(sol: MilneSolution, x: float, mu: float,
-                        tol: float = 1e-9) -> float:
-    """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range."""
-    interp = sol.eta_n_interp
-    a, b = 0.0, sol.eta_max
-
-    def f(eta):
-        eta = np.asarray(eta, dtype=float)
-        vals = interp(eta)
-        if x > 0.0:
-            with np.errstate(divide="ignore"):
-                vals = vals * np.exp(-np.where(eta > 0, x / eta, np.inf))
-        return vals
-
-    if a < mu < b:
-        pv = quadrature.pv_integral(
-            quadrature.PvIntegrand(f=f, pole=mu, interval=(a, b)),
-            tol=tol, max_depth=30)
-    else:
-        pv = quadrature.integrate(lambda eta: f(eta) / (eta - mu), a, b, tol, max_depth=30,
-                                  scale=float(np.max(np.abs(sol._ns)) + 1e-300))
-    return pv + _continuum_tail(sol, x, mu)
-
-
-def _continuum_tail(sol: MilneSolution, x: float, mu: float) -> float:
-    """Algebraic continuum tail beyond the grid (alpha > 0 only)."""
+def _tail_law(sol: MilneSolution) -> float | None:
+    """Exponent p of the algebraic continuum tail beyond the grid, or None without one."""
     table = sol.factorization.table
-    if table.slit_edge is not None or table.tail_exponent is None:
-        return 0.0
     p = table.tail_exponent
-    if p >= -1.0 or sol._ns[-1] == 0.0:
-        return 0.0
+    if table.slit_edge is not None or p is None or p >= -1.0 or sol._ns[-1] == 0.0:
+        return None
+    return p
+
+
+def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
+    """RangeError for the points phi cannot be evaluated at, before any integration."""
+    edge = sol.factorization.table.slit_edge
+    beyond = mu > sol.eta_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        needs_vp = beyond & (x / mu <= 50.0)
+    if edge is not None:
+        needs_vp &= mu < edge
+    span = f"the continuum table [{sol.eta_min:.3g}, {sol.eta_max:.17g}]"
+    checks = (
+        (mu == sol.eta_max, f"is the end of {span}, a pole of the continuum integral"),
+        (edge is not None and mu == edge,
+         "is the slit edge, where the continuum integrand diverges like a log-log"),
+        (beyond & (_tail_law(sol) is not None),
+         f"lies beyond {span}: the continuum tail would have its pole u = 1/mu inside"),
+        (needs_vp, f"lies beyond {span}: the delta mode has no Vp(mu) there"),
+    )
+    for bad, why in checks:
+        if np.any(bad):
+            raise RangeError(f"mu={float(mu[bad][0])!r} {why}")
+
+
+def _continuum_integral(sol: MilneSolution, x, mu, tol: float = 1e-9):
+    """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range, plus the tail.
+
+    x and mu broadcast; principal-value rows (0 < mu < eta_max) and plain
+    rows each go through one batched quadrature.
+    """
+    xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
+    x, mu = xb.ravel(), mb.ravel()
+    interp = sol.eta_n_interp
+    b = sol.eta_max
+
+    def f(eta, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return interp(eta) * np.exp(-np.where(eta > 0, x / eta, np.inf))
+
+    def plain(eta, x, mu):
+        return f(eta, x) / (eta - mu)
+
+    out = np.empty(mu.shape)
+    pv = (0.0 < mu) & (mu < b)
+    if np.any(pv):
+        out[pv] = quadrature.pv_rows(f, mu[pv], 0.0, b, tol, params=(x[pv],), max_depth=30)
+    if not np.all(pv):
+        n = int(np.sum(~pv))
+        out[~pv] = quadrature.integrate_rows(
+            plain, np.zeros(n), np.full(n, b), tol, params=(x[~pv], mu[~pv]), max_depth=30,
+            scale=float(np.max(np.abs(sol._ns)) + 1e-300))
+    return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
+
+
+def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Algebraic continuum tail beyond the grid (alpha > 0 only); mu < eta_max."""
+    p = _tail_law(sol)
+    if p is None:
+        return np.zeros(mu.shape)
     eta_ref = sol.eta_max
     n_ref = float(sol._ns[-1])
-    u_max = 1.0 / eta_ref
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
+    def f(u, x, mu):
         return u ** (-p - 2.0) * np.exp(-x * u) / (1.0 - mu * u)
 
-    val = quadrature.integrate(f, 0.0, u_max, 1e-9, max_depth=24)
+    val = quadrature.integrate_rows(f, np.zeros(mu.shape), np.full(mu.shape, 1.0 / eta_ref),
+                                    1e-9, params=(x, mu), max_depth=24)
     return n_ref * eta_ref ** (-p) * val
 
 
-def _delta_term(sol: MilneSolution, x: float, mu: float) -> float:
-    """Delta-mode contribution for mu > 0, in the xi-cancelled form."""
+def _delta_term(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Delta-mode contribution for mu > 0, in the xi-cancelled form; 0 elsewhere."""
     table = sol.factorization.table
-    if table.slit_edge is not None and mu >= table.slit_edge:
-        return 0.0
-    arg = x / mu
-    if arg > _EXP_UNDERFLOW:
-        return 0.0
-    if not (sol.eta_min <= mu <= sol.eta_max) and x > 0.0 and arg > 50.0:
-        return 0.0
-    if mu > sol.eta_max:
-        raise RangeError(
-            f"mu={mu} outside the interpolable continuum range "
-            f"[{sol.eta_min:.3g}, {sol.eta_max:.3g}]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = x / mu
+    live = (mu > 0.0) & (arg <= _EXP_UNDERFLOW)
+    if table.slit_edge is not None:
+        live &= mu < table.slit_edge
+    off_table = (mu < sol.eta_min) | (mu > sol.eta_max)
+    live &= ~(off_table & (x > 0.0) & (arg > 50.0))
+    out = np.zeros(mu.shape)
+    m = mu[live]
     # below the continuum table Vp comes from its principal-value integral
-    vp = v_cut(sol.factorization, mu) if mu < sol.eta_min else float(sol.vp_interp(mu))
-    theta = float(table.theta_at(mu))
-    return N_SIGN * sol.k * mu * math.exp(-vp) * math.cos(theta) * math.exp(-arg)
+    below = m < sol.eta_min
+    vp = np.empty(m.shape)
+    if np.any(below):
+        vp[below] = v_cut(sol.factorization, m[below])
+    vp[~below] = sol.vp_interp(m[~below])
+    theta = table.theta_at(m)
+    out[live] = N_SIGN * sol.k * m * np.exp(-vp) * np.cos(theta) * np.exp(-arg[live])
+    return out
 
 
-def evaluate(sol: MilneSolution, x: float, mu: float) -> float:
-    """Field value phi(x, mu); x >= 0, principal value inside the continuum."""
-    if x < 0.0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-    base = sol.k0 + sol.k * (x - mu)
-    if sol.k == 0.0:
-        return 0.0
-    cont = _continuum_integral(sol, x, mu) / (2.0 * sol.model.l0_alpha)
-    delta = _delta_term(sol, x, mu) if mu > 0.0 else 0.0
-    return base + cont + delta
+def evaluate(sol: MilneSolution, x, mu):
+    """Field value phi(x, mu); x >= 0, principal value inside the continuum.
+
+    x and mu broadcast against each other (scalars give a float). Every
+    point is range-checked first; then ROWS points at a time share each
+    batched quadrature.
+    """
+    xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
+    xs, mus = xb.ravel(), mb.ravel()
+    if np.any(xs < 0.0):
+        raise DomainError(f"x must be nonnegative, got {xs[xs < 0.0][0]}")
+    out = np.zeros(xs.shape)
+    if sol.k != 0.0:
+        _check_range(sol, xs, mus)
+        for s in range(0, len(xs), ROWS):
+            x, mu = xs[s:s + ROWS], mus[s:s + ROWS]
+            cont = _continuum_integral(sol, x, mu) / (2.0 * sol.model.l0_alpha)
+            out[s:s + ROWS] = sol.k0 + sol.k * (x - mu) + cont + _delta_term(sol, x, mu)
+    return float(out[0]) if xb.ndim == 0 else out.reshape(xb.shape)
 
 
 def boundary_residual(sol: MilneSolution, grid=None) -> float:
@@ -192,8 +239,8 @@ def boundary_residual(sol: MilneSolution, grid=None) -> float:
     if grid is None:
         hi = 0.95 * sol.support_end
         grid = np.geomspace(max(1e-3, 2.0 * sol.eta_min), hi, 25)
-    vals = [abs(evaluate(sol, 0.0, float(m))) for m in np.asarray(grid, dtype=float)]
-    return max(vals) / (abs(sol.k) * (1.0 + sol.factorization.v1))
+    vals = np.abs(evaluate(sol, 0.0, grid))
+    return float(np.max(vals)) / (abs(sol.k) * (1.0 + sol.factorization.v1))
 
 
 def mode_equation_residual(model: AlphaModel, mode: str, x_grid=None,

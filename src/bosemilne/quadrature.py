@@ -1,20 +1,22 @@
 """Reusable numerical integration.
 
-Fixed Gauss-Legendre rules, a deterministic globally-adaptive integrator, its
-batched first step for many intervals at once, and Cauchy principal-value
-integrals by singularity subtraction:
+Fixed Gauss-Legendre rules, a deterministic globally-adaptive integrator
+(`integrate_with_error`, for scalar callers), the same algorithm run in
+lockstep over many rows (`integrate_rows`: one integrand call per step for
+all rows), and Cauchy principal values by singularity subtraction, one row
+(`pv_integral`) or many (`pv_rows`):
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
 
 Integrands are called with ndarray arguments and must evaluate elementwise.
-All refinement decisions depend only on the integrand values, so results are
-bit-reproducible for a given rule order and tolerance.
+All refinement decisions depend only on the integrand values of their own
+row, so results are bit-reproducible for a given rule order and tolerance,
+whatever rows share a batch.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -30,8 +32,8 @@ __all__ = [
     "gauss_rule",
     "integrate",
     "integrate_with_error",
-    "first_panel",
     "integrate_rows",
+    "pv_rows",
     "pv_integral",
 ]
 
@@ -117,7 +119,7 @@ def _panel(f, a, b, rule, whole=None):
 def _converged(err, total, tol, scale):
     """The stopping test err <= tol * max(|total|, scale, 1e-300).
 
-    Elementwise for arrays (first_panel); plain floats keep the adaptive loop
+    Elementwise for arrays (integrate_rows); plain floats keep the adaptive loop
     free of numpy call overhead.
     """
     if isinstance(total, np.ndarray):
@@ -185,52 +187,121 @@ def integrate_with_error(
     return total, err_total
 
 
-def first_panel(f: Callable, a, b, tol: float = 1e-10, *,
-                rule: QuadratureRule | None = None,
-                scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The first panel of integrate_with_error on many intervals in one call.
+def _panels(f, lo, hi, rule, whole=None):
+    """_panel for many intervals in one call of f.
 
-    Row i applies the rule to (a[i], b[i]) and to its two halves. f is called
-    once, with an (n, 3 * order) array of nodes (whole, left and right half of
-    each row), and must evaluate elementwise. Returns (value, ok): the
-    two-half estimate of each row, and whether it passes the stopping test of
-    integrate_with_error (a row with a >= b never passes). A row's value
-    depends on that row alone, not on how many rows share the call.
+    f gets an (n, 3 * order) array of nodes (whole interval, left and right
+    half of each row), or (n, 2 * order) when the caller holds `whole`.
+    Returns (m, left, right, fine, err) as arrays; each row's numbers depend
+    on that row alone.
     """
-    rule = rule or gauss_rule(64)
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    m = 0.5 * (a + b)
-    spans = (rule.map_to(a, b), rule.map_to(a, m), rule.map_to(m, b))
+    lo = lo[:, None]
+    hi = hi[:, None]
+    m = 0.5 * (lo + hi)
+    ends = [(lo, m), (m, hi)] if whole is not None else [(lo, hi), (lo, m), (m, hi)]
+    spans = [rule.map_to(p, q) for p, q in ends]
     vals = np.asarray(f(np.concatenate([x for x, _ in spans], axis=1)))
     k = rule.order
-    whole, left, right = ((w * vals[:, i * k:(i + 1) * k]).sum(axis=1)
-                          for i, (_, w) in enumerate(spans))
+    *coarse, left, right = [(w * vals[:, i * k:(i + 1) * k]).sum(axis=1)
+                            for i, (_, w) in enumerate(spans)]
+    whole = coarse[0] if whole is None else whole
     fine = left + right
-    ok = (a[:, 0] < b[:, 0]) & _converged(np.abs(fine - whole), fine, tol, scale)
-    return fine, ok
+    return m[:, 0], left, right, fine, np.abs(fine - whole)
 
 
-def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(),
+def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
                    rule: QuadratureRule | None = None, max_depth: int = 12,
-                   scale: float | None = None) -> np.ndarray:
+                   scale=None) -> np.ndarray:
     """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
 
-    All rows get first_panel in one call, each parameter passed as an (n, 1)
-    column. A row whose panel fails the test is redone by integrate with its
-    own scalar parameters, so it keeps that path's accuracy and its
-    AccuracyError; the result of a row does not depend on the other rows.
+    integrate_with_error run on all rows in lockstep. Each parameter reaches
+    f as a column, one entry per row of x. The first panels of all rows
+    (split at points[i] where it lies inside the row) are one call of f;
+    rows that pass the stopping test there are done. Each further step pops
+    the worst panel of every unconverged row, bisects it and evaluates all
+    children in one call of f. Every row keeps its own heap, stopping test
+    (scale may be one number per row), bisection order, max_depth and
+    AccuracyError, so a row's value does not depend on the other rows. The
+    panel sums are elementwise rather than dot products, so a row that
+    needs bisection agrees with integrate to rounding, not bit for bit.
     """
+    if tol <= 0:
+        raise ConfigurationError("tolerance must be positive")
+    rule = rule or gauss_rule(64)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    params = [np.asarray(p, dtype=float) for p in params]
-    cols = [p[:, None] for p in params]
-    vals, ok = first_panel(lambda x: f(x, *cols), a, b, tol, rule=rule, scale=scale)
-    for i in np.flatnonzero(~ok):
-        row = [p[i] for p in params]
-        vals[i] = integrate(lambda x: f(x, *row), a[i], b[i], tol, rule=rule,
-                            max_depth=max_depth, scale=scale)
-    return vals
+    n = len(a)
+    if not (a < b).all():
+        i = int(np.flatnonzero(~(a < b))[0])
+        raise DomainError(f"need a < b, got ({a[i]}, {b[i]})")
+    params = [np.asarray(p) for p in params]
+
+    # first panels: (a, b), or (a, p) and (p, b) for a row split at p
+    lo, hi, cols = a, b, [p[:, None] for p in params]
+    split = None
+    if points is not None:
+        points = np.asarray(points, dtype=float)
+        split = (a < points) & (points < b)
+        owner = np.concatenate([np.arange(n), np.flatnonzero(split)])
+        lo = np.concatenate([a, points[split]])
+        hi = np.concatenate([np.where(split, points, b), b[split]])
+        cols = [p[owner, None] for p in params]
+    m, left, right, fine, err = _panels(lambda x: f(x, *cols), lo, hi, rule)
+    total, err_total = fine[:n], err[:n]
+    if split is not None:
+        total, err_total = total.copy(), err_total.copy()
+        total[split] += fine[n:]
+        err_total[split] += err[n:]
+    todo = np.flatnonzero(~_converged(err_total, total, tol, scale)).tolist()
+    if not todo:
+        return total
+
+    # the scalar loop's heaps, for the unconverged rows only; totals, errors
+    # and stopping tests stay vectors, with the scalar loop's order of sums
+    second = {} if split is None else dict(zip(owner[n:].tolist(), range(n, len(owner))))
+    lo, hi, m, left, right, err = (v.tolist() for v in (lo, hi, m, left, right, err))
+    heaps = []
+    for i in todo:
+        first = [i] + ([second[i]] if i in second else [])
+        heaps.append([(-err[j], c, lo[j], hi[j], m[j], left[j], right[j], 0)
+                      for c, j in enumerate(first)])
+        heapq.heapify(heaps[-1])
+    counts = [len(h) for h in heaps]
+    rows = np.array(todo)
+    totals, errs = total[rows], err_total[rows]
+    scales = None if scale is None else np.broadcast_to(scale, (n,))[rows]
+    live = np.arange(len(todo))
+    while len(live):
+        neg_err, _, plo, phi, pm, pl, pr, depth = zip(
+            *[heapq.heappop(heaps[k]) for k in live.tolist()])
+        if max(depth) >= max_depth:
+            j = depth.index(max(depth))
+            best, bound = totals[live[j]].item(), errs[live[j]].item()
+            raise AccuracyError(
+                f"adaptive quadrature stalled at depth {depth[j]} on "
+                f"[{plo[j]:.6g}, {phi[j]:.6g}]; estimated error {bound:.3e}",
+                best=best, bound=bound)
+        t = totals[live] - (np.array(pl) + np.array(pr))
+        e = errs[live] + np.array(neg_err)  # remove the popped panels' errors
+        kid_lo = np.ravel([plo, pm], order="F")  # both children of each row, in turn
+        kid_hi = np.ravel([pm, phi], order="F")
+        cols = [p[rows[live].repeat(2), None] for p in params]
+        km, kl, kr, kf, ke = _panels(lambda x: f(x, *cols), kid_lo, kid_hi, rule,
+                                     whole=np.ravel([pl, pr], order="F"))
+        for j in (0, 1):
+            t = t + kf[j::2]
+            e = e + ke[j::2]
+        totals[live], errs[live] = t, e
+        kid = zip(ke.tolist(), kid_lo.tolist(), kid_hi.tolist(), km.tolist(), kl.tolist(),
+                  kr.tolist())
+        for k, d in zip(live.tolist(), depth):
+            for ek, lk, hk, mk, lft, rgt in (next(kid), next(kid)):
+                heapq.heappush(heaps[k], (-ek, counts[k], lk, hk, mk, lft, rgt, d + 1))
+                counts[k] += 1
+        ok = _converged(e, t, tol, None if scales is None else scales[live])
+        live = live[~ok]
+    total[rows] = totals
+    return total
 
 
 def integrate(
@@ -251,35 +322,53 @@ def integrate(
     return value
 
 
+def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, params=(), slopes=None,
+            rule: QuadratureRule | None = None, max_depth: int = 16) -> np.ndarray:
+    """Principal values P int f(t, *p[i]) / (t - c[i]) dt over (a[i], b[i]) for every pole c[i].
+
+    The subtraction above, row by row: the regularised integrand
+    (f(t) - f(c)) / (t - c), split at its own pole, goes through
+    integrate_rows for all rows at once, and f(c) ln((b - c)/(c - a)) is
+    added. f must be continuous (Hoelder) at each pole and evaluate
+    elementwise; its parameters reach it as columns, as in integrate_rows.
+    `slopes` gives f'(c) for nodes that fall on a pole; without it a central
+    difference supplies it.
+    """
+    c = np.asarray(poles, dtype=float)
+    a = np.broadcast_to(np.asarray(a, dtype=float), c.shape)
+    b = np.broadcast_to(np.asarray(b, dtype=float), c.shape)
+    if not np.all((a < c) & (c < b)):
+        i = int(np.flatnonzero(~((a < c) & (c < b)))[0])
+        raise DomainError(f"pole {c[i]} must lie strictly inside ({a[i]}, {b[i]})")
+    params = [np.asarray(p) for p in params]
+    cols = [p[:, None] for p in params]
+    if slopes is None:
+        h = np.minimum(np.minimum(1e-6 * (b - a), 0.5 * (c - a)), 0.5 * (b - c))
+        near = np.asarray(f(np.stack([c, c + h, c - h], axis=1), *cols), dtype=float)
+        fc, dfc = near[:, 0], (near[:, 1] - near[:, 2]) / (2 * h)
+    else:
+        fc = np.asarray(f(c[:, None], *cols), dtype=float)[:, 0]
+        dfc = np.broadcast_to(np.asarray(slopes, dtype=float), c.shape)
+
+    def reg(t, c, fc, dfc, *p):
+        d = t - c
+        out = (np.asarray(f(t, *p), dtype=float) - fc) / np.where(d == 0.0, 1.0, d)
+        return np.where(d == 0.0, dfc, out)
+
+    # scale keeps the relative-tolerance test sane when a PV happens to be ~0
+    span = np.maximum(np.maximum(np.abs(fc), np.abs(dfc) * (b - a)), 1e-30)
+    val = integrate_rows(reg, a, b, tol, params=(c, fc, dfc, *params), points=c,
+                         rule=rule, max_depth=max_depth, scale=span)
+    return val + fc * np.log((b - c) / (c - a))
+
+
 def pv_integral(p: PvIntegrand, tol: float = 1e-10, *, rule: QuadratureRule | None = None,
                 max_depth: int = 16) -> float:
     """Cauchy principal value of int f(t)/(t - pole) dt over p.interval.
 
-    Subtraction method: the regularised integrand (f(t)-f(pole))/(t-pole) is
-    integrated adaptively and the extracted pole contributes the closed-form
-    logarithm. Requires f continuous (Hoelder) at the pole.
+    The one-row call of pv_rows; p.fprime, if given, supplies the slope.
     """
+    slopes = None if p.fprime is None else [p.fprime(p.pole)]
     a, b = p.interval
-    c = p.pole
-    fc = float(np.asarray(p.f(np.asarray([c])))[0])
-
-    if p.fprime is not None:
-        dfc = p.fprime(c)
-    else:
-        h = 1e-6 * (b - a)
-        h = min(h, 0.5 * (c - a), 0.5 * (b - c))
-        dfc = (float(np.asarray(p.f(np.asarray([c + h])))[0])
-               - float(np.asarray(p.f(np.asarray([c - h])))[0])) / (2 * h)
-
-    def reg(t):
-        t = np.asarray(t, dtype=float)
-        d = t - c
-        safe = np.where(d == 0.0, 1.0, d)
-        out = (np.asarray(p.f(t), dtype=float) - fc) / safe
-        return np.where(d == 0.0, dfc, out)
-
-    # scale keeps the relative-tolerance loop sane when the PV happens to be ~0
-    span = max(abs(fc), abs(dfc) * (b - a), 1e-30)
-    val = integrate(reg, a, b, tol, rule=rule, max_depth=max_depth,
-                    points=(c,), scale=span)
-    return val + fc * math.log((b - c) / (c - a))
+    return float(pv_rows(p.f, [p.pole], a, b, tol, slopes=slopes, rule=rule,
+                         max_depth=max_depth)[0])

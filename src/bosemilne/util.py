@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
-
-from .errors import ConfigurationError
 
 
 def ordered_map(fn: Callable, items: Sequence | Iterable, threads: int = 1) -> list:
-    """Map fn over items, optionally on a thread pool.
+    """[fn(x) for x in items], in input order.
 
-    Results always come back in input order, so any later reduction is
-    deterministic regardless of worker count.
+    `threads` is accepted and has no effect: the work is GIL-bound Python and
+    numpy, and a thread pool only added hand-offs (profile ran slower on two
+    threads than on one).
     """
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    if threads > 256:
-        raise ConfigurationError(f"thread count {threads} is unreasonable")
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -129,6 +129,20 @@ def test_profile_below_continuum_table(tmp_path, capsys):
         assert all(abs(phi) <= 1e-5 for x, mu, phi in rows if x == 0.0)
 
 
+@pytest.mark.parametrize("alpha,grid_mu,why", [
+    ("0", "0.5:1:3", "slit edge"),   # log-log divergence at mu = 1
+    ("0.5", "40:40:1", "tail"),      # tail pole u = 1/mu, mu beyond eta_max
+])
+def test_profile_range_error_is_typed(tmp_path, capsys, alpha, grid_mu, why):
+    out_csv = tmp_path / "p.csv"
+    code = cli.main(["profile", "--alpha", alpha, "--grid-x", "0:0:1",
+                     "--grid-mu", grid_mu, "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert why in err and "stalled" not in err
+    assert not out_csv.exists()
+
+
 def test_envelope_reports_the_model_that_ran():
     from bosemilne.quadrature import QuadConfig
     from bosemilne.special import AlphaModel

@@ -188,13 +188,18 @@ class TestLambdaBoundary:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_fallback_rows_agree(self, ctx, alpha, monkeypatch):
         # tol=1e-15 is below what the first 64-point panel can certify, so
-        # rows go through the adaptive integrator instead
+        # rows go on to bisection steps (panels evaluated with a known whole)
         model = ctx.model(alpha)
         mus = np.array([1e-5, 79.5 ** -alpha, 0.3, 1.0, 7.0, 100.0])
         calls = []
-        adaptive = quadrature.integrate
-        monkeypatch.setattr(quadrature, "integrate",
-                            lambda *a, **k: calls.append(1) or adaptive(*a, **k))
+        panels = quadrature._panels
+
+        def spy(f, lo, hi, rule, whole=None):
+            if whole is not None:
+                calls.append(len(lo))
+            return panels(f, lo, hi, rule, whole)
+
+        monkeypatch.setattr(quadrature, "_panels", spy)
         default = lambda_boundary_batch(model, mus)
         assert not calls
         strict = lambda_boundary_batch(model, mus, tol=1e-15)

@@ -117,6 +117,21 @@ class TestSpectrumCoefficient:
             fz.n_coefficient(d1, 2.0 * table1.mu_max)
 
 
+class TestVCut:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_array_equals_per_eta(self, ctx, alpha):
+        # more etas than one batch of fz.ROWS, from below the continuum table
+        # to next to the end of the theta table; alpha 1 adds the tail
+        model, table = ctx.model(alpha), ctx.table(alpha)
+        data = fz.build_factorization(model, table, k=1.0, v1_est=ctx.v1(alpha))
+        etas = np.concatenate([[1e-5, 5e-5], np.geomspace(1e-4, 0.999 * table.mu_max, 38)])
+        got = fz.v_cut(data, etas)
+        assert len(etas) > fz.ROWS
+        assert got.tolist() == [fz.v_cut(data, float(e)) for e in etas]
+        with pytest.raises(RangeError):
+            fz.v_cut(data, np.array([0.5, table.mu_max]))
+
+
 class TestReconstruction:
     def test_n_reproduces_cauchy_transform(self, ctx, model0, data0):
         # N(z) from the tabulated continuum must match -2 l0 (K0 - K z) + C0/X(z)

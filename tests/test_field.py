@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bosemilne import field
-from bosemilne.errors import DomainError
+from bosemilne import factorization as fz, field, quadrature
+from bosemilne.errors import DomainError, RangeError
 from bosemilne.field import (MilneSolution, boundary_residual, discrete_modes,
                              evaluate, mode_equation_residual, solve_milne)
 
@@ -72,6 +73,66 @@ class TestEvaluate:
         for x, mu in ((0.0, 0.4), (1.0, -0.7), (3.0, 0.2)):
             assert evaluate(sol2, x, mu) == pytest.approx(
                 -2.0 * evaluate(sol1, x, mu), rel=1e-10, abs=1e-12)
+
+
+    @pytest.mark.parametrize("alpha,mus", [
+        # mu < 0, mu = 0, below the table, principal values, beyond the slit
+        (0.0, [-0.7, 0.0, 5e-5, 0.3, 0.97, 1.5]),
+        # the same with the algebraic tail, up to mu = 20 < eta_max
+        (0.5, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
+    ])
+    def test_array_equals_pointwise(self, ctx, alpha, mus):
+        # x = 1e-3 keeps the delta term of mu = 5e-5 (x/mu = 20); x = 0.5
+        # drops it (x/mu > 50)
+        sol = ctx.solution(alpha)
+        x, mu = (g.ravel() for g in np.meshgrid([0.0, 1e-3, 0.5, 3.0], mus, indexing="ij"))
+        got = evaluate(sol, x, mu)
+        want = [evaluate(sol, float(a), float(b)) for a, b in zip(x, mu)]
+        assert isinstance(want[0], float)
+        assert got.tolist() == want
+
+    def test_range_checked_before_integration(self, ctx, sol0, monkeypatch):
+        # mu = 1 (alpha 0): the continuum integrand diverges like a log-log;
+        # mu > eta_max (alpha 0.5): the tail has its pole inside its integral
+        sol05 = ctx.solution(0.5)
+        calls = []
+        monkeypatch.setattr(quadrature, "integrate_rows", lambda *a, **k: calls.append(1))
+        with pytest.raises(RangeError, match="slit edge"):
+            evaluate(sol0, 0.0, np.array([0.5, 0.75, 1.0]))
+        with pytest.raises(RangeError, match="tail"):
+            evaluate(sol05, np.array([0.0, 5.0]), 40.0)
+        assert not calls
+
+
+class TestCallCounts:
+    """Deterministic cost guards: integrand calls, not time.
+
+    The batched kernels call each integrand once per lockstep step for up to
+    fz.ROWS rows; one adaptive quadrature per value made about 130 calls per
+    field point and 80 per Vp node.
+    """
+
+    class Counting:
+        def __init__(self, fn):
+            self.fn, self.calls = fn, 0
+
+        def __call__(self, *args):
+            self.calls += 1
+            return self.fn(*args)
+
+    def test_field_row(self, sol0):
+        # one 33-point mu row at fixed x: about 80 calls
+        sol = dataclasses.replace(sol0)
+        spy = sol.__dict__["eta_n_interp"] = self.Counting(sol0.eta_n_interp)
+        evaluate(sol, 1.0, np.linspace(0.01, 0.97, 33))
+        assert spy.calls <= 330
+
+    def test_spectrum_table(self, data0):
+        # 400 nodes at alpha 0: about 350 calls
+        data = dataclasses.replace(data0)
+        spy = data.__dict__["_g_interp"] = self.Counting(data0._g_interp)
+        fz.spectrum_table(data)
+        assert spy.calls <= 2000
 
 
 class TestBoundaryResidual:

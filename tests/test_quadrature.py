@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
-from bosemilne.quadrature import (PvIntegrand, first_panel, gauss_rule, integrate,
-                                  integrate_rows, integrate_with_error, pv_integral)
+from bosemilne.quadrature import (PvIntegrand, gauss_rule, integrate,
+                                  integrate_rows, integrate_with_error, pv_integral, pv_rows)
 from bosemilne.special import einstein
 
 
@@ -129,17 +129,27 @@ def test_error_estimate_is_a_bound():
 
 
 class TestBatchedRows:
-    def test_first_panel_flags(self):
-        # smooth rows pass on the first panel; a reversed interval never does
-        a = np.array([0.0, 1.0, 2.0])
-        b = np.array([1.0, 3.0, 1.0])
-        vals, ok = first_panel(np.exp, a, b, 1e-12)
-        assert ok.tolist() == [True, True, False]
-        assert vals[:2] == pytest.approx(np.exp(b[:2]) - np.exp(a[:2]), rel=1e-14)
+    def test_first_panel_rows(self):
+        # smooth rows pass on their first panel, all in one call of f; a
+        # reversed interval is a DomainError, as in integrate
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.exp(x)
+
+        a = np.array([0.0, 1.0])
+        b = np.array([1.0, 3.0])
+        vals = integrate_rows(f, a, b, 1e-12)
+        assert shapes == [(2, 3 * 64)]
+        assert vals == pytest.approx(np.exp(b) - np.exp(a), rel=1e-14)
+        with pytest.raises(DomainError):
+            integrate_rows(np.exp, [0.0, 2.0], [1.0, 1.0])
 
     def test_rows_match_adaptive(self):
-        # sqrt(x + p) needs bisection for p = 1e-12 only; every row must equal
-        # what integrate returns for its own parameter
+        # sqrt(x + p) needs bisection for p = 1e-12 only; every row must agree
+        # with what integrate returns for its own parameter (the bisected row
+        # to rounding: panel sums are elementwise there, dot products here)
         p = np.array([1.0, 1e-12, 0.5])
 
         def f(x, q):
@@ -148,9 +158,72 @@ class TestBatchedRows:
         got = integrate_rows(f, np.zeros(3), np.ones(3), 1e-10, params=(p,),
                              max_depth=30)
         want = [integrate(lambda x: f(x, q), 0.0, 1.0, 1e-10, max_depth=30) for q in p]
-        assert got[1] == want[1]
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_fallback_keeps_accuracy_error(self):
         with pytest.raises(AccuracyError):
             integrate_rows(lambda x: 1.0 / np.sqrt(x), [0.0], [1.0], 1e-14, max_depth=2)
+
+    def test_row_independent_of_its_batch(self):
+        # rows that pass the first panel and rows that bisect deeply, with and
+        # without a split point (nan: none): each value has the same bits
+        # alone, in reverse order and in the mixed batch
+        q = np.array([1.0, 1e-12, 0.5, 1e-9, 2.0])
+        pts = np.array([np.nan, 0.3, 0.5, np.nan, 0.9])
+
+        def f(x, q):
+            return np.sqrt(np.abs(x - 0.3) + q)
+
+        def rows(q, pts):
+            return integrate_rows(f, np.zeros(len(q)), np.ones(len(q)), 1e-10,
+                                  params=(q,), points=pts, max_depth=30)
+
+        batch = rows(q, pts)
+        backwards = rows(q[::-1], pts[::-1])[::-1]
+        alone = [rows(q[i:i + 1], pts[i:i + 1])[0] for i in range(len(q))]
+        assert batch.tolist() == backwards.tolist() == alone
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_deep_rows_agree_with_integrate(self, split):
+        q = np.array([1e-12, 1e-8, 1e-4])
+        pts = (0.3,) if split else ()
+
+        def f(x, q):
+            return np.sqrt(np.abs(x - 0.3) + q)
+
+        got = integrate_rows(f, np.zeros(3), np.ones(3), 1e-12, params=(q,),
+                             points=np.full(3, 0.3) if split else None, max_depth=40)
+        want = [integrate(lambda x: f(x, c), 0.0, 1.0, 1e-12, max_depth=40, points=pts)
+                for c in q]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_max_depth_error_carries_the_rows_estimate(self):
+        # the smooth row converges on its first panel; the singular one stalls
+        # and reports the same best estimate and bound as when alone
+        def f(x, q):
+            return np.abs(x - q) ** -0.95
+
+        with pytest.raises(AccuracyError) as mixed:
+            integrate_rows(f, [0.0, 0.0], [1.0, 1.0], 1e-13, params=([2.0, 1 / math.pi],),
+                           max_depth=4)
+        with pytest.raises(AccuracyError) as alone:
+            integrate_rows(f, [0.0], [1.0], 1e-13, params=([1 / math.pi],), max_depth=4)
+        assert "depth 4" in str(mixed.value)
+        assert math.isfinite(mixed.value.best) and mixed.value.bound > 0
+        assert (mixed.value.best, mixed.value.bound) == (alone.value.best, alone.value.bound)
+
+    def test_pv_rows_against_pv_integral_and_qawc(self):
+        from scipy.integrate import quad
+
+        def f(t, s):
+            return np.cos(s * t) * np.exp(-0.3 * t)
+
+        poles, s = np.array([0.7, 1.5, 2.9]), np.array([1.0, 2.0, 0.5])
+        got = pv_rows(f, poles, 0.0, 3.0, 1e-11, params=(s,))
+        for g, c, w in zip(got, poles, s):
+            one = pv_integral(PvIntegrand(f=lambda t: f(t, w), pole=c, interval=(0.0, 3.0)),
+                              tol=1e-11)
+            want, _ = quad(lambda t: math.cos(w * t) * math.exp(-0.3 * t), 0.0, 3.0,
+                           weight="cauchy", wvar=c)
+            assert g == one
+            assert g == pytest.approx(want, rel=1e-9)
