@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import bosemilne
 from bosemilne import acceptance
+
+# CLI tests run `python -m bosemilne.cli` in a subprocess: let it import the
+# package under test, also when only pytest's `pythonpath` setting found it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(bosemilne.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

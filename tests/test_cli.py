@@ -143,6 +143,23 @@ def test_profile_range_error_is_typed(tmp_path, capsys, alpha, grid_mu, why):
     assert not out_csv.exists()
 
 
+def test_profile_just_beyond_slit_edge(tmp_path, capsys):
+    # within 1e-6 beyond mu = 1 the plain row's pole sits against the table
+    # end and the quadrature would stall; the range check rejects it first
+    out_csv = tmp_path / "p.csv"
+    for grid_mu in ("1.0000001:1.0000001:1", "1.000000000000001:1.000000000000001:1"):
+        code = cli.main(["profile", "--alpha", "0", "--grid-x", "0:1:2",
+                         "--grid-mu", grid_mu, "--out", str(out_csv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "beyond the slit edge" in err and "stalled" not in err
+        assert not out_csv.exists()
+    code, _ = run_cli(["profile", "--alpha", "0", "--grid-x", "0:1:2",
+                       "--grid-mu", "1.00001:1.00001:1", "--out", str(out_csv)], capsys)
+    assert code == 0
+    assert len(out_csv.read_text().splitlines()) == 3
+
+
 def test_envelope_reports_the_model_that_ran():
     from bosemilne.quadrature import QuadConfig
     from bosemilne.special import AlphaModel

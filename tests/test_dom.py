@@ -45,6 +45,64 @@ class TestGrid:
             DomGrid.build(ctx.model(0.0), n_cells=4)
 
 
+def _reference_sweep(sweeper, grid, S, inflow_pos, inflow_neg):
+    """One loop per direction over channel-major columns, as the sweep was
+    first written: the arithmetic the fused loop must reproduce bit for bit."""
+    h = np.diff(grid.x_nodes)
+    n = len(h)
+
+    def cells(mu):
+        tau = np.outer(1.0 / np.abs(mu), h)
+        F = np.empty_like(tau)
+        small = tau < 1e-4
+        ts = tau[small]
+        F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
+        tb = tau[~small]
+        F[~small] = (tb - 1.0 + np.exp(-tb)) / tb
+        return np.exp(-tau), F
+
+    Ep, Fp = cells(sweeper.mu_pos)
+    Em, Fm = cells(sweeper.mu_neg)
+    Sl, Sr = S[:-1], S[1:]
+    dS = Sr - Sl
+    out = np.zeros_like(S)
+    store_p = np.empty((len(sweeper.mu_pos), n + 1))
+    store_m = np.empty((len(sweeper.mu_neg), n + 1))
+    phi = inflow_pos
+    out[0] += sweeper.cw_pos @ phi
+    store_p[:, 0] = phi
+    for j in range(n):
+        phi = phi * Ep[:, j] + Sl[j] * (1.0 - Ep[:, j]) + dS[j] * Fp[:, j]
+        out[j + 1] += sweeper.cw_pos @ phi
+        store_p[:, j + 1] = phi
+    phi = inflow_neg
+    out[n] += sweeper.cw_neg @ phi
+    store_m[:, n] = phi
+    for j in range(n - 1, -1, -1):
+        phi = phi * Em[:, j] + Sr[j] * (1.0 - Em[:, j]) - dS[j] * Fm[:, j]
+        out[j] += sweeper.cw_neg @ phi
+        store_m[:, j] = phi
+    return out, store_p.T, store_m.T
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("n_cells", [77, 20])   # not a multiple of, and under, one block
+def test_fused_sweep_matches_reference(ctx, alpha, n_cells):
+    model = ctx.model(alpha)
+    grid = DomGrid.build(model, L=20.0, n_cells=n_cells, n_angle=8, n_freq=8)
+    sweeper = dom._Sweeper(model, grid)
+    rng = np.random.default_rng(n_cells)
+    S = grid.x_nodes + rng.normal(size=len(grid.x_nodes))
+    inflow_pos = rng.normal(size=len(sweeper.mu_pos))
+    inflow_neg = rng.normal(size=len(sweeper.mu_neg))
+    want_out, want_p, want_m = _reference_sweep(sweeper, grid, S, inflow_pos, inflow_neg)
+    out, phi_p, phi_m = sweeper.apply(S, inflow_pos, inflow_neg, keep_phi=True)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(phi_p, want_p)
+    assert np.array_equal(phi_m, want_m)
+    assert np.array_equal(sweeper.apply(S, inflow_pos, inflow_neg), want_out)
+
+
 class TestModes:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize("mode", ["+", "-"])
@@ -95,6 +153,17 @@ class TestSolve:
         r1 = solve(ctx.model(alpha), grid, k=1.0)
         rk = solve(ctx.model(alpha), grid, k=k)
         assert rk.k0_extracted == pytest.approx(k * r1.k0_extracted, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha,sweeps,k0", [
+        (0.0, 45, 0.7102350964285854),
+        (0.5, 74, 0.37656284727644646),
+        (1.0, 131, 0.26401318182694666),
+    ])
+    def test_default_solves_pinned(self, ctx, alpha, sweeps, k0):
+        # the session's default-grid solves, which criterion 10 also reads
+        res = ctx.dom_result(alpha)
+        assert res.iterations == sweeps
+        assert res.k0_extracted == pytest.approx(k0, rel=1e-12)
 
     def test_alpha_two_intercept_drifts_with_slab_length(self, ctx):
         # the exact V1 integral diverges at alpha = 2, and consistently the
