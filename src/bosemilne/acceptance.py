@@ -233,7 +233,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     msgs = []
     ok = True
     for a in (0.5, 1.0):
-        p = ctx.table(a).tail_exponent
+        p = ctx.table(a).tail_fit[0]
         want = (a - 3.0) / a
         rel = abs(p - want) / abs(want)
         ok = ok and rel <= 0.10

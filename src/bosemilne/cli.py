@@ -150,7 +150,6 @@ def cmd_v1(args) -> int:
     _validate_common(cfg)
     alpha = cfg["alpha"]
     model = AlphaModel.build(alpha)
-    table = dispersion.build_theta_table(model, threads=cfg["threads"])
     diagnostics = []
     values = {}
 
@@ -160,17 +159,13 @@ def cmd_v1(args) -> int:
     values["omega0_approx"] = _val(w0a, "exact-by-construction")
     values["omega0_rel_gap"] = _val(abs(w0a - w0) / w0, "exact-by-construction")
 
-    if alpha == 0.0:
-        model0, table0 = model, table
-    else:
-        model0 = AlphaModel.build(0.0)
-        table0 = dispersion.build_theta_table(model0, threads=cfg["threads"])
-    v1_zero = fz.v1_coefficient(model0, table0)
+    # V1(0) takes the slit route, which needs no table
+    v1_zero = fz.v1_coefficient(model if alpha == 0.0 else AlphaModel.build(0.0))
     v1_tilde = saddle.v1_saddle(alpha, v1_zero.value)
     values["v1_saddle"] = _val(v1_tilde, w0 ** (-alpha) * v1_zero.error)
 
     try:
-        est = fz.v1_coefficient(model, table)
+        est = v1_zero if alpha == 0.0 else fz.v1_coefficient(model)
         values["v1_exact"] = _val(est.value, est.error)
         values["v1_exact_vs_saddle_rel_gap"] = _val(
             abs(est.value - v1_tilde) / est.value, "exact-by-construction")
@@ -207,9 +202,9 @@ def cmd_dispersion(args) -> int:
     values = {"kappa": _val(kappa, "exact-by-construction"),
               "mu_max": _val(table.mu_max, "exact-by-construction")}
     diagnostics = []
-    if table.tail_exponent is not None:
-        values["tail_exponent"] = _val(table.tail_exponent,
-                                       2.0 * (table.tail_fit_residual or 0.0))
+    if table.slit_edge is None:
+        p, residual = table.tail_fit
+        values["tail_exponent"] = _val(p, 2.0 * residual)
     env = _envelope("dispersion", model,
                     {"alpha": alpha, "grid_mu": cfg["grid_mu"] or "default",
                      "threads": cfg["threads"], "out": cfg["out"],
@@ -272,8 +267,7 @@ def cmd_oracle(args) -> int:
     }
     diagnostics = list(result.diagnostics)
     try:
-        table = dispersion.build_theta_table(model, threads=cfg["threads"])
-        est = fz.v1_coefficient(model, table)
+        est = fz.v1_coefficient(model)
         ref = est.value * cfg["k"]
         values["v1_k_reference"] = _val(ref, est.error * abs(cfg["k"]))
         if ref != 0.0:

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.interpolate import PchipInterpolator
 
 from . import quadrature, special
-from .errors import ConsistencyError, DomainError, ResolutionError
+from .errors import ConsistencyError, DivergenceError, DomainError, ResolutionError
 from .special import AlphaModel
 from .util import ordered_map
 
@@ -56,6 +57,11 @@ _SERIES_TERMS = 18
 # boundary values per batch: bounds the (rows x 192) node arrays of one call;
 # 32-64 rows keep them in cache (a table builds ~30% slower with 256)
 _CHUNK = 64
+# alpha > 0 tables: Chebyshev-Lobatto points per panel, panels of the
+# default first pass, and the Gauss rule of the tail-exponent fit
+_PANEL_POINTS = 24
+_FIRST_PANELS = 8
+_FIT_ORDER = 64
 
 
 def _case_series(z2inv):
@@ -189,22 +195,30 @@ def _samples(mus, re, im) -> list[DispersionSample]:
                              theta=math.atan2(i, r)) for m, r, i in zip(mus, re, im)]
 
 
-def _pv_integrand(w, mu, a):
-    """w^(a+4) E(w) (pv lam_C(w^a mu) - 1), elementwise."""
-    vals = w ** (a + 4) * special.einstein(w) * (lambda_case_pv(w ** a * mu) - 1.0)
+def _pv_integrand(w, mu, shift, a):
+    """w^(a+4) E(w) (pv lam_C(w^a mu) - shift), elementwise."""
+    vals = w ** (a + 4) * special.einstein(w) * (lambda_case_pv(w ** a * mu) - shift)
     # points rounding exactly onto the singular frequency carry zero measure
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
-def _pv_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> np.ndarray:
-    """int_0^cut w^(a+4) E(w) (pv lam_C(w^a mu) - 1) dw for every mu, a > 0.
+def _re_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> np.ndarray:
+    """Re lam+(mu) for every mu, a > 0, as
+    shift + (1/l0) int_0^cut w^(a+4) E(w) (pv lam_C(w^a mu) - shift) dw.
 
-    Where the singular frequency ws = mu^(-1/a) lies below the cut, the
-    integral is split there: plain pieces away from it, and its two
-    neighbourhoods under w = ws -+ e^-t, which maps ln|w - ws| to a smooth,
-    exponentially damped integrand. Pieces are summed in a fixed order.
+    shift = 1 for mu <= 1 keeps the integrand small on the long stretch
+    below the singular frequency ws = mu^(-1/a), where one Gauss panel must
+    resolve it. shift = 0 for mu > 1, where Re lam+ decays to 0: 1 + (an
+    integral near -l0)/l0 would cancel there (a relative 7.5e-8 at alpha 2,
+    mu = 1000).
+
+    Where ws lies below the cut, the integral is split there: plain pieces
+    away from it, and its two neighbourhoods under w = ws -+ e^-t, which maps
+    ln|w - ws| to a smooth, exponentially damped integrand. Pieces are
+    summed in a fixed order.
     """
     a, cut = model.alpha, model.omega_cut
+    shift = np.where(mu <= 1.0, 1.0, 0.0)
     log_ws = -np.log(mu) / a
     split = log_ws < math.log(cut)
     ws = np.exp(np.where(split, log_ws, 0.0))
@@ -212,14 +226,14 @@ def _pv_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> n
     dr = np.minimum(0.5 * (cut - ws), 1.0)
     t_cap = -np.log(16 * np.finfo(float).eps * np.maximum(ws, 1.0))
 
-    def plain(w, mu, ws):
-        return _pv_integrand(w, mu, a)
+    def plain(w, mu, ws, shift):
+        return _pv_integrand(w, mu, shift, a)
 
-    def left(t, mu, ws):
-        return _pv_integrand(ws - np.exp(-t), mu, a) * np.exp(-t)
+    def left(t, mu, ws, shift):
+        return _pv_integrand(ws - np.exp(-t), mu, shift, a) * np.exp(-t)
 
-    def right(t, mu, ws):
-        return _pv_integrand(ws + np.exp(-t), mu, a) * np.exp(-t)
+    def right(t, mu, ws, shift):
+        return _pv_integrand(ws + np.exp(-t), mu, shift, a) * np.exp(-t)
 
     pieces = (  # (integrand, lower, upper, rows that have the piece)
         (plain, np.zeros_like(mu), np.where(split, ws - dl, cut), ~split | (ws - dl > 0.0)),
@@ -232,10 +246,10 @@ def _pv_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> n
     for f, lo, hi, rows in pieces:
         part = np.zeros_like(mu)
         part[rows] = quadrature.integrate_rows(
-            f, lo[rows], hi[rows], tol, params=(mu[rows], ws[rows]),
+            f, lo[rows], hi[rows], tol, params=(mu[rows], ws[rows], shift[rows]),
             rule=rule, max_depth=max_depth, scale=model.l0_alpha)
         total += part
-    return total
+    return shift + total / model.l0_alpha
 
 
 def lambda_boundary_batch(model: AlphaModel, mu, *, tol: float = 1e-10,
@@ -256,8 +270,7 @@ def lambda_boundary_batch(model: AlphaModel, mu, *, tol: float = 1e-10,
         im = np.where(mus < 1.0, 0.5 * math.pi * mus, 0.0)
         return _samples(mus, lambda_case_pv(mus), im)
     im = 0.5 * math.pi * mus * special.xi_alpha(model, mus) / model.l0_alpha
-    re = 1.0 + _pv_part(model, mus, tol, max_depth) / model.l0_alpha
-    return _samples(mus, re, im)
+    return _samples(mus, _re_part(model, mus, tol, max_depth), im)
 
 
 def lambda_boundary(model: AlphaModel, mu: float, *, tol: float = 1e-10,
@@ -268,29 +281,41 @@ def lambda_boundary(model: AlphaModel, mu: float, *, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class DispersionTable:
-    """Sampled boundary data {mu, Re lam+, Im lam+, theta} plus tail metadata.
+    """Boundary data {mu, Re lam+, Im lam+, theta} and the interpolant of theta.
 
     `samples` starts with the exact origin limit (mu=0: lam=1, theta=0) and is
-    strictly increasing in mu. For slit-type tables (alpha = 0 and saddle
-    surrogates) the support of Im lam+ ends at `slit_edge` and theta == pi
-    beyond it; for alpha > 0 the approach theta -> pi is algebraic and encoded
-    by tail_exponent/tail_coeff fitted on the last grid decade.
+    strictly increasing in mu. Two kinds of table share this interface:
+
+    * slit tables (alpha = 0 and saddle surrogates, `slit_edge` set): Im lam+
+      ends at the edge, theta == pi beyond it, and theta between the nodes
+      is their monotone cubic (pchip);
+    * panel tables (alpha > 0): theta is a Chebyshev series in s = ln mu on
+      each panel [breaks[i], breaks[i+1]] (`coeffs[i]`). Below the first
+      break it is the odd cubic A mu + B mu^3 with the value and slope of
+      the first panel there (Im lam+ is odd in mu, Re lam+ even). Beyond
+      the last break pi - theta = tail_coeff * mu^tail_exponent, with the
+      asymptotic exponent (alpha - 3)/alpha and the coefficient matched at
+      the last node.
+
+    `samples` holds the nodes of the interpolant: every node of a slit
+    table, the Chebyshev-Lobatto points of the panels of a panel table.
     """
 
     samples: tuple[DispersionSample, ...]
     alpha: float
-    tail_exponent: float | None
-    tail_coeff: float | None
     grid_spec: str
     slit_edge: float | None
     boundary_fn: Callable[[np.ndarray], list[DispersionSample]] = field(repr=False,
                                                                          compare=False)
-    tail_fit_residual: float | None = None
+    breaks: np.ndarray | None = field(default=None, repr=False, compare=False)
+    coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mus = np.array([s.mu for s in self.samples])
         if len(mus) < 2 or np.any(np.diff(mus) <= 0):
             raise ConsistencyError("table nodes must be strictly increasing in mu")
+        if self.slit_edge is None and self.coeffs is None:
+            raise ConsistencyError("a table without a slit edge needs its Chebyshev panels")
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -308,34 +333,136 @@ class DispersionTable:
     def im_plus(self) -> np.ndarray:
         return np.array([s.im_plus for s in self.samples])
 
-    @cached_property
-    def theta_interp(self) -> PchipInterpolator:
-        # monotone cubic protects the unwrapped branch between nodes
-        return PchipInterpolator(self.mu, self.theta, extrapolate=False)
-
     @property
     def mu_max(self) -> float:
         return float(self.mu[-1])
 
+    @cached_property
+    def _pchip(self) -> PchipInterpolator:
+        # slit tables: the monotone cubic protects the unwrapped branch between nodes
+        return PchipInterpolator(self.mu, self.theta, extrapolate=False)
+
+    @cached_property
+    def _pchip_slope(self):
+        return self._pchip.derivative()
+
+    @property
+    def tail_exponent(self) -> float | None:
+        """Asymptotic exponent of pi - theta beyond the table; None for slit tables."""
+        return None if self.slit_edge is not None else (self.alpha - 3.0) / self.alpha
+
+    @property
+    def tail_coeff(self) -> float | None:
+        if self.slit_edge is not None:
+            return None
+        return (math.pi - float(self.theta[-1])) * self.mu_max ** -self.tail_exponent
+
+    def _panel_eval(self, mu: np.ndarray, slope: bool = False) -> np.ndarray:
+        """theta (or d theta/d mu) at breaks[0] <= mu <= mu_max from the panel series."""
+        sb = np.log(self.breaks)
+        s = np.log(mu)
+        i = np.clip(np.searchsorted(sb, s, side="right") - 1, 0, len(self.coeffs) - 1)
+        half = 0.5 * (sb[i + 1] - sb[i])
+        x = (s - sb[i]) / half - 1.0
+        if not slope:
+            return chebyshev.chebval(x, self.coeffs[i].T, tensor=False)
+        return chebyshev.chebval(x, self._dcoeffs[i].T, tensor=False) / (half * mu)
+
+    @cached_property
+    def _dcoeffs(self) -> np.ndarray:
+        return chebyshev.chebder(self.coeffs, axis=1)
+
+    @cached_property
+    def _head(self) -> tuple[float, float]:
+        """(A, B) of the closure theta = A mu + B mu^3 below the first break."""
+        m = float(self.breaks[0])
+        value, slope = float(self.theta[1]), float(self._panel_eval(np.array([m]), True)[0])
+        b = (slope - value / m) / (2.0 * m * m)
+        return value / m - b * m * m, b
+
     def theta_at(self, mu):
-        """Continuous argument at arbitrary mu >= 0 (table, slit closure, or tail)."""
+        """Continuous argument at arbitrary mu >= 0 (interpolant, slit closure, or tail)."""
         arr = np.asarray(mu, dtype=float)
-        out = np.empty_like(arr)
-        inside = arr <= self.mu_max
-        out[inside] = self.theta_interp(arr[inside])
-        beyond = ~inside
-        if np.any(beyond):
-            if self.slit_edge is not None:
-                out[beyond] = math.pi
-            elif self.tail_exponent is not None:
-                out[beyond] = math.pi - self.tail_coeff * arr[beyond] ** self.tail_exponent
-            else:
-                raise DomainError("no tail model to extend theta beyond the grid")
+        if self.slit_edge is not None:
+            out = self._pchip(arr)
+            out[arr > self.mu_max] = math.pi
+            return out if arr.ndim else float(out)
+        out = np.full(arr.shape, np.nan)
+        mu_min = self.breaks[0]
+        head = (0.0 <= arr) & (arr < mu_min)
+        body = (mu_min <= arr) & (arr <= self.mu_max)
+        tail = arr > self.mu_max
+        a, b = self._head
+        out[head] = arr[head] * (a + b * arr[head] ** 2)
+        out[body] = self._panel_eval(arr[body])
+        out[tail] = math.pi - self.tail_coeff * arr[tail] ** self.tail_exponent
         return out if arr.ndim else float(out)
 
-    def g_at(self, mu):
-        """theta(mu) - pi, the density of the half-space Cauchy transform."""
-        return self.theta_at(mu) - math.pi
+    def theta_slope(self, mu) -> np.ndarray:
+        """d theta / d mu at 0 < mu < mu_max, the slope of the interpolant."""
+        arr = np.atleast_1d(np.asarray(mu, dtype=float))
+        if self.slit_edge is not None:
+            return self._pchip_slope(arr)
+        mu_min = self.breaks[0]
+        a, b = self._head
+        return np.where(arr < mu_min, a + 3.0 * b * arr ** 2,
+                        self._panel_eval(np.maximum(arr, mu_min), slope=True))
+
+    @cached_property
+    def tail_fit(self) -> tuple[float, float]:
+        """(exponent, rms residual) of the least-squares line ln(pi - theta) vs ln mu.
+
+        Fitted continuously over the last decade [0.1 mu_max, mu_max] of the
+        panel interpolant with a fixed Gauss rule, so it does not depend on
+        where the nodes sit. For reporting: the table's tail uses the
+        asymptotic exponent.
+        """
+        if self.slit_edge is not None:
+            raise ConsistencyError("slit tables have no algebraic tail")
+        rule = quadrature.gauss_rule(_FIT_ORDER)
+        s, w = rule.map_to(math.log(0.1 * self.mu_max), math.log(self.mu_max))
+        resid = math.pi - self.theta_at(np.exp(s))
+        if np.any(resid <= 0):
+            raise ConsistencyError("pi - theta must stay positive on the tail")
+        y = np.log(resid)
+        sc, yc = s - w @ s / w.sum(), y - w @ y / w.sum()
+        slope = (w @ (sc * yc)) / (w @ (sc * sc))
+        return float(slope), float(np.sqrt(w @ (yc - slope * sc) ** 2 / w.sum()))
+
+    def excess_integral(self, rule=None) -> tuple[float, float]:
+        """(value, error) of int_0^inf (pi - theta(mu)) dmu for a panel table.
+
+        Each panel is integrated with one Gauss rule in s (64 points by
+        default), the origin piece is the exact integral of its cubic
+        closure and the tail is the closed form of the asymptotic law. The
+        error sums, per panel, the size of the last three Chebyshev
+        coefficients times the panel's length in mu, and the change of the
+        tail when its exponent is replaced by the local slope of
+        ln(pi - theta) at mu_max. Raises DivergenceError when the tail does
+        not decay faster than 1/mu (alpha >= 3/2).
+        """
+        if self.slit_edge is not None:
+            raise ConsistencyError("slit tables integrate their boundary function")
+        p = self.tail_exponent
+        if p >= -1.0:
+            raise DivergenceError(
+                f"tail exponent {p} >= -1: the exact V1 integral diverges for "
+                f"alpha={self.alpha}; use the saddle-point approximation")
+        rule = rule or quadrature.gauss_rule(64)
+        sb = np.log(self.breaks)
+        half = 0.5 * np.diff(sb)
+        s = 0.5 * (sb[:-1] + sb[1:])[:, None] + half[:, None] * rule.nodes
+        theta = chebyshev.chebval(rule.nodes, self.coeffs.T)
+        body = float(np.sum(half * ((math.pi - theta) * np.exp(s) @ rule.weights)))
+        mu_min, mu_max = self.breaks[0], self.mu_max
+        a, b = self._head
+        head = mu_min * (math.pi - mu_min * (0.5 * a + 0.25 * b * mu_min ** 2))
+        r = math.pi - float(self.theta[-1])
+        tail = r * mu_max / -(p + 1.0)
+        q = -mu_max * float(self.theta_slope(mu_max)[0]) / r
+        tail_err = r * mu_max * abs(1.0 / (p + 1.0) - 1.0 / (q + 1.0))
+        body_err = float(np.abs(self.coeffs[:, -3:]).max(axis=1) @ np.diff(self.breaks))
+        return head + body + tail, body_err + tail_err
 
 
 def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
@@ -344,8 +471,9 @@ def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
 
     alpha = 0: geometric up to 0.5, then edge-refined toward the slit end at 1
     (theta climbs to pi only logarithmically there). alpha > 0: geometric up
-    to a mu_max where either pi - theta < 1e-4 or the power-law tail model
-    takes over.
+    to the first probe mu (30, 100, 300, 1000) where pi - theta < 1e-4, or
+    3000, where the power-law tail model takes over; build_theta_table uses
+    n = 9 of these points as the first panel breaks.
     """
     if model.alpha == 0.0:
         return _slit_grid(1.0, n, mu_min), f"slit[{mu_min:g},1;n={n}]"
@@ -371,25 +499,30 @@ def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
 def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
                       theta_tol: float = 2e-8, max_passes: int = 8,
                       threads: int = 1) -> DispersionTable:
-    """Tabulate lam+ on a positive-mu grid and assign the continuous argument.
+    """Tabulate lam+ on positive mu and the interpolant of its argument theta.
 
     Since Im lam+ >= 0, atan2 already lands in [0, pi], which is the
-    continuous branch with theta(0+) = 0; the midpoint-probe refinement in
-    the shared tabulation path then guarantees the interpolant reproduces it
-    to theta_tol. A residual jump above pi/2 after max_passes means the grid
-    cannot resolve the argument and is an error.
+    continuous branch with theta(0+) = 0. alpha = 0 gives a slit table
+    (`_table_from_boundary` on the grid); alpha > 0 a panel table
+    (`_panel_table`), whose grid is the first set of panel breaks. Either
+    way theta_tol is the accuracy the interpolant is refined to and
+    max_passes bounds the refinement.
     """
     if grid is None:
-        grid, spec = default_mu_grid(model)
+        grid, spec = default_mu_grid(model, n=_FIRST_PANELS + 1 if model.alpha > 0.0 else 400)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ConsistencyError("grid must be a nonempty 1-d array")
         spec = f"custom[n={len(grid)}]"
 
-    slit_edge = 1.0 if model.alpha == 0.0 else None
-    fn = lambda mus: lambda_boundary_batch(model, mus)
-    return _table_from_boundary(fn, grid, model.alpha, slit_edge, spec,
+    def fn(mus):
+        return lambda_boundary_batch(model, mus)
+
+    if model.alpha > 0.0:
+        return _panel_table(fn, grid, model.alpha, spec, theta_tol=theta_tol,
+                            max_passes=max_passes, threads=threads)
+    return _table_from_boundary(fn, grid, model.alpha, 1.0, spec,
                                 theta_tol=theta_tol, max_passes=max_passes,
                                 threads=threads)
 
@@ -407,7 +540,7 @@ def evaluate_boundary(boundary_fn, mus, *, threads: int = 1) -> list[DispersionS
 
 def _table_from_boundary(boundary_fn, grid, alpha, slit_edge, grid_spec, *,
                          theta_tol=2e-8, max_passes=8, threads=1):
-    """Shared tabulation path for real and surrogate dispersion functions.
+    """Slit tables: alpha = 0 and the saddle surrogates.
 
     Refinement is error-driven: midpoints of unverified segments are probed
     against the monotone-cubic interpolant of the current nodes, and every
@@ -485,28 +618,70 @@ def _table_from_boundary(boundary_fn, grid, alpha, slit_edge, grid_spec, *,
     for m, s in zip(scan, evaluate(scan)):
         samples[m] = s
 
-    out = sorted_samples()
     origin = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
-    out = [origin] + out
+    return DispersionTable(samples=(origin, *sorted_samples()), alpha=alpha,
+                           grid_spec=grid_spec, slit_edge=slit_edge, boundary_fn=boundary_fn)
 
-    tail_p = tail_c = tail_res = None
-    if slit_edge is None:
-        mu_arr = np.array([s.mu for s in out])
-        th_arr = np.array([s.theta for s in out])
-        sel = mu_arr >= 0.1 * mu_arr[-1]
-        resid = np.pi - th_arr[sel]
-        if np.any(resid <= 0):
-            raise ConsistencyError("pi - theta must stay positive on the tail")
-        coef = np.polyfit(np.log(mu_arr[sel]), np.log(resid), 1)
-        tail_p = float(coef[0])
-        tail_c = float(np.exp(coef[1]))
-        pred = coef[0] * np.log(mu_arr[sel]) + coef[1]
-        tail_res = float(np.sqrt(np.mean((pred - np.log(resid)) ** 2)))
 
-    return DispersionTable(samples=tuple(out), alpha=alpha,
-                           tail_exponent=tail_p, tail_coeff=tail_c,
-                           grid_spec=grid_spec, slit_edge=slit_edge,
-                           boundary_fn=boundary_fn, tail_fit_residual=tail_res)
+@lru_cache(maxsize=1)
+def _lobatto() -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto points on [-1, 1], ascending, and the matrix that
+    maps values there to Chebyshev coefficients."""
+    x = -np.cos(np.pi * np.arange(_PANEL_POINTS) / (_PANEL_POINTS - 1))
+    to_coeffs = np.linalg.inv(chebyshev.chebvander(x, _PANEL_POINTS - 1))
+    x.setflags(write=False)
+    to_coeffs.setflags(write=False)
+    return x, to_coeffs
+
+
+def _panel_table(boundary_fn, breaks, alpha, grid_spec, *, theta_tol=2e-8,
+                 max_passes=8, threads=1):
+    """Panel table: theta as Chebyshev series in s = ln mu, refined by bisection.
+
+    Every pass sends the Chebyshev-Lobatto points of all open panels that
+    are not yet computed through one evaluate_boundary call. A panel is kept
+    once its last three Chebyshev coefficients are all at most theta_tol/10
+    (the interpolant's error estimate) and bisected in s otherwise; a panel
+    still open after max_passes is a ResolutionError.
+    """
+    x, to_coeffs = _lobatto()
+    breaks = np.unique(np.asarray(breaks, dtype=float))
+    if len(breaks) < 2 or breaks[0] <= 0.0:
+        raise ConsistencyError("a panel table needs at least two positive breaks")
+    samples: dict[float, DispersionSample] = {}
+    todo = list(zip(breaks[:-1], breaks[1:]))
+    done = []
+    for _ in range(max_passes):
+        nodes = []
+        for lo, hi in todo:
+            a, b = math.log(lo), math.log(hi)
+            inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
+            nodes.append(np.concatenate([[lo], inner, [hi]]))
+        new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in samples]
+        samples.update(zip(new, evaluate_boundary(boundary_fn, new, threads=threads)))
+        theta = np.array([[samples[m].theta for m in row] for row in nodes])
+        coeffs = theta @ to_coeffs.T
+        fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * theta_tol
+        split = []
+        for (lo, hi), row, c, ok in zip(todo, nodes, coeffs, fine):
+            if ok:
+                done.append((lo, hi, c, row))
+            else:
+                mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+                split += [(lo, mid), (mid, hi)]
+        todo = split
+        if not todo:
+            break
+    else:
+        raise ResolutionError(
+            f"{len(todo)} theta panels still miss {theta_tol:g} after {max_passes} passes")
+    done.sort(key=lambda panel: panel[0])
+    nodes = sorted({m for *_, row in done for m in row.tolist()})
+    origin = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
+    return DispersionTable(samples=(origin, *(samples[m] for m in nodes)), alpha=alpha,
+                           grid_spec=grid_spec, slit_edge=None, boundary_fn=boundary_fn,
+                           breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
+                           coeffs=np.array([c for _, _, c, _ in done]))
 
 
 def index_kappa(table: DispersionTable, tol: float = 1e-3) -> int:

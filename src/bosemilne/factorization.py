@@ -23,23 +23,21 @@ by the zero-inflow boundary condition (see N_SIGN below); flipping it leaves
 a boundary residual of order one.
 
 For alpha >= 3/2 the tail pi - theta ~ C mu^((alpha-3)/alpha) decays too
-slowly and the V1 integral diverges; this is detected from the fitted tail
-exponent and reported as a DivergenceError pointing at the saddle-point
-route.
+slowly and the V1 integral diverges; the table's tail law reports this as a
+DivergenceError pointing at the saddle-point route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import quadrature
-from .dispersion import DispersionTable
-from .errors import DivergenceError, DomainError, RangeError
+from .dispersion import DispersionTable, build_theta_table, lambda_boundary_batch
+from .errors import DomainError, RangeError
 from .special import AlphaModel
 
 __all__ = [
@@ -89,56 +87,48 @@ class SpectrumCoefficient:
             raise DomainError(f"n({self.eta}) is not finite")
 
 
-def v1_coefficient(model: AlphaModel, table: DispersionTable, *,
+def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None, *,
                    tol: float = 1e-10, rule_order: int | None = None) -> V1Estimate:
     """Jump coefficient V1 = (1/pi) int_0^inf (pi - theta(mu)) dmu.
 
     Slit-type tables (alpha = 0, saddle surrogates) integrate the exact
     boundary function adaptively; the logarithmically slow approach of theta
-    to pi at the slit edge is tamed by an exponential substitution. For
-    alpha > 0 the tabulated interpolant is integrated exactly (pchip
-    antiderivative) and the algebraic tail beyond the grid is added from the
-    fitted power law, which must decay faster than 1/mu.
+    to pi at the slit edge is tamed by an exponential substitution. This
+    route reads no table values, so without a table alpha = 0 integrates
+    its closed-form boundary function directly. For alpha > 0 the panel
+    table integrates its interpolant and the asymptotic tail
+    (DispersionTable.excess_integral); without a table the default one is
+    built.
     """
     rule = quadrature.gauss_rule(rule_order or model.quad_cfg.base_order)
-
+    if table is None:
+        if model.alpha == 0.0:
+            return _v1_slit(lambda mus: lambda_boundary_batch(model, mus), 1.0, rule, tol)
+        table = build_theta_table(model)
     if table.slit_edge is not None:
-        edge = table.slit_edge
+        return _v1_slit(table.boundary_fn, table.slit_edge, rule, tol)
+    value, error = table.excess_integral(rule)
+    return V1Estimate(value=value / math.pi, error=error / math.pi, method="table+tail")
 
-        def resid(mus):
-            return np.array([math.pi - s.theta for s in table.boundary_fn(mus)])
 
-        body, err1 = quadrature.integrate_with_error(
-            resid, 0.0, 0.9 * edge, tol, rule=rule, max_depth=24)
-        # near the edge substitute mu = edge - e^{-s}: the integrand becomes
-        # exponentially small and smooth in s
-        s0 = -math.log(0.1 * edge)
+def _v1_slit(boundary_fn, edge: float, rule, tol: float) -> V1Estimate:
+    """V1 from the boundary function of a slit that ends at `edge`."""
+    def resid(mus):
+        return np.array([math.pi - s.theta for s in boundary_fn(mus)])
 
-        def edge_piece(s):
-            return resid(edge - np.exp(-s)) * np.exp(-s)
+    body, err1 = quadrature.integrate_with_error(
+        resid, 0.0, 0.9 * edge, tol, rule=rule, max_depth=24)
+    # near the edge substitute mu = edge - e^{-s}: the integrand becomes
+    # exponentially small and smooth in s
+    s0 = -math.log(0.1 * edge)
 
-        near, err2 = quadrature.integrate_with_error(
-            edge_piece, s0, s0 + 45.0, tol, rule=rule, max_depth=24)
-        value = (body + near) / math.pi
-        error = (err1 + err2) / math.pi
-        return V1Estimate(value=value, error=error, method="adaptive-slit")
+    def edge_piece(s):
+        return resid(edge - np.exp(-s)) * np.exp(-s)
 
-    p, c = table.tail_exponent, table.tail_coeff
-    if p is None or p >= -1.0:
-        raise DivergenceError(
-            f"tail exponent {p} >= -1: the exact V1 integral diverges for "
-            f"alpha={table.alpha}; use the saddle-point approximation")
-    anti = table.theta_interp.antiderivative()
-    mu_max = table.mu_max
-    body = math.pi * mu_max - float(anti(mu_max) - anti(0.0))
-    tail = c * mu_max ** (p + 1.0) / (-(p + 1.0))
-    # interpolation-error proxy: pchip integral vs trapezoid of the same data
-    trap = math.pi * mu_max - float(np.trapezoid(table.theta, table.mu))
-    interp_err = abs(body - trap) * 0.1
-    tail_err = tail * min(1.0, 2.0 * (table.tail_fit_residual or 0.0))
-    return V1Estimate(value=(body + tail) / math.pi,
-                      error=(interp_err + tail_err) / math.pi,
-                      method="table+tail")
+    near, err2 = quadrature.integrate_with_error(
+        edge_piece, s0, s0 + 45.0, tol, rule=rule, max_depth=24)
+    return V1Estimate(value=(body + near) / math.pi, error=(err1 + err2) / math.pi,
+                      method="adaptive-slit")
 
 
 @dataclass(frozen=True)
@@ -163,14 +153,6 @@ class FactorizationData:
     def k0(self) -> float:
         return self.v1 * self.k
 
-    @cached_property
-    def _g_interp(self):
-        return self.table.theta_interp
-
-    @cached_property
-    def _g_deriv(self):
-        return self.table.theta_interp.derivative()
-
 
 def build_factorization(model: AlphaModel, table: DispersionTable,
                         k: float = 1.0, v1_est: V1Estimate | None = None) -> FactorizationData:
@@ -180,7 +162,7 @@ def build_factorization(model: AlphaModel, table: DispersionTable,
 
 
 def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
-    """int_{mu_max}^inf (theta - pi)/(t - z) dt via the fitted tail model, for every z.
+    """int_{mu_max}^inf (theta - pi)/(t - z) dt via the table's tail law, for every z.
 
     Substituting u = 1/t maps it to a regular integral on (0, 1/mu_max);
     valid whenever z is not on (mu_max, inf). Real or complex z.
@@ -209,10 +191,9 @@ def v_transform(data: FactorizationData, z, *, tol: float = 1e-10) -> complex:
     if zc.imag == 0.0 and zc.real >= 0.0:
         raise DomainError("z is on the cut [0, inf); use v_cut for boundary values")
     table = data.table
-    interp = data._g_interp
 
     def f(t):
-        return (interp(t) - math.pi) / (t - zc)
+        return (table.theta_at(t) - math.pi) / (t - zc)
 
     pts = []
     if 0.0 < zc.real < table.mu_max:
@@ -234,15 +215,15 @@ def v_cut(data: FactorizationData, eta, *, tol: float = 1e-9):
     outside = ~((0.0 < etas) & (etas < table.mu_max))
     if np.any(outside):
         raise RangeError(f"eta={etas[outside][0]} outside the tabulated cut (0, {table.mu_max})")
-    interp, deriv = data._g_interp, data._g_deriv
 
     def g(t):
-        return interp(t) - math.pi
+        return table.theta_at(t) - math.pi
 
     out = np.empty(etas.shape)
     for s in range(0, len(etas), ROWS):
         e = etas[s:s + ROWS]
-        pv = quadrature.pv_rows(g, e, 0.0, table.mu_max, tol, slopes=deriv(e), max_depth=30)
+        pv = quadrature.pv_rows(g, e, 0.0, table.mu_max, tol, slopes=table.theta_slope(e),
+                                max_depth=30)
         out[s:s + ROWS] = (pv + _tail_cauchy(data, e).real) / math.pi
     return out if arr.ndim else float(out[0])
 
@@ -310,10 +291,10 @@ def spectrum_table(data: FactorizationData, etas: Sequence[float] | None = None,
                    *, n_nodes: int = 400) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate (eta, Vp(eta), n(eta)) over the cut.
 
-    Returns arrays (etas, vp, n). Default nodes subsample the theta grid to
-    n_nodes (n is smooth; each node costs one principal-value integral) and
-    sit strictly inside the tabulated range so the principal value is well
-    defined at each of them.
+    Returns arrays (etas, vp, n). Default nodes are the table's nodes,
+    subsampled to at most n_nodes (n is smooth; each node costs one
+    principal-value integral), strictly inside the tabulated range so the
+    principal value is well defined at each of them.
     """
     table = data.table
     if etas is None:

@@ -16,10 +16,11 @@ where the truncated moment xi_a cancels exactly against the one hiding in
 sin(pi - theta); this keeps the term finite where xi_a underflows. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
 term is absent. At the edge itself (mu = 1) the continuum integrand
-diverges like a log-log; within 1e-6 beyond it the integrand's pole sits too
+diverges like a log-log, and within 1e-6 below it the principal value sits
+on that divergence; within 1e-6 beyond it the integrand's pole sits too
 close to the table's end for the quadrature; beyond the table of an
 alpha > 0 solution (mu >= eta_max) the algebraic tail has its pole inside
-its integral. All three raise RangeError before any integration.
+its integral. All of these raise RangeError before any integration.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -51,9 +52,12 @@ __all__ = [
 ]
 
 _EXP_UNDERFLOW = 745.0
-# beyond the slit edge, mu - edge below which the plain row's pole sits so
-# close to the table end that its quadrature stalls (measured: up to 5.6e-7
-# at x = 0, fine from 6.3e-7)
+# |mu - edge| below which phi is not evaluated next to the slit edge: beyond
+# it the plain row's pole sits so close to the table end that its quadrature
+# stalls (measured: up to 5.6e-7 at x = 0, fine from 6.3e-7); below it the
+# principal value sits on the log-log divergence (measured at x = 0: |phi|
+# about 2e-6 down to 1 - 1e-7, as elsewhere on the row, then 8.3e-5 at
+# 1 - 1e-9 and 1.47e-3 at 1 - 1e-10, where the exact value is 0)
 _EDGE_BAND = 1e-6
 
 
@@ -138,6 +142,9 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
         (mu == sol.eta_max, f"is the end of {span}, a pole of the continuum integral"),
         (edge is not None and mu == edge,
          "is the slit edge, where the continuum integrand diverges like a log-log"),
+        (edge is not None and (mu < edge) & (edge - mu <= _EDGE_BAND),
+         f"lies within {_EDGE_BAND:g} below the slit edge, where the principal value "
+         "sits on the log-log divergence of the continuum integrand"),
         (edge is not None and (mu > edge) & (mu - edge <= _EDGE_BAND),
          f"lies within {_EDGE_BAND:g} beyond the slit edge, where the pole of the "
          f"continuum integral sits against the end of {span}"),

@@ -143,6 +143,23 @@ def test_profile_range_error_is_typed(tmp_path, capsys, alpha, grid_mu, why):
     assert not out_csv.exists()
 
 
+def test_profile_just_below_slit_edge(tmp_path, capsys):
+    # within 1e-6 below mu = 1 the principal value sits on the log-log
+    # divergence: phi(0, 1 - 1e-10) came out -1.47e-3 where it is 0
+    out_csv = tmp_path / "p.csv"
+    code = cli.main(["profile", "--alpha", "0", "--grid-x", "0:0:1",
+                     "--grid-mu", "0.9999999999:0.9999999999:1", "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "below the slit edge" in err
+    assert not out_csv.exists()
+    code, _ = run_cli(["profile", "--alpha", "0", "--grid-x", "0:0:1",
+                       "--grid-mu", "0.999:0.999:1", "--out", str(out_csv)], capsys)
+    assert code == 0
+    x, mu, phi = (float(v) for v in out_csv.read_text().splitlines()[1].split(","))
+    assert abs(phi) <= 1e-5
+
+
 def test_profile_just_beyond_slit_edge(tmp_path, capsys):
     # within 1e-6 beyond mu = 1 the plain row's pole sits against the table
     # end and the quadrature would stall; the range check rejects it first

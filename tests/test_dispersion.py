@@ -6,11 +6,12 @@ import pytest
 
 from bosemilne import dispersion, quadrature
 from bosemilne.dispersion import (DispersionTable, build_theta_table,
-                                  default_mu_grid, index_kappa, lambda_boundary,
+                                  default_mu_grid, evaluate_boundary, index_kappa,
+                                  lambda_boundary,
                                   lambda_boundary_batch, lambda_case,
                                   lambda_case_boundary, lambda_case_pv,
                                   lambda_general, weighted_case_average)
-from bosemilne.errors import ConsistencyError, DomainError
+from bosemilne.errors import ConsistencyError, DomainError, ResolutionError
 from bosemilne.special import einstein
 
 LAM_C_2 = -0.098612288668109691395  # 1 - ln 3
@@ -208,6 +209,26 @@ class TestLambdaBoundary:
             assert got.lambda_real == pytest.approx(want.lambda_real, rel=1e-10, abs=1e-10)
             assert got.im_plus == want.im_plus
 
+    @pytest.mark.parametrize("alpha,mu", [(2.0, 100.0), (2.0, 1000.0), (1.0, 100.0)])
+    def test_real_part_at_large_mu_oracle(self, ctx, alpha, mu):
+        # Re lam+ is ~1e-9 to 1e-6 here; written as 1 + (an integral near
+        # -l0)/l0 it cancelled to a relative 7.5e-8 at (2, 1000). The
+        # defining integral at 30 digits, up to the model's frequency cut
+        mp = pytest.importorskip("mpmath")
+        model = ctx.model(alpha)
+        with mp.workdps(30):
+            a, m = mp.mpf(alpha), mp.mpf(mu)
+
+            def f(w):
+                y = w ** a * m
+                lam_pv = 1 - y / 2 * mp.log(abs((1 + y) / (1 - y)))
+                return w ** (a + 4) * mp.exp(w) / mp.expm1(w) ** 2 * lam_pv
+
+            ws = m ** (-1 / a)  # the singular frequency, where w^a mu = 1
+            want = float(mp.quad(f, [0, ws / 2, ws, 2 * ws, 1, 10, model.omega_cut])
+                         / (mp.gamma(a + 5) * mp.zeta(a + 4)))
+        assert lambda_boundary(model, mu).lambda_real == pytest.approx(want, rel=1e-11, abs=0.0)
+
     def test_nonpositive_mu_rejected(self, model1):
         with pytest.raises(DomainError):
             lambda_boundary(model1, -0.5)
@@ -255,6 +276,47 @@ class TestThetaTable:
             build_theta_table(model0, np.array([]))
 
 
+class TestPanelTable:
+    """alpha > 0 tables: Chebyshev panels in ln mu."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_fresh_values_within_theta_tol(self, ctx, alpha):
+        # the interpolant (panels, and the closure below the first break)
+        # against 20,000 fresh boundary values, log-uniform on (1e-6, mu_max)
+        table = ctx.table(alpha)
+        rng = np.random.default_rng(20)
+        mus = np.exp(rng.uniform(math.log(1e-6), math.log(table.mu_max), 20000))
+        fresh = np.array([s.theta for s in evaluate_boundary(table.boundary_fn, mus)])
+        assert np.max(np.abs(table.theta_at(mus) - fresh)) <= 2e-8
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_boundary_value_count(self, ctx, alpha, monkeypatch):
+        # the mu_max probes and every panel pass; the midpoint-refined
+        # pchip tables took 4543 to 5210
+        counts = []
+        real = dispersion.lambda_boundary_batch
+
+        def counting(model, mus, **kw):
+            counts.append(len(np.atleast_1d(mus)))
+            return real(model, mus, **kw)
+
+        monkeypatch.setattr(dispersion, "lambda_boundary_batch", counting)
+        build_theta_table(ctx.model(alpha))
+        assert sum(counts) <= 400
+
+    def test_tail_continues_the_last_panel(self, ctx):
+        table = ctx.table(1.0)
+        assert table.tail_exponent == -2.0
+        mu = table.mu_max
+        assert table.theta_at(np.nextafter(mu, np.inf)) == pytest.approx(
+            table.theta_at(mu), abs=1e-14)
+
+    def test_unresolved_panels_raise(self, ctx):
+        # at alpha 0.5 two of the eight first panels need a bisection
+        with pytest.raises(ResolutionError):
+            build_theta_table(ctx.model(0.5), max_passes=1)
+
+
 class TestIndex:
     @pytest.mark.parametrize("alpha", [0.0, 2.0])
     def test_kappa_is_minus_one(self, ctx, alpha):
@@ -262,7 +324,6 @@ class TestIndex:
 
     def test_degenerate_table_rejected(self, table0):
         stub = DispersionTable(samples=table0.samples[:3], alpha=0.0,
-                               tail_exponent=None, tail_coeff=None,
                                grid_spec="stub", slit_edge=1.0,
                                boundary_fn=table0.boundary_fn)
         with pytest.raises(ConsistencyError):

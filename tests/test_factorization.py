@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,19 @@ class TestV1:
         b = fz.v1_coefficient(model0, table0, rule_order=128).value
         assert abs(a - b) <= 1e-6
 
+    @pytest.mark.parametrize("alpha,rtol", [(0.5, 1e-9), (1.0, 1e-7)])
+    def test_against_independent_reference(self, ctx, alpha, rtol):
+        # bench/references.json: scipy quad of the defining integrals, no bosemilne
+        refs = json.loads((Path(__file__).parents[1] / "bench" / "references.json").read_text())
+        want = refs["v1"][str(alpha)]
+        est = ctx.v1(alpha)
+        gap = abs(est.value - want)
+        assert gap <= rtol * want
+        assert gap <= est.error <= 1e-6 * want
+
+    def test_alpha_zero_needs_no_table(self, model0, table0):
+        assert fz.v1_coefficient(model0) == fz.v1_coefficient(model0, table0)
+
     def test_divergence_flag_at_alpha_two(self, ctx, model2):
         with pytest.raises(DivergenceError, match="saddle"):
             fz.v1_coefficient(model2, ctx.table(2.0))
@@ -49,8 +64,8 @@ class TestVTransform:
 
     def test_negative_axis_against_scipy(self, data0):
         from scipy.integrate import quad
-        g = data0.table.theta_interp
-        want, _ = quad(lambda t: (float(g(t)) - math.pi) / (t + 1.0),
+        g = data0.table.theta_at
+        want, _ = quad(lambda t: (g(t) - math.pi) / (t + 1.0),
                        0.0, data0.table.mu_max, limit=400)
         got = fz.v_transform(data0, -1.0)
         assert got.imag == 0.0

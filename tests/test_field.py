@@ -129,9 +129,9 @@ class TestCallCounts:
 
     def test_spectrum_table(self, data0):
         # 400 nodes at alpha 0: about 350 calls
-        data = dataclasses.replace(data0)
-        spy = data.__dict__["_g_interp"] = self.Counting(data0._g_interp)
-        fz.spectrum_table(data)
+        table = dataclasses.replace(data0.table)
+        spy = table.__dict__["theta_at"] = self.Counting(data0.table.theta_at)
+        fz.spectrum_table(dataclasses.replace(data0, table=table))
         assert spy.calls <= 2000
 
 
