@@ -199,7 +199,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     sol = ctx.solution(0.0)
     res_fine = field.boundary_residual(sol)
     coarse_table = dispersion.build_theta_table(
-        ctx.model(0.0), dispersion._slit_grid(1.0, 60, 1e-4), theta_tol=1e-4)
+        ctx.model(0.0), dispersion._slit_grid(1.0, 60, 1e-4))
     data_c = fz.build_factorization(ctx.model(0.0), coarse_table, k=1.0)
     etas, vps, ns = fz.spectrum_table(data_c, n_nodes=60)
     sol_c = field.MilneSolution(model=ctx.model(0.0), factorization=data_c,

@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.interpolate import PchipInterpolator
 
 from . import quadrature, special
 from .errors import ConsistencyError, DivergenceError, DomainError, ResolutionError
@@ -48,6 +47,8 @@ __all__ = [
     "lambda_boundary_batch",
     "evaluate_boundary",
     "build_theta_table",
+    "tail_exponent",
+    "require_convergent_tail",
     "index_kappa",
     "default_mu_grid",
 ]
@@ -62,6 +63,8 @@ _CHUNK = 64
 _PANEL_POINTS = 24
 _FIRST_PANELS = 8
 _FIT_ORDER = 64
+# slit tables: nodes end at y = mu/edge = 1 - _SLIT_GAP
+_SLIT_GAP = 1e-13
 
 
 def _case_series(z2inv):
@@ -131,6 +134,21 @@ def lambda_case_boundary(mu: float, side: str = "above") -> complex:
     return complex(lambda_case_pv(mu), sgn * 0.5 * math.pi * mu)
 
 
+def _case_theta(y: np.ndarray, slope: bool = False) -> np.ndarray:
+    """theta = arg lam_C(y + i0) at y >= 0 (pi from y = 1 on), or d theta/dy.
+
+    Inside the slit lam_C = (1 - y atanh y) + i pi y / 2, so the slope is
+    (Re Im' - Im Re') / |lam|^2 with Re' = -atanh y - y / (1 - y^2).
+    """
+    inside = y < 1.0
+    yi = np.where(inside, y, 0.0)
+    re, im = lambda_case_pv(yi), 0.5 * math.pi * yi
+    if not slope:
+        return np.where(inside, np.arctan2(im, re), math.pi)
+    d_re = -np.arctanh(yi) - yi / ((1.0 - yi) * (1.0 + yi))
+    return np.where(inside, (0.5 * math.pi * re - im * d_re) / (re * re + im * im), 0.0)
+
+
 def weighted_case_average(model: AlphaModel, z, *, tol: float = 1e-12,
                           max_depth: int = 24) -> complex:
     """The Planck-weighted average (1/l0) int w^(a+4) E(w) lam_C(w^a z) dw.
@@ -193,6 +211,10 @@ class DispersionSample:
 def _samples(mus, re, im) -> list[DispersionSample]:
     return [DispersionSample(mu=float(m), lambda_real=float(r), im_plus=float(i),
                              theta=math.atan2(i, r)) for m, r, i in zip(mus, re, im)]
+
+
+# the exact origin limit every table starts with: lam = 1, theta = 0
+_ORIGIN = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
 
 
 def _pv_integrand(w, mu, shift, a):
@@ -281,24 +303,23 @@ def lambda_boundary(model: AlphaModel, mu: float, *, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class DispersionTable:
-    """Boundary data {mu, Re lam+, Im lam+, theta} and the interpolant of theta.
+    """Boundary data {mu, Re lam+, Im lam+, theta} and theta between them.
 
     `samples` starts with the exact origin limit (mu=0: lam=1, theta=0) and is
     strictly increasing in mu. Two kinds of table share this interface:
 
-    * slit tables (alpha = 0 and saddle surrogates, `slit_edge` set): Im lam+
-      ends at the edge, theta == pi beyond it, and theta between the nodes
-      is their monotone cubic (pchip);
+    * slit tables (alpha = 0 and saddle surrogates, `slit_edge` set): lam+ is
+      lam_C(mu/edge + i0) in closed form, so theta and its slope are exact,
+      not interpolated, and theta == pi from the edge on. The nodes only
+      seed the continuum table (`spectrum_table`) and the winding check;
     * panel tables (alpha > 0): theta is a Chebyshev series in s = ln mu on
       each panel [breaks[i], breaks[i+1]] (`coeffs[i]`). Below the first
       break it is the odd cubic A mu + B mu^3 with the value and slope of
       the first panel there (Im lam+ is odd in mu, Re lam+ even). Beyond
       the last break pi - theta = tail_coeff * mu^tail_exponent, with the
       asymptotic exponent (alpha - 3)/alpha and the coefficient matched at
-      the last node.
-
-    `samples` holds the nodes of the interpolant: every node of a slit
-    table, the Chebyshev-Lobatto points of the panels of a panel table.
+      the last node. `samples` holds the Chebyshev-Lobatto points of the
+      panels.
     """
 
     samples: tuple[DispersionSample, ...]
@@ -337,19 +358,10 @@ class DispersionTable:
     def mu_max(self) -> float:
         return float(self.mu[-1])
 
-    @cached_property
-    def _pchip(self) -> PchipInterpolator:
-        # slit tables: the monotone cubic protects the unwrapped branch between nodes
-        return PchipInterpolator(self.mu, self.theta, extrapolate=False)
-
-    @cached_property
-    def _pchip_slope(self):
-        return self._pchip.derivative()
-
     @property
     def tail_exponent(self) -> float | None:
         """Asymptotic exponent of pi - theta beyond the table; None for slit tables."""
-        return None if self.slit_edge is not None else (self.alpha - 3.0) / self.alpha
+        return None if self.slit_edge is not None else tail_exponent(self.alpha)
 
     @property
     def tail_coeff(self) -> float | None:
@@ -381,11 +393,10 @@ class DispersionTable:
         return value / m - b * m * m, b
 
     def theta_at(self, mu):
-        """Continuous argument at arbitrary mu >= 0 (interpolant, slit closure, or tail)."""
+        """Continuous argument at arbitrary mu >= 0 (closed form, interpolant, or tail)."""
         arr = np.asarray(mu, dtype=float)
         if self.slit_edge is not None:
-            out = self._pchip(arr)
-            out[arr > self.mu_max] = math.pi
+            out = _case_theta(arr / self.slit_edge)
             return out if arr.ndim else float(out)
         out = np.full(arr.shape, np.nan)
         mu_min = self.breaks[0]
@@ -399,10 +410,10 @@ class DispersionTable:
         return out if arr.ndim else float(out)
 
     def theta_slope(self, mu) -> np.ndarray:
-        """d theta / d mu at 0 < mu < mu_max, the slope of the interpolant."""
+        """d theta / d mu at 0 < mu < mu_max: exact on a slit, else the interpolant's."""
         arr = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.slit_edge is not None:
-            return self._pchip_slope(arr)
+            return _case_theta(arr / self.slit_edge, slope=True) / self.slit_edge
         mu_min = self.breaks[0]
         a, b = self._head
         return np.where(arr < mu_min, a + 3.0 * b * arr ** 2,
@@ -443,11 +454,8 @@ class DispersionTable:
         """
         if self.slit_edge is not None:
             raise ConsistencyError("slit tables integrate their boundary function")
+        require_convergent_tail(self.alpha)
         p = self.tail_exponent
-        if p >= -1.0:
-            raise DivergenceError(
-                f"tail exponent {p} >= -1: the exact V1 integral diverges for "
-                f"alpha={self.alpha}; use the saddle-point approximation")
         rule = rule or quadrature.gauss_rule(64)
         sb = np.log(self.breaks)
         half = 0.5 * np.diff(sb)
@@ -465,15 +473,30 @@ class DispersionTable:
         return head + body + tail, body_err + tail_err
 
 
+def tail_exponent(alpha: float) -> float:
+    """Asymptotic exponent p of pi - theta ~ c mu^p for alpha > 0."""
+    return (alpha - 3.0) / alpha
+
+
+def require_convergent_tail(alpha: float) -> None:
+    """DivergenceError unless the tail decays faster than 1/mu, so that the exact
+    V1 integral converges (alpha < 3/2); depends on alpha alone."""
+    p = tail_exponent(alpha)
+    if p >= -1.0:
+        raise DivergenceError(
+            f"tail exponent {p} >= -1: the exact V1 integral diverges for "
+            f"alpha={alpha}; use the saddle-point approximation")
+
+
 def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
                     mu_max: float | None = None) -> tuple[np.ndarray, str]:
     """Default sampling grid for the theta table.
 
-    alpha = 0: geometric up to 0.5, then edge-refined toward the slit end at 1
-    (theta climbs to pi only logarithmically there). alpha > 0: geometric up
-    to the first probe mu (30, 100, 300, 1000) where pi - theta < 1e-4, or
-    3000, where the power-law tail model takes over; build_theta_table uses
-    n = 9 of these points as the first panel breaks.
+    alpha = 0: the slit-table nodes (`_slit_grid`), which seed the continuum
+    table. alpha > 0: geometric up to the first probe mu (30, 100, 300,
+    1000) where pi - theta < 1e-4, or 3000, where the power-law tail model
+    takes over; build_theta_table uses n = 9 of these points as the first
+    panel breaks.
     """
     if model.alpha == 0.0:
         return _slit_grid(1.0, n, mu_min), f"slit[{mu_min:g},1;n={n}]"
@@ -489,24 +512,33 @@ def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
 
 
 def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
-    n_lo, n_mid = (2 * n) // 5, (3 * n) // 10
-    lo = np.geomspace(mu_min * edge, 0.5 * edge, n_lo)
-    mid = np.linspace(0.5 * edge, 0.9 * edge, n_mid)
-    hi = edge * (1.0 - np.geomspace(0.1, 1e-13, n - n_lo - n_mid))
-    return np.unique(np.concatenate([lo, mid, hi]))
+    """n nodes mu = edge y on y in [mu_min, 1 - _SLIT_GAP], uniform in
+    s = ln y - ln(1 - y)/2: geometric toward the origin, geometric in the
+    distance to the edge (at half the rate) toward it, smooth between.
+
+    e^(2s) = y^2/(1 - y) inverts to y = 2/(1 + sqrt(1 + 4 e^(-2s))); the two
+    ends are set exactly.
+    """
+    y_hi = 1.0 - _SLIT_GAP
+    s = np.linspace(math.log(mu_min) - 0.5 * math.log1p(-mu_min),
+                    math.log(y_hi) - 0.5 * math.log(_SLIT_GAP), n)
+    y = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * s)))
+    y[0], y[-1] = mu_min, y_hi
+    return edge * y
 
 
 def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
                       theta_tol: float = 2e-8, max_passes: int = 8,
                       threads: int = 1) -> DispersionTable:
-    """Tabulate lam+ on positive mu and the interpolant of its argument theta.
+    """Tabulate lam+ on positive mu and theta = arg lam+ between the nodes.
 
     Since Im lam+ >= 0, atan2 already lands in [0, pi], which is the
     continuous branch with theta(0+) = 0. alpha = 0 gives a slit table
-    (`_table_from_boundary` on the grid); alpha > 0 a panel table
-    (`_panel_table`), whose grid is the first set of panel breaks. Either
-    way theta_tol is the accuracy the interpolant is refined to and
-    max_passes bounds the refinement.
+    (`_slit_table`): theta is exact, and the grid (default: 400 nodes of
+    `_slit_grid`) only fixes the nodes. alpha > 0 gives a panel table
+    (`_panel_table`), whose grid is the first set of panel breaks; theta_tol
+    is the accuracy its interpolant is refined to and max_passes bounds the
+    refinement. Neither applies to slit tables, which are exact.
     """
     if grid is None:
         grid, spec = default_mu_grid(model, n=_FIRST_PANELS + 1 if model.alpha > 0.0 else 400)
@@ -522,9 +554,7 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
     if model.alpha > 0.0:
         return _panel_table(fn, grid, model.alpha, spec, theta_tol=theta_tol,
                             max_passes=max_passes, threads=threads)
-    return _table_from_boundary(fn, grid, model.alpha, 1.0, spec,
-                                theta_tol=theta_tol, max_passes=max_passes,
-                                threads=threads)
+    return _slit_table(fn, grid, model.alpha, 1.0, spec, threads=threads)
 
 
 def evaluate_boundary(boundary_fn, mus, *, threads: int = 1) -> list[DispersionSample]:
@@ -538,89 +568,16 @@ def evaluate_boundary(boundary_fn, mus, *, threads: int = 1) -> list[DispersionS
     return [s for part in ordered_map(boundary_fn, chunks, threads=threads) for s in part]
 
 
-def _table_from_boundary(boundary_fn, grid, alpha, slit_edge, grid_spec, *,
-                         theta_tol=2e-8, max_passes=8, threads=1):
-    """Slit tables: alpha = 0 and the saddle surrogates.
+def _slit_table(boundary_fn, grid, alpha, slit_edge, grid_spec, *, threads=1):
+    """Slit table (alpha = 0, saddle surrogates) on the sorted, distinct grid.
 
-    Refinement is error-driven: midpoints of unverified segments are probed
-    against the monotone-cubic interpolant of the current nodes, and every
-    probe becomes a node (a computed boundary value is never discarded).
-    Segments whose probe already matched to theta_tol are not refined
-    further. Two safety nets follow: a pchip-vs-C2-spline comparison that
-    flags pathological segments where the midpoint happens to sit on a zero
-    of the error profile, and a 1000-point certification scan whose samples
-    are likewise absorbed into the table. Every stage evaluates all its
-    mus through one evaluate_boundary call.
+    boundary_fn must be lam_C(mu/slit_edge + i0), which DispersionTable
+    evaluates in closed form between and beyond the nodes.
     """
-    def evaluate(mus):
-        return evaluate_boundary(boundary_fn, mus, threads=threads)
-
-    mus = np.sort(np.asarray(grid, dtype=float))
-    samples = {float(m): s for m, s in zip(mus, evaluate(mus))}
-
-    def sorted_samples():
-        return [samples[m] for m in sorted(samples)]
-
-    verified: set[tuple[float, float]] = set()
-    for _ in range(max_passes):
-        mu_arr = np.array(sorted(samples))
-        th_arr = np.array([samples[m].theta for m in mu_arr])
-        interp = PchipInterpolator(mu_arr, th_arr)
-        pairs = list(zip(mu_arr[:-1], mu_arr[1:]))
-        todo = [pr for pr in pairs
-                if pr not in verified and pr[0] < 0.5 * (pr[0] + pr[1]) < pr[1]]
-        if not todo:
-            break
-        mids = np.array([0.5 * (a + b) for a, b in todo])
-        probes = evaluate(mids)
-        errs = np.abs(interp(mids) - np.array([s.theta for s in probes]))
-        for (a, b), m, probe, err in zip(todo, mids, probes, errs):
-            samples[float(m)] = probe
-            if err <= theta_tol:
-                # children inherit: local error drops ~an order per halving
-                verified.add((a, float(m)))
-                verified.add((float(m), b))
-        if np.all(errs <= theta_tol):
-            break
-    else:
-        th_arr = np.array([s.theta for s in sorted_samples()])
-        if np.any(np.abs(np.diff(th_arr)) > 0.5 * math.pi):
-            raise ResolutionError(
-                "theta changes by more than pi/2 between adjacent nodes "
-                f"after {max_passes} refinement passes")
-
-    # safety net 1: where pchip degrades (limited derivatives), it separates
-    # from the C2 spline built on the same data; probe the disagreements
-    from scipy.interpolate import CubicSpline
-    for _ in range(4):
-        mu_arr = np.array(sorted(samples))
-        th_arr = np.array([samples[m].theta for m in mu_arr])
-        pchip = PchipInterpolator(mu_arr, th_arr)
-        spline = CubicSpline(mu_arr, th_arr)
-        fracs = np.array([0.25, 0.5, 0.75])
-        pm = mu_arr[:-1, None] + fracs[None, :] * np.diff(mu_arr)[:, None]
-        gap = np.abs(pchip(pm) - spline(pm))
-        worst = np.argmax(gap, axis=1)
-        seg_gap = gap[np.arange(len(worst)), worst]
-        flag = np.nonzero(seg_gap > 2.0 * theta_tol)[0]
-        new_mus = [float(pm[i, worst[i]]) for i in flag
-                   if float(pm[i, worst[i]]) not in samples]
-        if not new_mus:
-            break
-        for m, s in zip(new_mus, evaluate(new_mus)):
-            samples[m] = s
-
-    # safety net 2: certification scan, all samples absorbed
-    mu_arr = np.array(sorted(samples))
-    lo, hi = mu_arr[0], mu_arr[-1]
-    scan = np.geomspace(lo, hi, 1000)
-    scan = [float(m) for m in scan if lo < m < hi and float(m) not in samples]
-    for m, s in zip(scan, evaluate(scan)):
-        samples[m] = s
-
-    origin = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
-    return DispersionTable(samples=(origin, *sorted_samples()), alpha=alpha,
-                           grid_spec=grid_spec, slit_edge=slit_edge, boundary_fn=boundary_fn)
+    mus = np.unique(np.asarray(grid, dtype=float))
+    samples = evaluate_boundary(boundary_fn, mus, threads=threads)
+    return DispersionTable(samples=(_ORIGIN, *samples), alpha=alpha, grid_spec=grid_spec,
+                           slit_edge=slit_edge, boundary_fn=boundary_fn)
 
 
 @lru_cache(maxsize=1)
@@ -677,8 +634,7 @@ def _panel_table(boundary_fn, breaks, alpha, grid_spec, *, theta_tol=2e-8,
             f"{len(todo)} theta panels still miss {theta_tol:g} after {max_passes} passes")
     done.sort(key=lambda panel: panel[0])
     nodes = sorted({m for *_, row in done for m in row.tolist()})
-    origin = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
-    return DispersionTable(samples=(origin, *(samples[m] for m in nodes)), alpha=alpha,
+    return DispersionTable(samples=(_ORIGIN, *(samples[m] for m in nodes)), alpha=alpha,
                            grid_spec=grid_spec, slit_edge=None, boundary_fn=boundary_fn,
                            breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
                            coeffs=np.array([c for _, _, c, _ in done]))

@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature
-from .dispersion import DispersionTable, build_theta_table, lambda_boundary_batch
+from .dispersion import (DispersionTable, build_theta_table, lambda_boundary_batch,
+                         require_convergent_tail)
 from .errors import DomainError, RangeError
 from .special import AlphaModel
 
@@ -98,12 +99,14 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None, *,
     its closed-form boundary function directly. For alpha > 0 the panel
     table integrates its interpolant and the asymptotic tail
     (DispersionTable.excess_integral); without a table the default one is
-    built.
+    built, unless the tail exponent alone already makes the integral
+    diverge (DivergenceError).
     """
     rule = quadrature.gauss_rule(rule_order or model.quad_cfg.base_order)
     if table is None:
         if model.alpha == 0.0:
             return _v1_slit(lambda mus: lambda_boundary_batch(model, mus), 1.0, rule, tol)
+        require_convergent_tail(model.alpha)
         table = build_theta_table(model)
     if table.slit_edge is not None:
         return _v1_slit(table.boundary_fn, table.slit_edge, rule, tol)

@@ -16,8 +16,8 @@ where the truncated moment xi_a cancels exactly against the one hiding in
 sin(pi - theta); this keeps the term finite where xi_a underflows. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
 term is absent. At the edge itself (mu = 1) the continuum integrand
-diverges like a log-log, and within 1e-6 below it the principal value sits
-on that divergence; within 1e-6 beyond it the integrand's pole sits too
+diverges like a log-log, and within 2e-6 below it the principal value sits
+on that divergence; within 2e-6 beyond it the integrand's pole sits too
 close to the table's end for the quadrature; beyond the table of an
 alpha > 0 solution (mu >= eta_max) the algebraic tail has its pole inside
 its integral. All of these raise RangeError before any integration.
@@ -53,12 +53,14 @@ __all__ = [
 
 _EXP_UNDERFLOW = 745.0
 # |mu - edge| below which phi is not evaluated next to the slit edge: beyond
-# it the plain row's pole sits so close to the table end that its quadrature
-# stalls (measured: up to 5.6e-7 at x = 0, fine from 6.3e-7); below it the
-# principal value sits on the log-log divergence (measured at x = 0: |phi|
-# about 2e-6 down to 1 - 1e-7, as elsewhere on the row, then 8.3e-5 at
-# 1 - 1e-9 and 1.47e-3 at 1 - 1e-10, where the exact value is 0)
-_EDGE_BAND = 1e-6
+# it the plain row's pole sits so close to the table end (eta_max = 1 -
+# 1.13e-13) that its quadrature stalls (measured on the default table: up to
+# mu - 1 = 1.40e-6 at x = 0 and 1e-3, 1.2e-6 at x = 0.01, 1.1e-6 at x = 0.1,
+# 5.4e-7 at x = 0.3, 1.8e-7 at x = 1, none at x = 30); below it the principal
+# value sits on the log-log divergence (measured at x = 0: |phi|/(1 + V1)
+# 2.3e-7 at 1 - 1e-7, 2.5e-6 at 1 - 1e-8, 4.5e-5 at 1 - 1e-9 and 5.3e-4 at
+# 1 - 1e-10, where the exact value is 0)
+_EDGE_BAND = 2e-6
 
 
 def discrete_modes(x: float, mu: float) -> tuple[float, float]:

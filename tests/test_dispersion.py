@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bosemilne import dispersion, quadrature
+from bosemilne import dispersion, quadrature, saddle
 from bosemilne.dispersion import (DispersionTable, build_theta_table,
-                                  default_mu_grid, evaluate_boundary, index_kappa,
+                                  evaluate_boundary, index_kappa,
                                   lambda_boundary,
                                   lambda_boundary_batch, lambda_case,
                                   lambda_case_boundary, lambda_case_pv,
@@ -261,10 +261,19 @@ class TestThetaTable:
         for t in (table0, table1):
             assert np.all(np.diff(t.theta[:50]) >= -1e-15)
 
-    def test_refinement_added_nodes(self, model0):
-        grid, _ = default_mu_grid(model0, n=64)
-        tab = build_theta_table(model0, grid, theta_tol=1e-6)
-        assert len(tab.samples) > len(grid)
+    @pytest.mark.parametrize("surrogate_alpha", [None, 2.0], ids=["alpha0", "surrogate2"])
+    def test_slit_slope_matches_central_difference(self, table0, surrogate_alpha):
+        # closed-form d theta/d mu of a slit table: alpha 0's and a surrogate's
+        table = (table0 if surrogate_alpha is None
+                 else saddle.surrogate_theta_table(surrogate_alpha))
+        edge = table.slit_edge
+        mus = edge * np.array([1e-3, 0.05, 0.3, 0.7, 0.95, 0.999])
+        h = 1e-6 * mus * (1.0 - mus / edge)
+        diff = (table.theta_at(mus + h) - table.theta_at(mus - h)) / (2.0 * h)
+        slope = table.theta_slope(mus)
+        assert np.all(slope > 0.0)
+        np.testing.assert_allclose(slope, diff, rtol=1e-7)
+        assert np.all(table.theta_slope(edge * np.array([1.0, 1.5])) == 0.0)
 
     def test_tail_exponent_alpha_half(self, ctx):
         t = ctx.table(0.5)
@@ -279,10 +288,11 @@ class TestThetaTable:
 class TestPanelTable:
     """alpha > 0 tables: Chebyshev panels in ln mu."""
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_fresh_values_within_theta_tol(self, ctx, alpha):
-        # the interpolant (panels, and the closure below the first break)
-        # against 20,000 fresh boundary values, log-uniform on (1e-6, mu_max)
+        # the interpolant (panels, and the closure below the first break),
+        # or alpha 0's closed form, against 20,000 fresh boundary values,
+        # log-uniform on (1e-6, mu_max)
         table = ctx.table(alpha)
         rng = np.random.default_rng(20)
         mus = np.exp(rng.uniform(math.log(1e-6), math.log(table.mu_max), 20000))

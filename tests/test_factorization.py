@@ -44,6 +44,14 @@ class TestV1:
         with pytest.raises(DivergenceError, match="saddle"):
             fz.v1_coefficient(model2, ctx.table(2.0))
 
+    def test_divergence_raised_before_any_table(self, model2, monkeypatch):
+        # the tail exponent (alpha - 3)/alpha decides divergence alone
+        built = []
+        monkeypatch.setattr(fz, "build_theta_table", lambda *a, **kw: built.append(a))
+        with pytest.raises(DivergenceError, match="tail exponent -0.5 >= -1"):
+            fz.v1_coefficient(model2)
+        assert built == []
+
     def test_independent_of_k(self, ctx, model0, table0):
         d1 = fz.build_factorization(model0, table0, k=1.0)
         d2 = fz.build_factorization(model0, table0, k=-3.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bosemilne import factorization as fz, saddle
-from bosemilne.dispersion import lambda_case
+from bosemilne.dispersion import evaluate_boundary, lambda_case
 from bosemilne.errors import ConsistencyError, DomainError
 
 W0_EXACT = {0.0: 3.83001609630907, 2.0: 5.96940917071577}
@@ -79,6 +79,15 @@ class TestSurrogate:
         est = fz.v1_coefficient(model, table)
         want = w0 ** (-alpha) * ctx.v1(0.0).value
         assert abs(est.value - want) <= 1e-6
+
+    def test_table_matches_fresh_values(self):
+        # theta of the surrogate table against 20,000 fresh boundary values
+        table = saddle.surrogate_theta_table(2.0)
+        rng = np.random.default_rng(21)
+        mus = np.exp(rng.uniform(math.log(1e-6), math.log(table.mu_max), 20000))
+        fresh = np.array([s.theta for s in evaluate_boundary(table.boundary_fn, mus)])
+        assert np.max(np.abs(table.theta_at(mus) - fresh)) <= 2e-8
+        assert np.all(table.theta_at(table.slit_edge * np.array([1.0, 3.0])) == math.pi)
 
 
 class TestSummary:
