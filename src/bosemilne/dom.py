@@ -137,9 +137,12 @@ class DomGrid:
 
 @dataclass(frozen=True)
 class DomResult:
-    """Converged solution with the extracted far-field intercept."""
+    """Converged source with the extracted far-field intercept.
 
-    phi: np.ndarray          # (n_x, n_v, n_freq)
+    `residual` is the max-norm of G(S) - S after one more sweep of the
+    converged source S with the extracted far-end value.
+    """
+
     source: np.ndarray       # S at the spatial nodes
     k0_extracted: float
     slope: float
@@ -166,12 +169,12 @@ class _Sweeper:
     def __init__(self, model: AlphaModel, grid: DomGrid):
         h = np.diff(grid.x_nodes)
         pos = grid.v_nodes > 0
-        self.vp, self.ap = grid.v_nodes[pos], grid.v_weights[pos]
-        self.vm, self.am = grid.v_nodes[~pos], grid.v_weights[~pos]
+        vp, ap = grid.v_nodes[pos], grid.v_weights[pos]
+        vm, am = grid.v_nodes[~pos], grid.v_weights[~pos]
         wa = grid.w_nodes ** model.alpha
         # channel layout: (direction, frequency) flattened
-        self.mu_pos = (self.vp[:, None] / wa[None, :]).ravel()
-        self.mu_neg = (self.vm[:, None] / wa[None, :]).ravel()
+        self.mu_pos = (vp[:, None] / wa[None, :]).ravel()
+        self.mu_neg = (vm[:, None] / wa[None, :]).ravel()
         m = len(self.mu_pos)
         tau = np.empty((len(h), m + len(self.mu_neg)))
         np.multiply(h[:, None], 1.0 / self.mu_pos, out=tau[:, :m])
@@ -190,8 +193,8 @@ class _Sweeper:
         del tau
         l0d = float(np.sum(grid.w_weights))
         # source weights: a_k w_i / (2 l0_disc) per channel
-        self.cw_pos = (np.outer(self.ap, grid.w_weights) / (2.0 * l0d)).ravel()
-        self.cw_neg = (np.outer(self.am, grid.w_weights) / (2.0 * l0d)).ravel()
+        self.cw_pos = (np.outer(ap, grid.w_weights) / (2.0 * l0d)).ravel()
+        self.cw_neg = (np.outer(am, grid.w_weights) / (2.0 * l0d)).ravel()
 
     def apply(self, S: np.ndarray, inflow_pos: np.ndarray, inflow_neg: np.ndarray,
               keep_phi: bool = False):
@@ -285,12 +288,8 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *,
             f"(last residual {last:.3e})")
 
     k0, slope = extract_k0(x, S, window, k)
-    G, store_p, store_m = sweep(S, k0 + k * far, keep_phi=True)
-    n_w = len(grid.w_nodes)
-    phi = np.empty((len(x), len(grid.v_nodes), n_w))
-    phi[:, grid.v_nodes > 0, :] = store_p.reshape(len(x), len(sweeper.vp), n_w)
-    phi[:, grid.v_nodes < 0, :] = store_m.reshape(len(x), len(sweeper.vm), n_w)
-    return DomResult(phi=phi, source=S, k0_extracted=k0, slope=slope,
+    G = sweep(S, k0 + k * far)
+    return DomResult(source=S, k0_extracted=k0, slope=slope,
                      fit_window=window, iterations=sweeps,
                      residual=float(np.max(np.abs(G - S))),
                      diagnostics=grid.diagnostics)

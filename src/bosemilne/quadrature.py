@@ -1,9 +1,9 @@
 """Reusable numerical integration.
 
-Fixed Gauss-Legendre rules, a deterministic globally-adaptive integrator
-(`integrate_with_error`, for scalar callers), the same algorithm run in
-lockstep over many rows (`integrate_rows`: one integrand call per step for
-all rows), and Cauchy principal values by singularity subtraction, one row
+Fixed Gauss-Legendre rules, one deterministic globally-adaptive algorithm
+run in lockstep over many rows (`integrate_rows`: one integrand call per
+step for all rows; `integrate_with_error` and `integrate` are its one-row
+call), and Cauchy principal values by singularity subtraction, one row
 (`pv_integral`) or many (`pv_rows`):
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
@@ -53,10 +53,6 @@ class QuadratureRule:
         half = 0.5 * (b - a)
         return 0.5 * (a + b) + half * self.nodes, half * self.weights
 
-    def apply(self, f: Callable, a: float, b: float):
-        x, w = self.map_to(a, b)
-        return w @ np.asarray(f(x))
-
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -101,130 +97,37 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=n)
 
 
-def _panel(f, a, b, rule, whole=None):
-    """Rule estimate on (a, b) and on its two halves; error = their difference.
-
-    `whole` skips re-evaluating the coarse estimate when the caller already
-    holds it (every split inherits it from the parent panel).
-    """
-    m = 0.5 * (a + b)
-    if whole is None:
-        whole = rule.apply(f, a, b)
-    left = rule.apply(f, a, m)
-    right = rule.apply(f, m, b)
-    fine = left + right
-    return m, left, right, fine, abs(fine - whole)
-
-
 def _converged(err, total, tol, scale):
-    """The stopping test err <= tol * max(|total|, scale, 1e-300).
-
-    Elementwise for arrays (integrate_rows); plain floats keep the adaptive loop
-    free of numpy call overhead.
-    """
-    if isinstance(total, np.ndarray):
-        floor = np.abs(total) if scale is None else np.maximum(np.abs(total), scale)
-        return err <= tol * np.maximum(floor, 1e-300)
-    floor = abs(total) if scale is None else max(abs(total), scale)
-    return err <= tol * max(floor, 1e-300)
-
-
-def integrate_with_error(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    *,
-    rule: QuadratureRule | None = None,
-    max_depth: int = 12,
-    points: Sequence[float] = (),
-    scale: float | None = None,
-) -> tuple[float | complex, float]:
-    """Globally adaptive Gauss quadrature of f on (a, b).
-
-    Returns (value, error_bound). The interval is pre-split at `points`
-    (known kinks or singular locations); the worst panel is bisected until
-    the summed error estimate drops below tol * max(|value|, scale). Raises
-    AccuracyError (carrying the best estimate) if a panel would need to go
-    beyond max_depth levels of bisection.
-    """
-    if not (a < b):
-        raise DomainError(f"need a < b, got ({a}, {b})")
-    if tol <= 0:
-        raise ConfigurationError("tolerance must be positive")
-    rule = rule or gauss_rule(64)
-
-    cuts = [a] + sorted(p for p in points if a < p < b) + [b]
-    heap = []
-    counter = 0
-    total = 0.0
-    err_total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        m, left, right, fine, err = _panel(f, lo, hi, rule)
-        heapq.heappush(heap, (-err, counter, lo, hi, m, left, right, 0))
-        counter += 1
-        total = total + fine
-        err_total += err
-
-    while not _converged(err_total, total, tol, scale):
-        neg_err, _, lo, hi, m, left, right, depth = heapq.heappop(heap)
-        if depth >= max_depth:
-            raise AccuracyError(
-                f"adaptive quadrature stalled at depth {depth} on "
-                f"[{lo:.6g}, {hi:.6g}]; estimated error {err_total:.3e}",
-                best=total,
-                bound=err_total,
-            )
-        total -= left + right
-        err_total += neg_err  # remove this panel's error
-        for lo2, hi2, coarse in ((lo, m, left), (m, hi, right)):
-            m2, l2, r2, fine2, err2 = _panel(f, lo2, hi2, rule, whole=coarse)
-            heapq.heappush(heap, (-err2, counter, lo2, hi2, m2, l2, r2, depth + 1))
-            counter += 1
-            total = total + fine2
-            err_total += err2
-
-    return total, err_total
+    """The stopping test err <= tol * max(|total|, scale, 1e-300), row by row."""
+    floor = np.abs(total) if scale is None else np.maximum(np.abs(total), scale)
+    return err <= tol * np.maximum(floor, 1e-300)
 
 
 def _panels(f, lo, hi, rule, whole=None):
-    """_panel for many intervals in one call of f.
+    """Rule estimates on many intervals (lo, hi) and on their two halves, in one call of f.
 
     f gets an (n, 3 * order) array of nodes (whole interval, left and right
     half of each row), or (n, 2 * order) when the caller holds `whole`.
-    Returns (m, left, right, fine, err) as arrays; each row's numbers depend
-    on that row alone.
+    Returns (m, left, right, fine, err) as arrays, err = |fine - whole|; each
+    row's numbers depend on that row alone.
     """
-    lo = lo[:, None]
-    hi = hi[:, None]
     m = 0.5 * (lo + hi)
     ends = [(lo, m), (m, hi)] if whole is not None else [(lo, hi), (lo, m), (m, hi)]
-    spans = [rule.map_to(p, q) for p, q in ends]
-    vals = np.asarray(f(np.concatenate([x for x, _ in spans], axis=1)))
-    k = rule.order
-    *coarse, left, right = [(w * vals[:, i * k:(i + 1) * k]).sum(axis=1)
-                            for i, (_, w) in enumerate(spans)]
+    a = np.concatenate([p for p, _ in ends])  # span by span, each over all rows
+    b = np.concatenate([q for _, q in ends])
+    half = (0.5 * (b - a))[:, None]
+    n, s, k = len(lo), len(ends), rule.order
+    x = (0.5 * (a + b))[:, None] + half * rule.nodes
+    vals = np.asarray(f(x.reshape(s, n, k).transpose(1, 0, 2).reshape(n, s * k)))
+    w = (half * rule.weights).reshape(s, n, k)
+    *coarse, left, right = (w * vals.reshape(n, s, k).transpose(1, 0, 2)).sum(axis=2)
     whole = coarse[0] if whole is None else whole
     fine = left + right
-    return m[:, 0], left, right, fine, np.abs(fine - whole)
+    return m, left, right, fine, np.abs(fine - whole)
 
 
-def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
-                   rule: QuadratureRule | None = None, max_depth: int = 12,
-                   scale=None) -> np.ndarray:
-    """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
-
-    integrate_with_error run on all rows in lockstep. Each parameter reaches
-    f as a column, one entry per row of x. The first panels of all rows
-    (split at points[i] where it lies inside the row) are one call of f;
-    rows that pass the stopping test there are done. Each further step pops
-    the worst panel of every unconverged row, bisects it and evaluates all
-    children in one call of f. Every row keeps its own heap, stopping test
-    (scale may be one number per row), bisection order, max_depth and
-    AccuracyError, so a row's value does not depend on the other rows. The
-    panel sums are elementwise rather than dot products, so a row that
-    needs bisection agrees with integrate to rounding, not bit for bit.
-    """
+def _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale):
+    """integrate_rows, returning each row's summed error estimate as well."""
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
     rule = rule or gauss_rule(64)
@@ -236,35 +139,38 @@ def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=N
         raise DomainError(f"need a < b, got ({a[i]}, {b[i]})")
     params = [np.asarray(p) for p in params]
 
-    # first panels: (a, b), or (a, p) and (p, b) for a row split at p
-    lo, hi, cols = a, b, [p[:, None] for p in params]
-    split = None
+    # first panels: (a, b) cut at the row's points inside it, left to right
+    lo, hi, owner = a, b, np.arange(n)
     if points is not None:
-        points = np.asarray(points, dtype=float)
-        split = (a < points) & (points < b)
-        owner = np.concatenate([np.arange(n), np.flatnonzero(split)])
-        lo = np.concatenate([a, points[split]])
-        hi = np.concatenate([np.where(split, points, b), b[split]])
-        cols = [p[owner, None] for p in params]
+        pts = np.asarray(points, dtype=float)
+        pts = pts[:, None] if pts.ndim == 1 else pts
+        inside = (a[:, None] < pts) & (pts < b[:, None])
+        pts = np.sort(np.where(inside, pts, b[:, None]), axis=1)
+        edges = np.concatenate([a[:, None], pts, b[:, None]], axis=1)
+        keep = edges[:, :-1] < edges[:, 1:]  # ignored and repeated points cut nothing
+        owner = keep.nonzero()[0]
+        lo, hi = edges[:, :-1][keep], edges[:, 1:][keep]
+    cols = [p[owner, None] for p in params]
     m, left, right, fine, err = _panels(lambda x: f(x, *cols), lo, hi, rule)
     total, err_total = fine[:n], err[:n]
-    if split is not None:
-        total, err_total = total.copy(), err_total.copy()
-        total[split] += fine[n:]
-        err_total[split] += err[n:]
+    if len(owner) > n:  # some row has several first panels: sum them in order
+        total, err_total = np.zeros(n, fine.dtype), np.zeros(n)
+        np.add.at(total, owner, fine)
+        np.add.at(err_total, owner, err)
     todo = np.flatnonzero(~_converged(err_total, total, tol, scale)).tolist()
     if not todo:
-        return total
+        return total, err_total
 
-    # the scalar loop's heaps, for the unconverged rows only; totals, errors
-    # and stopping tests stay vectors, with the scalar loop's order of sums
-    second = {} if split is None else dict(zip(owner[n:].tolist(), range(n, len(owner))))
+    # a heap of panels for each unconverged row, worst error first; totals,
+    # errors and stopping tests are vectors over those rows
+    first = [[] for _ in range(n)]
+    for j, i in enumerate(owner.tolist()):
+        first[i].append(j)
     lo, hi, m, left, right, err = (v.tolist() for v in (lo, hi, m, left, right, err))
     heaps = []
     for i in todo:
-        first = [i] + ([second[i]] if i in second else [])
         heaps.append([(-err[j], c, lo[j], hi[j], m[j], left[j], right[j], 0)
-                      for c, j in enumerate(first)])
+                      for c, j in enumerate(first[i])])
         heapq.heapify(heaps[-1])
     counts = [len(h) for h in heaps]
     rows = np.array(todo)
@@ -283,25 +189,72 @@ def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=N
                 best=best, bound=bound)
         t = totals[live] - (np.array(pl) + np.array(pr))
         e = errs[live] + np.array(neg_err)  # remove the popped panels' errors
-        kid_lo = np.ravel([plo, pm], order="F")  # both children of each row, in turn
-        kid_hi = np.ravel([pm, phi], order="F")
-        cols = [p[rows[live].repeat(2), None] for p in params]
-        km, kl, kr, kf, ke = _panels(lambda x: f(x, *cols), kid_lo, kid_hi, rule,
-                                     whole=np.ravel([pl, pr], order="F"))
-        for j in (0, 1):
-            t = t + kf[j::2]
-            e = e + ke[j::2]
+        kid_lo, kid_hi = plo + pm, pm + phi  # the left children, then the right ones
+        cols = [p[np.tile(rows[live], 2), None] for p in params]
+        km, kl, kr, kf, ke = _panels(lambda x: f(x, *cols), np.array(kid_lo), np.array(kid_hi),
+                                     rule, whole=np.array(pl + pr))
+        n_live = len(live)
+        t = t + kf[:n_live]
+        t = t + kf[n_live:]
+        e = e + ke[:n_live]
+        e = e + ke[n_live:]
         totals[live], errs[live] = t, e
-        kid = zip(ke.tolist(), kid_lo.tolist(), kid_hi.tolist(), km.tolist(), kl.tolist(),
-                  kr.tolist())
-        for k, d in zip(live.tolist(), depth):
-            for ek, lk, hk, mk, lft, rgt in (next(kid), next(kid)):
-                heapq.heappush(heaps[k], (-ek, counts[k], lk, hk, mk, lft, rgt, d + 1))
+        ke, km, kl, kr = ke.tolist(), km.tolist(), kl.tolist(), kr.tolist()
+        for j, (k, d) in enumerate(zip(live.tolist(), depth)):
+            for c in (j, j + n_live):
+                heapq.heappush(heaps[k], (-ke[c], counts[k], kid_lo[c], kid_hi[c], km[c],
+                                          kl[c], kr[c], d + 1))
                 counts[k] += 1
         ok = _converged(e, t, tol, None if scales is None else scales[live])
         live = live[~ok]
-    total[rows] = totals
-    return total
+    total[rows], err_total[rows] = totals, errs
+    return total, err_total
+
+
+def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
+                   rule: QuadratureRule | None = None, max_depth: int = 12,
+                   scale=None) -> np.ndarray:
+    """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
+
+    The globally adaptive Gauss scheme (QUADPACK's QAG strategy) run on all
+    rows in lockstep. Each parameter reaches f as a column, one entry per row
+    of x. `points` of shape (n,) or (n, k) pre-split the rows (known kinks or
+    singular locations); entries that are NaN or outside (a[i], b[i]) are
+    ignored, and they may come unsorted or repeated. The first panels of all
+    rows are one call of f; rows that pass the stopping test there are done.
+    Each further step pops the worst panel of every unconverged row, bisects
+    it and evaluates all children in one call of f. Every row keeps its own
+    heap, stopping test err <= tol * max(|value|, scale) (scale may be one
+    number per row), bisection order, max_depth and AccuracyError (carrying
+    the row's best estimate and error bound), so a row's value does not
+    depend on the other rows.
+    """
+    return _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale)[0]
+
+
+def integrate_with_error(
+    f: Callable,
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    *,
+    rule: QuadratureRule | None = None,
+    max_depth: int = 12,
+    points: Sequence[float] = (),
+    scale: float | None = None,
+) -> tuple[float | complex, float]:
+    """Globally adaptive Gauss quadrature of f on (a, b): one row of integrate_rows.
+
+    Returns (value, error_bound). f sees the nodes as a 1-D array. The
+    interval is pre-split at `points`; the worst panel is bisected until the
+    summed error estimate drops below tol * max(|value|, scale). Raises
+    AccuracyError (carrying the best estimate) if a panel would need to go
+    beyond max_depth levels of bisection.
+    """
+    value, error = _adaptive_rows(lambda x: np.asarray(f(x.ravel())).reshape(x.shape),
+                                  [a], [b], tol, (), [points] if len(points) else None, rule,
+                                  max_depth, scale)
+    return value[0], error[0]
 
 
 def integrate(

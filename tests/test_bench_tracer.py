@@ -10,9 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bosemilne import dispersion
+from bosemilne import dispersion, quadrature, special
 from bosemilne.special import AlphaModel
 
 SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
@@ -47,3 +48,14 @@ def test_traced_table_builds(tracer):
     names = {span[1] for span in tracer.spans}
     assert {"dispersion.build_theta_table", "util.ordered_map"} <= names
 
+
+def test_scalar_integrals_are_traced_once(tracer):
+    # quadrature.integrate.calls counts scalar integrals: integrate reaches
+    # the traced integrate_with_error once per call, however it is built
+    def traced():
+        return sum(span[1] == "quadrature.integrate" for span in tracer.spans)
+
+    special.moment_l0(0.5)
+    assert traced() == 2
+    quadrature.integrate(np.exp, 0.0, 1.0)
+    assert traced() == 3

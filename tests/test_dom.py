@@ -115,7 +115,7 @@ class TestSolve:
     def test_zero_gradient(self, ctx, small_grid0):
         res = solve(ctx.model(0.0), small_grid0, k=0.0)
         assert res.k0_extracted == 0.0
-        assert np.abs(res.phi).max() == 0.0
+        assert np.abs(res.source).max() == 0.0
 
     def test_small_grid_intercept(self, ctx, small_grid0):
         res = solve(ctx.model(0.0), small_grid0, k=1.0)

@@ -147,9 +147,9 @@ class TestBatchedRows:
             integrate_rows(np.exp, [0.0, 2.0], [1.0, 1.0])
 
     def test_rows_match_adaptive(self):
-        # sqrt(x + p) needs bisection for p = 1e-12 only; every row must agree
-        # with what integrate returns for its own parameter (the bisected row
-        # to rounding: panel sums are elementwise there, dot products here)
+        # sqrt(x + p) needs bisection for p = 1e-12 only; every row is within
+        # 10 tol of its closed form, and integrate is the one-row call, bit
+        # for bit
         p = np.array([1.0, 1e-12, 0.5])
 
         def f(x, q):
@@ -157,8 +157,11 @@ class TestBatchedRows:
 
         got = integrate_rows(f, np.zeros(3), np.ones(3), 1e-10, params=(p,),
                              max_depth=30)
-        want = [integrate(lambda x: f(x, q), 0.0, 1.0, 1e-10, max_depth=30) for q in p]
-        assert got == pytest.approx(want, rel=1e-14)
+        exact = 2.0 / 3.0 * ((1.0 + p) ** 1.5 - p ** 1.5)
+        assert np.all(np.abs(got - exact) <= 10 * 1e-10 * exact)
+        for q, g in zip(p, got):
+            one = integrate_rows(f, [0.0], [1.0], 1e-10, params=([q],), max_depth=30)
+            assert integrate(lambda x: f(x, q), 0.0, 1.0, 1e-10, max_depth=30) == one[0] == g
 
     def test_fallback_keeps_accuracy_error(self):
         with pytest.raises(AccuracyError):
@@ -193,9 +196,41 @@ class TestBatchedRows:
 
         got = integrate_rows(f, np.zeros(3), np.ones(3), 1e-12, params=(q,),
                              points=np.full(3, 0.3) if split else None, max_depth=40)
-        want = [integrate(lambda x: f(x, c), 0.0, 1.0, 1e-12, max_depth=40, points=pts)
-                for c in q]
-        assert got == pytest.approx(want, rel=1e-13)
+        exact = 2.0 / 3.0 * ((0.3 + q) ** 1.5 + (0.7 + q) ** 1.5 - 2.0 * q ** 1.5)
+        assert np.all(np.abs(got - exact) <= 10 * 1e-12 * exact)
+        for c, g in zip(q, got):
+            one = integrate_rows(f, [0.0], [1.0], 1e-12, params=([c],),
+                                 points=[0.3] if split else None, max_depth=40)
+            assert g == one[0] == integrate(lambda x: f(x, c), 0.0, 1.0, 1e-12,
+                                            max_depth=40, points=pts)
+
+    def test_several_points_per_row(self):
+        # a row cut at 0.7 and 0.2, given unsorted and repeated, with a NaN and
+        # a point outside (0, 1) that are ignored, has no kink left inside a
+        # panel; the other rows cut at one point, at none, or bisect sqrt(x)
+        nan = np.nan
+
+        def f(x, q):
+            return np.abs(x - 0.2) + np.abs(x - 0.7) + q * np.sqrt(x)
+
+        q = np.array([0.0, 1.0, 0.0, 2.0])
+        pts = np.array([[0.7, 0.2, 0.2, nan, 5.0],
+                        [nan, nan, nan, nan, nan],
+                        [0.2, nan, nan, nan, nan],
+                        [0.7, 0.7, -1.0, 0.2, nan]])
+
+        def rows(q, pts):
+            return integrate_rows(f, np.zeros(len(q)), np.ones(len(q)), 1e-12,
+                                  params=(q,), points=pts, max_depth=40)
+
+        batch = rows(q, pts)
+        backwards = rows(q[::-1], pts[::-1])[::-1]
+        alone = [rows(q[i:i + 1], pts[i:i + 1])[0] for i in range(len(q))]
+        assert batch.tolist() == backwards.tolist() == alone
+        one = integrate(lambda x: np.abs(x - 0.2) + np.abs(x - 0.7), 0.0, 1.0, 1e-12,
+                        max_depth=40, points=[0.7, 0.2, 0.2, 5.0])
+        assert one == pytest.approx(0.63, rel=1e-14)
+        assert one == batch[0]
 
     def test_max_depth_error_carries_the_rows_estimate(self):
         # the smooth row converges on its first panel; the singular one stalls
