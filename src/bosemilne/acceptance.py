@@ -2,7 +2,7 @@
 
 Each criterion function returns a CriterionResult with a deterministic detail
 string (fixed float formatting, no timings or other run-to-run noise), so two
-runs of the suite render byte-identical tables regardless of thread count.
+runs of the suite render byte-identical tables.
 Runtime limits are enforced as pass/fail booleans, not printed durations.
 
 The context object lazily builds and caches the expensive shared artifacts
@@ -41,8 +41,7 @@ class CriterionResult:
 class AcceptanceContext:
     """Lazy shared cache of models, tables, factorisations, and solutions."""
 
-    def __init__(self, threads: int = 1):
-        self.threads = max(1, int(threads))
+    def __init__(self):
         self._cache: dict = {}
 
     def _memo(self, key, builder):
@@ -55,8 +54,7 @@ class AcceptanceContext:
 
     def table(self, alpha: float) -> dispersion.DispersionTable:
         return self._memo(("table", alpha),
-                          lambda: dispersion.build_theta_table(self.model(alpha),
-                                                               threads=self.threads))
+                          lambda: dispersion.build_theta_table(self.model(alpha)))
 
     def v1(self, alpha: float) -> fz.V1Estimate:
         return self._memo(("v1", alpha),
@@ -65,8 +63,7 @@ class AcceptanceContext:
     def solution(self, alpha: float) -> field.MilneSolution:
         return self._memo(("solution", alpha),
                           lambda: field.solve_milne(self.model(alpha), k=1.0,
-                                                    table=self.table(alpha),
-                                                    threads=self.threads))
+                                                    table=self.table(alpha)))
 
     def dom_result(self, alpha: float) -> dom.DomResult:
         def build():
@@ -249,28 +246,24 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
-    """Determinism probe: identical results for 1 worker and ctx.threads workers.
+    """Determinism probe: two fresh builds of one table give the same bytes.
 
-    Full byte-identity of two `validate` runs under different --threads lives
-    in the test suite (it needs two fresh processes); inside one run the probe
-    recomputes a table-driven quantity with both worker counts and compares
-    bytes of the serialised results.
+    Full byte-identity of two `validate` runs lives in the test suite (it
+    needs two fresh processes); inside one run the probe builds an alpha-0.5
+    theta table twice, takes V1 from each, and compares the bytes of the
+    serialised results.
     """
-    def probe(threads: int) -> bytes:
+    def probe() -> bytes:
         m = ctx.model(0.5)
-        tab = dispersion.build_theta_table(
-            m, np.geomspace(1e-3, 20.0, 120), theta_tol=1e-6, threads=threads)
+        tab = dispersion.build_theta_table(m, np.geomspace(1e-3, 20.0, 120), theta_tol=1e-6)
         est = fz.v1_coefficient(m, tab)
         rows = [f"{s.mu!r},{s.theta!r}" for s in tab.samples[:: max(1, len(tab.samples) // 50)]]
         return ("\n".join(rows) + f"\n{est.value!r}").encode()
 
-    one = probe(1)
-    many = probe(max(8, ctx.threads))
-    ok = one == many
+    ok = probe() == probe()
     return CriterionResult(
-        12, "determinism across workers", ok,
-        f"1 vs {max(8, ctx.threads)} workers: "
-        + ("byte-identical" if ok else "MISMATCH"))
+        12, "determinism of a table build", ok,
+        "two fresh builds: " + ("byte-identical" if ok else "MISMATCH"))
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -278,8 +271,8 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11, criterion_12)
 
 
-def run_all(threads: int = 1, numbers=None) -> list[CriterionResult]:
-    ctx = AcceptanceContext(threads=threads)
+def run_all(numbers=None) -> list[CriterionResult]:
+    ctx = AcceptanceContext()
     selected = CRITERIA if numbers is None else [CRITERIA[n - 1] for n in numbers]
     return [c(ctx) for c in selected]
 

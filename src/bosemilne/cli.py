@@ -13,7 +13,12 @@ envelope.schema.json); table commands additionally write a CSV or JSON table
 to --out. A key=value config file supplies defaults that explicit flags
 override. Numbers in JSON are the shortest round-trip decimals; the
 dispersion CSV uses 17 significant digits. Identical configurations produce
-byte-identical outputs; --threads is accepted and has no effect.
+byte-identical outputs.
+
+Each command takes only the flags it reads (build_parser); any other flag is
+a usage error. --threads is the one exception: every command accepts and
+ignores it (runs are serial), because the benchmark's command lines pass it.
+Config files accept one shared key set on every command.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +52,8 @@ def _parse_range(spec: str, name: str, geometric: bool) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ConfigurationError(f"bad {name} spec {spec!r}; expected min:max:count") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigurationError(f"{name}: bounds must be finite")
     if n <= 0:
         raise ConfigurationError(f"{name}: grid must be nonempty")
     if n == 1:
@@ -90,8 +98,12 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
 def _validate_common(cfg: dict):
     if "alpha" in cfg and not (0.0 <= cfg["alpha"] <= 3.0):
         raise ConfigurationError(f"alpha must be in [0, 3], got {cfg['alpha']}")
-    if cfg.get("tol") is not None and cfg["tol"] <= 0:
-        raise ConfigurationError("tol must be positive")
+    if cfg.get("k") is not None and not math.isfinite(cfg["k"]):
+        raise ConfigurationError(f"k must be finite, got {cfg['k']}")
+    if cfg.get("tol") is not None and not (0.0 < cfg["tol"] < math.inf):
+        raise ConfigurationError(f"tol must be positive and finite, got {cfg['tol']}")
+    if cfg.get("max_iter") is not None and cfg["max_iter"] < 1:
+        raise ConfigurationError("max_iter must be >= 1")
     if cfg.get("threads") is not None and cfg["threads"] < 1:
         raise ConfigurationError("threads must be >= 1")
     if cfg.get("format") not in (None, "csv", "json"):
@@ -145,8 +157,7 @@ def _write_table(path: str, header: list[str], rows: list[list], fmt: str,
 
 
 def cmd_v1(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "threads": 1,
-                         "format": "csv", "out": None})
+    cfg = _merged(args, {"alpha": 0.0, "threads": 1, "out": None})
     _validate_common(cfg)
     alpha = cfg["alpha"]
     model = AlphaModel.build(alpha)
@@ -185,7 +196,7 @@ def cmd_dispersion(args) -> int:
     _validate_common(cfg)
     alpha = cfg["alpha"]
     model = AlphaModel.build(alpha)
-    table = dispersion.build_theta_table(model, threads=cfg["threads"])
+    table = dispersion.build_theta_table(model)
     if cfg["grid_mu"] is None:
         hi = 0.99999 if alpha == 0.0 else table.mu_max
         grid = np.geomspace(1e-3, hi, 200)
@@ -193,8 +204,7 @@ def cmd_dispersion(args) -> int:
         grid = _parse_range(cfg["grid_mu"], "grid-mu", geometric=True)
 
     rows = [[s.mu, s.lambda_real, s.im_plus, s.theta]
-            for s in dispersion.evaluate_boundary(table.boundary_fn, grid,
-                                                  threads=cfg["threads"])]
+            for s in dispersion.evaluate_boundary(table.boundary_fn, grid)]
     _write_table(cfg["out"], ["mu", "lambda_real", "im_plus", "theta"],
                  rows, cfg["format"], digits=17)
 
@@ -221,7 +231,7 @@ def cmd_profile(args) -> int:
     _validate_common(cfg)
     alpha = cfg["alpha"]
     model = AlphaModel.build(alpha)
-    sol = field.solve_milne(model, k=cfg["k"], threads=cfg["threads"])
+    sol = field.solve_milne(model, k=cfg["k"])
     xs = _parse_range(cfg["grid_x"], "grid-x", geometric=False)
     mus = _parse_range(cfg["grid_mu"], "grid-mu", geometric=False)
     if np.any(xs < 0):
@@ -248,8 +258,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "tol": 1e-9, "threads": 1,
-                         "format": "csv", "out": None,
+    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "tol": 1e-9, "threads": 1, "out": None,
                          "dom_cells": 600, "dom_angles": 32, "dom_freqs": 48,
                          "dom_length": 30.0, "max_iter": 2000})
     _validate_common(cfg)
@@ -286,9 +295,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _merged(args, {"threads": 1, "out": None, "format": "csv"})
+    cfg = _merged(args, {"threads": 1, "out": None})
     _validate_common(cfg)
-    results = acceptance.run_all(threads=cfg["threads"])
+    results = acceptance.run_all()
     text = acceptance.render_table(results)
     sys.stdout.write(text + "\n")
     if cfg["out"]:
@@ -304,33 +313,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bosemilne {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, alpha=True):
+    shared = {
+        "--alpha": dict(type=float, help="scattering exponent in [0, 3]"),
+        "--k": dict(type=float, help="imposed dimensionless gradient"),
+        "--format": dict(choices=("csv", "json"), help="table format"),
+    }
+
+    def common(p, *flags):
         p.add_argument("--config", help="key=value config file (flags override)")
-        if alpha:
-            p.add_argument("--alpha", type=float, help="scattering exponent in [0, 3]")
-        p.add_argument("--k", type=float, help="imposed dimensionless gradient")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--threads", type=int,
                        help="accepted for compatibility; has no effect (runs are serial)")
-        p.add_argument("--format", choices=("csv", "json"), help="table format")
         p.add_argument("--out", help="output path")
 
     p = sub.add_parser("v1", help="exact and saddle jump coefficients")
-    common(p)
+    common(p, "--alpha")
     p.set_defaults(fn=cmd_v1)
 
     p = sub.add_parser("dispersion", help="boundary-value table and index")
-    common(p)
+    common(p, "--alpha", "--format")
     p.add_argument("--grid-mu", dest="grid_mu", help="min:max:count (geometric)")
     p.set_defaults(fn=cmd_dispersion)
 
     p = sub.add_parser("profile", help="field values phi(x, mu)")
-    common(p)
+    common(p, "--alpha", "--k", "--format")
     p.add_argument("--grid-x", dest="grid_x", help="min:max:count (linear)")
     p.add_argument("--grid-mu", dest="grid_mu", help="min:max:count (linear)")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("oracle", help="discrete-ordinates cross-check")
-    common(p)
+    common(p, "--alpha", "--k")
     p.add_argument("--dom-cells", dest="dom_cells", type=int)
     p.add_argument("--dom-angles", dest="dom_angles", type=int)
     p.add_argument("--dom-freqs", dest="dom_freqs", type=int)
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("validate", help="run the acceptance suite")
-    common(p, alpha=False)
+    common(p)
     p.set_defaults(fn=cmd_validate)
     return parser
 

@@ -324,7 +324,6 @@ class DispersionTable:
 
     samples: tuple[DispersionSample, ...]
     alpha: float
-    grid_spec: str
     slit_edge: float | None
     boundary_fn: Callable[[np.ndarray], list[DispersionSample]] = field(repr=False,
                                                                          compare=False)
@@ -489,7 +488,7 @@ def require_convergent_tail(alpha: float) -> None:
 
 
 def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
-                    mu_max: float | None = None) -> tuple[np.ndarray, str]:
+                    mu_max: float | None = None) -> np.ndarray:
     """Default sampling grid for the theta table.
 
     alpha = 0: the slit-table nodes (`_slit_grid`), which seed the continuum
@@ -499,7 +498,7 @@ def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
     panel breaks.
     """
     if model.alpha == 0.0:
-        return _slit_grid(1.0, n, mu_min), f"slit[{mu_min:g},1;n={n}]"
+        return _slit_grid(1.0, n, mu_min)
     if mu_max is None:
         mu_max = 3000.0
         probes = (30.0, 100.0, 300.0, 1000.0)
@@ -507,8 +506,7 @@ def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
             if math.pi - s.theta < 1e-4:
                 mu_max = probe
                 break
-    return (np.geomspace(mu_min, mu_max, n),
-            f"geometric[{mu_min:g},{mu_max:g};n={n}]")
+    return np.geomspace(mu_min, mu_max, n)
 
 
 def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
@@ -528,8 +526,7 @@ def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
 
 
 def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
-                      theta_tol: float = 2e-8, max_passes: int = 8,
-                      threads: int = 1) -> DispersionTable:
+                      theta_tol: float = 2e-8, max_passes: int = 8) -> DispersionTable:
     """Tabulate lam+ on positive mu and theta = arg lam+ between the nodes.
 
     Since Im lam+ >= 0, atan2 already lands in [0, pi], which is the
@@ -541,43 +538,41 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
     refinement. Neither applies to slit tables, which are exact.
     """
     if grid is None:
-        grid, spec = default_mu_grid(model, n=_FIRST_PANELS + 1 if model.alpha > 0.0 else 400)
+        grid = default_mu_grid(model, n=_FIRST_PANELS + 1 if model.alpha > 0.0 else 400)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ConsistencyError("grid must be a nonempty 1-d array")
-        spec = f"custom[n={len(grid)}]"
 
     def fn(mus):
         return lambda_boundary_batch(model, mus)
 
     if model.alpha > 0.0:
-        return _panel_table(fn, grid, model.alpha, spec, theta_tol=theta_tol,
-                            max_passes=max_passes, threads=threads)
-    return _slit_table(fn, grid, model.alpha, 1.0, spec, threads=threads)
+        return _panel_table(fn, grid, model.alpha, theta_tol=theta_tol, max_passes=max_passes)
+    return _slit_table(fn, grid, model.alpha, 1.0)
 
 
-def evaluate_boundary(boundary_fn, mus, *, threads: int = 1) -> list[DispersionSample]:
+def evaluate_boundary(boundary_fn, mus) -> list[DispersionSample]:
     """boundary_fn over mus in fixed-size chunks, in input order.
 
     Chunks bound the memory of one batch; a row's value never depends on the
-    chunk it lands in. `threads` has no effect (util.ordered_map is serial).
+    chunk it lands in.
     """
     mus = np.asarray(mus, dtype=float)
     chunks = [mus[i:i + _CHUNK] for i in range(0, len(mus), _CHUNK)]
-    return [s for part in ordered_map(boundary_fn, chunks, threads=threads) for s in part]
+    return [s for part in ordered_map(boundary_fn, chunks) for s in part]
 
 
-def _slit_table(boundary_fn, grid, alpha, slit_edge, grid_spec, *, threads=1):
+def _slit_table(boundary_fn, grid, alpha, slit_edge):
     """Slit table (alpha = 0, saddle surrogates) on the sorted, distinct grid.
 
     boundary_fn must be lam_C(mu/slit_edge + i0), which DispersionTable
     evaluates in closed form between and beyond the nodes.
     """
     mus = np.unique(np.asarray(grid, dtype=float))
-    samples = evaluate_boundary(boundary_fn, mus, threads=threads)
-    return DispersionTable(samples=(_ORIGIN, *samples), alpha=alpha, grid_spec=grid_spec,
-                           slit_edge=slit_edge, boundary_fn=boundary_fn)
+    samples = evaluate_boundary(boundary_fn, mus)
+    return DispersionTable(samples=(_ORIGIN, *samples), alpha=alpha, slit_edge=slit_edge,
+                           boundary_fn=boundary_fn)
 
 
 @lru_cache(maxsize=1)
@@ -591,8 +586,7 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     return x, to_coeffs
 
 
-def _panel_table(boundary_fn, breaks, alpha, grid_spec, *, theta_tol=2e-8,
-                 max_passes=8, threads=1):
+def _panel_table(boundary_fn, breaks, alpha, *, theta_tol=2e-8, max_passes=8):
     """Panel table: theta as Chebyshev series in s = ln mu, refined by bisection.
 
     Every pass sends the Chebyshev-Lobatto points of all open panels that
@@ -615,7 +609,7 @@ def _panel_table(boundary_fn, breaks, alpha, grid_spec, *, theta_tol=2e-8,
             inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
             nodes.append(np.concatenate([[lo], inner, [hi]]))
         new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in samples]
-        samples.update(zip(new, evaluate_boundary(boundary_fn, new, threads=threads)))
+        samples.update(zip(new, evaluate_boundary(boundary_fn, new)))
         theta = np.array([[samples[m].theta for m in row] for row in nodes])
         coeffs = theta @ to_coeffs.T
         fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * theta_tol
@@ -635,7 +629,7 @@ def _panel_table(boundary_fn, breaks, alpha, grid_spec, *, theta_tol=2e-8,
     done.sort(key=lambda panel: panel[0])
     nodes = sorted({m for *_, row in done for m in row.tolist()})
     return DispersionTable(samples=(_ORIGIN, *(samples[m] for m in nodes)), alpha=alpha,
-                           grid_spec=grid_spec, slit_edge=None, boundary_fn=boundary_fn,
+                           slit_edge=None, boundary_fn=boundary_fn,
                            breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
                            coeffs=np.array([c for _, _, c, _ in done]))
 

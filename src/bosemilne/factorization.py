@@ -69,11 +69,10 @@ ROWS = 32
 
 @dataclass(frozen=True)
 class V1Estimate:
-    """Temperature-jump coefficient with an error estimate and provenance."""
+    """Temperature-jump coefficient with an error estimate."""
 
     value: float
     error: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None, *,
     if table.slit_edge is not None:
         return _v1_slit(table.boundary_fn, table.slit_edge, rule, tol)
     value, error = table.excess_integral(rule)
-    return V1Estimate(value=value / math.pi, error=error / math.pi, method="table+tail")
+    return V1Estimate(value=value / math.pi, error=error / math.pi)
 
 
 def _v1_slit(boundary_fn, edge: float, rule, tol: float) -> V1Estimate:
@@ -130,8 +129,7 @@ def _v1_slit(boundary_fn, edge: float, rule, tol: float) -> V1Estimate:
 
     near, err2 = quadrature.integrate_with_error(
         edge_piece, s0, s0 + 45.0, tol, rule=rule, max_depth=24)
-    return V1Estimate(value=(body + near) / math.pi, error=(err1 + err2) / math.pi,
-                      method="adaptive-slit")
+    return V1Estimate(value=(body + near) / math.pi, error=(err1 + err2) / math.pi)
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,10 @@ class MilneSolution:
         return float(edge) if edge is not None else self.eta_max
 
 
-def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None,
-                threads: int = 1) -> MilneSolution:
+def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSolution:
     """Build the full solution: theta table, factorisation, continuum table."""
     if table is None:
-        table = build_theta_table(model, threads=threads)
+        table = build_theta_table(model)
     data = build_factorization(model, table, k=k)
     etas, vps, ns = spectrum_table(data)
     return MilneSolution(model=model, factorization=data, k=k, k0=data.k0,

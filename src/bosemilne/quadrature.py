@@ -320,6 +320,8 @@ def pv_integral(p: PvIntegrand, tol: float = 1e-10, *, rule: QuadratureRule | No
     """Cauchy principal value of int f(t)/(t - pole) dt over p.interval.
 
     The one-row call of pv_rows; p.fprime, if given, supplies the slope.
+    Nothing in the package calls it; it stays because bench/spans.py wraps
+    it by name and the tests check the subtraction formula through it.
     """
     slopes = None if p.fprime is None else [p.fprime(p.pole)]
     a, b = p.interval

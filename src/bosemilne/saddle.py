@@ -106,8 +106,7 @@ def surrogate_theta_table(alpha: float, omega0: float | None = None,
         y = mus / edge
         return _samples(mus, lambda_case_pv(y), np.where(y < 1.0, 0.5 * math.pi * y, 0.0))
 
-    return _slit_table(boundary, _slit_grid(edge, n, 1e-4), alpha, edge,
-                       f"surrogate-slit[edge={edge:.6g};n={n}]")
+    return _slit_table(boundary, _slit_grid(edge, n, 1e-4), alpha, edge)
 
 
 @dataclass(frozen=True)

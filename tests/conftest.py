@@ -15,7 +15,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture(scope="session")
 def ctx():
     """Shared lazy cache of models, theta tables, factorisations, solutions."""
-    return acceptance.AcceptanceContext(threads=1)
+    return acceptance.AcceptanceContext()
 
 
 @pytest.fixture(scope="session")

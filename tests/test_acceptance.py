@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printed pass/fail.
 
-Criterion 12 (byte-identical outputs across --threads) runs the installed CLI
-twice in fresh processes; everything else goes through the shared context so
-expensive artifacts are computed once per session.
+Criterion 12 (determinism) is checked end to end here: the installed CLI runs
+`validate` twice in fresh processes, once with --threads 1 and once with
+--threads 8 (a flag every command accepts and ignores), and the outputs must
+match byte for byte; that run includes criterion 12's own in-process probe,
+two fresh builds of one table. Everything else goes through the shared
+context so expensive artifacts are computed once per session.
 """
 
 import subprocess

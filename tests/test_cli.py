@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -258,12 +259,53 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("command", ["v1", "dispersion", "profile", "validate"])
-def test_tol_rejected_where_unused(command):
-    # only oracle has a tolerance to set; argparse rejects the flag elsewhere
+# (command, flag, value) for flags a command never reads; the --tol rows keep
+# the command alone as their id
+UNREAD_FLAGS = [(command, "--tol", "1e-9") for command in ("v1", "dispersion", "profile",
+                                                           "validate")] + [
+    ("v1", "--k", "7"), ("v1", "--format", "json"), ("dispersion", "--k", "7"),
+    ("oracle", "--format", "json"), ("validate", "--k", "7"), ("validate", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS,
+                         ids=[c if f == "--tol" else f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_tol_rejected_where_unused(command, flag, value):
+    # argparse rejects a flag on every command that does not read it
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--tol", "1e-9"])
+        cli.main([command, flag, value])
     assert exc.value.code == 2
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings}
+             for name, p in sub.choices.items()}
+    always = {"-h", "--help", "--config", "--threads", "--out"}
+    assert flags == {
+        "v1": always | {"--alpha"},
+        "dispersion": always | {"--alpha", "--format", "--grid-mu"},
+        "profile": always | {"--alpha", "--k", "--format", "--grid-x", "--grid-mu"},
+        "oracle": always | {"--alpha", "--k", "--tol", "--dom-cells", "--dom-angles",
+                            "--dom-freqs", "--dom-length", "--max-iter"},
+        "validate": always,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--k", "nan"],
+    ["oracle", "--k", "nan"],
+    ["oracle", "--tol", "inf"],
+    ["oracle", "--tol", "nan"],
+    ["oracle", "--max-iter", "-1"],
+    ["oracle", "--max-iter", "0"],
+    ["profile", "--grid-mu", "nan:nan:1"],
+    ["profile", "--grid-x", "inf:inf:1"],
+], ids=" ".join)
+def test_bad_numeric_input_is_a_configuration_error(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -333,8 +333,7 @@ class TestIndex:
         assert index_kappa(ctx.table(alpha)) == -1
 
     def test_degenerate_table_rejected(self, table0):
-        stub = DispersionTable(samples=table0.samples[:3], alpha=0.0,
-                               grid_spec="stub", slit_edge=1.0,
+        stub = DispersionTable(samples=table0.samples[:3], alpha=0.0, slit_edge=1.0,
                                boundary_fn=table0.boundary_fn)
         with pytest.raises(ConsistencyError):
             index_kappa(stub)
