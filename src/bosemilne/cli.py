@@ -18,7 +18,8 @@ byte-identical outputs.
 Each command takes only the flags it reads (build_parser); any other flag is
 a usage error. --threads is the one exception: every command accepts and
 ignores it (runs are serial), because the benchmark's command lines pass it.
-Config files accept one shared key set on every command.
+A config file takes the keys of its command's flags (dashes or underscores);
+any other key is a configuration error.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """
@@ -41,7 +42,7 @@ _CONFIG_KEYS = {
     "alpha": float, "k": float, "tol": float, "threads": int,
     "format": str, "out": str, "grid_mu": str, "grid_x": str,
     "dom_cells": int, "dom_angles": int, "dom_freqs": int,
-    "dom_length": float, "max_iter": int,
+    "dom_length": float,
 }
 
 
@@ -67,7 +68,8 @@ def _parse_range(spec: str, name: str, geometric: bool) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str, keys) -> dict:
+    """Read key=value lines; only the keys of the command's own flags."""
     cfg = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -79,15 +81,19 @@ def _load_config(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigurationError(f"{path}:{lineno}: {command} does not read {key!r}")
         cfg[key] = _CONFIG_KEYS[key](value.strip())
     return cfg
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Precedence: built-in defaults < config file < explicit flags."""
+    """Precedence: built-in defaults < config file < explicit flags. The
+    config keys a command accepts are the destinations of its own flags."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        cfg.update(_load_config(args.config))
+        keys = vars(args).keys() - {"command", "config", "fn"}
+        cfg.update(_load_config(args.config, args.command, keys))
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -102,8 +108,6 @@ def _validate_common(cfg: dict):
         raise ConfigurationError(f"k must be finite, got {cfg['k']}")
     if cfg.get("tol") is not None and not (0.0 < cfg["tol"] < math.inf):
         raise ConfigurationError(f"tol must be positive and finite, got {cfg['tol']}")
-    if cfg.get("max_iter") is not None and cfg["max_iter"] < 1:
-        raise ConfigurationError("max_iter must be >= 1")
     if cfg.get("threads") is not None and cfg["threads"] < 1:
         raise ConfigurationError("threads must be >= 1")
     if cfg.get("format") not in (None, "csv", "json"):
@@ -260,14 +264,13 @@ def cmd_profile(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "tol": 1e-9, "threads": 1, "out": None,
                          "dom_cells": 600, "dom_angles": 32, "dom_freqs": 48,
-                         "dom_length": 30.0, "max_iter": 2000})
+                         "dom_length": 30.0})
     _validate_common(cfg)
     alpha = cfg["alpha"]
     model = AlphaModel.build(alpha)
     grid = dom.DomGrid.build(model, L=cfg["dom_length"], n_cells=cfg["dom_cells"],
                              n_angle=cfg["dom_angles"], n_freq=cfg["dom_freqs"])
-    result = dom.solve(model, grid, k=cfg["k"], tol=cfg["tol"],
-                       max_iter=cfg["max_iter"])
+    result = dom.solve(model, grid, k=cfg["k"], tol=cfg["tol"])
     values = {
         "k0_extracted": _val(result.k0_extracted, abs(result.residual)),
         "slope": _val(result.slope, "exact-by-construction"),
@@ -288,7 +291,7 @@ def cmd_oracle(args) -> int:
                     {"alpha": alpha, "k": cfg["k"], "tol": cfg["tol"],
                      "dom_cells": cfg["dom_cells"], "dom_angles": cfg["dom_angles"],
                      "dom_freqs": cfg["dom_freqs"], "dom_length": cfg["dom_length"],
-                     "max_iter": cfg["max_iter"], "threads": cfg["threads"]},
+                     "threads": cfg["threads"]},
                     values, diagnostics)
     _emit(env, cfg["out"])
     return 0
@@ -348,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dom-angles", dest="dom_angles", type=int)
     p.add_argument("--dom-freqs", dest="dom_freqs", type=int)
     p.add_argument("--dom-length", dest="dom_length", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float, help="fixed-point residual tolerance")
+    p.add_argument("--tol", type=float,
+                   help="bound on the check sweep's residual, times max(1, |k| L)")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

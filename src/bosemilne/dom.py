@@ -25,9 +25,10 @@ on the default grid (600 cells, 2 x 768 channels, 2 vCPUs).
 
 The far-end intercept is a fixed linear functional of S (the intercept row of
 the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
-its fixed point solves a linear system of len(x_nodes) unknowns. GMRES solves
-it directly; with conservative scattering the plain iteration contracts only
-like 1 - O(1/L^2), which is too slow at L = 30. Iteration counts are sweeps.
+its fixed point solves a linear system of len(x_nodes) unknowns; with
+conservative scattering the plain iteration contracts only like 1 - O(1/L^2),
+too slow at L = 30. `solve` assembles the sweep's linear map once and
+LU-solves the system: 3 sweeps and 0.1-0.15 s on the default grid (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import quadrature
 from .errors import ConfigurationError, ConvergenceError, DomainError, ExtractionError
@@ -140,7 +140,7 @@ class DomResult:
     """Converged source with the extracted far-field intercept.
 
     `residual` is the max-norm of G(S) - S after one more sweep of the
-    converged source S with the extracted far-end value.
+    solved source S with the extracted far-end value.
     """
 
     source: np.ndarray       # S at the spatial nodes
@@ -236,19 +236,56 @@ class _Sweeper:
             return out, store[:, :m], store[::-1, m:]
         return out
 
+    def operator(self) -> np.ndarray:
+        """The sweep's linear map T0, ``apply(S, 0, 0) == T0 @ S``, assembled
+        one direction at a time by blocks of cells.
 
-def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *,
-          tol: float = 1e-9, max_iter: int = 2000,
+        C[l] holds d phi(node j0) / dS_l, l <= j0, per channel. Across a block
+        the rows get ``(D * cw) @ C[:j0 + 1].T``, D the running product of the
+        block's E rows, plus the block's own recurrence over S_j0..S_j1; C
+        then moves on by D[-1] and that local part. The negative channels run
+        the same loop in reversed cell order and land in ``T0[::-1, ::-1]``.
+        """
+        n, m = self.E.shape[0], len(self.mu_pos)
+        T = np.zeros((n + 1, n + 1))
+        C = np.empty((n + 1, m))
+        for cols, cw, rows in ((slice(None, m), self.cw_pos, T),
+                               (slice(m, None), self.cw_neg, T[::-1, ::-1])):
+            E, F = self.E[:, cols], self.F[:, cols]
+            C.fill(0.0)
+            for j0 in range(0, n, _BLOCK):
+                j1 = min(j0 + _BLOCK, n)
+                D = np.cumprod(E[j0:j1], axis=0)
+                rows[j0 + 1:j1 + 1, :j0 + 1] += (D * cw) @ C[:j0 + 1].T
+                # phi(j + 1) = E phi(j) + (1 - E - F) S_j + F S_(j+1)
+                a = 1.0 - E[j0:j1] - F[j0:j1]
+                local = np.zeros((j1 - j0 + 1, m))
+                for i in range(j1 - j0):
+                    local[:i + 1] *= E[j0 + i]
+                    local[i] += a[i]
+                    local[i + 1] = F[j0 + i]
+                    rows[j0 + i + 1, j0:j0 + i + 2] += local[:i + 2] @ cw
+                C[:j0 + 1] *= D[-1]
+                C[j0:j1 + 1] += local
+        return T
+
+
+def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9,
           fit_window: tuple[float, float] | None = None) -> DomResult:
-    """Fixed point of the sweep map by GMRES, with the far-end closure.
+    """Fixed point of the sweep map by one dense linear solve, with the
+    far-end closure.
 
-    One sweep G(S) = T S + b is affine in S: b = G(0) is the sweep of a zero
-    source at gradient k, and T v sweeps v with zero gradient and far-end
-    value k0(v) = p . v[window]. GMRES without restarts solves (I - T) S = b
-    from S = k x until the 2-norm of G(S) - S, which bounds its max-norm,
-    drops below tol * max(1, |k| L). Every sweep counts towards max_iter.
-    The intercept check at the end enforces slope agreement with k and fit
-    linearity.
+    One sweep G(S) = T S + G(0) is affine in S: G(0) is the sweep of a zero
+    source at gradient k, and T = T0 + g p^T, where T0 (`_Sweeper.operator`)
+    sweeps with zero inflow at both ends and g sweeps a zero source with unit
+    far inflow, which the intercept row p scales by k0(S) = p . S[window].
+    LU solves for u = S - k x, (I - T) u = G(k x) - k x: u stays O(k0)
+    while S grows to k L, and the intercept's rounding error scales with the
+    size of the unknown (40-115 times larger for S itself). One more sweep
+    with the extracted k0 checks the result: its max|G(S) - S| is
+    `residual`, and it must not exceed tol * max(1, |k| L). The intercept
+    check enforces slope agreement with k and fit linearity. The three
+    sweeps are `iterations`.
     """
     sweeper = _Sweeper(model, grid)
     x = grid.x_nodes
@@ -260,38 +297,30 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *,
     p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
     zero_inflow = np.zeros_like(sweeper.mu_pos)
     far = grid.L - sweeper.mu_neg
-    sweeps = 0
-    last = math.inf
+    line = k * x
 
-    def sweep(S, far_value, keep_phi=False):
-        nonlocal sweeps
-        if sweeps == max_iter:
-            raise ConvergenceError(
-                f"source iteration did not reach tol={tol} within {max_iter} "
-                f"sweeps (last residual {last:.3e})")
-        sweeps += 1
-        return sweeper.apply(S, zero_inflow, far_value, keep_phi=keep_phi)
-
-    def track(rel_residual):
-        nonlocal last
-        last = rel_residual * b_norm
-
-    b = sweep(np.zeros_like(x), k * far)
-    b_norm = float(np.linalg.norm(b))
-    op = LinearOperator((len(x), len(x)), dtype=float,
-                        matvec=lambda v: v - sweep(v, np.full_like(far, p @ v[sel])))
-    S, info = gmres(op, b, x0=k * x, rtol=0.0, atol=tol * max(1.0, abs(k) * grid.L),
-                    restart=len(x), maxiter=1, callback=track, callback_type="pr_norm")
-    if info != 0:
-        raise ConvergenceError(
-            f"GMRES did not reach tol={tol} in {len(x)} steps "
-            f"(last residual {last:.3e})")
+    rhs = sweeper.apply(line, zero_inflow, k * far) - line
+    g = sweeper.apply(np.zeros_like(x), zero_inflow, np.ones_like(far))
+    A = sweeper.operator()
+    A[:, sel] += np.outer(g, p)
+    np.negative(A, out=A)
+    A[np.diag_indices_from(A)] += 1.0
+    # numpy's LAPACK, not scipy.linalg: the two wheels bundle separate
+    # OpenBLAS thread pools, whose idle workers spin against each other
+    try:
+        S = line + np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"sweep fixed point is singular: {exc}") from exc
 
     k0, slope = extract_k0(x, S, window, k)
-    G = sweep(S, k0 + k * far)
+    G = sweeper.apply(S, zero_inflow, k0 + k * far)
+    residual = float(np.max(np.abs(G - S)))
+    bound = tol * max(1.0, abs(k) * grid.L)
+    if not residual <= bound:
+        raise ConvergenceError(
+            f"check sweep residual {residual:.3e} exceeds tol * max(1, |k| L) = {bound:.3e}")
     return DomResult(source=S, k0_extracted=k0, slope=slope,
-                     fit_window=window, iterations=sweeps,
-                     residual=float(np.max(np.abs(G - S))),
+                     fit_window=window, iterations=3, residual=residual,
                      diagnostics=grid.diagnostics)
 
 

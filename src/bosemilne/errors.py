@@ -49,7 +49,7 @@ class ConsistencyError(BoseMilneError):
 
 
 class ConvergenceError(BoseMilneError):
-    """Iterative solver failed to converge within the allotted iterations."""
+    """A solver did not converge, or its result failed its residual check."""
 
 
 class ExtractionError(BoseMilneError):

@@ -11,6 +11,16 @@ from bosemilne import acceptance, cli
 from bosemilne.dispersion import lambda_case_boundary
 
 
+COMMANDS = ["v1", "dispersion", "profile", "oracle", "validate"]
+
+
+def command_flags() -> dict[str, set[str]]:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -205,11 +215,13 @@ class TestOracleCommand:
         env = json.loads(out)
         assert env["values"]["k0_extracted"]["value"] == 0.0
 
-    def test_max_iter_one_fails(self, capsys):
-        code, _ = run_cli(["oracle", "--alpha", "0", "--dom-cells", "150",
-                           "--dom-angles", "8", "--dom-freqs", "8",
-                           "--dom-length", "25", "--max-iter", "1"], capsys)
-        assert code == 1
+    def test_max_iter_one_fails(self):
+        # the solve is direct: there is no iteration cap to set
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--alpha", "0", "--dom-cells", "150",
+                      "--dom-angles", "8", "--dom-freqs", "8",
+                      "--dom-length", "25", "--max-iter", "1"])
+        assert exc.value.code == 2
 
 
 class TestConfigFile:
@@ -232,6 +244,24 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         code, _ = run_cli(["v1", "--config", str(cfg)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_max_iter_key_rejected(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter=5\n")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert "unknown key 'max_iter'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_keys_are_the_command_flags(self, command, tmp_path, capsys):
+        flags = command_flags()[command]
+        for key, kind in cli._CONFIG_KEYS.items():
+            if "--" + key.replace("_", "-") in flags:
+                continue
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={'0:1:2' if kind is str else 1}\n")
+            assert cli.main([command, "--config", str(cfg)]) == 2
+            assert f"{command} does not read {key!r}" in capsys.readouterr().err
 
 
 class TestValidateCommand:
@@ -278,17 +308,14 @@ def test_tol_rejected_where_unused(command, flag, value):
 
 
 def test_each_command_takes_only_the_flags_it_reads():
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {name: {s for a in p._actions for s in a.option_strings}
-             for name, p in sub.choices.items()}
+    flags = command_flags()
     always = {"-h", "--help", "--config", "--threads", "--out"}
     assert flags == {
         "v1": always | {"--alpha"},
         "dispersion": always | {"--alpha", "--format", "--grid-mu"},
         "profile": always | {"--alpha", "--k", "--format", "--grid-x", "--grid-mu"},
         "oracle": always | {"--alpha", "--k", "--tol", "--dom-cells", "--dom-angles",
-                            "--dom-freqs", "--dom-length", "--max-iter"},
+                            "--dom-freqs", "--dom-length"},
         "validate": always,
     }
 
@@ -298,14 +325,26 @@ def test_each_command_takes_only_the_flags_it_reads():
     ["oracle", "--k", "nan"],
     ["oracle", "--tol", "inf"],
     ["oracle", "--tol", "nan"],
-    ["oracle", "--max-iter", "-1"],
-    ["oracle", "--max-iter", "0"],
     ["profile", "--grid-mu", "nan:nan:1"],
     ["profile", "--grid-x", "inf:inf:1"],
 ], ids=" ".join)
 def test_bad_numeric_input_is_a_configuration_error(argv, capsys):
     assert cli.main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+# command lines with a flag that no command registers any more
+REMOVED_FLAGS = [
+    ["oracle", "--max-iter", "-1"],
+    ["oracle", "--max-iter", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_removed_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
