@@ -10,7 +10,7 @@ cross-validation.
 from .errors import (AccuracyError, BoseMilneError, ConfigurationError,
                      ConsistencyError, ConvergenceError, DivergenceError,
                      DomainError, ExtractionError, RangeError, ResolutionError)
-from .quadrature import PvIntegrand, QuadConfig, QuadratureRule, gauss_rule, integrate, pv_integral
+from .quadrature import PvIntegrand, QuadratureRule, gauss_rule, integrate, pv_integral
 from .special import (AlphaModel, PhysicalScales, einstein, moment_l0,
                       physical_jump, xi_alpha)
 from .dispersion import (DispersionSample, DispersionTable, build_theta_table,

@@ -197,10 +197,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     res_fine = field.boundary_residual(sol)
     coarse_table = dispersion.build_theta_table(
         ctx.model(0.0), dispersion._slit_grid(1.0, 60, 1e-4))
-    data_c = fz.build_factorization(ctx.model(0.0), coarse_table, k=1.0)
-    etas, vps, ns = fz.spectrum_table(data_c, n_nodes=60)
-    sol_c = field.MilneSolution(model=ctx.model(0.0), factorization=data_c,
-                                k=1.0, k0=data_c.k0, _etas=etas, _vps=vps, _ns=ns)
+    sol_c = field.solve_milne(ctx.model(0.0), k=1.0, table=coarse_table)
     res_coarse = field.boundary_residual(sol_c)
     ok = res_fine <= 1e-3 and res_fine < res_coarse
     return CriterionResult(

@@ -16,8 +16,9 @@ dispersion CSV uses 17 significant digits. Identical configurations produce
 byte-identical outputs.
 
 Each command takes only the flags it reads (build_parser); any other flag is
-a usage error. --threads is the one exception: every command accepts and
-ignores it (runs are serial), because the benchmark's command lines pass it.
+a usage error. --threads is the one exception: every command accepts,
+validates and otherwise ignores it (runs are serial, and no output echoes
+it), because the benchmark's command lines pass it.
 A config file takes the keys of its command's flags (dashes or underscores);
 any other key is a configuration error.
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import __version__, acceptance, dispersion, dom, factorization as fz, field, saddle
 from .errors import BoseMilneError, ConfigurationError, DivergenceError
+from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_ORDER
 from .special import AlphaModel
 
 _CONFIG_KEYS = {
@@ -70,8 +72,12 @@ def _parse_range(spec: str, name: str, geometric: bool) -> np.ndarray:
 
 def _load_config(path: str, command: str, keys) -> dict:
     """Read key=value lines; only the keys of the command's own flags."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -83,7 +89,10 @@ def _load_config(path: str, command: str, keys) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in keys:
             raise ConfigurationError(f"{path}:{lineno}: {command} does not read {key!r}")
-        cfg[key] = _CONFIG_KEYS[key](value.strip())
+        try:
+            cfg[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return cfg
 
 
@@ -116,15 +125,14 @@ def _validate_common(cfg: dict):
 
 def _envelope(command: str, model: AlphaModel, inputs: dict, values: dict,
               diagnostics: list[str]) -> dict:
-    """The result envelope; provenance reports the model that ran."""
-    q = model.quad_cfg
+    """The result envelope; provenance reports the model and quadrature that ran."""
     return {
         "command": command,
         "inputs": inputs,
         "values": values,
         "provenance": {
             "version": __version__,
-            "quadrature": {"base_order": q.base_order, "max_depth": q.max_depth,
+            "quadrature": {"base_order": DEFAULT_ORDER, "max_depth": DEFAULT_MAX_DEPTH,
                            "omega_cut": model.omega_cut},
         },
         "diagnostics": diagnostics,
@@ -187,8 +195,7 @@ def cmd_v1(args) -> int:
     except DivergenceError as exc:
         diagnostics.append(f"exact V1 integral divergent: {exc}")
 
-    env = _envelope("v1", model, {"alpha": alpha, "threads": cfg["threads"]},
-                    values, diagnostics)
+    env = _envelope("v1", model, {"alpha": alpha}, values, diagnostics)
     _emit(env, cfg["out"])
     return 0
 
@@ -208,7 +215,7 @@ def cmd_dispersion(args) -> int:
         grid = _parse_range(cfg["grid_mu"], "grid-mu", geometric=True)
 
     rows = [[s.mu, s.lambda_real, s.im_plus, s.theta]
-            for s in dispersion.evaluate_boundary(table.boundary_fn, grid)]
+            for s in dispersion.evaluate_boundary(model, grid)]
     _write_table(cfg["out"], ["mu", "lambda_real", "im_plus", "theta"],
                  rows, cfg["format"], digits=17)
 
@@ -221,8 +228,7 @@ def cmd_dispersion(args) -> int:
         values["tail_exponent"] = _val(p, 2.0 * residual)
     env = _envelope("dispersion", model,
                     {"alpha": alpha, "grid_mu": cfg["grid_mu"] or "default",
-                     "threads": cfg["threads"], "out": cfg["out"],
-                     "format": cfg["format"]},
+                     "out": cfg["out"], "format": cfg["format"]},
                     values, diagnostics)
     _emit(env, None)
     return 0
@@ -254,8 +260,7 @@ def cmd_profile(args) -> int:
     }
     env = _envelope("profile", model,
                     {"alpha": alpha, "k": cfg["k"], "grid_x": cfg["grid_x"],
-                     "grid_mu": cfg["grid_mu"], "threads": cfg["threads"],
-                     "out": cfg["out"], "format": cfg["format"]},
+                     "grid_mu": cfg["grid_mu"], "out": cfg["out"], "format": cfg["format"]},
                     values, [])
     _emit(env, None)
     return 0
@@ -290,8 +295,7 @@ def cmd_oracle(args) -> int:
     env = _envelope("oracle", model,
                     {"alpha": alpha, "k": cfg["k"], "tol": cfg["tol"],
                      "dom_cells": cfg["dom_cells"], "dom_angles": cfg["dom_angles"],
-                     "dom_freqs": cfg["dom_freqs"], "dom_length": cfg["dom_length"],
-                     "threads": cfg["threads"]},
+                     "dom_freqs": cfg["dom_freqs"], "dom_length": cfg["dom_length"]},
                     values, diagnostics)
     _emit(env, cfg["out"])
     return 0

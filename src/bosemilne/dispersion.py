@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -134,6 +133,11 @@ def lambda_case_boundary(mu: float, side: str = "above") -> complex:
     return complex(lambda_case_pv(mu), sgn * 0.5 * math.pi * mu)
 
 
+def _slit_parts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of lam+ = lam_C(y + i0), y = mu/edge > 0: the closed form of every slit."""
+    return lambda_case_pv(y), np.where(y < 1.0, 0.5 * math.pi * y, 0.0)
+
+
 def _case_theta(y: np.ndarray, slope: bool = False) -> np.ndarray:
     """theta = arg lam_C(y + i0) at y >= 0 (pi from y = 1 on), or d theta/dy.
 
@@ -142,7 +146,7 @@ def _case_theta(y: np.ndarray, slope: bool = False) -> np.ndarray:
     """
     inside = y < 1.0
     yi = np.where(inside, y, 0.0)
-    re, im = lambda_case_pv(yi), 0.5 * math.pi * yi
+    re, im = _slit_parts(yi)
     if not slope:
         return np.where(inside, np.arctan2(im, re), math.pi)
     d_re = -np.arctanh(yi) - yi / ((1.0 - yi) * (1.0 + yi))
@@ -171,9 +175,7 @@ def weighted_case_average(model: AlphaModel, z, *, tol: float = 1e-12,
             p = w_cross * s
             if 0.0 < p < 0.5 * model.omega_cut:
                 pts.append(p)
-    val = quadrature.integrate(f, 0.0, model.omega_cut, tol,
-                               rule=quadrature.gauss_rule(model.quad_cfg.base_order),
-                               max_depth=max_depth, points=pts)
+    val = quadrature.integrate(f, 0.0, model.omega_cut, tol, max_depth=max_depth, points=pts)
     return val / model.l0_alpha
 
 
@@ -263,13 +265,12 @@ def _re_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> n
         (right, -np.log(dr), t_cap, split),
         (plain, ws + dr, np.full_like(mu, cut), split & (ws + dr < cut)),
     )
-    rule = quadrature.gauss_rule(model.quad_cfg.base_order)
     total = np.zeros_like(mu)
     for f, lo, hi, rows in pieces:
         part = np.zeros_like(mu)
         part[rows] = quadrature.integrate_rows(
             f, lo[rows], hi[rows], tol, params=(mu[rows], ws[rows], shift[rows]),
-            rule=rule, max_depth=max_depth, scale=model.l0_alpha)
+            max_depth=max_depth, scale=model.l0_alpha)
         total += part
     return shift + total / model.l0_alpha
 
@@ -287,10 +288,8 @@ def lambda_boundary_batch(model: AlphaModel, mu, *, tol: float = 1e-10,
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
     if np.any(mus <= 0):
         raise DomainError(f"lambda_boundary requires mu > 0, got {mus[mus <= 0][0]}")
-    a = model.alpha
-    if a == 0.0:
-        im = np.where(mus < 1.0, 0.5 * math.pi * mus, 0.0)
-        return _samples(mus, lambda_case_pv(mus), im)
+    if model.alpha == 0.0:
+        return _samples(mus, *_slit_parts(mus))
     im = 0.5 * math.pi * mus * special.xi_alpha(model, mus) / model.l0_alpha
     return _samples(mus, _re_part(model, mus, tol, max_depth), im)
 
@@ -320,13 +319,13 @@ class DispersionTable:
       asymptotic exponent (alpha - 3)/alpha and the coefficient matched at
       the last node. `samples` holds the Chebyshev-Lobatto points of the
       panels.
+
+    A table holds numbers only, no callables, so it pickles.
     """
 
     samples: tuple[DispersionSample, ...]
     alpha: float
     slit_edge: float | None
-    boundary_fn: Callable[[np.ndarray], list[DispersionSample]] = field(repr=False,
-                                                                         compare=False)
     breaks: np.ndarray | None = field(default=None, repr=False, compare=False)
     coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -452,7 +451,7 @@ class DispersionTable:
         not decay faster than 1/mu (alpha >= 3/2).
         """
         if self.slit_edge is not None:
-            raise ConsistencyError("slit tables integrate their boundary function")
+            raise ConsistencyError("slit tables integrate theta in closed form")
         require_convergent_tail(self.alpha)
         p = self.tail_exponent
         rule = rule or quadrature.gauss_rule(64)
@@ -543,36 +542,31 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ConsistencyError("grid must be a nonempty 1-d array")
-
-    def fn(mus):
-        return lambda_boundary_batch(model, mus)
-
     if model.alpha > 0.0:
-        return _panel_table(fn, grid, model.alpha, theta_tol=theta_tol, max_passes=max_passes)
-    return _slit_table(fn, grid, model.alpha, 1.0)
+        return _panel_table(model, grid, theta_tol=theta_tol, max_passes=max_passes)
+    return _slit_table(grid, model.alpha, 1.0)
 
 
-def evaluate_boundary(boundary_fn, mus) -> list[DispersionSample]:
-    """boundary_fn over mus in fixed-size chunks, in input order.
+def evaluate_boundary(model: AlphaModel, mus) -> list[DispersionSample]:
+    """lambda_boundary_batch over mus in fixed-size chunks, in input order.
 
     Chunks bound the memory of one batch; a row's value never depends on the
     chunk it lands in.
     """
     mus = np.asarray(mus, dtype=float)
     chunks = [mus[i:i + _CHUNK] for i in range(0, len(mus), _CHUNK)]
-    return [s for part in ordered_map(boundary_fn, chunks) for s in part]
+    return [s for part in ordered_map(lambda c: lambda_boundary_batch(model, c), chunks)
+            for s in part]
 
 
-def _slit_table(boundary_fn, grid, alpha, slit_edge):
-    """Slit table (alpha = 0, saddle surrogates) on the sorted, distinct grid.
-
-    boundary_fn must be lam_C(mu/slit_edge + i0), which DispersionTable
-    evaluates in closed form between and beyond the nodes.
+def _slit_table(grid, alpha: float, edge: float) -> DispersionTable:
+    """Slit table (alpha = 0, saddle surrogates) on the sorted, distinct grid:
+    lam+ = lam_C(mu/edge + i0) at the nodes, by the closed form that
+    DispersionTable also evaluates between and beyond them.
     """
     mus = np.unique(np.asarray(grid, dtype=float))
-    samples = evaluate_boundary(boundary_fn, mus)
-    return DispersionTable(samples=(_ORIGIN, *samples), alpha=alpha, slit_edge=slit_edge,
-                           boundary_fn=boundary_fn)
+    return DispersionTable(samples=(_ORIGIN, *_samples(mus, *_slit_parts(mus / edge))),
+                           alpha=alpha, slit_edge=edge)
 
 
 @lru_cache(maxsize=1)
@@ -586,7 +580,7 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     return x, to_coeffs
 
 
-def _panel_table(boundary_fn, breaks, alpha, *, theta_tol=2e-8, max_passes=8):
+def _panel_table(model: AlphaModel, breaks, *, theta_tol=2e-8, max_passes=8):
     """Panel table: theta as Chebyshev series in s = ln mu, refined by bisection.
 
     Every pass sends the Chebyshev-Lobatto points of all open panels that
@@ -609,7 +603,7 @@ def _panel_table(boundary_fn, breaks, alpha, *, theta_tol=2e-8, max_passes=8):
             inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
             nodes.append(np.concatenate([[lo], inner, [hi]]))
         new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in samples]
-        samples.update(zip(new, evaluate_boundary(boundary_fn, new)))
+        samples.update(zip(new, evaluate_boundary(model, new)))
         theta = np.array([[samples[m].theta for m in row] for row in nodes])
         coeffs = theta @ to_coeffs.T
         fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * theta_tol
@@ -628,8 +622,8 @@ def _panel_table(boundary_fn, breaks, alpha, *, theta_tol=2e-8, max_passes=8):
             f"{len(todo)} theta panels still miss {theta_tol:g} after {max_passes} passes")
     done.sort(key=lambda panel: panel[0])
     nodes = sorted({m for *_, row in done for m in row.tolist()})
-    return DispersionTable(samples=(_ORIGIN, *(samples[m] for m in nodes)), alpha=alpha,
-                           slit_edge=None, boundary_fn=boundary_fn,
+    return DispersionTable(samples=(_ORIGIN, *(samples[m] for m in nodes)),
+                           alpha=model.alpha, slit_edge=None,
                            breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
                            coeffs=np.array([c for _, _, c, _ in done]))
 
@@ -637,21 +631,16 @@ def _panel_table(boundary_fn, breaks, alpha, *, theta_tol=2e-8, max_passes=8):
 def index_kappa(table: DispersionTable, tol: float = 1e-3) -> int:
     """Winding index of the factorisation coefficient: -(theta(inf)-theta(0))/pi.
 
-    theta(inf) = pi exactly for slit tables (lam+ is real negative beyond the
-    edge) and by the decaying tail model otherwise. Must come out -1.
+    theta(inf) comes from theta_at: pi exactly for slit tables (lam+ is real
+    negative beyond the edge) and the limit of the decaying tail model
+    otherwise. Must come out -1.
     """
     if len(table.samples) < 8:
         raise ConsistencyError("table too coarse to determine the winding index")
+    if table.slit_edge is None and table.tail_exponent >= 0:
+        raise ConsistencyError("tail model does not decay; cannot close the winding")
     theta0 = table.samples[0].theta
-    if table.slit_edge is not None:
-        probe = table.boundary_fn(np.array([2.0 * table.slit_edge]))[0]
-        if probe.im_plus != 0.0 or probe.lambda_real >= 0.0:
-            raise ConsistencyError("slit table: lam+ beyond the edge must be real negative")
-        theta_inf = math.atan2(probe.im_plus, probe.lambda_real)
-    else:
-        if table.tail_exponent is None or table.tail_exponent >= 0:
-            raise ConsistencyError("tail model does not decay; cannot close the winding")
-        theta_inf = math.pi
+    theta_inf = table.theta_at(math.inf)
     kappa_real = -(theta_inf - theta0) / math.pi
     kappa = round(kappa_real)
     if abs(kappa_real - kappa) > tol:

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature
-from .dispersion import (DispersionTable, build_theta_table, lambda_boundary_batch,
+from .dispersion import (DispersionTable, _case_theta, build_theta_table,
                          require_convergent_tail)
 from .errors import DomainError, RangeError
 from .special import AlphaModel
@@ -88,35 +88,35 @@ class SpectrumCoefficient:
 
 
 def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None, *,
-                   tol: float = 1e-10, rule_order: int | None = None) -> V1Estimate:
+                   tol: float = 1e-10, rule_order: int = 64) -> V1Estimate:
     """Jump coefficient V1 = (1/pi) int_0^inf (pi - theta(mu)) dmu.
 
-    Slit-type tables (alpha = 0, saddle surrogates) integrate the exact
-    boundary function adaptively; the logarithmically slow approach of theta
-    to pi at the slit edge is tamed by an exponential substitution. This
-    route reads no table values, so without a table alpha = 0 integrates
-    its closed-form boundary function directly. For alpha > 0 the panel
-    table integrates its interpolant and the asymptotic tail
+    Slit-type tables (alpha = 0, saddle surrogates) integrate theta in
+    closed form adaptively; the logarithmically slow approach of theta to pi
+    at the slit edge is tamed by an exponential substitution. This route
+    reads no table values, only the slit edge, so without a table alpha = 0
+    integrates the closed form on the slit (0, 1) directly. For alpha > 0
+    the panel table integrates its interpolant and the asymptotic tail
     (DispersionTable.excess_integral); without a table the default one is
     built, unless the tail exponent alone already makes the integral
     diverge (DivergenceError).
     """
-    rule = quadrature.gauss_rule(rule_order or model.quad_cfg.base_order)
+    rule = quadrature.gauss_rule(rule_order)
     if table is None:
         if model.alpha == 0.0:
-            return _v1_slit(lambda mus: lambda_boundary_batch(model, mus), 1.0, rule, tol)
+            return _v1_slit(1.0, rule, tol)
         require_convergent_tail(model.alpha)
         table = build_theta_table(model)
     if table.slit_edge is not None:
-        return _v1_slit(table.boundary_fn, table.slit_edge, rule, tol)
+        return _v1_slit(table.slit_edge, rule, tol)
     value, error = table.excess_integral(rule)
     return V1Estimate(value=value / math.pi, error=error / math.pi)
 
 
-def _v1_slit(boundary_fn, edge: float, rule, tol: float) -> V1Estimate:
-    """V1 from the boundary function of a slit that ends at `edge`."""
+def _v1_slit(edge: float, rule, tol: float) -> V1Estimate:
+    """V1 of a slit that ends at `edge`, from theta = arg lam_C(mu/edge + i0)."""
     def resid(mus):
-        return np.array([math.pi - s.theta for s in boundary_fn(mus)])
+        return math.pi - _case_theta(mus / edge)
 
     body, err1 = quadrature.integrate_with_error(
         resid, 0.0, 0.9 * edge, tol, rule=rule, max_depth=24)

@@ -27,7 +27,6 @@ from .errors import AccuracyError, ConfigurationError, DomainError
 
 __all__ = [
     "QuadratureRule",
-    "QuadConfig",
     "PvIntegrand",
     "gauss_rule",
     "integrate",
@@ -38,6 +37,8 @@ __all__ = [
 ]
 
 _MAX_ORDER = 10000
+DEFAULT_ORDER = 64
+DEFAULT_MAX_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,6 @@ class QuadratureRule:
         """Affinely map the rule to the interval (a, b)."""
         half = 0.5 * (b - a)
         return 0.5 * (a + b) + half * self.nodes, half * self.weights
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Default quadrature settings threaded through the model objects."""
-
-    base_order: int = 64
-    max_depth: int = 12
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ def _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale):
     """integrate_rows, returning each row's summed error estimate as well."""
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
-    rule = rule or gauss_rule(64)
+    rule = rule or gauss_rule(DEFAULT_ORDER)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
@@ -212,7 +205,7 @@ def _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale):
 
 
 def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
-                   rule: QuadratureRule | None = None, max_depth: int = 12,
+                   rule: QuadratureRule | None = None, max_depth: int = DEFAULT_MAX_DEPTH,
                    scale=None) -> np.ndarray:
     """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
 
@@ -239,7 +232,7 @@ def integrate_with_error(
     tol: float = 1e-10,
     *,
     rule: QuadratureRule | None = None,
-    max_depth: int = 12,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     points: Sequence[float] = (),
     scale: float | None = None,
 ) -> tuple[float | complex, float]:
@@ -264,7 +257,7 @@ def integrate(
     tol: float = 1e-10,
     *,
     rule: QuadratureRule | None = None,
-    max_depth: int = 12,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     points: Sequence[float] = (),
     scale: float | None = None,
 ):

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dispersion import (DispersionTable, _samples, _slit_grid, _slit_table,
-                         lambda_case, lambda_case_pv)
+from .dispersion import DispersionTable, _slit_grid, _slit_table, lambda_case
 from .errors import ConsistencyError, ConvergenceError, DomainError
 
 __all__ = [
@@ -91,22 +90,14 @@ def surrogate_theta_table(alpha: float, omega0: float | None = None,
                           n: int = 400) -> DispersionTable:
     """Slit-type theta table of the surrogate function on (0, w0^-alpha).
 
-    theta is exact (lam_C in closed form); the n nodes only seed the
-    continuum table. Feeding this table to the generic V1 machinery must
-    reproduce w0^-alpha * V1(0); the scaling identity is exercised by the
-    tests rather than assumed.
+    lam+ = lam_C(mu w0^alpha + i0) and theta are in closed form; the n
+    nodes only seed the continuum table. Feeding this table to the generic
+    V1 machinery must reproduce w0^-alpha * V1(0); the scaling identity is
+    exercised by the tests rather than assumed.
     """
     w0 = saddle_root(alpha) if omega0 is None else omega0
     edge = w0 ** (-alpha)
-
-    def boundary(mus):
-        mus = np.asarray(mus, dtype=float)
-        if np.any(mus <= 0):
-            raise DomainError(f"mu must be positive, got {mus[mus <= 0][0]}")
-        y = mus / edge
-        return _samples(mus, lambda_case_pv(y), np.where(y < 1.0, 0.5 * math.pi * y, 0.0))
-
-    return _slit_table(boundary, _slit_grid(edge, n, 1e-4), alpha, edge)
+    return _slit_table(_slit_grid(edge, n, 1e-4), alpha, edge)
 
 
 @dataclass(frozen=True)

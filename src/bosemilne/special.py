@@ -19,7 +19,6 @@ import numpy as np
 
 from . import quadrature
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .quadrature import QuadConfig
 
 __all__ = [
     "AlphaModel",
@@ -75,21 +74,19 @@ def einstein_reg(x):
     return out if arr.ndim else float(out)
 
 
-def moment_l0(p: float, *, omega_cut: float = OMEGA_CUT_DEFAULT,
-              tol: float = 1e-12, quad: QuadConfig | None = None) -> float:
+def moment_l0(p: float, *, tol: float = 1e-12) -> float:
     """Frequency moment int_0^inf w^(p+4) E(w) dw by quadrature.
 
     Converges classically for p > -3. On (-4, -3) the small-w divergence is
     removed analytically (E = 1/w^2 - 1/12 + O(w^2)), which continues the
     moment to the value Gamma(p+5) zeta(p+4); p = -3 sits on the zeta pole.
-    The e^-w tail makes truncation at omega_cut = 80 exact to ~1e-30.
+    The e^-w tail makes truncation at OMEGA_CUT_DEFAULT = 80 exact to
+    ~1e-30. Both pieces use quadrature.integrate's default rule and depth.
     """
     if p <= -4.0:
         raise DivergenceError(f"moment diverges for p <= -4 (got p={p})")
     if p == -3.0:
         raise DivergenceError("moment has a pole at p = -3")
-    quad = quad or QuadConfig()
-    rule = quadrature.gauss_rule(quad.base_order)
 
     def tail_integrand(w):
         return w ** (p + 4) * einstein(w)
@@ -98,21 +95,21 @@ def moment_l0(p: float, *, omega_cut: float = OMEGA_CUT_DEFAULT,
     def head_integrand(w):
         return w ** (p + 4) * einstein_reg(w)
 
-    head = quadrature.integrate(head_integrand, 0.0, 1.0, tol,
-                                rule=rule, max_depth=quad.max_depth)
+    head = quadrature.integrate(head_integrand, 0.0, 1.0, tol)
     head += 1.0 / (p + 3.0) - 1.0 / (12.0 * (p + 5.0))
-    tail = quadrature.integrate(tail_integrand, 1.0, omega_cut, tol,
-                                rule=rule, max_depth=quad.max_depth)
+    tail = quadrature.integrate(tail_integrand, 1.0, OMEGA_CUT_DEFAULT, tol)
     return head + tail
 
 
 @dataclass(frozen=True)
 class AlphaModel:
-    """Scattering exponent alpha with its derived moments and quadrature config.
+    """Scattering exponent alpha with its derived moments: plain data.
 
     The collision frequency scales as w^alpha; l0(alpha), l0(-alpha) and
     l0(2 alpha) are the Planck-weight moments that normalise the transport
     equation. l0_neg is None at alpha = 3 where the moment hits the zeta pole.
+    omega_cut truncates the frequency integrals, which run at the default
+    rule order and depth of quadrature.
     """
 
     alpha: float
@@ -120,20 +117,15 @@ class AlphaModel:
     l0_neg: float | None
     l0_2alpha: float
     omega_cut: float
-    quad_cfg: QuadConfig
 
     @classmethod
-    def build(cls, alpha: float, *, omega_cut: float = OMEGA_CUT_DEFAULT,
-              quad: QuadConfig | None = None) -> "AlphaModel":
+    def build(cls, alpha: float) -> "AlphaModel":
         if not math.isfinite(alpha) or not (0.0 <= alpha <= 3.0):
             raise ConfigurationError(
                 f"alpha must be finite and in [0, 3], got {alpha}")
-        quad = quad or QuadConfig()
-        l0a = moment_l0(alpha, omega_cut=omega_cut, quad=quad)
-        l02 = moment_l0(2 * alpha, omega_cut=omega_cut, quad=quad)
-        l0n = None if alpha == 3.0 else moment_l0(-alpha, omega_cut=omega_cut, quad=quad)
-        return cls(alpha=alpha, l0_alpha=l0a, l0_neg=l0n, l0_2alpha=l02,
-                   omega_cut=omega_cut, quad_cfg=quad)
+        l0n = None if alpha == 3.0 else moment_l0(-alpha)
+        return cls(alpha=alpha, l0_alpha=moment_l0(alpha), l0_neg=l0n,
+                   l0_2alpha=moment_l0(2 * alpha), omega_cut=OMEGA_CUT_DEFAULT)
 
     def __post_init__(self):
         if self.l0_alpha <= 0 or self.l0_2alpha <= 0:
@@ -169,12 +161,10 @@ def xi_alpha(model: AlphaModel, mu):
 
     # Laurent expansion of E keeps the relative accuracy at tiny cutoffs
     laurent = ~full & (cut <= 0.25)
-    rule = quadrature.gauss_rule(model.quad_cfg.base_order)
     out = np.full(log_cut.shape, model.l0_2alpha)
     for rows, integrand in ((~full & ~laurent, plain), (laurent, regular)):
         c = cut[rows]
-        vals = quadrature.integrate_rows(integrand, np.zeros_like(c), c, 1e-12, rule=rule,
-                                         max_depth=model.quad_cfg.max_depth)
+        vals = quadrature.integrate_rows(integrand, np.zeros_like(c), c, 1e-12)
         if integrand is regular:
             vals = c ** (a2 + 3) / (a2 + 3) - c ** (a2 + 5) / (12 * (a2 + 5)) + vals
         out[rows] = vals

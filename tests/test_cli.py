@@ -53,12 +53,19 @@ def test_alpha_rejection(capsys):
     assert code == 2
 
 
-def test_envelope_schema(capsys):
+@pytest.mark.parametrize("argv", [
+    ["v1", "--alpha", "0.5"],
+    ["dispersion", "--alpha", "0.5"],
+    ["profile", "--alpha", "0", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
+    ["oracle", "--alpha", "0", "--dom-cells", "150", "--dom-angles", "8",
+     "--dom-freqs", "8", "--dom-length", "25"],
+], ids=lambda argv: argv[0])
+def test_envelope_schema(argv, tmp_path, capsys):
     import jsonschema
     from importlib import resources
     schema = json.loads(resources.files("bosemilne").joinpath("envelope.schema.json")
                         .read_text())
-    code, out = run_cli(["v1", "--alpha", "0.5"], capsys)
+    code, out = run_cli(argv + ["--out", str(tmp_path / "out.dat")], capsys)
     assert code == 0
     jsonschema.validate(json.loads(out), schema)
 
@@ -189,13 +196,13 @@ def test_profile_just_beyond_slit_edge(tmp_path, capsys):
 
 
 def test_envelope_reports_the_model_that_ran():
-    from bosemilne.quadrature import QuadConfig
+    # every model runs quadrature's default rule order and depth; the
+    # frequency cutoff is the model's own
     from bosemilne.special import AlphaModel
-    model = AlphaModel.build(0.0, omega_cut=60.0,
-                             quad=QuadConfig(base_order=48, max_depth=9))
+    model = AlphaModel.build(0.0)
     env = cli._envelope("v1", model, {}, {}, [])
-    assert env["provenance"]["quadrature"] == {"base_order": 48, "max_depth": 9,
-                                               "omega_cut": 60.0}
+    assert env["provenance"]["quadrature"] == {"base_order": 64, "max_depth": 12,
+                                               "omega_cut": 80.0}
 
 
 class TestOracleCommand:
@@ -251,6 +258,22 @@ class TestConfigFile:
         cfg.write_text("max_iter=5\n")
         assert cli.main([command, "--config", str(cfg)]) == 2
         assert "unknown key 'max_iter'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,content,message", [
+        ("v1", b"alpha=abc\n", "run.cfg:1: bad value for alpha"),
+        ("oracle", b"dom_cells=1.5\n", "run.cfg:1: bad value for dom_cells"),
+        ("v1", None, "cannot read config file"),
+        ("v1", b"alpha=\xff\n", "cannot read config file"),
+    ], ids=["v1-alpha", "oracle-dom_cells", "missing-file", "not-utf8"])
+    def test_bad_config_is_a_configuration_error(self, command, content, message, tmp_path,
+                                                 capsys):
+        # exit 2 with a message, not a traceback
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and message in err
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_keys_are_the_command_flags(self, command, tmp_path, capsys):
@@ -350,16 +373,15 @@ def test_removed_flag_is_a_usage_error(argv):
 @pytest.mark.parametrize("argv", [
     ["dispersion", "--alpha", "0", "--grid-mu", "0.05:0.9:40"],
     ["profile", "--alpha", "0", "--grid-x", "0:8:4", "--grid-mu=-0.8:0.8:7"],
+    ["v1", "--alpha", "0.5"],
 ])
 def test_output_files_identical_across_threads(argv, tmp_path, capsys):
+    # both runs write the same --out path, so whole stdout is compared
+    out = tmp_path / "out.dat"
     blobs = {}
     for threads in (1, 4):
-        out = tmp_path / f"t{threads}.dat"
         code, stdout = run_cli(argv + ["--threads", str(threads), "--out", str(out)],
                                capsys)
         assert code == 0
-        env = json.loads(stdout)
-        env["inputs"].pop("threads", None)
-        env["inputs"].pop("out", None)  # distinct paths, same contents
-        blobs[threads] = (out.read_bytes(), json.dumps(env, sort_keys=True))
+        blobs[threads] = (out.read_bytes(), stdout)
     assert blobs[1] == blobs[4]

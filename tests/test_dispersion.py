@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -291,12 +292,12 @@ class TestPanelTable:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_fresh_values_within_theta_tol(self, ctx, alpha):
         # the interpolant (panels, and the closure below the first break),
-        # or alpha 0's closed form, against 20,000 fresh boundary values,
-        # log-uniform on (1e-6, mu_max)
+        # or alpha 0's closed form, against 20,000 fresh boundary values of
+        # the model, log-uniform on (1e-6, mu_max)
         table = ctx.table(alpha)
         rng = np.random.default_rng(20)
         mus = np.exp(rng.uniform(math.log(1e-6), math.log(table.mu_max), 20000))
-        fresh = np.array([s.theta for s in evaluate_boundary(table.boundary_fn, mus)])
+        fresh = np.array([s.theta for s in evaluate_boundary(ctx.model(alpha), mus)])
         assert np.max(np.abs(table.theta_at(mus) - fresh)) <= 2e-8
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -333,7 +334,18 @@ class TestIndex:
         assert index_kappa(ctx.table(alpha)) == -1
 
     def test_degenerate_table_rejected(self, table0):
-        stub = DispersionTable(samples=table0.samples[:3], alpha=0.0, slit_edge=1.0,
-                               boundary_fn=table0.boundary_fn)
+        stub = DispersionTable(samples=table0.samples[:3], alpha=0.0, slit_edge=1.0)
         with pytest.raises(ConsistencyError):
             index_kappa(stub)
+
+
+@pytest.mark.parametrize("alpha,surrogate", [(0.0, False), (0.5, False), (2.0, True)],
+                         ids=["alpha0", "alpha0.5", "surrogate2"])
+def test_table_pickles(ctx, alpha, surrogate):
+    # tables are plain data: a fresh table survives a pickle round trip bit for bit
+    table = (saddle.surrogate_theta_table(alpha) if surrogate
+             else build_theta_table(ctx.model(alpha)))
+    loaded = pickle.loads(pickle.dumps(table))
+    mus = np.concatenate([[0.0], np.geomspace(1e-6, 10.0 * table.mu_max, 2000)])
+    assert loaded.samples == table.samples
+    assert loaded.theta_at(mus).tobytes() == table.theta_at(mus).tobytes()
