@@ -22,6 +22,12 @@ it), because the benchmark's command lines pass it.
 A config file takes the keys of its command's flags (dashes or underscores);
 any other key is a configuration error.
 
+Start-up: importing this module loads numpy but not scipy, so v1,
+dispersion and oracle run without it. profile loads scipy.interpolate when
+it first builds the field's PCHIP interpolants, and validate loads that and
+scipy.special (criterion 4's Gamma/zeta oracle, kept independent of the
+package).
+
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """
 

@@ -210,9 +210,9 @@ class DispersionSample:
     theta: float
 
 
-def _samples(mus, re, im) -> list[DispersionSample]:
+def _samples(mus, re, im, theta) -> list[DispersionSample]:
     return [DispersionSample(mu=float(m), lambda_real=float(r), im_plus=float(i),
-                             theta=math.atan2(i, r)) for m, r, i in zip(mus, re, im)]
+                             theta=float(t)) for m, r, i, t in zip(mus, re, im, theta)]
 
 
 # the exact origin limit every table starts with: lam = 1, theta = 0
@@ -289,9 +289,10 @@ def lambda_boundary_batch(model: AlphaModel, mu, *, tol: float = 1e-10,
     if np.any(mus <= 0):
         raise DomainError(f"lambda_boundary requires mu > 0, got {mus[mus <= 0][0]}")
     if model.alpha == 0.0:
-        return _samples(mus, *_slit_parts(mus))
+        return _samples(mus, *_slit_parts(mus), _case_theta(mus))
     im = 0.5 * math.pi * mus * special.xi_alpha(model, mus) / model.l0_alpha
-    return _samples(mus, _re_part(model, mus, tol, max_depth), im)
+    re = _re_part(model, mus, tol, max_depth)
+    return _samples(mus, re, im, map(math.atan2, im, re))
 
 
 def lambda_boundary(model: AlphaModel, mu: float, *, tol: float = 1e-10,
@@ -561,11 +562,13 @@ def evaluate_boundary(model: AlphaModel, mus) -> list[DispersionSample]:
 
 def _slit_table(grid, alpha: float, edge: float) -> DispersionTable:
     """Slit table (alpha = 0, saddle surrogates) on the sorted, distinct grid:
-    lam+ = lam_C(mu/edge + i0) at the nodes, by the closed form that
-    DispersionTable also evaluates between and beyond them.
+    lam+ = lam_C(mu/edge + i0) and theta at the nodes, by the closed forms
+    (`_slit_parts`, `_case_theta`) that DispersionTable also evaluates between
+    and beyond them, so theta_at gives the nodes' own theta bits.
     """
     mus = np.unique(np.asarray(grid, dtype=float))
-    return DispersionTable(samples=(_ORIGIN, *_samples(mus, *_slit_parts(mus / edge))),
+    y = mus / edge
+    return DispersionTable(samples=(_ORIGIN, *_samples(mus, *_slit_parts(y), _case_theta(y))),
                            alpha=alpha, slit_edge=edge)
 
 

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import quadrature
 from .errors import ConfigurationError, ConvergenceError, DomainError, ExtractionError
@@ -90,7 +89,10 @@ def freq_rule(model: AlphaModel, n: int, omega_max: float) -> tuple[np.ndarray, 
         sqrt_b[k + 1] = math.sqrt(float(wd @ (t * t)))
         p_prev, p_cur = p_cur, t / sqrt_b[k + 1]
 
-    nodes, vecs = eigh_tridiagonal(a_coef, sqrt_b[1:])
+    # numpy's eigh, not scipy.linalg (see solve); on these Jacobi matrices it
+    # gives the bits of scipy's eigh_tridiagonal
+    jacobi = np.diag(a_coef) + np.diag(sqrt_b[1:], 1) + np.diag(sqrt_b[1:], -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
     weights = beta0 * vecs[0, :] ** 2
     return nodes, weights
 
@@ -305,8 +307,9 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     A[:, sel] += np.outer(g, p)
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += 1.0
-    # numpy's LAPACK, not scipy.linalg: the two wheels bundle separate
-    # OpenBLAS thread pools, whose idle workers spin against each other
+    # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh): the
+    # two wheels bundle separate OpenBLAS thread pools, whose idle workers
+    # spin against each other, and importing scipy.linalg costs start-up
     try:
         S = line + np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import quadrature
 from .errors import DomainError, RangeError
@@ -68,6 +67,16 @@ def discrete_modes(x: float, mu: float) -> tuple[float, float]:
     return 1.0, x - mu
 
 
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """scipy's PchipInterpolator on (x, y), no extrapolation.
+
+    Imported here, not at module level, so that only the commands that
+    evaluate the field (profile, validate) load scipy.
+    """
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(x, y, extrapolate=False)
+
+
 @dataclass(frozen=True)
 class MilneSolution:
     """Factorisation constants plus the tabulated continuum coefficient."""
@@ -87,15 +96,15 @@ class MilneSolution:
             raise DomainError("k0/k must equal the factorisation V1")
 
     @cached_property
-    def eta_n_interp(self) -> PchipInterpolator:
+    def eta_n_interp(self):
         # eta * n(eta) with the exact 0 limit prepended
         grid = np.concatenate([[0.0], self._etas])
         vals = np.concatenate([[0.0], self._etas * self._ns])
-        return PchipInterpolator(grid, vals, extrapolate=False)
+        return _pchip(grid, vals)
 
     @cached_property
-    def vp_interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self._etas, self._vps, extrapolate=False)
+    def vp_interp(self):
+        return _pchip(self._etas, self._vps)
 
     @property
     def eta_min(self) -> float:

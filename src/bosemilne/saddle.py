@@ -15,6 +15,12 @@ integration variable, to
 
 This route stays available for all alpha, including alpha >= 3/2 where the
 exact V1 integral diverges.
+
+The root comes from `_brentq`, a line-for-line port of scipy's brentq.c
+(Brent, Algorithms for Minimization without Derivatives, 1973): the same
+iterates and tolerances, so omega0 has the same bits as
+scipy.optimize.brentq, without importing scipy.optimize, which was most of
+the `v1` command's start-up time.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .dispersion import DispersionTable, _slit_grid, _slit_table, lambda_case
 from .errors import ConsistencyError, ConvergenceError, DomainError
@@ -44,6 +49,52 @@ def _saddle_fn(w: float, a4: float) -> float:
     return math.exp(w) * (a4 - w) - (a4 + w)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    A port of scipy's brentq.c, step for step, so its iterates and its
+    result are those of scipy.optimize.brentq for the same arguments.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"no sign change in bracket ({xa}, {xb})")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def saddle_root(alpha: float, tol: float = 1e-12) -> float:
     """Nontrivial root w0 of e^w = (alpha+4+w)/(alpha+4-w) in (0, alpha+4).
 
@@ -55,11 +106,7 @@ def saddle_root(alpha: float, tol: float = 1e-12) -> float:
     a4 = alpha + 4.0
     eps = 1e-9 * a4
     lo, hi = eps, a4 - eps
-    flo, fhi = _saddle_fn(lo, a4), _saddle_fn(hi, a4)
-    if flo * fhi >= 0:
-        raise ConvergenceError(
-            f"no sign change in bracket ({lo}, {hi}) for alpha={alpha}")
-    root = optimize.brentq(_saddle_fn, lo, hi, args=(a4,), xtol=1e-15, rtol=8.9e-16)
+    root = _brentq(lambda w: _saddle_fn(w, a4), lo, hi, xtol=1e-15, rtol=8.9e-16)
     if abs(_saddle_fn(root, a4)) > max(tol, 64 * np.finfo(float).eps * a4 * math.exp(root)):
         raise ConvergenceError(f"root residual too large at alpha={alpha}")
     return float(root)

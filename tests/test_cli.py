@@ -306,6 +306,19 @@ class TestValidateCommand:
         assert out.count("PASS") == 2
 
 
+def test_v1_and_oracle_do_not_load_scipy():
+    # scipy costs most of the start-up; only profile and validate may load it
+    script = ("import io, sys, contextlib\n"
+              "from bosemilne import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['v1', '--alpha', '2']) == 0\n"
+              "    assert cli.main(['oracle', '--alpha', '1', '--dom-cells', '60']) == 0\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "bosemilne.cli", "--nonsense"],
                           capture_output=True, text=True)

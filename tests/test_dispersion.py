@@ -249,6 +249,12 @@ class TestThetaTable:
             assert np.all(np.abs(np.diff(t.theta)) <= 0.5 * math.pi)
             assert t.theta[-1] > 2.8  # close to pi at the far end
 
+    @pytest.mark.parametrize("surrogate", [False, True], ids=["alpha0", "surrogate2"])
+    def test_slit_nodes_hold_theta_at(self, table0, surrogate):
+        # a slit table's node thetas are the closed form theta_at evaluates
+        table = saddle.surrogate_theta_table(2.0) if surrogate else table0
+        assert np.array_equal(table.theta, table.theta_at(table.mu))
+
     def test_im_plus_nonnegative(self, table1):
         assert np.all(table1.im_plus >= 0.0)
 

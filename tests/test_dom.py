@@ -27,6 +27,28 @@ class TestFreqRule:
                                     1e-13, max_depth=20)
         assert weights @ nodes ** 3 == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_same_rule_as_eigh_tridiagonal(self, ctx, alpha, monkeypatch):
+        # scipy's tridiagonal solver, which the rule used before, is the
+        # test-only oracle: on each Jacobi matrix the dense eigh must give
+        # its nodes and its squared first components (weights = beta0 times
+        # those) bit for bit
+        from scipy.linalg import eigh_tridiagonal
+        dense_eigh, seen = np.linalg.eigh, []
+
+        def both(jacobi):
+            nodes, vecs = dense_eigh(jacobi)
+            want_nodes, want_vecs = eigh_tridiagonal(np.diag(jacobi), np.diag(jacobi, 1))
+            seen.append(len(jacobi))
+            assert np.array_equal(nodes, want_nodes), len(jacobi)
+            assert np.array_equal(vecs[0] ** 2, want_vecs[0] ** 2), len(jacobi)
+            return nodes, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", both)
+        for n in range(2, 201):
+            freq_rule(ctx.model(alpha), n, 30.0)
+        assert seen == list(range(2, 201))
+
 
 class TestGrid:
     def test_direction_weights(self, small_grid0):

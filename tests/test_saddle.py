@@ -6,7 +6,7 @@ import pytest
 
 from bosemilne import factorization as fz, saddle
 from bosemilne.dispersion import lambda_case, lambda_case_boundary
-from bosemilne.errors import ConsistencyError, DomainError
+from bosemilne.errors import ConsistencyError, ConvergenceError, DomainError
 
 W0_EXACT = {0.0: 3.83001609630907, 2.0: 5.96940917071577}
 
@@ -26,6 +26,34 @@ class TestSaddleRoot:
     def test_negative_alpha_rejected(self):
         with pytest.raises(DomainError):
             saddle.saddle_root(-0.5)
+
+
+class TestBrentPort:
+    # scipy.optimize.brentq is the test-only oracle: the port must give its bits
+    @staticmethod
+    def scipy_root(alpha):
+        from scipy.optimize import brentq
+        a4 = alpha + 4.0
+        eps = 1e-9 * a4
+        return brentq(saddle._saddle_fn, eps, a4 - eps, args=(a4,), xtol=1e-15, rtol=8.9e-16)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_same_root_as_scipy(self, alpha):
+        assert saddle.saddle_root(alpha) == self.scipy_root(alpha)
+
+    def test_same_root_as_scipy_on_seeded_alphas(self):
+        alphas = np.random.default_rng(14).uniform(0.0, 3.0, 2000)
+        mismatched = [a for a in alphas if saddle.saddle_root(a) != self.scipy_root(a)]
+        assert mismatched == []
+
+    def test_out_of_iterations_raises(self):
+        with pytest.raises(ConvergenceError, match="did not converge in 3 iterations"):
+            saddle._brentq(lambda w: saddle._saddle_fn(w, 4.0), 1e-3, 4.0 - 1e-3,
+                           xtol=1e-15, rtol=8.9e-16, maxiter=3)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            saddle._brentq(lambda w: w * w + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
 
 
 class TestSaddleApprox:
