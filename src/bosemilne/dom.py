@@ -18,17 +18,24 @@ the source reduction is a plain ordered dot product and bit-reproducible).
 Spatial cells grow geometrically from the boundary and each sweep uses the
 integrating-factor (exponential) update with a linear-in-cell source, which
 is exact for both discrete modes and keeps optically thick high-frequency
-cells positive. Both directions advance in one cell loop over a cells x
-channels layout (negative channels stored in reversed cell order), three
-in-place numpy calls and two dot products per cell: about 8-10 ms per sweep
-on the default grid (600 cells, 2 x 768 channels, 2 vCPUs).
+cells positive. A channel is one rate mu = v / w^a: (direction, frequency)
+pairs of equal rate carry the same phi, so they merge into one channel with
+their summed source weight. At alpha = 0 the rate is v alone (the grey
+problem), so a direction has n_angle / 2 channels instead of
+n_angle / 2 * n_freq; at alpha > 0 no two rates are equal. Both directions
+advance in one cell loop over a cells x channels layout (negative channels
+stored in reversed cell order), three in-place numpy calls and two dot
+products per cell: about 4 ms per sweep on the default grid at alpha = 0
+(600 cells, 2 x 16 channels) and 5-9 ms at alpha > 0 (2 x 768 channels),
+2 vCPUs.
 
 The far-end intercept is a fixed linear functional of S (the intercept row of
 the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
 its fixed point solves a linear system of len(x_nodes) unknowns; with
 conservative scattering the plain iteration contracts only like 1 - O(1/L^2),
 too slow at L = 30. `solve` assembles the sweep's linear map once and
-LU-solves the system: 3 sweeps and 0.1-0.15 s on the default grid (2 vCPUs).
+LU-solves the system: 2 sweeps, and 0.03-0.04 s at alpha = 0 and 0.09-0.13 s
+at alpha > 0 on the default grid (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -53,6 +60,8 @@ __all__ = [
 
 # cells per block of the sweep's source arrays (memory, not results)
 _BLOCK = 50
+# smallest normal float: the assembly sets smaller states to zero
+_TINY = np.finfo(float).tiny
 
 
 def freq_rule(model: AlphaModel, n: int, omega_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +128,9 @@ class DomGrid:
             raise ConfigurationError("n_angle must be even (a v = 0 node cannot sweep)")
         if not (L > 0 and omega_max > 0):
             raise ConfigurationError("slab length and frequency cut must be positive")
-        if ratio <= 1.0:
+        if not ratio >= 1.0:
+            raise ConfigurationError(f"cell growth ratio must be at least 1, got {ratio}")
+        if ratio == 1.0:
             x = np.linspace(0.0, L, n_cells + 1)
         else:
             h0 = L * (ratio - 1.0) / (ratio ** n_cells - 1.0)
@@ -154,18 +165,34 @@ class DomResult:
     diagnostics: tuple[str, ...]
 
 
+def _merge_equal_rates(mu: np.ndarray, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One channel per distinct rate mu, in order of first occurrence, with
+    the summed source weight of the channels that share it.
+
+    Channels of equal mu see the same cells and, with inflows that depend on
+    mu alone, carry the same phi, so merging them is exact. At alpha = 0
+    (w^0 == 1.0) each direction node is one channel; at alpha > 0 every rate
+    is distinct and nothing merges.
+    """
+    _, first, inverse = np.unique(mu, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))   # sorted index -> first-occurrence index
+    return mu[np.sort(first)], np.bincount(rank[inverse], weights=cw)
+
+
 class _Sweeper:
     """Exponential-upwind sweep of both directions in one cell loop.
 
-    The cell arrays ``E = exp(-tau)`` and ``F = (tau - 1 + E) / tau`` are
-    stored cell-major as (cells, 2 m), m = n_pos * n_freq channels per
-    direction: positive channels first, in cell order, then negative channels
-    in reversed cell order. Step j of the loop moves the positive channels
-    across cell j and the negative ones across cell n - 1 - j, in three
-    in-place calls on one contiguous row that keep the rounding of
-    ``phi E + (1 - E) S_upwind + F dS`` term by term. The cell sources are
-    formed _BLOCK cells at a time. About 8-10 ms per sweep on the default
-    grids (2 vCPUs).
+    Channels are the distinct rates mu of each direction (`_merge_equal_rates`),
+    with summed source weights cw: n_pos of them per direction at alpha = 0,
+    n_pos * n_freq at alpha > 0. The cell arrays ``E = exp(-tau)`` and
+    ``F = (tau - 1 + E) / tau`` are stored cell-major as (cells, 2 m), m
+    channels per direction: positive channels first, in cell order, then
+    negative channels in reversed cell order. Step j of the loop moves the
+    positive channels across cell j and the negative ones across cell
+    n - 1 - j, in three in-place calls on one contiguous row that keep the
+    rounding of ``phi E + (1 - E) S_upwind + F dS`` term by term. The cell
+    sources are formed _BLOCK cells at a time. A sweep takes about 4 ms on
+    the default grid at alpha = 0 and 5-9 ms at alpha > 0 (2 vCPUs).
     """
 
     def __init__(self, model: AlphaModel, grid: DomGrid):
@@ -174,9 +201,15 @@ class _Sweeper:
         vp, ap = grid.v_nodes[pos], grid.v_weights[pos]
         vm, am = grid.v_nodes[~pos], grid.v_weights[~pos]
         wa = grid.w_nodes ** model.alpha
-        # channel layout: (direction, frequency) flattened
-        self.mu_pos = (vp[:, None] / wa[None, :]).ravel()
-        self.mu_neg = (vm[:, None] / wa[None, :]).ravel()
+        l0d = float(np.sum(grid.w_weights))
+        # (direction, frequency) pairs flattened, source weights
+        # a_k w_i / (2 l0_disc), merged to one channel per rate
+        self.mu_pos, self.cw_pos = _merge_equal_rates(
+            (vp[:, None] / wa[None, :]).ravel(),
+            (np.outer(ap, grid.w_weights) / (2.0 * l0d)).ravel())
+        self.mu_neg, self.cw_neg = _merge_equal_rates(
+            (vm[:, None] / wa[None, :]).ravel(),
+            (np.outer(am, grid.w_weights) / (2.0 * l0d)).ravel())
         m = len(self.mu_pos)
         tau = np.empty((len(h), m + len(self.mu_neg)))
         np.multiply(h[:, None], 1.0 / self.mu_pos, out=tau[:, :m])
@@ -193,10 +226,6 @@ class _Sweeper:
         ts = tau[small]
         self.F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
         del tau
-        l0d = float(np.sum(grid.w_weights))
-        # source weights: a_k w_i / (2 l0_disc) per channel
-        self.cw_pos = (np.outer(ap, grid.w_weights) / (2.0 * l0d)).ravel()
-        self.cw_neg = (np.outer(am, grid.w_weights) / (2.0 * l0d)).ravel()
 
     def apply(self, S: np.ndarray, inflow_pos: np.ndarray, inflow_neg: np.ndarray,
               keep_phi: bool = False):
@@ -240,13 +269,18 @@ class _Sweeper:
 
     def operator(self) -> np.ndarray:
         """The sweep's linear map T0, ``apply(S, 0, 0) == T0 @ S``, assembled
-        one direction at a time by blocks of cells.
+        one direction at a time by blocks of cells: 12-15 ms on the default
+        grid at alpha = 0 and 53-73 ms at alpha > 0 (2 vCPUs).
 
         C[l] holds d phi(node j0) / dS_l, l <= j0, per channel. Across a block
         the rows get ``(D * cw) @ C[:j0 + 1].T``, D the running product of the
         block's E rows, plus the block's own recurrence over S_j0..S_j1; C
         then moves on by D[-1] and that local part. The negative channels run
         the same loop in reversed cell order and land in ``T0[::-1, ::-1]``.
+        Entries of D and C below the smallest normal float are set to zero:
+        they add nothing to T0 (the default grids give the same T0 bit for
+        bit), while subnormal operands would stall the GEMMs and the C
+        updates wherever a block's transmission underflows.
         """
         n, m = self.E.shape[0], len(self.mu_pos)
         T = np.zeros((n + 1, n + 1))
@@ -258,6 +292,7 @@ class _Sweeper:
             for j0 in range(0, n, _BLOCK):
                 j1 = min(j0 + _BLOCK, n)
                 D = np.cumprod(E[j0:j1], axis=0)
+                D[D < _TINY] = 0.0
                 rows[j0 + 1:j1 + 1, :j0 + 1] += (D * cw) @ C[:j0 + 1].T
                 # phi(j + 1) = E phi(j) + (1 - E - F) S_j + F S_(j+1)
                 a = 1.0 - E[j0:j1] - F[j0:j1]
@@ -269,7 +304,35 @@ class _Sweeper:
                     rows[j0 + i + 1, j0:j0 + i + 2] += local[:i + 2] @ cw
                 C[:j0 + 1] *= D[-1]
                 C[j0:j1 + 1] += local
+                # C >= 0, as E, F and 1 - E - F are: this catches every
+                # subnormal
+                Cb = C[:j1 + 1]
+                Cb[Cb < _TINY] = 0.0
         return T
+
+    def far_response(self) -> np.ndarray:
+        """``apply(0, 0, ones)``, the response to unit inflow at x = L with no
+        source, without a sweep.
+
+        With no source a negative channel only decays, so its phi at node j
+        is the running product of its E from x = L down to j. np.cumprod
+        forms it _BLOCK cells at a time, seeded with the previous block's
+        last row, in the sweep's order of multiplication, and the source
+        takes the sweep's per-node dot products. As in `operator`, states
+        below the smallest normal float are set to zero, which the sums do
+        not feel (the default grids give the sweep's g bit for bit) and
+        which keeps subnormal operands out of the products and dots.
+        """
+        n, m = self.E.shape[0], len(self.mu_pos)
+        phi = np.ones(len(self.mu_neg))
+        red = [self.cw_neg @ phi]
+        for j0 in range(0, n, _BLOCK):
+            j1 = min(j0 + _BLOCK, n)
+            R = np.cumprod(np.vstack([phi, self.E[j0:j1, m:]]), axis=0)
+            R[R < _TINY] = 0.0
+            red.extend(self.cw_neg @ r for r in R[1:])
+            phi = R[-1]
+        return np.array(red[::-1])
 
 
 def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9,
@@ -279,15 +342,17 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
 
     One sweep G(S) = T S + G(0) is affine in S: G(0) is the sweep of a zero
     source at gradient k, and T = T0 + g p^T, where T0 (`_Sweeper.operator`)
-    sweeps with zero inflow at both ends and g sweeps a zero source with unit
-    far inflow, which the intercept row p scales by k0(S) = p . S[window].
-    LU solves for u = S - k x, (I - T) u = G(k x) - k x: u stays O(k0)
-    while S grows to k L, and the intercept's rounding error scales with the
-    size of the unknown (40-115 times larger for S itself). One more sweep
-    with the extracted k0 checks the result: its max|G(S) - S| is
-    `residual`, and it must not exceed tol * max(1, |k| L). The intercept
-    check enforces slope agreement with k and fit linearity. The three
-    sweeps are `iterations`.
+    sweeps with zero inflow at both ends and g (`_Sweeper.far_response`,
+    the running products of the negative channels' transmissions, no sweep)
+    answers a zero source with unit far inflow, which the intercept row p
+    scales by k0(S) = p . S[window]. LU solves for u = S - k x,
+    (I - T) u = G(k x) - k x: u stays O(k0) while S grows to k L, and the
+    intercept's rounding error scales with the size of the unknown (40-115
+    times larger for S itself). One more sweep with the extracted k0 checks
+    the result: its max|G(S) - S| is `residual`, and it must not exceed
+    tol * max(1, |k| L). The intercept check enforces slope agreement with k
+    and fit linearity. The two sweeps, G(k x) and the check, are
+    `iterations`.
     """
     sweeper = _Sweeper(model, grid)
     x = grid.x_nodes
@@ -302,9 +367,8 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     line = k * x
 
     rhs = sweeper.apply(line, zero_inflow, k * far) - line
-    g = sweeper.apply(np.zeros_like(x), zero_inflow, np.ones_like(far))
     A = sweeper.operator()
-    A[:, sel] += np.outer(g, p)
+    A[:, sel] += np.outer(sweeper.far_response(), p)
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += 1.0
     # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh): the
@@ -323,7 +387,7 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
         raise ConvergenceError(
             f"check sweep residual {residual:.3e} exceeds tol * max(1, |k| L) = {bound:.3e}")
     return DomResult(source=S, k0_extracted=k0, slope=slope,
-                     fit_window=window, iterations=3, residual=residual,
+                     fit_window=window, iterations=2, residual=residual,
                      diagnostics=grid.diagnostics)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,54 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             DomGrid.build(ctx.model(0.0), n_cells=4)
 
+    @pytest.mark.parametrize("ratio", [0.99, 0.0, -1.01, float("nan")])
+    def test_shrinking_cells_rejected(self, ctx, ratio):
+        with pytest.raises(ConfigurationError, match="ratio"):
+            DomGrid.build(ctx.model(0.0), n_cells=20, n_angle=4, n_freq=2, ratio=ratio)
+
+    def test_unit_ratio_is_uniform(self, ctx):
+        grid = DomGrid.build(ctx.model(0.0), L=20.0, n_cells=20, n_angle=4, n_freq=2,
+                             ratio=1.0)
+        assert np.array_equal(grid.x_nodes, np.linspace(0.0, 20.0, 21))
+
+
+class TestChannels:
+    @pytest.mark.parametrize("alpha,per_direction", [(0.0, 4), (0.5, 4 * 6)])
+    def test_one_channel_per_rate(self, ctx, alpha, per_direction):
+        # w ** 0.0 == 1.0, so at alpha 0 the frequencies of a direction share
+        # one rate; at alpha > 0 no two rates are equal and nothing merges
+        grid = DomGrid.build(ctx.model(alpha), L=20.0, n_cells=20, n_angle=8, n_freq=6)
+        sweeper = dom._Sweeper(ctx.model(alpha), grid)
+        assert len(sweeper.mu_pos) == len(sweeper.mu_neg) == per_direction
+        assert len(np.unique(sweeper.mu_pos)) == per_direction
+        assert np.all(sweeper.mu_pos > 0) and np.all(sweeper.mu_neg < 0)
+
+    @pytest.mark.parametrize("n_cells", [77, 20])
+    def test_merged_sweep_matches_unmerged(self, ctx, n_cells):
+        # one (v, w) channel each, as the sweep ran before equal rates merged
+        model = ctx.model(0.0)
+        grid = DomGrid.build(model, L=20.0, n_cells=n_cells, n_angle=8, n_freq=8)
+        sweeper = dom._Sweeper(model, grid)
+        pos = grid.v_nodes > 0
+        cw = np.outer(grid.v_weights, grid.w_weights) / (2.0 * np.sum(grid.w_weights))
+        mu = np.repeat(grid.v_nodes, len(grid.w_nodes)).reshape(cw.shape)
+        unmerged = SimpleNamespace(mu_pos=mu[pos].ravel(), cw_pos=cw[pos].ravel(),
+                                   mu_neg=mu[~pos].ravel(), cw_neg=cw[~pos].ravel())
+        rng = np.random.default_rng(n_cells)
+        S = grid.x_nodes + rng.normal(size=len(grid.x_nodes))
+        inflow_pos = rng.normal(size=len(sweeper.mu_pos))
+        inflow_neg = rng.normal(size=len(sweeper.mu_neg))
+
+        def spread(inflow, merged_mu, mu):
+            # the inflow depends on mu alone: each channel takes its rate's
+            return inflow[np.nonzero(mu[:, None] == merged_mu[None, :])[1]]
+
+        want, _, _ = _reference_sweep(
+            unmerged, grid, S, spread(inflow_pos, sweeper.mu_pos, unmerged.mu_pos),
+            spread(inflow_neg, sweeper.mu_neg, unmerged.mu_neg))
+        got = sweeper.apply(S, inflow_pos, inflow_neg)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 def _reference_sweep(sweeper, grid, S, inflow_pos, inflow_neg):
     """One loop per direction over channel-major columns, as the sweep was
@@ -125,26 +175,46 @@ def test_fused_sweep_matches_reference(ctx, alpha, n_cells):
     assert np.array_equal(sweeper.apply(S, inflow_pos, inflow_neg), want_out)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0])
-@pytest.mark.parametrize("n_cells", [77, 20])   # not a multiple of, and under, one block
-def test_operator_matches_sweep(ctx, alpha, n_cells):
+def _check_operator(model, grid, seed):
     # T v + g (p . v[sel]) is one sweep of v with far-end value p . v[sel]:
-    # block edges and the reversed negative direction must line up
-    model = ctx.model(alpha)
-    grid = DomGrid.build(model, L=20.0, n_cells=n_cells, n_angle=8, n_freq=8)
+    # block edges and the reversed negative direction must line up, and g
+    # must be the sweep's response to unit far inflow
     sweeper = dom._Sweeper(model, grid)
     x = grid.x_nodes
     sel = (x >= 0.6 * grid.L) & (x <= 0.9 * grid.L)
     p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
     zero_inflow = np.zeros_like(sweeper.mu_pos)
-    g = sweeper.apply(np.zeros_like(x), zero_inflow, np.ones_like(sweeper.mu_neg))
+    g = sweeper.far_response()
+    assert np.array_equal(
+        g, sweeper.apply(np.zeros_like(x), zero_inflow, np.ones_like(sweeper.mu_neg)))
     T = sweeper.operator()
-    rng = np.random.default_rng(n_cells)
+    rng = np.random.default_rng(seed)
     for _ in range(3):
         v = rng.normal(size=len(x))
         far = p @ v[sel]
         want = sweeper.apply(v, zero_inflow, np.full_like(sweeper.mu_neg, far))
         assert np.max(np.abs(T @ v + g * far - want)) <= 1e-12 * np.max(np.abs(want))
+    return sweeper
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("n_cells", [77, 20])   # not a multiple of, and under, one block
+def test_operator_matches_sweep(ctx, alpha, n_cells):
+    model = ctx.model(alpha)
+    grid = DomGrid.build(model, L=20.0, n_cells=n_cells, n_angle=8, n_freq=8)
+    _check_operator(model, grid, n_cells)
+
+
+def test_operator_matches_sweep_through_underflow(ctx):
+    # optically thick cells: the propagated state passes through the
+    # subnormal range, where operator and far_response set it to zero
+    model = ctx.model(1.0)
+    grid = DomGrid.build(model, L=30.0, n_cells=120, n_angle=8, n_freq=16)
+    sweeper = _check_operator(model, grid, 120)
+    tiny = np.finfo(float).tiny
+    for E in np.hsplit(sweeper.E, [len(sweeper.mu_pos)]):
+        through = np.cumprod(E, axis=0)
+        assert np.any((through > 0) & (through < tiny))
 
 
 class TestModes:
@@ -207,7 +277,7 @@ class TestSolve:
     def test_default_solves_pinned(self, ctx, alpha, k0):
         # the session's default-grid solves, which criterion 10 also reads
         res = ctx.dom_result(alpha)
-        assert res.iterations == 3
+        assert res.iterations == 2   # the constant term and the check
         assert res.residual <= 1e-12
         assert res.k0_extracted == pytest.approx(k0, rel=1e-12)
 
