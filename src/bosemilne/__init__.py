@@ -11,17 +11,15 @@ from .errors import (AccuracyError, BoseMilneError, ConfigurationError,
                      ConsistencyError, ConvergenceError, DivergenceError,
                      DomainError, ExtractionError, RangeError, ResolutionError)
 from .quadrature import PvIntegrand, QuadratureRule, gauss_rule, integrate, pv_integral
-from .special import (AlphaModel, PhysicalScales, einstein, moment_l0,
-                      physical_jump, xi_alpha)
+from .special import AlphaModel, einstein, moment_l0, xi_alpha
 from .dispersion import (DispersionSample, DispersionTable, build_theta_table,
                          index_kappa, lambda_boundary, lambda_case,
                          lambda_case_boundary, lambda_general)
-from .factorization import (FactorizationData, SpectrumCoefficient, V1Estimate,
-                            build_factorization, n_coefficient, v1_coefficient,
-                            v_cut, v_transform, x_boundary, x_factor)
-from .saddle import (SaddleSummary, lambda_surrogate, saddle_root,
-                     saddle_root_approx, surrogate_theta_table, v1_saddle)
-from .field import (MilneSolution, boundary_residual, discrete_modes, evaluate,
+from .factorization import (FactorizationData, V1Estimate, build_factorization,
+                            n_coefficient, v1_coefficient, v_cut, v_transform,
+                            x_boundary, x_factor)
+from .saddle import saddle_root, saddle_root_approx, surrogate_theta_table, v1_saddle
+from .field import (MilneSolution, boundary_residual, evaluate,
                     mode_equation_residual, solve_milne)
 from .dom import DomGrid, DomResult, extract_k0, freq_rule, mode_sweep_residual
 from .dom import solve as solve_transport

@@ -270,10 +270,9 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11, criterion_12)
 
 
-def run_all(numbers=None) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     ctx = AcceptanceContext()
-    selected = CRITERIA if numbers is None else [CRITERIA[n - 1] for n in numbers]
-    return [c(ctx) for c in selected]
+    return [c(ctx) for c in CRITERIA]
 
 
 def render_table(results: list[CriterionResult]) -> str:

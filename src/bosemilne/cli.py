@@ -65,13 +65,13 @@ def _parse_range(spec: str, name: str, geometric: bool) -> np.ndarray:
         raise ConfigurationError(f"{name}: bounds must be finite")
     if n <= 0:
         raise ConfigurationError(f"{name}: grid must be nonempty")
+    if geometric and lo <= 0:
+        raise ConfigurationError(f"{name}: geometric grid needs positive bounds")
     if n == 1:
         return np.array([lo])
     if not (lo < hi):
         raise ConfigurationError(f"{name}: need min < max")
     if geometric:
-        if lo <= 0:
-            raise ConfigurationError(f"{name}: geometric grid needs positive bounds")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
@@ -117,8 +117,7 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _validate_common(cfg: dict):
-    if "alpha" in cfg and not (0.0 <= cfg["alpha"] <= 3.0):
-        raise ConfigurationError(f"alpha must be in [0, 3], got {cfg['alpha']}")
+    """Checks of the shared flags; alpha's range is AlphaModel.build's."""
     if cfg.get("k") is not None and not math.isfinite(cfg["k"]):
         raise ConfigurationError(f"k must be finite, got {cfg['k']}")
     if cfg.get("tol") is not None and not (0.0 < cfg["tol"] < math.inf):
@@ -260,7 +259,7 @@ def cmd_profile(args) -> int:
 
     residual = field.boundary_residual(sol)
     values = {
-        "k0": _val(sol.k0, abs(cfg["k"]) * sol.factorization.v1_error),
+        "k0": _val(sol.factorization.k0, abs(cfg["k"]) * sol.factorization.v1_error),
         "v1": _val(sol.factorization.v1, sol.factorization.v1_error),
         "boundary_residual": _val(residual, "exact-by-construction"),
     }

@@ -38,6 +38,7 @@ from .util import ordered_map
 __all__ = [
     "DispersionSample",
     "DispersionTable",
+    "weighted_case_average",
     "lambda_case",
     "lambda_case_pv",
     "lambda_case_boundary",
@@ -62,6 +63,8 @@ _CHUNK = 64
 _PANEL_POINTS = 24
 _FIRST_PANELS = 8
 _FIT_ORDER = 64
+# refinement passes of a panel table before it is a ResolutionError
+_MAX_PASSES = 8
 # slit tables: nodes end at y = mu/edge = 1 - _SLIT_GAP
 _SLIT_GAP = 1e-13
 
@@ -124,7 +127,10 @@ def lambda_case_pv(mu):
 
 
 def lambda_case_boundary(mu: float, side: str = "above") -> complex:
-    """One-sided boundary value lam_C(mu +- i0) = pv(mu) +- i pi mu / 2, |mu| < 1."""
+    """One-sided boundary value lam_C(mu +- i0) = pv(mu) +- i pi mu / 2, |mu| < 1.
+
+    No command needs it: the tests use it as the reference for slit theta values.
+    """
     if not abs(mu) < 1.0:
         raise DomainError(f"boundary values exist only on (-1, 1), got mu={mu}")
     if side not in ("above", "below"):
@@ -153,12 +159,11 @@ def _case_theta(y: np.ndarray, slope: bool = False) -> np.ndarray:
     return np.where(inside, (0.5 * math.pi * re - im * d_re) / (re * re + im * im), 0.0)
 
 
-def weighted_case_average(model: AlphaModel, z, *, tol: float = 1e-12,
-                          max_depth: int = 24) -> complex:
+def weighted_case_average(model: AlphaModel, z, *, tol: float = 1e-12) -> complex:
     """The Planck-weighted average (1/l0) int w^(a+4) E(w) lam_C(w^a z) dw.
 
-    This is the generic integral route; at alpha = 0 it must collapse to
-    lam_C(z) itself, which the acceptance suite checks to 1e-12.
+    This is the generic integral route, at depth 24; at alpha = 0 it must
+    collapse to lam_C(z) itself, which the acceptance suite checks to 1e-12.
     """
     a = model.alpha
     zc = complex(z)
@@ -175,17 +180,17 @@ def weighted_case_average(model: AlphaModel, z, *, tol: float = 1e-12,
             p = w_cross * s
             if 0.0 < p < 0.5 * model.omega_cut:
                 pts.append(p)
-    val = quadrature.integrate(f, 0.0, model.omega_cut, tol, max_depth=max_depth, points=pts)
+    val = quadrature.integrate(f, 0.0, model.omega_cut, tol, max_depth=24, points=pts)
     return val / model.l0_alpha
 
 
-def lambda_general(model: AlphaModel, z, *, tol: float = 1e-11,
-                   max_depth: int = 24) -> complex:
+def lambda_general(model: AlphaModel, z) -> complex:
     """Frequency-averaged dispersion function lam(z) off the real axis.
 
     For alpha = 0 the weight integrates to 1 and lam is exactly lam_C. For
     alpha > 0 the cut fills the whole real axis, so only Im z != 0 is
-    accepted here; real arguments go through lambda_boundary.
+    accepted here; real arguments go through lambda_boundary. The weighted
+    average runs at tolerance 1e-11.
     """
     if model.alpha == 0.0:
         return lambda_case(z)
@@ -193,7 +198,7 @@ def lambda_general(model: AlphaModel, z, *, tol: float = 1e-11,
     if zc.imag == 0.0:
         raise DomainError(
             "for alpha > 0 the cut covers the real axis; use lambda_boundary")
-    return weighted_case_average(model, zc, tol=tol, max_depth=max_depth)
+    return weighted_case_average(model, zc, tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -275,15 +280,15 @@ def _re_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> n
     return shift + total / model.l0_alpha
 
 
-def lambda_boundary_batch(model: AlphaModel, mu, *, tol: float = 1e-10,
-                          max_depth: int = 20) -> list[DispersionSample]:
+def lambda_boundary_batch(model: AlphaModel, mu) -> list[DispersionSample]:
     """Boundary values lam+(mu) for an array of mu > 0, in input order.
 
     The real part integrates the principal value of lam_C(w^a mu) over the
     weight; the imaginary part is exact in terms of the truncated moment
     xi_a. All mus share one rule evaluation per piece (one Gauss panel with
-    the embedded half-panel error test); a mu whose panel fails the test is
-    redone adaptively. Each value depends only on its own mu.
+    the embedded half-panel error test); a mu whose panel fails the test at
+    tolerance 1e-10 is redone adaptively, to depth 20. Each value depends
+    only on its own mu.
     """
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
     if np.any(mus <= 0):
@@ -291,14 +296,13 @@ def lambda_boundary_batch(model: AlphaModel, mu, *, tol: float = 1e-10,
     if model.alpha == 0.0:
         return _samples(mus, *_slit_parts(mus), _case_theta(mus))
     im = 0.5 * math.pi * mus * special.xi_alpha(model, mus) / model.l0_alpha
-    re = _re_part(model, mus, tol, max_depth)
+    re = _re_part(model, mus, 1e-10, 20)
     return _samples(mus, re, im, map(math.atan2, im, re))
 
 
-def lambda_boundary(model: AlphaModel, mu: float, *, tol: float = 1e-10,
-                    max_depth: int = 20) -> DispersionSample:
+def lambda_boundary(model: AlphaModel, mu: float) -> DispersionSample:
     """Boundary value lam+(mu) for one mu > 0, with theta = atan2(Im, Re)."""
-    return lambda_boundary_batch(model, [mu], tol=tol, max_depth=max_depth)[0]
+    return lambda_boundary_batch(model, [mu])[0]
 
 
 @dataclass(frozen=True)
@@ -439,23 +443,22 @@ class DispersionTable:
         slope = (w @ (sc * yc)) / (w @ (sc * sc))
         return float(slope), float(np.sqrt(w @ (yc - slope * sc) ** 2 / w.sum()))
 
-    def excess_integral(self, rule=None) -> tuple[float, float]:
+    def excess_integral(self, rule) -> tuple[float, float]:
         """(value, error) of int_0^inf (pi - theta(mu)) dmu for a panel table.
 
-        Each panel is integrated with one Gauss rule in s (64 points by
-        default), the origin piece is the exact integral of its cubic
-        closure and the tail is the closed form of the asymptotic law. The
-        error sums, per panel, the size of the last three Chebyshev
-        coefficients times the panel's length in mu, and the change of the
-        tail when its exponent is replaced by the local slope of
-        ln(pi - theta) at mu_max. Raises DivergenceError when the tail does
-        not decay faster than 1/mu (alpha >= 3/2).
+        Each panel is integrated with the Gauss rule `rule` in s, the origin
+        piece is the exact integral of its cubic closure and the tail is the
+        closed form of the asymptotic law. The error sums, per panel, the
+        size of the last three Chebyshev coefficients times the panel's
+        length in mu, and the change of the tail when its exponent is
+        replaced by the local slope of ln(pi - theta) at mu_max. Raises
+        DivergenceError when the tail does not decay faster than 1/mu
+        (alpha >= 3/2).
         """
         if self.slit_edge is not None:
             raise ConsistencyError("slit tables integrate theta in closed form")
         require_convergent_tail(self.alpha)
         p = self.tail_exponent
-        rule = rule or quadrature.gauss_rule(64)
         sb = np.log(self.breaks)
         half = 0.5 * np.diff(sb)
         s = 0.5 * (sb[:-1] + sb[1:])[:, None] + half[:, None] * rule.nodes
@@ -487,26 +490,23 @@ def require_convergent_tail(alpha: float) -> None:
             f"alpha={alpha}; use the saddle-point approximation")
 
 
-def default_mu_grid(model: AlphaModel, n: int = 400, mu_min: float = 1e-4,
-                    mu_max: float | None = None) -> np.ndarray:
-    """Default sampling grid for the theta table.
+def default_mu_grid(model: AlphaModel) -> np.ndarray:
+    """Default sampling grid for the theta table, from mu = 1e-4.
 
-    alpha = 0: the slit-table nodes (`_slit_grid`), which seed the continuum
-    table. alpha > 0: geometric up to the first probe mu (30, 100, 300,
-    1000) where pi - theta < 1e-4, or 3000, where the power-law tail model
-    takes over; build_theta_table uses n = 9 of these points as the first
-    panel breaks.
+    alpha = 0: the 400 slit-table nodes (`_slit_grid`), which seed the
+    continuum table. alpha > 0: the _FIRST_PANELS + 1 first panel breaks,
+    geometric up to the first probe mu (30, 100, 300, 1000) where
+    pi - theta < 1e-4, or 3000, where the power-law tail model takes over.
     """
     if model.alpha == 0.0:
-        return _slit_grid(1.0, n, mu_min)
-    if mu_max is None:
-        mu_max = 3000.0
-        probes = (30.0, 100.0, 300.0, 1000.0)
-        for probe, s in zip(probes, lambda_boundary_batch(model, probes)):
-            if math.pi - s.theta < 1e-4:
-                mu_max = probe
-                break
-    return np.geomspace(mu_min, mu_max, n)
+        return _slit_grid(1.0, 400, 1e-4)
+    mu_max = 3000.0
+    probes = (30.0, 100.0, 300.0, 1000.0)
+    for probe, s in zip(probes, lambda_boundary_batch(model, probes)):
+        if math.pi - s.theta < 1e-4:
+            mu_max = probe
+            break
+    return np.geomspace(1e-4, mu_max, _FIRST_PANELS + 1)
 
 
 def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
@@ -526,7 +526,7 @@ def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
 
 
 def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
-                      theta_tol: float = 2e-8, max_passes: int = 8) -> DispersionTable:
+                      theta_tol: float = 2e-8) -> DispersionTable:
     """Tabulate lam+ on positive mu and theta = arg lam+ between the nodes.
 
     Since Im lam+ >= 0, atan2 already lands in [0, pi], which is the
@@ -534,17 +534,17 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
     (`_slit_table`): theta is exact, and the grid (default: 400 nodes of
     `_slit_grid`) only fixes the nodes. alpha > 0 gives a panel table
     (`_panel_table`), whose grid is the first set of panel breaks; theta_tol
-    is the accuracy its interpolant is refined to and max_passes bounds the
-    refinement. Neither applies to slit tables, which are exact.
+    is the accuracy its interpolant is refined to, in at most _MAX_PASSES
+    passes. Neither applies to slit tables, which are exact.
     """
     if grid is None:
-        grid = default_mu_grid(model, n=_FIRST_PANELS + 1 if model.alpha > 0.0 else 400)
+        grid = default_mu_grid(model)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ConsistencyError("grid must be a nonempty 1-d array")
     if model.alpha > 0.0:
-        return _panel_table(model, grid, theta_tol=theta_tol, max_passes=max_passes)
+        return _panel_table(model, grid, theta_tol)
     return _slit_table(grid, model.alpha, 1.0)
 
 
@@ -583,14 +583,14 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     return x, to_coeffs
 
 
-def _panel_table(model: AlphaModel, breaks, *, theta_tol=2e-8, max_passes=8):
+def _panel_table(model: AlphaModel, breaks, theta_tol: float) -> DispersionTable:
     """Panel table: theta as Chebyshev series in s = ln mu, refined by bisection.
 
     Every pass sends the Chebyshev-Lobatto points of all open panels that
     are not yet computed through one evaluate_boundary call. A panel is kept
     once its last three Chebyshev coefficients are all at most theta_tol/10
     (the interpolant's error estimate) and bisected in s otherwise; a panel
-    still open after max_passes is a ResolutionError.
+    still open after _MAX_PASSES passes is a ResolutionError.
     """
     x, to_coeffs = _lobatto()
     breaks = np.unique(np.asarray(breaks, dtype=float))
@@ -599,7 +599,7 @@ def _panel_table(model: AlphaModel, breaks, *, theta_tol=2e-8, max_passes=8):
     samples: dict[float, DispersionSample] = {}
     todo = list(zip(breaks[:-1], breaks[1:]))
     done = []
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         nodes = []
         for lo, hi in todo:
             a, b = math.log(lo), math.log(hi)
@@ -622,7 +622,7 @@ def _panel_table(model: AlphaModel, breaks, *, theta_tol=2e-8, max_passes=8):
             break
     else:
         raise ResolutionError(
-            f"{len(todo)} theta panels still miss {theta_tol:g} after {max_passes} passes")
+            f"{len(todo)} theta panels still miss {theta_tol:g} after {_MAX_PASSES} passes")
     done.sort(key=lambda panel: panel[0])
     nodes = sorted({m for *_, row in done for m in row.tolist()})
     return DispersionTable(samples=(_ORIGIN, *(samples[m] for m in nodes)),
@@ -631,12 +631,12 @@ def _panel_table(model: AlphaModel, breaks, *, theta_tol=2e-8, max_passes=8):
                            coeffs=np.array([c for _, _, c, _ in done]))
 
 
-def index_kappa(table: DispersionTable, tol: float = 1e-3) -> int:
+def index_kappa(table: DispersionTable) -> int:
     """Winding index of the factorisation coefficient: -(theta(inf)-theta(0))/pi.
 
     theta(inf) comes from theta_at: pi exactly for slit tables (lam+ is real
     negative beyond the edge) and the limit of the decaying tail model
-    otherwise. Must come out -1.
+    otherwise. Must come out -1, within 1e-3 of an integer.
     """
     if len(table.samples) < 8:
         raise ConsistencyError("table too coarse to determine the winding index")
@@ -646,7 +646,7 @@ def index_kappa(table: DispersionTable, tol: float = 1e-3) -> int:
     theta_inf = table.theta_at(math.inf)
     kappa_real = -(theta_inf - theta0) / math.pi
     kappa = round(kappa_real)
-    if abs(kappa_real - kappa) > tol:
+    if abs(kappa_real - kappa) > 1e-3:
         raise ConsistencyError(
-            f"winding {kappa_real} deviates from an integer by more than {tol}")
+            f"winding {kappa_real} deviates from an integer by more than 0.001")
     return kappa

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .special import AlphaModel
 
 __all__ = [
     "FactorizationData",
-    "SpectrumCoefficient",
     "V1Estimate",
     "N_SIGN",
     "v1_coefficient",
@@ -53,7 +51,6 @@ __all__ = [
     "x_factor",
     "x_boundary",
     "n_coefficient",
-    "n_jump_complex",
     "spectrum_table",
 ]
 
@@ -65,6 +62,8 @@ N_SIGN = -1.0
 # rows per lockstep call in v_cut and field.evaluate; bounds the node arrays
 # of one step
 ROWS = 32
+# most continuum nodes of spectrum_table (each costs one principal value)
+_SPECTRUM_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,7 @@ class V1Estimate:
     error: float
 
 
-@dataclass(frozen=True)
-class SpectrumCoefficient:
-    """Continuous-spectrum expansion coefficient n(eta) at one node."""
-
-    eta: float
-    n_value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.n_value):
-            raise DomainError(f"n({self.eta}) is not finite")
-
-
-def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None, *,
-                   tol: float = 1e-10, rule_order: int = 64) -> V1Estimate:
+def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None) -> V1Estimate:
     """Jump coefficient V1 = (1/pi) int_0^inf (pi - theta(mu)) dmu.
 
     Slit-type tables (alpha = 0, saddle surrogates) integrate theta in
@@ -99,16 +85,17 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None, *,
     the panel table integrates its interpolant and the asymptotic tail
     (DispersionTable.excess_integral); without a table the default one is
     built, unless the tail exponent alone already makes the integral
-    diverge (DivergenceError).
+    diverge (DivergenceError). Both routes use the 64-point Gauss rule, the
+    slit route at tolerance 1e-10.
     """
-    rule = quadrature.gauss_rule(rule_order)
+    rule = quadrature.gauss_rule(64)
     if table is None:
         if model.alpha == 0.0:
-            return _v1_slit(1.0, rule, tol)
+            return _v1_slit(1.0, rule, 1e-10)
         require_convergent_tail(model.alpha)
         table = build_theta_table(model)
     if table.slit_edge is not None:
-        return _v1_slit(table.slit_edge, rule, tol)
+        return _v1_slit(table.slit_edge, rule, 1e-10)
     value, error = table.excess_integral(rule)
     return V1Estimate(value=value / math.pi, error=error / math.pi)
 
@@ -134,7 +121,7 @@ def _v1_slit(edge: float, rule, tol: float) -> V1Estimate:
 
 @dataclass(frozen=True)
 class FactorizationData:
-    """Everything the field evaluation needs: theta table, V1, K, C0, K0."""
+    """Everything the field evaluation needs: theta table, V1, K and K0 = V1 K."""
 
     model: AlphaModel
     table: DispersionTable
@@ -145,10 +132,6 @@ class FactorizationData:
     def __post_init__(self):
         if self.v1 <= 0:
             raise DomainError(f"V1 must be positive, got {self.v1}")
-
-    @property
-    def c0(self) -> float:
-        return -2.0 * self.model.l0_alpha * self.k
 
     @property
     def k0(self) -> float:
@@ -182,11 +165,13 @@ def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
     return -c * val
 
 
-def v_transform(data: FactorizationData, z, *, tol: float = 1e-10) -> complex:
+def v_transform(data: FactorizationData, z) -> complex:
     """Cauchy transform V(z) = (1/pi) int_0^inf (theta(t) - pi)/(t - z) dt.
 
     z must stay off the closed positive real axis (the cut); boundary values
-    on the cut come from v_cut.
+    on the cut come from v_cut. No command needs V off the cut: this is the
+    reference that x_factor, and through it the tests' reconstruction of
+    N(z) = -2 l0 (K0 - K z) + C0/X(z), are built on.
     """
     zc = complex(z)
     if zc.imag == 0.0 and zc.real >= 0.0:
@@ -199,16 +184,16 @@ def v_transform(data: FactorizationData, z, *, tol: float = 1e-10) -> complex:
     pts = []
     if 0.0 < zc.real < table.mu_max:
         pts.append(zc.real)
-    val = quadrature.integrate(f, 0.0, table.mu_max, tol, max_depth=30, points=pts)
+    val = quadrature.integrate(f, 0.0, table.mu_max, 1e-10, max_depth=30, points=pts)
     val += complex(_tail_cauchy(data, zc)[0])
     return val / math.pi
 
 
-def v_cut(data: FactorizationData, eta, *, tol: float = 1e-9):
+def v_cut(data: FactorizationData, eta):
     """Principal value Vp(eta) of the Cauchy transform on the cut, 0 < eta < mu_max.
 
     Scalar or 1-d array eta; the principal values go through
-    quadrature.pv_rows, ROWS etas per call.
+    quadrature.pv_rows at tolerance 1e-9, ROWS etas per call.
     """
     table = data.table
     arr = np.asarray(eta, dtype=float)
@@ -223,18 +208,22 @@ def v_cut(data: FactorizationData, eta, *, tol: float = 1e-9):
     out = np.empty(etas.shape)
     for s in range(0, len(etas), ROWS):
         e = etas[s:s + ROWS]
-        pv = quadrature.pv_rows(g, e, 0.0, table.mu_max, tol, slopes=table.theta_slope(e),
+        pv = quadrature.pv_rows(g, e, 0.0, table.mu_max, 1e-9, slopes=table.theta_slope(e),
                                 max_depth=30)
         out[s:s + ROWS] = (pv + _tail_cauchy(data, e).real) / math.pi
     return out if arr.ndim else float(out[0])
 
 
-def x_factor(data: FactorizationData, z, *, tol: float = 1e-10) -> complex:
-    """Factorisation function X(z) = (1/z) exp V(z); the origin is excluded."""
+def x_factor(data: FactorizationData, z) -> complex:
+    """Factorisation function X(z) = (1/z) exp V(z); the origin is excluded.
+
+    Kept as a reference: the tests rebuild N(z) = -2 l0 (K0 - K z) + C0/X(z)
+    off the cut from the tabulated continuum coefficient and compare.
+    """
     zc = complex(z)
     if zc == 0.0:
         raise DomainError("X(z) has the explicit 1/z factor; z = 0 is excluded")
-    return (1.0 / zc) * _cexp(v_transform(data, zc, tol=tol))
+    return (1.0 / zc) * _cexp(v_transform(data, zc))
 
 
 def x_boundary(data: FactorizationData, mu: float, side: str = "above") -> complex:
@@ -252,8 +241,7 @@ def _cexp(w: complex) -> complex:
                    math.exp(w.real) * math.sin(w.imag))
 
 
-def n_coefficient(data: FactorizationData, eta: float, *,
-                  vp: float | None = None) -> SpectrumCoefficient:
+def n_coefficient(data: FactorizationData, eta: float, *, vp: float | None = None) -> float:
     """Continuum coefficient n(eta) from the jump of C0/X across the cut.
 
     Real closed form N_SIGN * (2 l0 K / pi) e^{-Vp} sin(pi - theta). Beyond a
@@ -264,49 +252,34 @@ def n_coefficient(data: FactorizationData, eta: float, *,
         raise DomainError(f"eta must be positive, got {eta}")
     table = data.table
     if table.slit_edge is not None and eta >= table.slit_edge:
-        return SpectrumCoefficient(eta=eta, n_value=0.0)
+        return 0.0
     if eta >= table.mu_max:
         raise RangeError(f"eta={eta} beyond the tabulated range {table.mu_max}")
     if data.k == 0.0:
-        return SpectrumCoefficient(eta=eta, n_value=0.0)
+        return 0.0
     vp = v_cut(data, eta) if vp is None else vp
     theta = float(table.theta_at(eta))
     amp = 2.0 * data.model.l0_alpha * data.k / math.pi
-    return SpectrumCoefficient(eta=eta,
-                               n_value=N_SIGN * amp * math.exp(-vp) * math.sin(math.pi - theta))
+    n = N_SIGN * amp * math.exp(-vp) * math.sin(math.pi - theta)
+    if not math.isfinite(n):
+        raise DomainError(f"n({eta}) is not finite")
+    return n
 
 
-def n_jump_complex(data: FactorizationData, eta: float) -> complex:
-    """n(eta) evaluated literally as -2 l0 K (1/X+ - 1/X-) / (2 pi i eta).
-
-    Independent of the real closed form used by n_coefficient; its imaginary
-    part must vanish by conjugate symmetry (reality check in the tests).
-    """
-    xp = x_boundary(data, eta, "above")
-    xm = x_boundary(data, eta, "below")
-    return -2.0 * data.model.l0_alpha * data.k * (1.0 / xp - 1.0 / xm) \
-        / (2.0j * math.pi * eta)
-
-
-def spectrum_table(data: FactorizationData, etas: Sequence[float] | None = None,
-                   *, n_nodes: int = 400) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spectrum_table(data: FactorizationData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate (eta, Vp(eta), n(eta)) over the cut.
 
-    Returns arrays (etas, vp, n). Default nodes are the table's nodes,
-    subsampled to at most n_nodes (n is smooth; each node costs one
+    Returns arrays (etas, vp, n). The nodes are the table's nodes,
+    subsampled to at most _SPECTRUM_NODES (n is smooth; each node costs one
     principal-value integral), strictly inside the tabulated range so the
     principal value is well defined at each of them.
     """
     table = data.table
-    if etas is None:
-        mu = table.mu
-        inner = mu[(mu > 0.0) & (mu < table.mu_max)]
-        if len(inner) > n_nodes:
-            idx = np.unique(np.linspace(0, len(inner) - 1, n_nodes).astype(int))
-            inner = inner[idx]
-        etas = inner
-    etas = np.asarray(etas, dtype=float)
+    mu = table.mu
+    etas = mu[(mu > 0.0) & (mu < table.mu_max)]
+    if len(etas) > _SPECTRUM_NODES:
+        idx = np.unique(np.linspace(0, len(etas) - 1, _SPECTRUM_NODES).astype(int))
+        etas = etas[idx]
     vps = v_cut(data, etas)
-    ns = np.array([n_coefficient(data, e, vp=vp).n_value
-                   for e, vp in zip(etas, vps)])
+    ns = np.array([n_coefficient(data, e, vp=vp) for e, vp in zip(etas, vps)])
     return etas, vps, ns

@@ -43,7 +43,6 @@ from .special import AlphaModel
 
 __all__ = [
     "MilneSolution",
-    "discrete_modes",
     "solve_milne",
     "evaluate",
     "boundary_residual",
@@ -62,11 +61,6 @@ _EXP_UNDERFLOW = 745.0
 _EDGE_BAND = 2e-6
 
 
-def discrete_modes(x: float, mu: float) -> tuple[float, float]:
-    """The two polynomial solutions of the transport equation: (1, x - mu)."""
-    return 1.0, x - mu
-
-
 def _pchip(x: np.ndarray, y: np.ndarray):
     """scipy's PchipInterpolator on (x, y), no extrapolation.
 
@@ -79,12 +73,9 @@ def _pchip(x: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class MilneSolution:
-    """Factorisation constants plus the tabulated continuum coefficient."""
+    """The factorisation (model, K, K0 = V1 K) plus the tabulated continuum coefficient."""
 
-    model: AlphaModel
     factorization: FactorizationData
-    k: float
-    k0: float
     _etas: np.ndarray = dc_field(repr=False)
     _vps: np.ndarray = dc_field(repr=False)
     _ns: np.ndarray = dc_field(repr=False)
@@ -92,8 +83,6 @@ class MilneSolution:
     def __post_init__(self):
         if len(self._etas) < 4 or np.any(np.diff(self._etas) <= 0):
             raise DomainError("continuum nodes must be positive and strictly increasing")
-        if self.k != 0.0 and abs(self.k0 / self.k - self.factorization.v1) > 1e-13:
-            raise DomainError("k0/k must equal the factorisation V1")
 
     @cached_property
     def eta_n_interp(self):
@@ -114,11 +103,6 @@ class MilneSolution:
     def eta_max(self) -> float:
         return float(self._etas[-1])
 
-    @property
-    def support_end(self) -> float:
-        edge = self.factorization.table.slit_edge
-        return float(edge) if edge is not None else self.eta_max
-
 
 def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSolution:
     """Build the full solution: theta table, factorisation, continuum table."""
@@ -126,8 +110,7 @@ def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSoluti
         table = build_theta_table(model)
     data = build_factorization(model, table, k=k)
     etas, vps, ns = spectrum_table(data)
-    return MilneSolution(model=model, factorization=data, k=k, k0=data.k0,
-                         _etas=etas, _vps=vps, _ns=ns)
+    return MilneSolution(factorization=data, _etas=etas, _vps=vps, _ns=ns)
 
 
 def _tail_law(sol: MilneSolution) -> float | None:
@@ -167,11 +150,11 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
             raise RangeError(f"mu={float(mu[bad][0])!r} {why}")
 
 
-def _continuum_integral(sol: MilneSolution, x, mu, tol: float = 1e-9):
+def _continuum_integral(sol: MilneSolution, x, mu):
     """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range, plus the tail.
 
     x and mu broadcast; principal-value rows (0 < mu < eta_max) and plain
-    rows each go through one batched quadrature.
+    rows each go through one batched quadrature at tolerance 1e-9.
     """
     xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
     x, mu = xb.ravel(), mb.ravel()
@@ -188,11 +171,11 @@ def _continuum_integral(sol: MilneSolution, x, mu, tol: float = 1e-9):
     out = np.empty(mu.shape)
     pv = (0.0 < mu) & (mu < b)
     if np.any(pv):
-        out[pv] = quadrature.pv_rows(f, mu[pv], 0.0, b, tol, params=(x[pv],), max_depth=30)
+        out[pv] = quadrature.pv_rows(f, mu[pv], 0.0, b, 1e-9, params=(x[pv],), max_depth=30)
     if not np.all(pv):
         n = int(np.sum(~pv))
         out[~pv] = quadrature.integrate_rows(
-            plain, np.zeros(n), np.full(n, b), tol, params=(x[~pv], mu[~pv]), max_depth=30,
+            plain, np.zeros(n), np.full(n, b), 1e-9, params=(x[~pv], mu[~pv]), max_depth=30,
             scale=float(np.max(np.abs(sol._ns)) + 1e-300))
     return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
 
@@ -232,7 +215,7 @@ def _delta_term(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray
         vp[below] = v_cut(sol.factorization, m[below])
     vp[~below] = sol.vp_interp(m[~below])
     theta = table.theta_at(m)
-    out[live] = N_SIGN * sol.k * m * np.exp(-vp) * np.cos(theta) * np.exp(-arg[live])
+    out[live] = N_SIGN * sol.factorization.k * m * np.exp(-vp) * np.cos(theta) * np.exp(-arg[live])
     return out
 
 
@@ -247,55 +230,53 @@ def evaluate(sol: MilneSolution, x, mu):
     xs, mus = xb.ravel(), mb.ravel()
     if np.any(xs < 0.0):
         raise DomainError(f"x must be nonnegative, got {xs[xs < 0.0][0]}")
+    data = sol.factorization
     out = np.zeros(xs.shape)
-    if sol.k != 0.0:
+    if data.k != 0.0:
         _check_range(sol, xs, mus)
         for s in range(0, len(xs), ROWS):
             x, mu = xs[s:s + ROWS], mus[s:s + ROWS]
-            cont = _continuum_integral(sol, x, mu) / (2.0 * sol.model.l0_alpha)
-            out[s:s + ROWS] = sol.k0 + sol.k * (x - mu) + cont + _delta_term(sol, x, mu)
+            cont = _continuum_integral(sol, x, mu) / (2.0 * data.model.l0_alpha)
+            out[s:s + ROWS] = data.k0 + data.k * (x - mu) + cont + _delta_term(sol, x, mu)
     return float(out[0]) if xb.ndim == 0 else out.reshape(xb.shape)
 
 
-def boundary_residual(sol: MilneSolution, grid=None) -> float:
-    """max |phi(0, mu)| over a positive-mu grid, normalised by |K| (1 + V1)."""
-    if sol.k == 0.0:
+def boundary_residual(sol: MilneSolution) -> float:
+    """max |phi(0, mu)| over 25 geometric mu from max(1e-3, 2 eta_min) to
+    0.95 of the continuum's end (slit edge or eta_max), normalised by |K| (1 + V1)."""
+    data = sol.factorization
+    if data.k == 0.0:
         return 0.0
-    if grid is None:
-        hi = 0.95 * sol.support_end
-        grid = np.geomspace(max(1e-3, 2.0 * sol.eta_min), hi, 25)
+    edge = data.table.slit_edge
+    end = float(edge) if edge is not None else sol.eta_max
+    grid = np.geomspace(max(1e-3, 2.0 * sol.eta_min), 0.95 * end, 25)
     vals = np.abs(evaluate(sol, 0.0, grid))
-    return float(np.max(vals)) / (abs(sol.k) * (1.0 + sol.factorization.v1))
+    return float(np.max(vals)) / (abs(data.k) * (1.0 + data.v1))
 
 
-def mode_equation_residual(model: AlphaModel, mode: str, x_grid=None,
-                           mu_grid=None, n_v: int = 64,
-                           n_omega: int = 64) -> float:
+def mode_equation_residual(model: AlphaModel, mode: str) -> float:
     """Residual of a discrete mode in the quadrature-discretised transport equation.
 
     The stationary equation mu phi_x + phi = (1/(2 l0)) int w^(a+4) E dw
-    int_-1^1 phi(x, w^-a m') dm' is discretised with a Gauss rule in each
-    integral, the moment l0 being the same discrete sum so the constant mode
-    is annihilated identically; the odd integrand kills the gradient mode.
-    Returns the max residual over the (x, mu) grid.
+    int_-1^1 phi(x, w^-a m') dm' is discretised with a 64-point Gauss rule
+    in each integral, the moment l0 being the same discrete sum so the
+    constant mode is annihilated identically; the odd integrand kills the
+    gradient mode. Returns the max residual over x in (0, 0.7, 3) and mu in
+    (-2, -0.5, 0.3, 1.5).
     """
     if mode not in ("+", "-"):
         raise DomainError(f"mode must be '+' or '-', got {mode!r}")
     from .special import einstein
 
-    x_grid = np.asarray([0.0, 0.7, 3.0] if x_grid is None else x_grid, dtype=float)
-    mu_grid = np.asarray([-2.0, -0.5, 0.3, 1.5] if mu_grid is None else mu_grid, dtype=float)
-
-    w_rule = quadrature.gauss_rule(n_omega)
-    w, ww = w_rule.map_to(0.0, model.omega_cut)
+    rule = quadrature.gauss_rule(64)
+    w, ww = rule.map_to(0.0, model.omega_cut)
     big_w = ww * w ** (model.alpha + 4) * einstein(w)
     l0_disc = float(np.sum(big_w))
-    v_rule = quadrature.gauss_rule(n_v)
-    vk, ak = v_rule.nodes, v_rule.weights
+    vk, ak = rule.nodes, rule.weights
 
     worst = 0.0
-    for x in x_grid:
-        for mu in mu_grid:
+    for x in np.array([0.0, 0.7, 3.0]):
+        for mu in np.array([-2.0, -0.5, 0.3, 1.5]):
             if mode == "+":
                 lhs = 1.0
                 inner = np.full_like(w, np.sum(ak))          # int_-1^1 1 dm'

@@ -13,8 +13,9 @@ integration variable, to
 
     V1_tilde(alpha) = w0^-alpha * V1(0).
 
-This route stays available for all alpha, including alpha >= 3/2 where the
-exact V1 integral diverges.
+`v1_saddle` evaluates it for all alpha, including alpha >= 3/2 where the
+exact V1 integral diverges; the tests check the identity by pushing
+`surrogate_theta_table`, the surrogate's slit table, through that machinery.
 
 The root comes from `_brentq`, a line-for-line port of scipy's brentq.c
 (Brent, Algorithms for Minimization without Derivatives, 1973): the same
@@ -26,21 +27,17 @@ the `v1` command's start-up time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionTable, _slit_grid, _slit_table, lambda_case
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .dispersion import DispersionTable, _slit_grid, _slit_table
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SaddleSummary",
     "saddle_root",
     "saddle_root_approx",
     "v1_saddle",
-    "lambda_surrogate",
     "surrogate_theta_table",
-    "summarize",
 ]
 
 
@@ -95,11 +92,12 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
     raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def saddle_root(alpha: float, tol: float = 1e-12) -> float:
+def saddle_root(alpha: float) -> float:
     """Nontrivial root w0 of e^w = (alpha+4+w)/(alpha+4-w) in (0, alpha+4).
 
     w = 0 always solves the equation and the right side blows up at
-    w = alpha+4, so the bracket leaves a relative margin at both ends.
+    w = alpha+4, so the bracket leaves a relative margin at both ends. The
+    root's residual must be within max(1e-12, 64 eps (alpha+4) e^w0).
     """
     if alpha < 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
@@ -107,7 +105,7 @@ def saddle_root(alpha: float, tol: float = 1e-12) -> float:
     eps = 1e-9 * a4
     lo, hi = eps, a4 - eps
     root = _brentq(lambda w: _saddle_fn(w, a4), lo, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(_saddle_fn(root, a4)) > max(tol, 64 * np.finfo(float).eps * a4 * math.exp(root)):
+    if abs(_saddle_fn(root, a4)) > max(1e-12, 64 * np.finfo(float).eps * a4 * math.exp(root)):
         raise ConvergenceError(f"root residual too large at alpha={alpha}")
     return float(root)
 
@@ -126,50 +124,14 @@ def v1_saddle(alpha: float, v1_zero: float) -> float:
     return w0 ** (-alpha) * v1_zero
 
 
-def lambda_surrogate(alpha: float, omega0: float, z) -> complex:
-    """Surrogate dispersion function lam_C(w0^alpha z); cut on |w0^alpha z| <= 1."""
-    if omega0 <= 0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
-    return lambda_case(omega0 ** alpha * z)
-
-
-def surrogate_theta_table(alpha: float, omega0: float | None = None,
-                          n: int = 400) -> DispersionTable:
+def surrogate_theta_table(alpha: float) -> DispersionTable:
     """Slit-type theta table of the surrogate function on (0, w0^-alpha).
 
-    lam+ = lam_C(mu w0^alpha + i0) and theta are in closed form; the n
-    nodes only seed the continuum table. Feeding this table to the generic
-    V1 machinery must reproduce w0^-alpha * V1(0); the scaling identity is
-    exercised by the tests rather than assumed.
+    lam+ = lam_C(mu w0^alpha + i0) and theta are in closed form; the 400
+    nodes only seed the continuum table. No command builds it: it is the
+    reference the tests push through the generic V1 machinery, which must
+    reproduce w0^-alpha * V1(0) (the scaling identity is checked, not
+    assumed).
     """
-    w0 = saddle_root(alpha) if omega0 is None else omega0
-    edge = w0 ** (-alpha)
-    return _slit_table(_slit_grid(edge, n, 1e-4), alpha, edge)
-
-
-@dataclass(frozen=True)
-class SaddleSummary:
-    """Saddle frequency, its approximation, and the resulting V1_tilde."""
-
-    alpha: float
-    omega0: float
-    omega0_approx: float
-    v1_tilde: float
-    v1_exact_ref: float | None
-
-    def __post_init__(self):
-        if not (0.0 < self.omega0 < self.alpha + 4.0):
-            raise ConsistencyError("saddle root must lie in (0, alpha + 4)")
-        if abs(self.omega0_approx - self.omega0) > 0.01 * self.omega0:
-            raise ConsistencyError(
-                "closed-form saddle approximation deviates by more than 1%")
-
-
-def summarize(alpha: float, v1_zero: float,
-              v1_exact: float | None = None) -> SaddleSummary:
-    """Bundle the saddle quantities for one alpha."""
-    w0 = saddle_root(alpha)
-    return SaddleSummary(alpha=alpha, omega0=w0,
-                         omega0_approx=saddle_root_approx(alpha),
-                         v1_tilde=w0 ** (-alpha) * v1_zero,
-                         v1_exact_ref=v1_exact)
+    edge = saddle_root(alpha) ** (-alpha)
+    return _slit_table(_slit_grid(edge, 400, 1e-4), alpha, edge)

@@ -1,4 +1,4 @@
-"""Einstein function, Planck-weight frequency moments, and physical scaling.
+"""Einstein function and the Planck-weight frequency moments.
 
 The Einstein function E(x) = e^x/(e^x-1)^2 is the temperature derivative
 kernel of the Planck occupation. Everything downstream integrates against the
@@ -22,12 +22,10 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 
 __all__ = [
     "AlphaModel",
-    "PhysicalScales",
     "einstein",
     "einstein_reg",
     "moment_l0",
     "xi_alpha",
-    "physical_jump",
 ]
 
 OMEGA_CUT_DEFAULT = 80.0
@@ -74,14 +72,15 @@ def einstein_reg(x):
     return out if arr.ndim else float(out)
 
 
-def moment_l0(p: float, *, tol: float = 1e-12) -> float:
+def moment_l0(p: float) -> float:
     """Frequency moment int_0^inf w^(p+4) E(w) dw by quadrature.
 
     Converges classically for p > -3. On (-4, -3) the small-w divergence is
     removed analytically (E = 1/w^2 - 1/12 + O(w^2)), which continues the
     moment to the value Gamma(p+5) zeta(p+4); p = -3 sits on the zeta pole.
     The e^-w tail makes truncation at OMEGA_CUT_DEFAULT = 80 exact to
-    ~1e-30. Both pieces use quadrature.integrate's default rule and depth.
+    ~1e-30. Both pieces use quadrature.integrate's default rule and depth at
+    tolerance 1e-12.
     """
     if p <= -4.0:
         raise DivergenceError(f"moment diverges for p <= -4 (got p={p})")
@@ -95,9 +94,9 @@ def moment_l0(p: float, *, tol: float = 1e-12) -> float:
     def head_integrand(w):
         return w ** (p + 4) * einstein_reg(w)
 
-    head = quadrature.integrate(head_integrand, 0.0, 1.0, tol)
+    head = quadrature.integrate(head_integrand, 0.0, 1.0, 1e-12)
     head += 1.0 / (p + 3.0) - 1.0 / (12.0 * (p + 5.0))
-    tail = quadrature.integrate(tail_integrand, 1.0, OMEGA_CUT_DEFAULT, tol)
+    tail = quadrature.integrate(tail_integrand, 1.0, OMEGA_CUT_DEFAULT, 1e-12)
     return head + tail
 
 
@@ -170,38 +169,3 @@ def xi_alpha(model: AlphaModel, mu):
         out[rows] = vals
     return out if arr.ndim else float(out[0])
 
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Dimensional inputs: reference temperature, collision prefactor, speed, hbar/k.
-
-    nu0 carries units s^-1 (rad/s)^-alpha so that nu(w) = nu0 w^alpha is a
-    frequency; hbar_over_k is in kelvin-seconds.
-    """
-
-    t0: float
-    nu0: float
-    c: float
-    hbar_over_k: float
-
-    def __post_init__(self):
-        for name in ("t0", "nu0", "c", "hbar_over_k"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigurationError(f"{name} must be positive and finite")
-
-    def length_scale(self, alpha: float) -> float:
-        """Metres per dimensionless length unit: (c/nu0) (k T0/hbar)^-alpha."""
-        ls = (self.c / self.nu0) * (self.t0 / self.hbar_over_k) ** (-alpha)
-        if not (math.isfinite(ls) and ls > 0):
-            raise ConfigurationError("length scale is not positive and finite")
-        return ls
-
-
-def physical_jump(scales: PhysicalScales, model: AlphaModel,
-                  k_phys: float, v1: float) -> float:
-    """Boundary temperature offset T1 - T0 = V1(alpha) * length_scale * K_phys.
-
-    K_phys is the imposed far-field gradient in K/m; the result is in kelvin.
-    """
-    return v1 * scales.length_scale(model.alpha) * k_phys

@@ -99,6 +99,15 @@ class TestDispersionCommand:
         code, _ = run_cli(["dispersion", "--alpha", "0", "--grid-mu", "0.1:1:0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["0:1:1", "-3:1:1"])
+    def test_one_point_grid_needs_a_positive_bound(self, spec, tmp_path, capsys):
+        # a one-point geometric grid is checked like a longer one, not left
+        # to fail in lambda_boundary (exit 1)
+        code = cli.main(["dispersion", "--alpha", "0", f"--grid-mu={spec}",
+                         "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "geometric grid needs positive bounds" in capsys.readouterr().err
+
 
 class TestProfileCommand:
     def test_zero_gradient_rows(self, tmp_path, capsys):
@@ -221,6 +230,16 @@ class TestOracleCommand:
         assert code == 0
         env = json.loads(out)
         assert env["values"]["k0_extracted"]["value"] == 0.0
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_infinite_slab_is_a_configuration_error(self, route, tmp_path, capsys):
+        # L = inf used to reach the solve and end in numpy's LinAlgError
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dom_length=inf\n")
+        small = ["--dom-cells", "64", "--dom-angles", "4", "--dom-freqs", "4"]
+        argv = (["--dom-length", "inf"] if route == "flag" else ["--config", str(cfg)])
+        assert cli.main(["oracle", *small, *argv]) == 2
+        assert "slab length must be positive and finite" in capsys.readouterr().err
 
     def test_max_iter_one_fails(self):
         # the solve is direct: there is no iteration cap to set

@@ -6,15 +6,11 @@ import pytest
 
 from bosemilne import factorization as fz, field, quadrature
 from bosemilne.errors import DomainError, RangeError
-from bosemilne.field import (MilneSolution, boundary_residual, discrete_modes,
-                             evaluate, mode_equation_residual, solve_milne)
+from bosemilne.field import (MilneSolution, boundary_residual, evaluate,
+                             mode_equation_residual, solve_milne)
 
 
 class TestDiscreteModes:
-    def test_values(self):
-        assert discrete_modes(0.0, 0.0) == (1.0, 0.0)
-        assert discrete_modes(3.0, 1.0) == (1.0, 2.0)
-
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("mode", ["+", "-"])
     def test_equation_residual(self, ctx, alpha, mode):
@@ -34,8 +30,9 @@ class TestEvaluate:
 
     def test_far_field_asymptote(self, sol0):
         mu = -0.5
+        data = sol0.factorization
         for x in (5.0, 10.0, 20.0):
-            dev = abs(evaluate(sol0, x, mu) - (sol0.k0 + sol0.k * (x - mu)))
+            dev = abs(evaluate(sol0, x, mu) - (data.k0 + data.k * (x - mu)))
             assert dev <= math.exp(-x)  # continuum support ends at eta = 1
 
     def test_boundary_value_near_zero(self, sol0):
@@ -46,15 +43,16 @@ class TestEvaluate:
         # alpha = 0, mu > 1: no continuum delta mode, value stays finite
         val = evaluate(sol0, 0.5, 1.5)
         assert math.isfinite(val)
-        no_delta = sol0.k0 + sol0.k * (0.5 - 1.5) + \
-            field._continuum_integral(sol0, 0.5, 1.5) / (2 * sol0.model.l0_alpha)
+        data = sol0.factorization
+        no_delta = data.k0 + data.k * (0.5 - 1.5) + \
+            field._continuum_integral(sol0, 0.5, 1.5) / (2 * data.model.l0_alpha)
         assert val == pytest.approx(no_delta, rel=1e-12)
 
     @pytest.mark.parametrize("mu,h", [(-1.0, 2.907809), (0.0, 1.0)])
     def test_emergent_distribution(self, sol0, mu, h):
         # one-speed Milne problem: phi(0, -m) = K H(m) / sqrt(3), with
         # Chandrasekhar's H(1) = 2.907809 and H(0) = 1
-        want = sol0.k * h / math.sqrt(3.0)
+        want = sol0.factorization.k * h / math.sqrt(3.0)
         tol = 1e-5 * (1.0 + sol0.factorization.v1)
         assert abs(evaluate(sol0, 0.0, mu) - want) <= tol
 
@@ -65,7 +63,7 @@ class TestEvaluate:
         sol = ctx.solution(alpha)
         assert mu < sol.eta_min
         val = evaluate(sol, 0.0, mu)
-        assert abs(val) <= 1e-5 * abs(sol.k) * (1.0 + sol.factorization.v1)
+        assert abs(val) <= 1e-5 * abs(sol.factorization.k) * (1.0 + sol.factorization.v1)
 
     def test_linearity_in_k(self, ctx, table0):
         sol1 = solve_milne(ctx.model(0.0), k=1.0, table=table0)
@@ -142,16 +140,15 @@ class TestBoundaryResidual:
     def test_alpha_one_pipeline(self, ctx):
         # exercises the algebraic-tail branches of Vp, n, and the eta integral
         sol = ctx.solution(1.0)
-        assert sol.k0 == pytest.approx(ctx.v1(1.0).value, rel=1e-12)
+        assert sol.factorization.k0 == pytest.approx(ctx.v1(1.0).value, rel=1e-12)
         assert boundary_residual(sol) <= 5e-4
 
     def test_sign_flip_detector(self, sol0):
-        flipped = MilneSolution(
-            model=sol0.model, factorization=sol0.factorization,
-            k=sol0.k, k0=sol0.k0,
-            _etas=sol0._etas, _vps=sol0._vps, _ns=-sol0._ns)
+        flipped = MilneSolution(factorization=sol0.factorization,
+                                _etas=sol0._etas, _vps=sol0._vps, _ns=-sol0._ns)
         assert boundary_residual(flipped) > 0.1
 
     def test_invariant_k0_over_k(self, sol0):
-        assert sol0.k0 / sol0.k == sol0.factorization.v1
+        data = sol0.factorization
+        assert data.k0 / data.k == data.v1
         assert np.all(np.diff(sol0._etas) > 0)

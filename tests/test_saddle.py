@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bosemilne import factorization as fz, saddle
-from bosemilne.dispersion import lambda_case, lambda_case_boundary
-from bosemilne.errors import ConsistencyError, ConvergenceError, DomainError
+from bosemilne.dispersion import lambda_case_boundary
+from bosemilne.errors import ConvergenceError, DomainError
 
 W0_EXACT = {0.0: 3.83001609630907, 2.0: 5.96940917071577}
 
@@ -87,23 +87,27 @@ class TestV1Saddle:
 
 
 class TestSurrogate:
-    def test_alpha_zero_is_case_function(self):
-        z = 1.3 + 0.4j
-        assert saddle.lambda_surrogate(0.0, saddle.saddle_root(0.0), z) == lambda_case(z)
+    # the surrogate is lam_C(w0^alpha z): alpha 0's slit table, stretched
+    def test_alpha_zero_is_case_function(self, table0):
+        # w0^0 = 1: the surrogate slit is Case's own, node for node
+        assert saddle.surrogate_theta_table(0.0).samples == table0.samples
 
     def test_origin(self):
-        assert saddle.lambda_surrogate(2.0, saddle.saddle_root(2.0), 0.0) == 1.0
+        # lam = 1 at z = 0, so theta starts at 0 on every slit
+        assert saddle.surrogate_theta_table(2.0).theta_at(0.0) == 0.0
 
-    def test_argument_substitution(self):
+    def test_argument_substitution(self, table0):
         w0 = saddle.saddle_root(2.0)
-        assert saddle.lambda_surrogate(2.0, w0, 2j / w0 ** 2) == pytest.approx(
-            lambda_case(2j), rel=1e-14)
+        table = saddle.surrogate_theta_table(2.0)
+        mus = np.geomspace(1e-4, 0.99, 50) / w0 ** 2
+        np.testing.assert_allclose(table.theta_at(mus), table0.theta_at(w0 ** 2 * mus),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_generic_pipeline_reproduces_scaling(self, ctx, alpha):
         # the theta/V1 machinery on the surrogate slit collapses to w0^-alpha V1(0)
         w0 = saddle.saddle_root(alpha)
-        table = saddle.surrogate_theta_table(alpha, w0)
+        table = saddle.surrogate_theta_table(alpha)
         model = ctx.model(alpha)
         est = fz.v1_coefficient(model, table)
         want = w0 ** (-alpha) * ctx.v1(0.0).value
@@ -118,17 +122,3 @@ class TestSurrogate:
         fresh = np.array([cmath.phase(lambda_case_boundary(m / table.slit_edge)) for m in mus])
         assert np.max(np.abs(table.theta_at(mus) - fresh)) <= 2e-8
         assert np.all(table.theta_at(table.slit_edge * np.array([1.0, 3.0])) == math.pi)
-
-
-class TestSummary:
-    def test_fields(self, ctx):
-        s = saddle.summarize(2.0, ctx.v1(0.0).value)
-        assert s.alpha == 2.0
-        assert abs(s.v1_tilde - 0.01994) <= 1e-5
-        assert s.v1_exact_ref is None
-        assert 0.0 < s.omega0 < 6.0
-
-    def test_invariant_guard(self):
-        with pytest.raises(ConsistencyError):
-            saddle.SaddleSummary(alpha=0.0, omega0=3.83, omega0_approx=4.5,
-                                 v1_tilde=0.7, v1_exact_ref=None)

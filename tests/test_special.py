@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma, zeta
 
 from bosemilne.errors import ConfigurationError, DivergenceError, DomainError
-from bosemilne.special import (AlphaModel, PhysicalScales, einstein,
-                               einstein_reg, moment_l0, physical_jump, xi_alpha)
+from bosemilne.special import AlphaModel, einstein, einstein_reg, moment_l0, xi_alpha
 
 E_AT_1 = 0.92067359420779231895  # 50-digit evaluation of e/(e-1)^2
 
@@ -115,21 +114,3 @@ class TestXiAlpha:
     def test_domain(self, model1):
         with pytest.raises(DomainError):
             xi_alpha(model1, 0.0)
-
-
-class TestPhysicalJump:
-    def test_zero_cases(self, model0):
-        scales = PhysicalScales(t0=3.0, nu0=2e9, c=2.998e8, hbar_over_k=7.64e-12)
-        assert physical_jump(scales, model0, 0.0, 0.5) == 0.0
-        assert physical_jump(scales, model0, 1.0, 0.0) == 0.0
-
-    def test_unit_scales_reproduce_v1(self, ctx, model0):
-        # nu0 = c makes the length scale exactly one metre at alpha = 0
-        scales = PhysicalScales(t0=1.0, nu0=2.998e8, c=2.998e8, hbar_over_k=7.64e-12)
-        v1 = ctx.v1(0.0).value
-        jump = physical_jump(scales, model0, 1.0, v1)
-        assert jump == pytest.approx(0.71045, abs=5e-5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            PhysicalScales(t0=-1.0, nu0=1.0, c=1.0, hbar_over_k=1.0)
