@@ -59,8 +59,8 @@ __all__ = [
 # with -1 the boundary residual at x=0 is at quadrature level, with +1 it is O(1).
 N_SIGN = -1.0
 
-# rows per lockstep call in v_cut and field.evaluate; bounds the node arrays
-# of one step
+# rows per lockstep call of the adaptive quadrature in v_cut and in the
+# field's fallback rows and alpha > 0 tail; bounds the node arrays of one step
 ROWS = 32
 # most continuum nodes of spectrum_table (each costs one principal value)
 _SPECTRUM_NODES = 400

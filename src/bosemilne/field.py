@@ -16,11 +16,20 @@ where the truncated moment xi_a cancels exactly against the one hiding in
 sin(pi - theta); this keeps the term finite where xi_a underflows. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
 term is absent. At the edge itself (mu = 1) the continuum integrand
-diverges like a log-log, and within 2e-6 below it the principal value sits
-on that divergence; within 2e-6 beyond it the integrand's pole sits too
-close to the table's end for the quadrature; beyond the table of an
-alpha > 0 solution (mu >= eta_max) the algebraic tail has its pole inside
-its integral. All of these raise RangeError before any integration.
+diverges like a log-log, and phi is not evaluated within 2e-6 of it on
+either side (see _EDGE_BAND); beyond the table of an alpha > 0 solution
+(mu >= eta_max) the algebraic tail has its pole inside its integral. All
+of these raise RangeError, and non-finite x or mu DomainError, before any
+integration.
+
+The tabulated part of the continuum integral runs over the knots [0,
+eta_1, ..., eta_max] of the interpolant of eta n(eta), which is one cubic
+on each knot interval. A fixed 16-point Gauss-Legendre rule on every
+interval gives its value, in the regularised form sum w (f(t) - f(mu)) /
+(t - mu) + f(mu) ln((eta_max - mu)/mu) for a principal value, and an
+8-point rule on the same intervals its error estimate, as QUADPACK pairs
+its rules (Piessens et al., 1983); the rows whose estimate misses the
+tolerance are redone by the adaptive quadrature.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -50,14 +59,28 @@ __all__ = [
 ]
 
 _EXP_UNDERFLOW = 745.0
-# |mu - edge| below which phi is not evaluated next to the slit edge: beyond
-# it the plain row's pole sits so close to the table end (eta_max = 1 -
-# 1.13e-13) that its quadrature stalls (measured on the default table: up to
-# mu - 1 = 1.40e-6 at x = 0 and 1e-3, 1.2e-6 at x = 0.01, 1.1e-6 at x = 0.1,
-# 5.4e-7 at x = 0.3, 1.8e-7 at x = 1, none at x = 30); below it the principal
-# value sits on the log-log divergence (measured at x = 0: |phi|/(1 + V1)
-# 2.3e-7 at 1 - 1e-7, 2.5e-6 at 1 - 1e-8, 4.5e-5 at 1 - 1e-9 and 5.3e-4 at
-# 1 - 1e-10, where the exact value is 0)
+# e^{-x/eta} is taken as 0 beyond this argument in the fixed rule, and
+# products below _TINY are flushed, so no subnormal reaches the sums
+_EXP_CUT = 700.0
+_TINY = np.finfo(float).tiny
+# Gauss-Legendre orders on each continuum knot interval: the rule, and the
+# lower-order rule whose difference from it is the error estimate
+_RULE_ORDERS = (16, 8)
+# field points per block of the fixed rule. Its two (points, nodes) work
+# arrays take 0.6 MB at alpha 0, under the adaptive path's peak; 16 points
+# a block added about 2 MB of peak memory and saved no time
+_FIXED_ROWS = 4
+# |mu - edge| below which phi is not evaluated next to the slit edge. Set
+# when the field was adaptive: beyond the edge the plain row's pole sat so
+# close to the table end (eta_max = 1 - 1.13e-13) that its quadrature
+# stalled up to mu - 1 = 1.40e-6. The fixed rule evaluates every x in (0,
+# 1e-3, 0.01, 0.1, 0.3, 1, 30) down to mu - 1 = 1e-10 without a fallback,
+# within 1.1e-12 |K| (1 + V1) of a 48-point rule; it stalls, through the
+# fallback, only at 1e-12 for x <= 0.3, against the table end. Below the
+# edge the principal value sits on the log-log divergence: at x = 0
+# |phi|/(1 + V1) is 2.7e-8 at 1 - 1e-6, 1.6e-7 at 1 - 1e-7, 1.3e-6 at
+# 1 - 1e-8, 8.1e-6 at 1 - 1e-9 and 8.0e-4 at 1 - 1e-10, where the exact
+# value is 0.
 _EDGE_BAND = 2e-6
 
 
@@ -90,6 +113,22 @@ class MilneSolution:
         grid = np.concatenate([[0.0], self._etas])
         vals = np.concatenate([[0.0], self._etas * self._ns])
         return _pchip(grid, vals)
+
+    @cached_property
+    def continuum_rule(self):
+        """(nodes, weights, eta n(eta) at the nodes) of the fixed rules on the knot intervals.
+
+        The knots are 0 and the table nodes, so the interpolant is one cubic
+        on each interval. Flat arrays laid out as (order, interval): the
+        nodes of the high-order Gauss-Legendre rule on every interval, then
+        those of the low-order one.
+        """
+        knots = np.concatenate([[0.0], self._etas])
+        mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
+        rules = [quadrature.gauss_rule(n) for n in _RULE_ORDERS]
+        nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes])
+        weights = np.concatenate([half * w for r in rules for w in r.weights])
+        return nodes, weights, self.eta_n_interp(nodes)
 
     @cached_property
     def vp_interp(self):
@@ -153,11 +192,81 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
 def _continuum_integral(sol: MilneSolution, x, mu):
     """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range, plus the tail.
 
-    x and mu broadcast; principal-value rows (0 < mu < eta_max) and plain
-    rows each go through one batched quadrature at tolerance 1e-9.
+    x and mu broadcast. Every row takes the fixed rule of `_fixed_rule`;
+    the rows whose error estimate misses 1e-9 max(|value|, max|n|) are
+    redone by `_adaptive_integral` at tolerance 1e-9.
     """
     xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
     x, mu = xb.ravel(), mb.ravel()
+    out, err = _fixed_rule(sol, x, mu)
+    scale = float(np.max(np.abs(sol._ns)) + 1e-300)
+    redo = np.flatnonzero(~(err <= 1e-9 * np.maximum(np.abs(out), scale)))  # NaN fails too
+    for s in range(0, len(redo), ROWS):
+        rows = redo[s:s + ROWS]
+        out[rows] = _adaptive_integral(sol, x[rows], mu[rows], 1e-9)
+    return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
+
+
+def _fixed_rule(sol: MilneSolution, x: np.ndarray, mu: np.ndarray):
+    """The tabulated part of the continuum integral by the rules of `continuum_rule`.
+
+    Returns (value, error estimate) per row: the high-order sum and the sum
+    over knot intervals of |high - low|. Principal-value rows (0 < mu <
+    eta_max) are regularised, sum w (f(t) - f(mu)) / (t - mu) + f(mu)
+    ln((eta_max - mu)/mu) with f = e^{-x/eta} eta n(eta); the others sum
+    w f(t) / (t - mu). A node on a pole gives a NaN estimate. The rows that
+    share an x share one table of f, and go _FIXED_ROWS at a time through
+    one work array (fresh megabyte-sized arrays would cost a page fault per
+    page); each row is reduced on its own, so its numbers do not depend on
+    the batch.
+    """
+    nodes, weights, eta_n = sol.continuum_rule
+    b = sol.eta_max
+    pv = (0.0 < mu) & (mu < b)
+    f_mu = np.zeros(mu.shape)
+    if np.any(pv):
+        arg = x[pv] / mu[pv]
+        f_mu[pv] = np.where(arg > _EXP_CUT, 0.0,
+                            sol.eta_n_interp(mu[pv]) * np.exp(-np.minimum(arg, _EXP_CUT)))
+    value, err = np.empty(mu.shape), np.empty(mu.shape)
+    f = np.empty(nodes.shape)
+    work = np.empty((2, min(len(mu), _FIXED_ROWS), len(nodes)))
+    order = np.argsort(x, kind="stable")
+    xs, counts = np.unique(x[order], return_counts=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a node on a pole
+        for x0, group in zip(xs.tolist(), np.split(order, np.cumsum(counts)[:-1])):
+            # arguments past the cut are zeroed before exp, which is slow on
+            # results that underflow or go subnormal
+            np.divide(x0, nodes, out=f)
+            gone = f > _EXP_CUT
+            f[gone] = 0.0
+            np.exp(np.negative(f, out=f), out=f)
+            f[gone] = 0.0
+            f *= eta_n
+            f[(f < _TINY) & (f > -_TINY)] = 0.0
+            for s in range(0, len(group), _FIXED_ROWS):
+                rows = group[s:s + _FIXED_ROWS]
+                g, d = work[0, :len(rows)], work[1, :len(rows)]
+                np.subtract(f, f_mu[rows, None], out=g)
+                np.subtract(nodes, mu[rows, None], out=d)
+                g /= d
+                g *= weights
+                # per interval: the high-order rule's nodes, then the low-order rule's
+                by_order = g.reshape(len(rows), -1, len(sol._etas))
+                high = by_order[:, :_RULE_ORDERS[0]].sum(axis=1)
+                low = by_order[:, _RULE_ORDERS[0]:].sum(axis=1)
+                value[rows] = high.sum(axis=1)
+                err[rows] = np.abs(high - low).sum(axis=1)
+    value[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
+    return value, err
+
+
+def _adaptive_integral(sol: MilneSolution, x: np.ndarray, mu: np.ndarray, tol: float):
+    """The tabulated part of the continuum integral by adaptive quadrature at tolerance tol.
+
+    Principal-value rows (0 < mu < eta_max) and plain rows each go through
+    one batched quadrature.
+    """
     interp = sol.eta_n_interp
     b = sol.eta_max
 
@@ -171,13 +280,13 @@ def _continuum_integral(sol: MilneSolution, x, mu):
     out = np.empty(mu.shape)
     pv = (0.0 < mu) & (mu < b)
     if np.any(pv):
-        out[pv] = quadrature.pv_rows(f, mu[pv], 0.0, b, 1e-9, params=(x[pv],), max_depth=30)
+        out[pv] = quadrature.pv_rows(f, mu[pv], 0.0, b, tol, params=(x[pv],), max_depth=30)
     if not np.all(pv):
         n = int(np.sum(~pv))
         out[~pv] = quadrature.integrate_rows(
-            plain, np.zeros(n), np.full(n, b), 1e-9, params=(x[~pv], mu[~pv]), max_depth=30,
+            plain, np.zeros(n), np.full(n, b), tol, params=(x[~pv], mu[~pv]), max_depth=30,
             scale=float(np.max(np.abs(sol._ns)) + 1e-300))
-    return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
+    return out
 
 
 def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -191,8 +300,12 @@ def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.nda
     def f(u, x, mu):
         return u ** (-p - 2.0) * np.exp(-x * u) / (1.0 - mu * u)
 
-    val = quadrature.integrate_rows(f, np.zeros(mu.shape), np.full(mu.shape, 1.0 / eta_ref),
-                                    1e-9, params=(x, mu), max_depth=24)
+    val = np.empty(mu.shape)
+    for s in range(0, len(mu), ROWS):
+        xr, mr = x[s:s + ROWS], mu[s:s + ROWS]
+        val[s:s + ROWS] = quadrature.integrate_rows(
+            f, np.zeros(len(mr)), np.full(len(mr), 1.0 / eta_ref), 1e-9, params=(xr, mr),
+            max_depth=24)
     return n_ref * eta_ref ** (-p) * val
 
 
@@ -223,21 +336,22 @@ def evaluate(sol: MilneSolution, x, mu):
     """Field value phi(x, mu); x >= 0, principal value inside the continuum.
 
     x and mu broadcast against each other (scalars give a float). Every
-    point is range-checked first; then ROWS points at a time share each
-    batched quadrature.
+    point is checked first (finite, x >= 0, in range); then all points go
+    through one call of the continuum integral.
     """
     xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
     xs, mus = xb.ravel(), mb.ravel()
+    bad = ~(np.isfinite(xs) & np.isfinite(mus))
+    if np.any(bad):
+        raise DomainError(f"x and mu must be finite, got x={xs[bad][0]}, mu={mus[bad][0]}")
     if np.any(xs < 0.0):
         raise DomainError(f"x must be nonnegative, got {xs[xs < 0.0][0]}")
     data = sol.factorization
     out = np.zeros(xs.shape)
     if data.k != 0.0:
         _check_range(sol, xs, mus)
-        for s in range(0, len(xs), ROWS):
-            x, mu = xs[s:s + ROWS], mus[s:s + ROWS]
-            cont = _continuum_integral(sol, x, mu) / (2.0 * data.model.l0_alpha)
-            out[s:s + ROWS] = data.k0 + data.k * (x - mu) + cont + _delta_term(sol, x, mu)
+        cont = _continuum_integral(sol, xs, mus) / (2.0 * data.model.l0_alpha)
+        out = data.k0 + data.k * (xs - mus) + cont + _delta_term(sol, xs, mus)
     return float(out[0]) if xb.ndim == 0 else out.reshape(xb.shape)
 
 

@@ -10,6 +10,19 @@ from bosemilne.field import (MilneSolution, boundary_residual, evaluate,
                              mode_equation_residual, solve_milne)
 
 
+def spy_fallback(monkeypatch) -> list:
+    """Record the (x, mu) of every row the fixed rule hands to the adaptive code."""
+    redone = []
+    adaptive = field._adaptive_integral
+
+    def spy(sol, x, mu, tol):
+        redone.extend(zip(x.tolist(), mu.tolist()))
+        return adaptive(sol, x, mu, tol)
+
+    monkeypatch.setattr(field, "_adaptive_integral", spy)
+    return redone
+
+
 class TestDiscreteModes:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("mode", ["+", "-"])
@@ -21,6 +34,18 @@ class TestEvaluate:
     def test_negative_x_rejected(self, sol0):
         with pytest.raises(DomainError):
             evaluate(sol0, -0.1, 0.5)
+
+    @pytest.mark.parametrize("x,mu", [
+        (math.nan, 0.5), (0.5, math.nan), (1.0, math.inf), (1.0, -math.inf), (math.inf, 0.5),
+        (np.array([0.0, 1.0]), np.array([0.5, math.nan])),
+    ])
+    def test_non_finite_rejected_before_integration(self, sol0, monkeypatch, x, mu):
+        # NaN used to bisect to depth 30 and mu = +-inf to return -+inf
+        calls = []
+        monkeypatch.setattr(field, "_continuum_integral", lambda *a: calls.append(1))
+        with pytest.raises(DomainError, match="finite"):
+            evaluate(sol0, x, mu)
+        assert not calls
 
     def test_zero_gradient_solution_is_zero(self, ctx, table0):
         sol = solve_milne(ctx.model(0.0), k=0.0, table=table0)
@@ -78,6 +103,7 @@ class TestEvaluate:
         (0.0, [-0.7, 0.0, 5e-5, 0.3, 0.97, 1.5]),
         # the same with the algebraic tail, up to mu = 20 < eta_max
         (0.5, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
+        (1.0, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
     ])
     def test_array_equals_pointwise(self, ctx, alpha, mus):
         # x = 1e-3 keeps the delta term of mu = 5e-5 (x/mu = 20); x = 0.5
@@ -87,6 +113,18 @@ class TestEvaluate:
         got = evaluate(sol, x, mu)
         want = [evaluate(sol, float(a), float(b)) for a, b in zip(x, mu)]
         assert isinstance(want[0], float)
+        assert got.tolist() == want
+
+    def test_mixed_fallback_batch_equals_pointwise(self, sol0, monkeypatch):
+        # at x = 0 the fixed rule's estimate misses its tolerance for mu =
+        # 0.64, 0.7 and 0.79 (next to a knot of the continuum table), so one
+        # batch holds adaptive and fixed-rule rows
+        redone = spy_fallback(monkeypatch)
+        x, mu = (g.ravel() for g in np.meshgrid(
+            [0.0, 0.5], [0.3, 0.64, -0.5, 0.7, 0.5, 0.79, 1.5], indexing="ij"))
+        got = evaluate(sol0, x, mu)
+        assert sorted(redone) == [(0.0, 0.64), (0.0, 0.7), (0.0, 0.79)]
+        want = [evaluate(sol0, float(a), float(b)) for a, b in zip(x, mu)]
         assert got.tolist() == want
 
     def test_range_checked_before_integration(self, ctx, sol0, monkeypatch):
@@ -102,12 +140,52 @@ class TestEvaluate:
         assert not calls
 
 
+class TestFixedRule:
+    """The field's continuum integral by the fixed rule on each knot interval."""
+
+    @pytest.mark.parametrize("alpha,mus", [
+        # mu < 0, mu = 0, below the table, principal values, beyond the slit
+        (0.0, [-0.7, -1e-3, 0.0, 5e-5, 0.02, 0.3, 0.6, 0.97, 0.9999, 1.5]),
+        (0.5, [-0.7, -1e-3, 0.0, 5e-5, 0.02, 0.3, 0.6, 0.9, 2.0, 20.0]),
+        (1.0, [-0.7, -1e-3, 0.0, 5e-5, 0.02, 0.3, 0.6, 0.9, 2.0, 20.0]),
+    ])
+    def test_against_tight_reference(self, ctx, alpha, mus):
+        # adaptive quadrature of the same interpolant at tolerance 1e-12:
+        # measured at most 3.1e-12 |K| (1 + V1) on these points
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        x, mu = (g.ravel() for g in np.meshgrid([0.0, 1e-3, 0.5, 3.0], mus, indexing="ij"))
+        ref = field._adaptive_integral(sol, x, mu, 1e-12) + field._continuum_tail(sol, x, mu)
+        dev = np.abs(field._continuum_integral(sol, x, mu) - ref) / (2.0 * data.model.l0_alpha)
+        assert np.max(dev) <= 1e-10 * abs(data.k) * (1.0 + data.v1)
+
+    def test_node_on_pole_falls_back(self, sol0, monkeypatch):
+        # a principal value whose pole is one of the rule's nodes divides by
+        # zero there: its estimate is NaN, and the adaptive code takes the row
+        redone = spy_fallback(monkeypatch)
+        mu = float(sol0.continuum_rule[0][5000])
+        val = evaluate(sol0, 1.0, mu)
+        assert redone == [(1.0, mu)] and math.isfinite(val)
+
+    def test_fallback_rows_on_profile_grid(self, sol0, monkeypatch):
+        # an alpha-0 31 x 33 grid like the profile benchmark's: 3 of 1023 rows
+        # miss the fixed rule's tolerance (x = 0, mu next to a table knot)
+        redone = spy_fallback(monkeypatch)
+        x, mu = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 20.0, 31),
+                                                np.linspace(0.01, 0.97, 33), indexing="ij"))
+        evaluate(sol0, x, mu)
+        assert len(redone) <= 3
+
+
 class TestCallCounts:
     """Deterministic cost guards: integrand calls, not time.
 
-    The batched kernels call each integrand once per lockstep step for up to
-    fz.ROWS rows; one adaptive quadrature per value made about 130 calls per
-    field point and 80 per Vp node.
+    The field reads its interpolant once per solution (at the fixed rule's
+    nodes) and once per call (at the principal-value poles); only rows the
+    fixed rule cannot settle call it again, once per adaptive step. The
+    batched adaptive kernels call each integrand once per lockstep step for
+    up to fz.ROWS rows; one adaptive quadrature per value made about 130
+    calls per field point and 80 per Vp node.
     """
 
     class Counting:
@@ -119,11 +197,12 @@ class TestCallCounts:
             return self.fn(*args)
 
     def test_field_row(self, sol0):
-        # one 33-point mu row at fixed x: about 80 calls
+        # one 33-point mu row at fixed x: the nodes and the poles, 2 calls
+        # (the lockstep adaptive field made 53)
         sol = dataclasses.replace(sol0)
         spy = sol.__dict__["eta_n_interp"] = self.Counting(sol0.eta_n_interp)
         evaluate(sol, 1.0, np.linspace(0.01, 0.97, 33))
-        assert spy.calls <= 330
+        assert spy.calls <= 2
 
     def test_spectrum_table(self, data0):
         # 400 nodes at alpha 0: about 350 calls
