@@ -243,17 +243,20 @@ def _re_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> n
 
     Where ws lies below the cut, the integral is split there: plain pieces
     away from it, and its two neighbourhoods under w = ws -+ e^-t, which maps
-    ln|w - ws| to a smooth, exponentially damped integrand. Pieces are
-    summed in a fixed order.
+    ln|w - ws| to a smooth, exponentially damped integrand, up to t_cap, where
+    e^-t falls below 16 eps max(ws, 1); a neighbourhood that starts past
+    t_cap is left out. Below ws = 16 eps (small alpha, mu > 1) the weight
+    w^(a+4) leaves nothing to split for. Pieces are summed in a fixed order.
     """
     a, cut = model.alpha, model.omega_cut
+    eps16 = 16 * np.finfo(float).eps
     shift = np.where(mu <= 1.0, 1.0, 0.0)
     log_ws = -np.log(mu) / a
-    split = log_ws < math.log(cut)
+    split = (math.log(eps16) <= log_ws) & (log_ws < math.log(cut))
     ws = np.exp(np.where(split, log_ws, 0.0))
     dl = np.minimum(0.5 * ws, 1.0)
     dr = np.minimum(0.5 * (cut - ws), 1.0)
-    t_cap = -np.log(16 * np.finfo(float).eps * np.maximum(ws, 1.0))
+    t_cap = -np.log(eps16 * np.maximum(ws, 1.0))
 
     def plain(w, mu, ws, shift):
         return _pv_integrand(w, mu, shift, a)
@@ -266,8 +269,8 @@ def _re_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> n
 
     pieces = (  # (integrand, lower, upper, rows that have the piece)
         (plain, np.zeros_like(mu), np.where(split, ws - dl, cut), ~split | (ws - dl > 0.0)),
-        (left, -np.log(dl), t_cap, split),
-        (right, -np.log(dr), t_cap, split),
+        (left, -np.log(dl), t_cap, split & (-np.log(dl) < t_cap)),
+        (right, -np.log(dr), t_cap, split & (-np.log(dr) < t_cap)),
         (plain, ws + dr, np.full_like(mu, cut), split & (ws + dr < cut)),
     )
     total = np.zeros_like(mu)
@@ -370,7 +373,10 @@ class DispersionTable:
     def tail_coeff(self) -> float | None:
         if self.slit_edge is not None:
             return None
-        return (math.pi - float(self.theta[-1])) * self.mu_max ** -self.tail_exponent
+        r = math.pi - float(self.theta[-1])
+        # r is 0 where theta reaches pi at working precision (small alpha),
+        # and mu_max^-p may overflow there
+        return r * self.mu_max ** -self.tail_exponent if r else 0.0
 
     def _panel_eval(self, mu: np.ndarray, slope: bool = False) -> np.ndarray:
         """theta (or d theta/d mu) at breaks[0] <= mu <= mu_max from the panel series."""
@@ -468,9 +474,11 @@ class DispersionTable:
         a, b = self._head
         head = mu_min * (math.pi - mu_min * (0.5 * a + 0.25 * b * mu_min ** 2))
         r = math.pi - float(self.theta[-1])
-        tail = r * mu_max / -(p + 1.0)
-        q = -mu_max * float(self.theta_slope(mu_max)[0]) / r
-        tail_err = r * mu_max * abs(1.0 / (p + 1.0) - 1.0 / (q + 1.0))
+        tail = tail_err = 0.0
+        if r:  # else theta is pi at mu_max to working precision: no tail
+            tail = r * mu_max / -(p + 1.0)
+            q = -mu_max * float(self.theta_slope(mu_max)[0]) / r
+            tail_err = r * mu_max * abs(1.0 / (p + 1.0) - 1.0 / (q + 1.0))
         body_err = float(np.abs(self.coeffs[:, -3:]).max(axis=1) @ np.diff(self.breaks))
         return head + body + tail, body_err + tail_err
 

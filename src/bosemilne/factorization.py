@@ -60,7 +60,7 @@ __all__ = [
 N_SIGN = -1.0
 
 # rows per lockstep call of the adaptive quadrature in v_cut and in the
-# field's fallback rows and alpha > 0 tail; bounds the node arrays of one step
+# field's alpha > 0 tail; bounds the node arrays of one step
 ROWS = 32
 # most continuum nodes of spectrum_table (each costs one principal value)
 _SPECTRUM_NODES = 400
@@ -88,25 +88,24 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None) -> V
     diverge (DivergenceError). Both routes use the 64-point Gauss rule, the
     slit route at tolerance 1e-10.
     """
-    rule = quadrature.gauss_rule(64)
     if table is None:
         if model.alpha == 0.0:
-            return _v1_slit(1.0, rule, 1e-10)
+            return _v1_slit(1.0, 1e-10)
         require_convergent_tail(model.alpha)
         table = build_theta_table(model)
     if table.slit_edge is not None:
-        return _v1_slit(table.slit_edge, rule, 1e-10)
-    value, error = table.excess_integral(rule)
+        return _v1_slit(table.slit_edge, 1e-10)
+    value, error = table.excess_integral(quadrature.gauss_rule(64))
     return V1Estimate(value=value / math.pi, error=error / math.pi)
 
 
-def _v1_slit(edge: float, rule, tol: float) -> V1Estimate:
+def _v1_slit(edge: float, tol: float) -> V1Estimate:
     """V1 of a slit that ends at `edge`, from theta = arg lam_C(mu/edge + i0)."""
     def resid(mus):
         return math.pi - _case_theta(mus / edge)
 
     body, err1 = quadrature.integrate_with_error(
-        resid, 0.0, 0.9 * edge, tol, rule=rule, max_depth=24)
+        resid, 0.0, 0.9 * edge, tol, max_depth=24)
     # near the edge substitute mu = edge - e^{-s}: the integrand becomes
     # exponentially small and smooth in s
     s0 = -math.log(0.1 * edge)
@@ -115,7 +114,7 @@ def _v1_slit(edge: float, rule, tol: float) -> V1Estimate:
         return resid(edge - np.exp(-s)) * np.exp(-s)
 
     near, err2 = quadrature.integrate_with_error(
-        edge_piece, s0, s0 + 45.0, tol, rule=rule, max_depth=24)
+        edge_piece, s0, s0 + 45.0, tol, max_depth=24)
     return V1Estimate(value=(body + near) / math.pi, error=(err1 + err2) / math.pi)
 
 
@@ -241,29 +240,34 @@ def _cexp(w: complex) -> complex:
                    math.exp(w.real) * math.sin(w.imag))
 
 
-def n_coefficient(data: FactorizationData, eta: float, *, vp: float | None = None) -> float:
+def n_coefficient(data: FactorizationData, eta, *, vp=None):
     """Continuum coefficient n(eta) from the jump of C0/X across the cut.
 
-    Real closed form N_SIGN * (2 l0 K / pi) e^{-Vp} sin(pi - theta). Beyond a
-    slit edge theta == pi and the coefficient vanishes identically; beyond the
-    tabulated range of an alpha > 0 table the value is not interpolable.
+    Real closed form N_SIGN * (2 l0 K / pi) e^{-Vp} sin(pi - theta), for a
+    scalar or 1-d array eta (and Vp of the same shape, or None for v_cut).
+    Beyond a slit edge theta == pi and the coefficient vanishes identically;
+    beyond the tabulated range of an alpha > 0 table the value is not
+    interpolable.
     """
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
+    arr = np.asarray(eta, dtype=float)
+    etas = np.atleast_1d(arr)
+    if np.any(etas <= 0):
+        raise DomainError(f"eta must be positive, got {etas[etas <= 0][0]}")
     table = data.table
-    if table.slit_edge is not None and eta >= table.slit_edge:
-        return 0.0
-    if eta >= table.mu_max:
-        raise RangeError(f"eta={eta} beyond the tabulated range {table.mu_max}")
-    if data.k == 0.0:
-        return 0.0
-    vp = v_cut(data, eta) if vp is None else vp
-    theta = float(table.theta_at(eta))
-    amp = 2.0 * data.model.l0_alpha * data.k / math.pi
-    n = N_SIGN * amp * math.exp(-vp) * math.sin(math.pi - theta)
-    if not math.isfinite(n):
-        raise DomainError(f"n({eta}) is not finite")
-    return n
+    live = etas < (np.inf if table.slit_edge is None else table.slit_edge)
+    if np.any(live & (etas >= table.mu_max)):
+        bad = etas[live & (etas >= table.mu_max)][0]
+        raise RangeError(f"eta={bad} beyond the tabulated range {table.mu_max}")
+    out = np.zeros(etas.shape)
+    if data.k != 0.0 and np.any(live):
+        e = etas[live]
+        vps = v_cut(data, e) if vp is None else np.atleast_1d(np.asarray(vp, dtype=float))[live]
+        amp = 2.0 * data.model.l0_alpha * data.k / math.pi
+        n = N_SIGN * amp * np.exp(-vps) * np.sin(math.pi - table.theta_at(e))
+        if not np.all(np.isfinite(n)):
+            raise DomainError(f"n({e[~np.isfinite(n)][0]}) is not finite")
+        out[live] = n
+    return out if arr.ndim else float(out[0])
 
 
 def spectrum_table(data: FactorizationData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,5 +285,4 @@ def spectrum_table(data: FactorizationData) -> tuple[np.ndarray, np.ndarray, np.
         idx = np.unique(np.linspace(0, len(etas) - 1, _SPECTRUM_NODES).astype(int))
         etas = etas[idx]
     vps = v_cut(data, etas)
-    ns = np.array([n_coefficient(data, e, vp=vp) for e, vp in zip(etas, vps)])
-    return etas, vps, ns
+    return etas, vps, n_coefficient(data, etas, vp=vps)

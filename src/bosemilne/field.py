@@ -28,8 +28,9 @@ on each knot interval. A fixed 16-point Gauss-Legendre rule on every
 interval gives its value, in the regularised form sum w (f(t) - f(mu)) /
 (t - mu) + f(mu) ln((eta_max - mu)/mu) for a principal value, and an
 8-point rule on the same intervals its error estimate, as QUADPACK pairs
-its rules (Piessens et al., 1983); the rows whose estimate misses the
-tolerance are redone by the adaptive quadrature.
+its rules (Piessens et al., 1983). Rows whose estimate misses the tolerance
+are redone by a 64- and 48-point pair on the same knots, [0, eta_1] split
+further; a row that misses there too raises AccuracyError.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -44,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, RangeError
+from .errors import AccuracyError, DomainError, RangeError
 from .factorization import (FactorizationData, N_SIGN, ROWS, build_factorization,
                             spectrum_table, v_cut)
 from .dispersion import build_theta_table
@@ -64,19 +65,22 @@ _EXP_UNDERFLOW = 745.0
 _EXP_CUT = 700.0
 _TINY = np.finfo(float).tiny
 # Gauss-Legendre orders on each continuum knot interval: the rule, and the
-# lower-order rule whose difference from it is the error estimate
+# lower-order rule whose difference from it is the error estimate; then the
+# same for the rows the first pair cannot settle, whose knots also split [0,
+# eta_1], where e^{-x/eta} turns over for x of about eta_1 / 100
 _RULE_ORDERS = (16, 8)
-# field points per block of the fixed rule. Its two (points, nodes) work
-# arrays take 0.6 MB at alpha 0, under the adaptive path's peak; 16 points
-# a block added about 2 MB of peak memory and saved no time
+_FINE_ORDERS = (64, 48)
+# field points per block of the first fixed rule: its two (points, nodes)
+# work arrays take 0.6 MB at alpha 0, and 16 points a block added about 2 MB
+# of peak memory for no time. Fine-rule blocks hold as many numbers
 _FIXED_ROWS = 4
 # |mu - edge| below which phi is not evaluated next to the slit edge. Set
 # when the field was adaptive: beyond the edge the plain row's pole sat so
 # close to the table end (eta_max = 1 - 1.13e-13) that its quadrature
-# stalled up to mu - 1 = 1.40e-6. The fixed rule evaluates every x in (0,
-# 1e-3, 0.01, 0.1, 0.3, 1, 30) down to mu - 1 = 1e-10 without a fallback,
-# within 1.1e-12 |K| (1 + V1) of a 48-point rule; it stalls, through the
-# fallback, only at 1e-12 for x <= 0.3, against the table end. Below the
+# stalled up to mu - 1 = 1.40e-6. The first fixed rule settles every x in
+# (0, 1e-3, 0.01, 0.1, 0.3, 1, 30) down to mu - 1 = 1e-11, within 2.4e-12
+# |K| (1 + V1) of the fine rule; at 1e-12, against the table end, it
+# misses for x <= 0.3 and the fine rule settles those rows. Below the
 # edge the principal value sits on the log-log divergence: at x = 0
 # |phi|/(1 + V1) is 2.7e-8 at 1 - 1e-6, 1.6e-7 at 1 - 1e-7, 1.3e-6 at
 # 1 - 1e-8, 8.1e-6 at 1 - 1e-9 and 8.0e-4 at 1 - 1e-10, where the exact
@@ -116,19 +120,27 @@ class MilneSolution:
 
     @cached_property
     def continuum_rule(self):
-        """(nodes, weights, eta n(eta) at the nodes) of the fixed rules on the knot intervals.
+        """(nodes, weights, eta n(eta) at the nodes, orders) of the first fixed rules.
 
         The knots are 0 and the table nodes, so the interpolant is one cubic
         on each interval. Flat arrays laid out as (order, interval): the
         nodes of the high-order Gauss-Legendre rule on every interval, then
         those of the low-order one.
         """
-        knots = np.concatenate([[0.0], self._etas])
+        return self._knot_rule(np.concatenate([[0.0], self._etas]), _RULE_ORDERS)
+
+    @cached_property
+    def fine_rule(self):
+        """As continuum_rule, with [0, eta_1] also split at eta_1 10^-k, k = 1..8."""
+        first = self._etas[0] * 10.0 ** np.arange(-8, 0)
+        return self._knot_rule(np.concatenate([[0.0], first, self._etas]), _FINE_ORDERS)
+
+    def _knot_rule(self, knots, orders):
         mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
-        rules = [quadrature.gauss_rule(n) for n in _RULE_ORDERS]
+        rules = [quadrature.gauss_rule(n) for n in orders]
         nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes])
         weights = np.concatenate([half * w for r in rules for w in r.weights])
-        return nodes, weights, self.eta_n_interp(nodes)
+        return nodes, weights, self.eta_n_interp(nodes), orders
 
     @cached_property
     def vp_interp(self):
@@ -154,9 +166,12 @@ def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSoluti
 
 def _tail_law(sol: MilneSolution) -> float | None:
     """Exponent p of the algebraic continuum tail beyond the grid, or None without one."""
+    # tail_coeff is 0 where theta reaches pi within the table (small alpha):
+    # n beyond it is rounding noise, and eta_max^-p may overflow
     table = sol.factorization.table
     p = table.tail_exponent
-    if table.slit_edge is not None or p is None or p >= -1.0 or sol._ns[-1] == 0.0:
+    if (table.slit_edge is not None or p is None or p >= -1.0 or table.tail_coeff == 0.0
+            or sol._ns[-1] == 0.0):
         return None
     return p
 
@@ -192,35 +207,45 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
 def _continuum_integral(sol: MilneSolution, x, mu):
     """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range, plus the tail.
 
-    x and mu broadcast. Every row takes the fixed rule of `_fixed_rule`;
-    the rows whose error estimate misses 1e-9 max(|value|, max|n|) are
-    redone by `_adaptive_integral` at tolerance 1e-9.
+    x and mu broadcast. Rows whose `continuum_rule` estimate misses 1e-9
+    max(|value|, max|n|) are redone on `fine_rule`; a row that misses there
+    too raises AccuracyError.
     """
     xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
     x, mu = xb.ravel(), mb.ravel()
-    out, err = _fixed_rule(sol, x, mu)
     scale = float(np.max(np.abs(sol._ns)) + 1e-300)
-    redo = np.flatnonzero(~(err <= 1e-9 * np.maximum(np.abs(out), scale)))  # NaN fails too
-    for s in range(0, len(redo), ROWS):
-        rows = redo[s:s + ROWS]
-        out[rows] = _adaptive_integral(sol, x[rows], mu[rows], 1e-9)
+
+    def missed(value, err):
+        return np.flatnonzero(~(err <= 1e-9 * np.maximum(np.abs(value), scale)))  # NaN too
+
+    out, err = _fixed_rule(sol, sol.continuum_rule, x, mu)
+    redo = missed(out, err)
+    if len(redo):
+        out[redo], err[redo] = _fixed_rule(sol, sol.fine_rule, x[redo], mu[redo])
+        bad = redo[missed(out[redo], err[redo])]
+        if len(bad):
+            i = bad[0]
+            raise AccuracyError(f"continuum integral at x={float(x[i])!r}, mu={float(mu[i])!r}: "
+                                f"the fine rule misses its tolerance, error {err[i]:.3e}",
+                                best=float(out[i]), bound=float(err[i]))
     return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
 
 
-def _fixed_rule(sol: MilneSolution, x: np.ndarray, mu: np.ndarray):
-    """The tabulated part of the continuum integral by the rules of `continuum_rule`.
+def _fixed_rule(sol: MilneSolution, rule, x: np.ndarray, mu: np.ndarray):
+    """The tabulated part of the continuum integral by `rule` (`MilneSolution._knot_rule`).
 
     Returns (value, error estimate) per row: the high-order sum and the sum
     over knot intervals of |high - low|. Principal-value rows (0 < mu <
     eta_max) are regularised, sum w (f(t) - f(mu)) / (t - mu) + f(mu)
     ln((eta_max - mu)/mu) with f = e^{-x/eta} eta n(eta); the others sum
     w f(t) / (t - mu). A node on a pole gives a NaN estimate. The rows that
-    share an x share one table of f, and go _FIXED_ROWS at a time through
-    one work array (fresh megabyte-sized arrays would cost a page fault per
-    page); each row is reduced on its own, so its numbers do not depend on
-    the batch.
+    share an x share one table of f, and go through one work array in
+    blocks of _FIXED_ROWS rows of `continuum_rule`'s size (fresh
+    megabyte-sized arrays would cost a page fault per page); each row is
+    reduced on its own, so its numbers do not depend on the batch.
     """
-    nodes, weights, eta_n = sol.continuum_rule
+    nodes, weights, eta_n, (high_order, low_order) = rule
+    block = max(1, _FIXED_ROWS * len(sol.continuum_rule[0]) // len(nodes))
     b = sol.eta_max
     pv = (0.0 < mu) & (mu < b)
     f_mu = np.zeros(mu.shape)
@@ -230,7 +255,7 @@ def _fixed_rule(sol: MilneSolution, x: np.ndarray, mu: np.ndarray):
                             sol.eta_n_interp(mu[pv]) * np.exp(-np.minimum(arg, _EXP_CUT)))
     value, err = np.empty(mu.shape), np.empty(mu.shape)
     f = np.empty(nodes.shape)
-    work = np.empty((2, min(len(mu), _FIXED_ROWS), len(nodes)))
+    work = np.empty((2, min(len(mu), block), len(nodes)))
     order = np.argsort(x, kind="stable")
     xs, counts = np.unique(x[order], return_counts=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # a node on a pole
@@ -244,53 +269,25 @@ def _fixed_rule(sol: MilneSolution, x: np.ndarray, mu: np.ndarray):
             f[gone] = 0.0
             f *= eta_n
             f[(f < _TINY) & (f > -_TINY)] = 0.0
-            for s in range(0, len(group), _FIXED_ROWS):
-                rows = group[s:s + _FIXED_ROWS]
+            for s in range(0, len(group), block):
+                rows = group[s:s + block]
                 g, d = work[0, :len(rows)], work[1, :len(rows)]
                 np.subtract(f, f_mu[rows, None], out=g)
                 np.subtract(nodes, mu[rows, None], out=d)
                 g /= d
                 g *= weights
                 # per interval: the high-order rule's nodes, then the low-order rule's
-                by_order = g.reshape(len(rows), -1, len(sol._etas))
-                high = by_order[:, :_RULE_ORDERS[0]].sum(axis=1)
-                low = by_order[:, _RULE_ORDERS[0]:].sum(axis=1)
+                by_order = g.reshape(len(rows), high_order + low_order, -1)
+                high = by_order[:, :high_order].sum(axis=1)
+                low = by_order[:, high_order:].sum(axis=1)
                 value[rows] = high.sum(axis=1)
                 err[rows] = np.abs(high - low).sum(axis=1)
     value[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
     return value, err
 
 
-def _adaptive_integral(sol: MilneSolution, x: np.ndarray, mu: np.ndarray, tol: float):
-    """The tabulated part of the continuum integral by adaptive quadrature at tolerance tol.
-
-    Principal-value rows (0 < mu < eta_max) and plain rows each go through
-    one batched quadrature.
-    """
-    interp = sol.eta_n_interp
-    b = sol.eta_max
-
-    def f(eta, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return interp(eta) * np.exp(-np.where(eta > 0, x / eta, np.inf))
-
-    def plain(eta, x, mu):
-        return f(eta, x) / (eta - mu)
-
-    out = np.empty(mu.shape)
-    pv = (0.0 < mu) & (mu < b)
-    if np.any(pv):
-        out[pv] = quadrature.pv_rows(f, mu[pv], 0.0, b, tol, params=(x[pv],), max_depth=30)
-    if not np.all(pv):
-        n = int(np.sum(~pv))
-        out[~pv] = quadrature.integrate_rows(
-            plain, np.zeros(n), np.full(n, b), tol, params=(x[~pv], mu[~pv]), max_depth=30,
-            scale=float(np.max(np.abs(sol._ns)) + 1e-300))
-    return out
-
-
 def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Algebraic continuum tail beyond the grid (alpha > 0 only); mu < eta_max."""
+    """Algebraic continuum tail (alpha > 0), adaptive in u = 1/eta; mu < eta_max."""
     p = _tail_law(sol)
     if p is None:
         return np.zeros(mu.shape)

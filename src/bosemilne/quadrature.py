@@ -10,8 +10,8 @@ call), and Cauchy principal values by singularity subtraction, one row
 
 Integrands are called with ndarray arguments and must evaluate elementwise.
 All refinement decisions depend only on the integrand values of their own
-row, so results are bit-reproducible for a given rule order and tolerance,
-whatever rows share a batch.
+row, so results are bit-reproducible for a given tolerance, whatever rows
+share a batch.
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ def _panels(f, lo, hi, rule, whole=None):
     return m, left, right, fine, np.abs(fine - whole)
 
 
-def _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale):
+def _adaptive_rows(f, a, b, tol, params, points, max_depth, scale):
     """integrate_rows, returning each row's summed error estimate as well."""
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
-    rule = rule or gauss_rule(DEFAULT_ORDER)
+    rule = gauss_rule(DEFAULT_ORDER)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
@@ -205,15 +205,14 @@ def _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale):
 
 
 def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
-                   rule: QuadratureRule | None = None, max_depth: int = DEFAULT_MAX_DEPTH,
-                   scale=None) -> np.ndarray:
+                   max_depth: int = DEFAULT_MAX_DEPTH, scale=None) -> np.ndarray:
     """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
 
-    The globally adaptive Gauss scheme (QUADPACK's QAG strategy) run on all
-    rows in lockstep. Each parameter reaches f as a column, one entry per row
-    of x. `points` of shape (n,) or (n, k) pre-split the rows (known kinks or
-    singular locations); entries that are NaN or outside (a[i], b[i]) are
-    ignored, and they may come unsorted or repeated. The first panels of all
+    The globally adaptive Gauss scheme (QUADPACK's QAG strategy) on the
+    64-point rule, run on all rows in lockstep. Each parameter reaches f as a
+    column, one entry per row of x. `points` of shape (n,) or (n, k) pre-split
+    the rows (known kinks or singular locations); entries that are NaN or
+    outside (a[i], b[i]) are ignored, and they may come unsorted or repeated. The first panels of all
     rows are one call of f; rows that pass the stopping test there are done.
     Each further step pops the worst panel of every unconverged row, bisects
     it and evaluates all children in one call of f. Every row keeps its own
@@ -222,7 +221,7 @@ def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=N
     the row's best estimate and error bound), so a row's value does not
     depend on the other rows.
     """
-    return _adaptive_rows(f, a, b, tol, params, points, rule, max_depth, scale)[0]
+    return _adaptive_rows(f, a, b, tol, params, points, max_depth, scale)[0]
 
 
 def integrate_with_error(
@@ -231,22 +230,20 @@ def integrate_with_error(
     b: float,
     tol: float = 1e-10,
     *,
-    rule: QuadratureRule | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     points: Sequence[float] = (),
-    scale: float | None = None,
 ) -> tuple[float | complex, float]:
     """Globally adaptive Gauss quadrature of f on (a, b): one row of integrate_rows.
 
     Returns (value, error_bound). f sees the nodes as a 1-D array. The
     interval is pre-split at `points`; the worst panel is bisected until the
-    summed error estimate drops below tol * max(|value|, scale). Raises
+    summed error estimate drops below tol * |value|. Raises
     AccuracyError (carrying the best estimate) if a panel would need to go
     beyond max_depth levels of bisection.
     """
     value, error = _adaptive_rows(lambda x: np.asarray(f(x.ravel())).reshape(x.shape),
-                                  [a], [b], tol, (), [points] if len(points) else None, rule,
-                                  max_depth, scale)
+                                  [a], [b], tol, (), [points] if len(points) else None,
+                                  max_depth, None)
     return value[0], error[0]
 
 
@@ -256,27 +253,23 @@ def integrate(
     b: float,
     tol: float = 1e-10,
     *,
-    rule: QuadratureRule | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     points: Sequence[float] = (),
-    scale: float | None = None,
 ):
     """Adaptive integral of f over (a, b); see integrate_with_error."""
-    value, _ = integrate_with_error(
-        f, a, b, tol, rule=rule, max_depth=max_depth, points=points, scale=scale
-    )
+    value, _ = integrate_with_error(f, a, b, tol, max_depth=max_depth, points=points)
     return value
 
 
-def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, params=(), slopes=None,
-            rule: QuadratureRule | None = None, max_depth: int = 16) -> np.ndarray:
-    """Principal values P int f(t, *p[i]) / (t - c[i]) dt over (a[i], b[i]) for every pole c[i].
+def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, slopes=None,
+            max_depth: int = 16) -> np.ndarray:
+    """Principal values P int f(t) / (t - c[i]) dt over (a[i], b[i]) for every pole c[i].
 
     The subtraction above, row by row: the regularised integrand
     (f(t) - f(c)) / (t - c), split at its own pole, goes through
     integrate_rows for all rows at once, and f(c) ln((b - c)/(c - a)) is
-    added. f must be continuous (Hoelder) at each pole and evaluate
-    elementwise; its parameters reach it as columns, as in integrate_rows.
+    added. f is one function for every pole; it must be continuous
+    (Hoelder) at each pole and evaluate elementwise.
     `slopes` gives f'(c) for nodes that fall on a pole; without it a central
     difference supplies it.
     """
@@ -286,30 +279,27 @@ def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, params=(), slopes=N
     if not np.all((a < c) & (c < b)):
         i = int(np.flatnonzero(~((a < c) & (c < b)))[0])
         raise DomainError(f"pole {c[i]} must lie strictly inside ({a[i]}, {b[i]})")
-    params = [np.asarray(p) for p in params]
-    cols = [p[:, None] for p in params]
     if slopes is None:
         h = np.minimum(np.minimum(1e-6 * (b - a), 0.5 * (c - a)), 0.5 * (b - c))
-        near = np.asarray(f(np.stack([c, c + h, c - h], axis=1), *cols), dtype=float)
+        near = np.asarray(f(np.stack([c, c + h, c - h], axis=1)), dtype=float)
         fc, dfc = near[:, 0], (near[:, 1] - near[:, 2]) / (2 * h)
     else:
-        fc = np.asarray(f(c[:, None], *cols), dtype=float)[:, 0]
+        fc = np.asarray(f(c[:, None]), dtype=float)[:, 0]
         dfc = np.broadcast_to(np.asarray(slopes, dtype=float), c.shape)
 
-    def reg(t, c, fc, dfc, *p):
+    def reg(t, c, fc, dfc):
         d = t - c
-        out = (np.asarray(f(t, *p), dtype=float) - fc) / np.where(d == 0.0, 1.0, d)
+        out = (np.asarray(f(t), dtype=float) - fc) / np.where(d == 0.0, 1.0, d)
         return np.where(d == 0.0, dfc, out)
 
     # scale keeps the relative-tolerance test sane when a PV happens to be ~0
     span = np.maximum(np.maximum(np.abs(fc), np.abs(dfc) * (b - a)), 1e-30)
-    val = integrate_rows(reg, a, b, tol, params=(c, fc, dfc, *params), points=c,
-                         rule=rule, max_depth=max_depth, scale=span)
+    val = integrate_rows(reg, a, b, tol, params=(c, fc, dfc), points=c,
+                         max_depth=max_depth, scale=span)
     return val + fc * np.log((b - c) / (c - a))
 
 
-def pv_integral(p: PvIntegrand, tol: float = 1e-10, *, rule: QuadratureRule | None = None,
-                max_depth: int = 16) -> float:
+def pv_integral(p: PvIntegrand, tol: float = 1e-10) -> float:
     """Cauchy principal value of int f(t)/(t - pole) dt over p.interval.
 
     The one-row call of pv_rows; p.fprime, if given, supplies the slope.
@@ -318,5 +308,4 @@ def pv_integral(p: PvIntegrand, tol: float = 1e-10, *, rule: QuadratureRule | No
     """
     slopes = None if p.fprime is None else [p.fprime(p.pole)]
     a, b = p.interval
-    return float(pv_rows(p.f, [p.pole], a, b, tol, slopes=slopes, rule=rule,
-                         max_depth=max_depth)[0])
+    return float(pv_rows(p.f, [p.pole], a, b, tol, slopes=slopes)[0])

@@ -158,10 +158,12 @@ def xi_alpha(model: AlphaModel, mu):
     def regular(w):
         return w ** (a2 + 4) * einstein_reg(w)
 
-    # Laurent expansion of E keeps the relative accuracy at tiny cutoffs
-    laurent = ~full & (cut <= 0.25)
-    out = np.full(log_cut.shape, model.l0_2alpha)
-    for rows, integrand in ((~full & ~laurent, plain), (laurent, regular)):
+    # Laurent expansion of E keeps the relative accuracy at tiny cutoffs; a
+    # cutoff that underflows to 0 (small alpha, large mu) leaves nothing
+    live = ~full & (cut > 0.0)
+    laurent = live & (cut <= 0.25)
+    out = np.where(cut == 0.0, 0.0, model.l0_2alpha)
+    for rows, integrand in ((live & ~laurent, plain), (laurent, regular)):
         c = cut[rows]
         vals = quadrature.integrate_rows(integrand, np.zeros_like(c), c, 1e-12)
         if integrand is regular:

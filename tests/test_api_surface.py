@@ -21,10 +21,17 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "bosemilne"
-MODULES = ("special", "dispersion", "factorization", "field", "saddle", "dom", "acceptance")
+MODULES = ("special", "quadrature", "dispersion", "factorization", "field", "saddle", "dom",
+           "acceptance")
 
 # "module.name" for a public name, "module.function(param)" for a parameter
 EXEMPT = {
+    "quadrature.pv_integral":
+        "bench/spans.py wraps it by name; the tests check the subtraction formula through it",
+    "quadrature.PvIntegrand":
+        "pv_integral's argument, so it goes with pv_integral",
+    "quadrature.pv_integral(tol)":
+        "the tests compare it with pv_rows and scipy's QAWC at tolerance 1e-11",
     "dispersion.lambda_case_boundary":
         "independent reference for slit theta values in the surrogate tests",
     "dispersion.lambda_case_boundary(side)":

@@ -144,6 +144,21 @@ def test_profile_alpha_two_not_constructible(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha", ["0.003", "0.01", "0.1", "0.25"])
+@pytest.mark.parametrize("command", ["v1", "dispersion", "profile", "oracle"])
+def test_small_alpha_runs_or_fails_typed(command, alpha, tmp_path, capsys):
+    # alpha in (0, 0.3) used to fail in every command, some with an untyped
+    # traceback (ZeroDivisionError, OverflowError). Down to 0.01 v1, profile
+    # and oracle run; dispersion's tail fit finds theta = pi within the table,
+    # and at 0.003 the theta table does not resolve: both are typed
+    code = cli.main([command, "--alpha", alpha, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if alpha == "0.003" or command == "dispersion":
+        assert code == 1 and "computation failed" in err
+    else:
+        assert code == 0
+
+
 def test_profile_below_continuum_table(tmp_path, capsys):
     # mu below the first continuum node (1e-4) takes Vp from its integral
     out_csv = tmp_path / "p.csv"

@@ -39,12 +39,11 @@ class TestV1:
     def test_paper_rounding(self, ctx):
         assert abs(ctx.v1(0.0).value - 0.71045) <= 5e-5
 
-    def test_stable_under_rule_doubling(self, model0, table0):
-        # the slit route v1_coefficient takes, with its 64-point rule and twice that
-        a = fz._v1_slit(1.0, quadrature.gauss_rule(64), 1e-10).value
-        b = fz._v1_slit(1.0, quadrature.gauss_rule(128), 1e-10).value
-        assert a == fz.v1_coefficient(model0, table0).value
-        assert abs(a - b) <= 1e-6
+    def test_small_alpha_between_its_neighbours(self, ctx):
+        # alpha 0.1 and 0.25 reach theta = pi within the table (no tail); V1
+        # falls from V1(0) = 0.7104 as alpha grows
+        v = {a: ctx.v1(a).value for a in (0.0, 0.1, 0.25, 0.5)}
+        assert v[0.0] > v[0.1] > v[0.25] > v[0.5]
 
     @pytest.mark.parametrize("alpha,rtol", [(0.5, 1e-9), (1.0, 1e-7)])
     def test_against_independent_reference(self, ctx, alpha, rtol):
@@ -150,9 +149,26 @@ class TestSpectrumCoefficient:
         n2 = fz.n_coefficient(d2, 0.4)
         assert n2 == pytest.approx(2.0 * n1, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_array_form_against_scalar_math(self, ctx, alpha):
+        # one numpy pass over the spectrum_table nodes replaced a loop of
+        # math.exp and math.sin, which differ from numpy's by an ulp on a few
+        # nodes; an array through the slit edge is 0 beyond it
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        amp = 2.0 * data.model.l0_alpha * data.k / math.pi
+        ref = [fz.N_SIGN * amp * math.exp(-vp) * math.sin(math.pi - data.table.theta_at(e))
+               for e, vp in zip(sol._etas.tolist(), sol._vps.tolist())]
+        np.testing.assert_allclose(sol._ns, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+        if alpha == 0.0:
+            got = fz.n_coefficient(data, np.array([0.4, 1.0, 3.7]))
+            assert got.tolist() == [fz.n_coefficient(data, 0.4), 0.0, 0.0]
+
     def test_domain_and_range(self, data0, ctx, model1, table1):
         with pytest.raises(DomainError):
             fz.n_coefficient(data0, -0.2)
+        with pytest.raises(DomainError):
+            fz.n_coefficient(data0, np.array([0.3, 0.0]))
         d1 = fz.build_factorization(model1, table1, k=1.0, v1_est=ctx.v1(1.0))
         with pytest.raises(RangeError):
             fz.n_coefficient(d1, 2.0 * table1.mu_max)

@@ -4,23 +4,62 @@ import math
 import numpy as np
 import pytest
 
-from bosemilne import factorization as fz, field, quadrature
-from bosemilne.errors import DomainError, RangeError
+from bosemilne import dispersion, factorization as fz, field, quadrature
+from bosemilne.errors import AccuracyError, DomainError, RangeError
 from bosemilne.field import (MilneSolution, boundary_residual, evaluate,
                              mode_equation_residual, solve_milne)
 
 
-def spy_fallback(monkeypatch) -> list:
-    """Record the (x, mu) of every row the fixed rule hands to the adaptive code."""
+def spy_redo(monkeypatch) -> list:
+    """Record the (x, mu) of every row the first fixed rule hands to the fine rule."""
     redone = []
-    adaptive = field._adaptive_integral
+    fixed = field._fixed_rule
 
-    def spy(sol, x, mu, tol):
-        redone.extend(zip(x.tolist(), mu.tolist()))
-        return adaptive(sol, x, mu, tol)
+    def spy(sol, rule, x, mu):
+        if rule[3] == field._FINE_ORDERS:
+            redone.extend(zip(x.tolist(), mu.tolist()))
+        return fixed(sol, rule, x, mu)
 
-    monkeypatch.setattr(field, "_adaptive_integral", spy)
+    monkeypatch.setattr(field, "_fixed_rule", spy)
     return redone
+
+
+def adaptive_integral(sol, x, mu, tol):
+    """The tabulated part of the continuum integral by adaptive quadrature at tolerance tol.
+
+    The reference for the fixed rules: principal-value rows (0 < mu <
+    eta_max) by quadrature.pv_rows, one call per x, and the other rows by one
+    integrate_rows call.
+    """
+    interp = sol.eta_n_interp
+    b = sol.eta_max
+
+    def f(eta, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return interp(eta) * np.exp(-np.where(eta > 0, x / eta, np.inf))
+
+    out = np.empty(mu.shape)
+    pv = (0.0 < mu) & (mu < b)
+    for x0 in np.unique(x[pv]).tolist():
+        rows = pv & (x == x0)
+        out[rows] = quadrature.pv_rows(lambda eta: f(eta, x0), mu[rows], 0.0, b, tol,
+                                       max_depth=30)
+    if not np.all(pv):
+        n = int(np.sum(~pv))
+        out[~pv] = quadrature.integrate_rows(
+            lambda eta, x, mu: f(eta, x) / (eta - mu), np.zeros(n), np.full(n, b), tol,
+            params=(x[~pv], mu[~pv]), max_depth=30,
+            scale=float(np.max(np.abs(sol._ns)) + 1e-300))
+    return out
+
+
+def reference_gap(sol, x, mu, tol):
+    """max |continuum integral - adaptive reference at tol| in units of |K| (1 + V1) of phi."""
+    data = sol.factorization
+    x, mu = (np.atleast_1d(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(x, mu))
+    ref = adaptive_integral(sol, x, mu, tol) + field._continuum_tail(sol, x, mu)
+    dev = np.abs(field._continuum_integral(sol, x, mu) - ref) / (2.0 * data.model.l0_alpha)
+    return float(np.max(dev)) / (abs(data.k) * (1.0 + data.v1))
 
 
 class TestDiscreteModes:
@@ -116,16 +155,26 @@ class TestEvaluate:
         assert got.tolist() == want
 
     def test_mixed_fallback_batch_equals_pointwise(self, sol0, monkeypatch):
-        # at x = 0 the fixed rule's estimate misses its tolerance for mu =
-        # 0.64, 0.7 and 0.79 (next to a knot of the continuum table), so one
-        # batch holds adaptive and fixed-rule rows
-        redone = spy_fallback(monkeypatch)
+        # at x = 0 the first fixed rule's estimate misses its tolerance for mu
+        # = 0.64, 0.7 and 0.79 (next to a knot of the continuum table), so one
+        # batch holds fine-rule and first-rule rows
+        redone = spy_redo(monkeypatch)
         x, mu = (g.ravel() for g in np.meshgrid(
             [0.0, 0.5], [0.3, 0.64, -0.5, 0.7, 0.5, 0.79, 1.5], indexing="ij"))
         got = evaluate(sol0, x, mu)
         assert sorted(redone) == [(0.0, 0.64), (0.0, 0.7), (0.0, 0.79)]
         want = [evaluate(sol0, float(a), float(b)) for a, b in zip(x, mu)]
         assert got.tolist() == want
+
+    def test_redo_rows_take_no_adaptive_quadrature(self, sol0, monkeypatch):
+        # the batch above, rows redone included, with every adaptive routine
+        # of quadrature counted: at alpha 0 (no algebraic tail) there are none
+        calls = []
+        for name in ("pv_rows", "integrate_rows", "integrate_with_error"):
+            monkeypatch.setattr(quadrature, name, lambda *a, _n=name, **k: calls.append(_n))
+        redone = spy_redo(monkeypatch)
+        evaluate(sol0, np.array([0.0, 0.0, 0.0, 0.5]), np.array([0.64, 0.7, 0.79, 0.3]))
+        assert len(redone) == 3 and calls == []
 
     def test_range_checked_before_integration(self, ctx, sol0, monkeypatch):
         # mu = 1 (alpha 0): the continuum integrand diverges like a log-log;
@@ -152,25 +201,49 @@ class TestFixedRule:
     def test_against_tight_reference(self, ctx, alpha, mus):
         # adaptive quadrature of the same interpolant at tolerance 1e-12:
         # measured at most 3.1e-12 |K| (1 + V1) on these points
-        sol = ctx.solution(alpha)
-        data = sol.factorization
         x, mu = (g.ravel() for g in np.meshgrid([0.0, 1e-3, 0.5, 3.0], mus, indexing="ij"))
-        ref = field._adaptive_integral(sol, x, mu, 1e-12) + field._continuum_tail(sol, x, mu)
-        dev = np.abs(field._continuum_integral(sol, x, mu) - ref) / (2.0 * data.model.l0_alpha)
-        assert np.max(dev) <= 1e-10 * abs(data.k) * (1.0 + data.v1)
+        assert reference_gap(ctx.solution(alpha), x, mu, 1e-12) <= 1e-10
 
     def test_node_on_pole_falls_back(self, sol0, monkeypatch):
-        # a principal value whose pole is one of the rule's nodes divides by
-        # zero there: its estimate is NaN, and the adaptive code takes the row
-        redone = spy_fallback(monkeypatch)
+        # a principal value whose pole is a node of the 16-point rule divides
+        # by zero there: its estimate is NaN, and the fine rule takes the row
+        redone = spy_redo(monkeypatch)
         mu = float(sol0.continuum_rule[0][5000])
         val = evaluate(sol0, 1.0, mu)
         assert redone == [(1.0, mu)] and math.isfinite(val)
+        assert reference_gap(sol0, 1.0, mu, 1e-12) <= 1e-10
+
+    def test_fine_rule_inside_the_first_interval(self, ctx, monkeypatch):
+        # x and mu about eta_1 / 100: e^{-x/eta} turns over inside [0, eta_1 =
+        # 1e-4], which the fine rule splits. Adaptive quadrature at tolerance
+        # 1e-9 is 2e-7 off here
+        redone = spy_redo(monkeypatch)
+        sol = ctx.solution(1.0)
+        assert reference_gap(sol, 6.44e-7, 6.59e-7, 1e-13) <= 1e-10
+        assert redone == [(6.44e-7, 6.59e-7)]
+
+    def test_fine_rule_on_a_coarse_table(self, ctx, monkeypatch):
+        # criterion 9's 60-node slit table: a 32-point rule with a 24-point
+        # estimate missed its tolerance here
+        redone = spy_redo(monkeypatch)
+        coarse = dispersion.build_theta_table(ctx.model(0.0),
+                                              dispersion._slit_grid(1.0, 60, 1e-4))
+        sol = solve_milne(ctx.model(0.0), k=1.0, table=coarse)
+        assert reference_gap(sol, 0.0, 0.30299561107258116, 1e-12) <= 1e-10
+        assert redone == [(0.0, 0.30299561107258116)]
+
+    def test_row_the_fine_rule_cannot_settle(self, sol0):
+        # 2.1e-13 beyond the end of the alpha-0 table, where evaluate's range
+        # check stops first (it keeps 2e-6 from the slit edge): the pole is too
+        # close to the last knot interval for either rule
+        with pytest.raises(AccuracyError, match="fine rule") as exc:
+            field._continuum_integral(sol0, np.array([0.5, 0.0]), np.array([0.3, 1.0 + 1e-13]))
+        assert math.isfinite(exc.value.best) and exc.value.bound > 1e-9 * abs(exc.value.best)
 
     def test_fallback_rows_on_profile_grid(self, sol0, monkeypatch):
         # an alpha-0 31 x 33 grid like the profile benchmark's: 3 of 1023 rows
-        # miss the fixed rule's tolerance (x = 0, mu next to a table knot)
-        redone = spy_fallback(monkeypatch)
+        # miss the first fixed rule's tolerance (x = 0, mu next to a table knot)
+        redone = spy_redo(monkeypatch)
         x, mu = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 20.0, 31),
                                                 np.linspace(0.01, 0.97, 33), indexing="ij"))
         evaluate(sol0, x, mu)
@@ -180,12 +253,13 @@ class TestFixedRule:
 class TestCallCounts:
     """Deterministic cost guards: integrand calls, not time.
 
-    The field reads its interpolant once per solution (at the fixed rule's
-    nodes) and once per call (at the principal-value poles); only rows the
-    fixed rule cannot settle call it again, once per adaptive step. The
-    batched adaptive kernels call each integrand once per lockstep step for
-    up to fz.ROWS rows; one adaptive quadrature per value made about 130
-    calls per field point and 80 per Vp node.
+    The field reads its interpolant once per solution at each fixed rule's
+    nodes and once per call at the principal-value poles; rows the first
+    rule cannot settle read it once more at their poles, and the fine rule's
+    nodes once per solution. The batched adaptive kernels of v_cut call
+    each integrand once per lockstep step for up to fz.ROWS rows; one
+    adaptive quadrature per value made about 130 calls per field point and
+    80 per Vp node.
     """
 
     class Counting:

@@ -64,12 +64,6 @@ class TestIntegrate:
         assert exc.value.best is not None
         assert exc.value.bound > 0
 
-    def test_stability_under_rule_doubling(self):
-        f = lambda x: np.exp(-x) * np.sin(3 * x)
-        a = integrate(f, 0.0, 5.0, 1e-12, rule=gauss_rule(64))
-        b = integrate(f, 0.0, 5.0, 1e-12, rule=gauss_rule(128))
-        assert abs(a - b) <= 1e-11 * abs(a)
-
     def test_complex_integrand(self):
         got = integrate(lambda t: np.exp(1j * t), 0.0, math.pi / 2, 1e-13)
         assert got == pytest.approx(1.0 + 1j, rel=1e-12)
@@ -250,15 +244,14 @@ class TestBatchedRows:
     def test_pv_rows_against_pv_integral_and_qawc(self):
         from scipy.integrate import quad
 
-        def f(t, s):
-            return np.cos(s * t) * np.exp(-0.3 * t)
+        def f(t):
+            return np.cos(2.0 * t) * np.exp(-0.3 * t)
 
-        poles, s = np.array([0.7, 1.5, 2.9]), np.array([1.0, 2.0, 0.5])
-        got = pv_rows(f, poles, 0.0, 3.0, 1e-11, params=(s,))
-        for g, c, w in zip(got, poles, s):
-            one = pv_integral(PvIntegrand(f=lambda t: f(t, w), pole=c, interval=(0.0, 3.0)),
-                              tol=1e-11)
-            want, _ = quad(lambda t: math.cos(w * t) * math.exp(-0.3 * t), 0.0, 3.0,
+        poles = np.array([0.7, 1.5, 2.9])
+        got = pv_rows(f, poles, 0.0, 3.0, 1e-11)
+        for g, c in zip(got, poles):
+            one = pv_integral(PvIntegrand(f=f, pole=c, interval=(0.0, 3.0)), tol=1e-11)
+            want, _ = quad(lambda t: math.cos(2.0 * t) * math.exp(-0.3 * t), 0.0, 3.0,
                            weight="cauchy", wvar=c)
             assert g == one
             assert g == pytest.approx(want, rel=1e-9)
