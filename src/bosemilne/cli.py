@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, dispersion, dom, factorization as fz, field, saddle
-from .errors import BoseMilneError, ConfigurationError, DivergenceError
+from .errors import BoseMilneError, ConfigurationError, ConsistencyError, DivergenceError
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_ORDER
 from .special import AlphaModel
 
@@ -229,8 +229,15 @@ def cmd_dispersion(args) -> int:
               "mu_max": _val(table.mu_max, "exact-by-construction")}
     diagnostics = []
     if table.slit_edge is None:
-        p, residual = table.tail_fit
-        values["tail_exponent"] = _val(p, 2.0 * residual)
+        # for 0 < alpha < 0.3 theta reaches pi at working precision within the
+        # table, so ln(pi - theta) has no line to fit on the last decade
+        try:
+            p, residual = table.tail_fit
+        except ConsistencyError as exc:
+            diagnostics.append("tail_exponent omitted: theta reaches pi at working precision "
+                               f"within the table ({exc})")
+        else:
+            values["tail_exponent"] = _val(p, 2.0 * residual)
     env = _envelope("dispersion", model,
                     {"alpha": alpha, "grid_mu": cfg["grid_mu"] or "default",
                      "out": cfg["out"], "format": cfg["format"]},

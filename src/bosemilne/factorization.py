@@ -59,11 +59,11 @@ __all__ = [
 # with -1 the boundary residual at x=0 is at quadrature level, with +1 it is O(1).
 N_SIGN = -1.0
 
-# rows per lockstep call of the adaptive quadrature in v_cut and in the
-# field's alpha > 0 tail; bounds the node arrays of one step
-ROWS = 32
-# most continuum nodes of spectrum_table (each costs one principal value)
+# most continuum nodes of spectrum_table (each costs one row of v_cut's fixed rule)
 _SPECTRUM_NODES = 400
+# etas per block of v_cut's first fixed rule: its two (etas, nodes) work
+# arrays take 1.2 MB at alpha 0. Fine-rule blocks hold as many numbers
+_CUT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,9 @@ def v_transform(data: FactorizationData, z) -> complex:
 def v_cut(data: FactorizationData, eta):
     """Principal value Vp(eta) of the Cauchy transform on the cut, 0 < eta < mu_max.
 
-    Scalar or 1-d array eta; the principal values go through
-    quadrature.pv_rows at tolerance 1e-9, ROWS etas per call.
+    Scalar or 1-d array eta. The body (1/pi) P int_0^b (theta - pi)/(t - eta)
+    dt, with b the slit edge or mu_max, comes from `_cut_body`; an alpha > 0
+    table adds its tail beyond mu_max (`_tail_cauchy`).
     """
     table = data.table
     arr = np.asarray(eta, dtype=float)
@@ -200,17 +201,60 @@ def v_cut(data: FactorizationData, eta):
     outside = ~((0.0 < etas) & (etas < table.mu_max))
     if np.any(outside):
         raise RangeError(f"eta={etas[outside][0]} outside the tabulated cut (0, {table.mu_max})")
-
-    def g(t):
-        return table.theta_at(t) - math.pi
-
-    out = np.empty(etas.shape)
-    for s in range(0, len(etas), ROWS):
-        e = etas[s:s + ROWS]
-        pv = quadrature.pv_rows(g, e, 0.0, table.mu_max, 1e-9, slopes=table.theta_slope(e),
-                                max_depth=30)
-        out[s:s + ROWS] = (pv + _tail_cauchy(data, e).real) / math.pi
+    out = (_cut_body(table, etas) + _tail_cauchy(data, etas).real) / math.pi
     return out if arr.ndim else float(out[0])
+
+
+def _cut_body(table: DispersionTable, c: np.ndarray) -> np.ndarray:
+    """P int_0^b g(t)/(t - c) dt, g = theta - pi, for every 0 < c < b, by fixed rules.
+
+    The knots are the table's nodes [0, mu_1, ..., mu_max], and the slit edge
+    b after them on a slit table (theta < pi up to it); theta is smooth on
+    each interval. In the regularised form sum w (g(t) - g(c))/(t - c) + g(c)
+    ln((b - c)/c), with theta_slope(c) for a node on the pole, each row goes
+    through `quadrature.knot_rows` on the scale max(|g(c)|, |g'(c)| b).
+    """
+    knots = table.mu if table.slit_edge is None else np.append(table.mu, table.slit_edge)
+    b = float(knots[-1])
+    g_c = table.theta_at(c) - math.pi
+    slope = table.theta_slope(c)
+    scale = np.maximum(np.maximum(np.abs(g_c), np.abs(slope) * b), 1e-30)
+
+    def by_pair(fine, rows):
+        return _cut_rule(table, knots, fine, c[rows], g_c[rows], slope[rows])
+
+    value = quadrature.knot_rows(by_pair, len(c), scale,
+                                 lambda i: f"principal value at eta={float(c[i])!r}")
+    return value + g_c * np.log((b - c) / c)
+
+
+def _cut_rule(table: DispersionTable, knots: np.ndarray, fine: bool, c: np.ndarray,
+              g_c: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error estimate) of sum w (g(t) - g(c))/(t - c) on `knot_rule(knots, fine)`.
+
+    The rows go through one work array in blocks of _CUT_ROWS rows of the
+    first rule's size; each row is reduced on its own, so its numbers do not
+    depend on the batch.
+    """
+    nodes, weights, orders = quadrature.knot_rule(knots, fine)
+    g = table.theta_at(nodes) - math.pi
+    block = max(1, _CUT_ROWS * sum(quadrature.KNOT_ORDERS) * (len(knots) - 1) // len(nodes))
+    on_node = np.isin(c, nodes)
+    value, err = np.empty(c.shape), np.empty(c.shape)
+    work = np.empty((2, min(len(c), block), len(nodes)))
+    with np.errstate(invalid="ignore"):  # 0/0 at a node on the pole
+        for s in range(0, len(c), block):
+            rows = slice(s, s + block)
+            n = len(c[rows])
+            q, d = work[0, :n], work[1, :n]
+            np.subtract(g, g_c[rows, None], out=q)
+            np.subtract(nodes, c[rows, None], out=d)
+            q /= d
+            if on_node[rows].any():
+                np.copyto(q, slope[rows, None], where=d == 0.0)
+            q *= weights
+            value[rows], err[rows] = quadrature.knot_sums(q, orders)
+    return value, err
 
 
 def x_factor(data: FactorizationData, z) -> complex:

@@ -45,8 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature
-from .errors import AccuracyError, DomainError, RangeError
-from .factorization import (FactorizationData, N_SIGN, ROWS, build_factorization,
+from .errors import DomainError, RangeError
+from .factorization import (FactorizationData, N_SIGN, build_factorization,
                             spectrum_table, v_cut)
 from .dispersion import build_theta_table
 from .special import AlphaModel
@@ -64,12 +64,9 @@ _EXP_UNDERFLOW = 745.0
 # products below _TINY are flushed, so no subnormal reaches the sums
 _EXP_CUT = 700.0
 _TINY = np.finfo(float).tiny
-# Gauss-Legendre orders on each continuum knot interval: the rule, and the
-# lower-order rule whose difference from it is the error estimate; then the
-# same for the rows the first pair cannot settle, whose knots also split [0,
-# eta_1], where e^{-x/eta} turns over for x of about eta_1 / 100
-_RULE_ORDERS = (16, 8)
-_FINE_ORDERS = (64, 48)
+# rows per lockstep call of the adaptive quadrature of the alpha > 0 tail;
+# bounds the node arrays of one step
+ROWS = 32
 # field points per block of the first fixed rule: its two (points, nodes)
 # work arrays take 0.6 MB at alpha 0, and 16 points a block added about 2 MB
 # of peak memory for no time. Fine-rule blocks hold as many numbers
@@ -122,24 +119,19 @@ class MilneSolution:
     def continuum_rule(self):
         """(nodes, weights, eta n(eta) at the nodes, orders) of the first fixed rules.
 
-        The knots are 0 and the table nodes, so the interpolant is one cubic
-        on each interval. Flat arrays laid out as (order, interval): the
-        nodes of the high-order Gauss-Legendre rule on every interval, then
-        those of the low-order one.
+        `quadrature.knot_rule` on the knots 0 and the table nodes, so the
+        interpolant is one cubic on each interval.
         """
-        return self._knot_rule(np.concatenate([[0.0], self._etas]), _RULE_ORDERS)
+        return self._knot_rule(fine=False)
 
     @cached_property
     def fine_rule(self):
-        """As continuum_rule, with [0, eta_1] also split at eta_1 10^-k, k = 1..8."""
-        first = self._etas[0] * 10.0 ** np.arange(-8, 0)
-        return self._knot_rule(np.concatenate([[0.0], first, self._etas]), _FINE_ORDERS)
+        """As continuum_rule for the finer pair, whose knots also split [0,
+        eta_1], where e^{-x/eta} turns over for x of about eta_1 / 100."""
+        return self._knot_rule(fine=True)
 
-    def _knot_rule(self, knots, orders):
-        mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
-        rules = [quadrature.gauss_rule(n) for n in orders]
-        nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes])
-        weights = np.concatenate([half * w for r in rules for w in r.weights])
+    def _knot_rule(self, fine):
+        nodes, weights, orders = quadrature.knot_rule(np.concatenate([[0.0], self._etas]), fine)
         return nodes, weights, self.eta_n_interp(nodes), orders
 
     @cached_property
@@ -207,27 +199,19 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
 def _continuum_integral(sol: MilneSolution, x, mu):
     """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range, plus the tail.
 
-    x and mu broadcast. Rows whose `continuum_rule` estimate misses 1e-9
-    max(|value|, max|n|) are redone on `fine_rule`; a row that misses there
-    too raises AccuracyError.
+    x and mu broadcast. The rows go through `quadrature.knot_rows` on the
+    scale max|n|: `continuum_rule` first, `fine_rule` for the rows it cannot
+    settle.
     """
     xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
     x, mu = xb.ravel(), mb.ravel()
-    scale = float(np.max(np.abs(sol._ns)) + 1e-300)
 
-    def missed(value, err):
-        return np.flatnonzero(~(err <= 1e-9 * np.maximum(np.abs(value), scale)))  # NaN too
+    def by_pair(fine, rows):
+        return _fixed_rule(sol, sol.fine_rule if fine else sol.continuum_rule, x[rows], mu[rows])
 
-    out, err = _fixed_rule(sol, sol.continuum_rule, x, mu)
-    redo = missed(out, err)
-    if len(redo):
-        out[redo], err[redo] = _fixed_rule(sol, sol.fine_rule, x[redo], mu[redo])
-        bad = redo[missed(out[redo], err[redo])]
-        if len(bad):
-            i = bad[0]
-            raise AccuracyError(f"continuum integral at x={float(x[i])!r}, mu={float(mu[i])!r}: "
-                                f"the fine rule misses its tolerance, error {err[i]:.3e}",
-                                best=float(out[i]), bound=float(err[i]))
+    out = quadrature.knot_rows(
+        by_pair, len(mu), float(np.max(np.abs(sol._ns)) + 1e-300),
+        lambda i: f"continuum integral at x={float(x[i])!r}, mu={float(mu[i])!r}")
     return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
 
 
@@ -244,7 +228,7 @@ def _fixed_rule(sol: MilneSolution, rule, x: np.ndarray, mu: np.ndarray):
     megabyte-sized arrays would cost a page fault per page); each row is
     reduced on its own, so its numbers do not depend on the batch.
     """
-    nodes, weights, eta_n, (high_order, low_order) = rule
+    nodes, weights, eta_n, orders = rule
     block = max(1, _FIXED_ROWS * len(sol.continuum_rule[0]) // len(nodes))
     b = sol.eta_max
     pv = (0.0 < mu) & (mu < b)
@@ -276,12 +260,7 @@ def _fixed_rule(sol: MilneSolution, rule, x: np.ndarray, mu: np.ndarray):
                 np.subtract(nodes, mu[rows, None], out=d)
                 g /= d
                 g *= weights
-                # per interval: the high-order rule's nodes, then the low-order rule's
-                by_order = g.reshape(len(rows), high_order + low_order, -1)
-                high = by_order[:, :high_order].sum(axis=1)
-                low = by_order[:, high_order:].sum(axis=1)
-                value[rows] = high.sum(axis=1)
-                err[rows] = np.abs(high - low).sum(axis=1)
+                value[rows], err[rows] = quadrature.knot_sums(g, orders)
     value[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
     return value, err
 

@@ -1,10 +1,13 @@
 """Reusable numerical integration.
 
-Fixed Gauss-Legendre rules, one deterministic globally-adaptive algorithm
-run in lockstep over many rows (`integrate_rows`: one integrand call per
-step for all rows; `integrate_with_error` and `integrate` are its one-row
-call), and Cauchy principal values by singularity subtraction, one row
-(`pv_integral`) or many (`pv_rows`):
+Fixed Gauss-Legendre rules, also as pairs on every interval of a set of
+knots (`knot_rule`: the rule and a lower-order one for the error estimate;
+`knot_rows`: a finer pair for the rows the first cannot settle), one
+deterministic globally-adaptive algorithm run in lockstep over many rows
+(`integrate_rows`: one integrand call per step for all rows;
+`integrate_with_error` and `integrate` are its one-row call), and Cauchy
+principal values by singularity subtraction, one row (`pv_integral`) or
+many (`pv_rows`):
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
 
@@ -29,6 +32,9 @@ __all__ = [
     "QuadratureRule",
     "PvIntegrand",
     "gauss_rule",
+    "knot_rule",
+    "knot_sums",
+    "knot_rows",
     "integrate",
     "integrate_with_error",
     "integrate_rows",
@@ -39,6 +45,11 @@ __all__ = [
 _MAX_ORDER = 10000
 DEFAULT_ORDER = 64
 DEFAULT_MAX_DEPTH = 12
+# Gauss-Legendre orders of `knot_rule` on each knot interval: the rule, and
+# the lower-order rule whose difference from it is the error estimate; then
+# the same for the rows the first pair cannot settle
+KNOT_ORDERS = (16, 8)
+FINE_KNOT_ORDERS = (64, 48)
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,65 @@ def gauss_rule(n: int) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=n)
+
+
+def knot_rule(knots: np.ndarray, fine: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """(nodes, weights, orders) of a Gauss-Legendre rule pair on every interval of `knots`.
+
+    The pair is KNOT_ORDERS, or with `fine` FINE_KNOT_ORDERS on the knots
+    with [knots[0], knots[1]] also split at knots[1] 10^-k, k = 1..8 (knots[0]
+    is 0 there). Flat arrays laid out as (order, node, interval): the nodes
+    of the high-order rule on every interval, then those of the low-order
+    one; `knot_sums` reduces terms in this layout.
+    """
+    orders = KNOT_ORDERS
+    if fine:
+        orders = FINE_KNOT_ORDERS
+        knots = np.concatenate([knots[:1], knots[1] * 10.0 ** np.arange(-8, 0), knots[1:]])
+    mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
+    rules = [gauss_rule(n) for n in orders]
+    nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes])
+    weights = np.concatenate([half * w for r in rules for w in r.weights])
+    return nodes, weights, orders
+
+
+def knot_sums(terms: np.ndarray, orders: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error estimate) of each row of weighted terms in `knot_rule`'s layout.
+
+    The value is the high-order sum, the estimate the sum over intervals of
+    |high - low|, as QUADPACK pairs its rules (Piessens et al., 1983). Each
+    row is reduced on its own, so its numbers do not depend on the others.
+    """
+    high_order, low_order = orders
+    by_order = terms.reshape(len(terms), high_order + low_order, -1)
+    high = by_order[:, :high_order].sum(axis=1)
+    low = by_order[:, high_order:].sum(axis=1)
+    return high.sum(axis=1), np.abs(high - low).sum(axis=1)
+
+
+def knot_rows(by_pair: Callable, n: int, scale, label: Callable) -> np.ndarray:
+    """Values of n rows by the first pair of `knot_rule`, and by the fine pair where it misses.
+
+    by_pair(fine, rows) returns (value, error estimate) of the rows, an index
+    array. A row is settled when its estimate is at most 1e-9 max(|value|,
+    scale), scale one number or one per row. A row the fine pair leaves
+    unsettled raises AccuracyError, its message starting with label(row).
+    """
+    scale = np.broadcast_to(scale, (n,))
+
+    def missed(rows, value, err):
+        return rows[~(err <= 1e-9 * np.maximum(np.abs(value), scale[rows]))]  # NaN too
+
+    value, err = by_pair(False, np.arange(n))
+    redo = missed(np.arange(n), value, err)
+    if len(redo):
+        value[redo], err[redo] = by_pair(True, redo)
+        bad = missed(redo, value[redo], err[redo])
+        if len(bad):
+            i = bad[0]
+            raise AccuracyError(f"{label(i)}: the fine rule misses its tolerance, "
+                                f"error {err[i]:.3e}", best=float(value[i]), bound=float(err[i]))
+    return value
 
 
 def _converged(err, total, tol, scale):
@@ -271,7 +341,9 @@ def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, slopes=None,
     added. f is one function for every pole; it must be continuous
     (Hoelder) at each pole and evaluate elementwise.
     `slopes` gives f'(c) for nodes that fall on a pole; without it a central
-    difference supplies it.
+    difference supplies it. In the package only pv_integral calls it; the
+    tests take it as the adaptive reference for the fixed rules of the
+    continuum and of Vp.
     """
     c = np.asarray(poles, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), c.shape)

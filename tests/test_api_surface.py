@@ -32,6 +32,11 @@ EXEMPT = {
         "pv_integral's argument, so it goes with pv_integral",
     "quadrature.pv_integral(tol)":
         "the tests compare it with pv_rows and scipy's QAWC at tolerance 1e-11",
+    "quadrature.pv_rows":
+        "pv_integral's body, and the tests' adaptive reference for v_cut and the field; "
+        "it goes with pv_integral",
+    "quadrature.pv_rows(max_depth)":
+        "the tests' references at tolerance 1e-12 and 1e-13 bisect deeper than the default",
     "dispersion.lambda_case_boundary":
         "independent reference for slit theta values in the surrogate tests",
     "dispersion.lambda_case_boundary(side)":

@@ -148,15 +148,20 @@ def test_profile_alpha_two_not_constructible(capsys):
 @pytest.mark.parametrize("command", ["v1", "dispersion", "profile", "oracle"])
 def test_small_alpha_runs_or_fails_typed(command, alpha, tmp_path, capsys):
     # alpha in (0, 0.3) used to fail in every command, some with an untyped
-    # traceback (ZeroDivisionError, OverflowError). Down to 0.01 v1, profile
-    # and oracle run; dispersion's tail fit finds theta = pi within the table,
-    # and at 0.003 the theta table does not resolve: both are typed
+    # traceback (ZeroDivisionError, OverflowError). Down to 0.01 every command
+    # runs; dispersion's tail fit finds theta = pi within the table, so it
+    # omits tail_exponent and says why. At 0.003 the theta table does not
+    # resolve, which is typed
     code = cli.main([command, "--alpha", alpha, "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    if alpha == "0.003" or command == "dispersion":
+    out, err = capsys.readouterr()
+    if alpha == "0.003":
         assert code == 1 and "computation failed" in err
     else:
         assert code == 0
+    if command == "dispersion" and code == 0:
+        env = json.loads(out)
+        assert "tail_exponent" not in env["values"]
+        assert any("tail_exponent omitted" in d for d in env["diagnostics"])
 
 
 def test_profile_below_continuum_table(tmp_path, capsys):

@@ -174,19 +174,120 @@ class TestSpectrumCoefficient:
             fz.n_coefficient(d1, 2.0 * table1.mu_max)
 
 
+def pv_reference(data, etas):
+    """Vp(etas) by adaptive principal values (quadrature.pv_rows) at tolerance 1e-13.
+
+    The body runs to mu_max, plus the table's tail beyond it. A slit table
+    adds the piece from mu_max to the slit edge, 1e-13 wide: for etas at
+    least 1e-4 below the edge, 1/(t - eta) is 1/(edge - eta) there to 1e-9,
+    and int g dt is taken in the edge variable t = edge - e^-s.
+    """
+    table = data.table
+    g = lambda t: table.theta_at(t) - math.pi
+    body = quadrature.pv_rows(g, etas, 0.0, table.mu_max, 1e-13,
+                              slopes=table.theta_slope(etas), max_depth=50)
+    if table.slit_edge is not None:
+        edge, s0 = table.slit_edge, -math.log(table.slit_edge - table.mu_max)
+        assert np.all(edge - etas >= 1e-4)
+        piece = quadrature.integrate(lambda s: g(edge - np.exp(-s)) * np.exp(-s),
+                                     s0, s0 + 45.0, 1e-8, max_depth=30)
+        body += piece / (edge - etas)
+    return (body + fz._tail_cauchy(data, etas).real) / math.pi
+
+
+def slit_vp_mpmath(c, dps=30):
+    """Vp(c) on the alpha = 0 slit (edge 1) at dps digits, for c near the edge.
+
+    P int_0^1 g/(t - c) dt with g = arg lam_C(t + i0) - pi, split at c -+ h,
+    h = (1 - c)/2: the plain integrals on either side, and the symmetric
+    part int_0^h (g(c + u) - g(c - u))/u du around the pole.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        c = mp.mpf(c)
+        h = (1 - c) / 2
+
+        def g(t):
+            return mp.atan2(mp.pi * t / 2, 1 - t * mp.atanh(t)) - mp.pi
+
+        body = [mp.mpf(0), mp.mpf("0.5")]
+        body += [1 - mp.mpf(10) ** -k for k in range(1, 16) if 1 - mp.mpf(10) ** -k < c - h]
+        left = mp.quad(lambda t: g(t) / (t - c), body + [c - h])
+        near = mp.quad(lambda u: (g(c + u) - g(c - u)) / u, [0, h / 100, h])
+        right = mp.quad(lambda t: g(t) / (t - c), [c + h, c + 1.5 * h, 1])
+        return float((left + near + right) / mp.pi)
+
+
 class TestVCut:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_array_equals_per_eta(self, ctx, alpha):
-        # more etas than one batch of fz.ROWS, from below the continuum table
-        # to next to the end of the theta table; alpha 1 adds the tail
+        # more etas than one block of the fixed rule, from below the
+        # continuum table to next to the end of the theta table; alpha 1
+        # adds the tail
         model, table = ctx.model(alpha), ctx.table(alpha)
         data = fz.build_factorization(model, table, k=1.0, v1_est=ctx.v1(alpha))
         etas = np.concatenate([[1e-5, 5e-5], np.geomspace(1e-4, 0.999 * table.mu_max, 38)])
         got = fz.v_cut(data, etas)
-        assert len(etas) > fz.ROWS
+        assert len(etas) > fz._CUT_ROWS
         assert got.tolist() == [fz.v_cut(data, float(e)) for e in etas]
         with pytest.raises(RangeError):
             fz.v_cut(data, np.array([0.5, table.mu_max]))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_against_adaptive_reference(self, ctx, alpha):
+        # every continuum node and 2000 seeded etas from 1e-6 to mu_max;
+        # measured at most 4.3e-12 (nodes) and 4.4e-12 (random), at alpha 1
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        rng = np.random.default_rng(11)
+        etas = np.exp(rng.uniform(math.log(1e-6), math.log(data.table.mu_max), 2000))
+        assert np.max(np.abs(sol._vps - pv_reference(data, sol._etas))) <= 1e-10
+        assert np.max(np.abs(fz.v_cut(data, etas) - pv_reference(data, etas))) <= 1e-10
+
+    def test_slit_nodes_against_adaptive_reference(self, sol0):
+        # nodes with 1 - eta >= 1e-4; measured at most 4.7e-12. Closer to the
+        # edge the adaptive reference is itself up to 5.6e-4 off (see the
+        # mpmath test below)
+        etas = sol0._etas[1.0 - sol0._etas >= 1e-4]
+        got = sol0._vps[1.0 - sol0._etas >= 1e-4]
+        assert np.max(np.abs(got - pv_reference(sol0.factorization, etas))) <= 1e-10
+
+    def test_pinned_alpha_one_eta(self, ctx):
+        # adaptive principal values at tolerance 1e-9 were 3.05e-4 off here:
+        # their stopping scale |g'(c)| mu_max loosened the tolerance
+        data = ctx.solution(1.0).factorization
+        eta = 6.892294976729862e-4
+        assert abs(fz.v_cut(data, eta) - pv_reference(data, np.array([eta]))[0]) <= 1e-10
+
+    @pytest.mark.parametrize("eta", [0.9999999999998872, 0.9999999999988711,
+                                     0.9999999998561573])
+    def test_slit_edge_against_mpmath(self, data0, eta):
+        # continuum nodes 1.13e-13, 1.13e-12 and 1.44e-10 below the edge. Vp
+        # runs to the slit edge, not to mu_max = 1 - 1e-13: theta < pi
+        # between them, a piece of -7.4e-2 / -3.1e-3 / -2.3e-5 here. Left is
+        # a rounding floor: the knot intervals next to the edge are a few
+        # hundred ulp wide, and the error measured 2.5e-19/(1 - eta)
+        assert abs(fz.v_cut(data0, eta) - slit_vp_mpmath(eta)) <= 1e-18 / (1.0 - eta)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_fine_pair_agrees(self, ctx, alpha, monkeypatch):
+        # no eta tried needs the fine pair; forced on every row, it gives the
+        # first pair's values (measured within 1.1e-14)
+        data = ctx.solution(alpha).factorization
+        etas = np.geomspace(1e-6, 0.99 * data.table.mu_max, 25)
+        want = fz.v_cut(data, etas)
+        monkeypatch.setattr(quadrature, "knot_rows",
+                            lambda by_pair, n, scale, label: by_pair(True, np.arange(n))[0])
+        assert np.max(np.abs(fz.v_cut(data, etas) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_no_adaptive_principal_value(self, ctx, alpha, monkeypatch):
+        data = ctx.solution(alpha).factorization
+        calls = []
+        monkeypatch.setattr(quadrature, "pv_rows", lambda *a, **k: calls.append(1))
+        fz.spectrum_table(data)
+        fz.v_cut(data, np.array([1e-5, 0.3, 0.5 * data.table.mu_max]))
+        assert calls == []
 
 
 class TestReconstruction:

@@ -16,7 +16,7 @@ def spy_redo(monkeypatch) -> list:
     fixed = field._fixed_rule
 
     def spy(sol, rule, x, mu):
-        if rule[3] == field._FINE_ORDERS:
+        if rule[3] == quadrature.FINE_KNOT_ORDERS:
             redone.extend(zip(x.tolist(), mu.tolist()))
         return fixed(sol, rule, x, mu)
 
@@ -256,10 +256,9 @@ class TestCallCounts:
     The field reads its interpolant once per solution at each fixed rule's
     nodes and once per call at the principal-value poles; rows the first
     rule cannot settle read it once more at their poles, and the fine rule's
-    nodes once per solution. The batched adaptive kernels of v_cut call
-    each integrand once per lockstep step for up to fz.ROWS rows; one
-    adaptive quadrature per value made about 130 calls per field point and
-    80 per Vp node.
+    nodes once per solution. v_cut reads theta once at its poles and once
+    at the nodes of its fixed rule. One adaptive quadrature per value made
+    about 130 calls per field point and 80 per Vp node.
     """
 
     class Counting:
@@ -279,11 +278,12 @@ class TestCallCounts:
         assert spy.calls <= 2
 
     def test_spectrum_table(self, data0):
-        # 400 nodes at alpha 0: about 350 calls
+        # 400 nodes at alpha 0: Vp's poles and rule nodes, then n's nodes (the
+        # lockstep adaptive principal values made about 350 calls)
         table = dataclasses.replace(data0.table)
         spy = table.__dict__["theta_at"] = self.Counting(data0.table.theta_at)
         fz.spectrum_table(dataclasses.replace(data0, table=table))
-        assert spy.calls <= 2000
+        assert spy.calls <= 3
 
 
 class TestBoundaryResidual:
