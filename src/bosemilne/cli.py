@@ -24,9 +24,9 @@ any other key is a configuration error.
 
 Start-up: importing this module loads numpy but not scipy, so v1,
 dispersion and oracle run without it. profile loads scipy.interpolate when
-it first builds the field's PCHIP interpolants, and validate loads that and
-scipy.special (criterion 4's Gamma/zeta oracle, kept independent of the
-package).
+it first builds the field's PCHIP interpolant of eta n(eta), and validate
+loads that and scipy.special (criterion 4's Gamma/zeta oracle, kept
+independent of the package).
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """

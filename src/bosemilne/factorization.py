@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,12 +59,6 @@ __all__ = [
 # Derived from the jump of C0/X across the cut and confirmed operationally:
 # with -1 the boundary residual at x=0 is at quadrature level, with +1 it is O(1).
 N_SIGN = -1.0
-
-# most continuum nodes of spectrum_table (each costs one row of v_cut's fixed rule)
-_SPECTRUM_NODES = 400
-# etas per block of v_cut's first fixed rule: its two (etas, nodes) work
-# arrays take 1.2 MB at alpha 0. Fine-rule blocks hold as many numbers
-_CUT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -136,6 +131,26 @@ class FactorizationData:
     def k0(self) -> float:
         return self.v1 * self.k
 
+    @cached_property
+    def cut_rule(self):
+        """(nodes, weights, theta - pi at the nodes, orders) of v_cut's first fixed rules.
+
+        `quadrature.knot_rule` on the theta table's nodes [0, mu_1, ...,
+        mu_max], and the slit edge after them on a slit table.
+        """
+        return self._knot_rule(fine=False)
+
+    @cached_property
+    def fine_cut_rule(self):
+        """As cut_rule for the finer pair, whose knots also split [0, mu_1]."""
+        return self._knot_rule(fine=True)
+
+    def _knot_rule(self, fine):
+        table = self.table
+        knots = table.mu if table.slit_edge is None else np.append(table.mu, table.slit_edge)
+        nodes, weights, orders = quadrature.knot_rule(knots, fine)
+        return nodes, weights, table.theta_at(nodes) - math.pi, orders
+
 
 def build_factorization(model: AlphaModel, table: DispersionTable,
                         k: float = 1.0, v1_est: V1Estimate | None = None) -> FactorizationData:
@@ -201,60 +216,30 @@ def v_cut(data: FactorizationData, eta):
     outside = ~((0.0 < etas) & (etas < table.mu_max))
     if np.any(outside):
         raise RangeError(f"eta={etas[outside][0]} outside the tabulated cut (0, {table.mu_max})")
-    out = (_cut_body(table, etas) + _tail_cauchy(data, etas).real) / math.pi
+    out = (_cut_body(data, etas) + _tail_cauchy(data, etas).real) / math.pi
     return out if arr.ndim else float(out[0])
 
 
-def _cut_body(table: DispersionTable, c: np.ndarray) -> np.ndarray:
+def _cut_body(data: FactorizationData, c: np.ndarray) -> np.ndarray:
     """P int_0^b g(t)/(t - c) dt, g = theta - pi, for every 0 < c < b, by fixed rules.
 
-    The knots are the table's nodes [0, mu_1, ..., mu_max], and the slit edge
-    b after them on a slit table (theta < pi up to it); theta is smooth on
+    The knots are those of `FactorizationData.cut_rule`; theta is smooth on
     each interval. In the regularised form sum w (g(t) - g(c))/(t - c) + g(c)
-    ln((b - c)/c), with theta_slope(c) for a node on the pole, each row goes
-    through `quadrature.knot_rows` on the scale max(|g(c)|, |g'(c)| b).
+    ln((b - c)/c) each row goes through `quadrature.knot_rows` on the scale
+    max(|g(c)|, |g'(c)| b).
     """
-    knots = table.mu if table.slit_edge is None else np.append(table.mu, table.slit_edge)
-    b = float(knots[-1])
+    table = data.table
+    b = table.mu_max if table.slit_edge is None else table.slit_edge
     g_c = table.theta_at(c) - math.pi
-    slope = table.theta_slope(c)
-    scale = np.maximum(np.maximum(np.abs(g_c), np.abs(slope) * b), 1e-30)
+    scale = np.maximum(np.maximum(np.abs(g_c), np.abs(table.theta_slope(c)) * b), 1e-30)
 
     def by_pair(fine, rows):
-        return _cut_rule(table, knots, fine, c[rows], g_c[rows], slope[rows])
+        nodes, weights, g, orders = data.fine_cut_rule if fine else data.cut_rule
+        return quadrature.knot_pv_sums(g, g_c[rows], c[rows], nodes, weights, orders)
 
     value = quadrature.knot_rows(by_pair, len(c), scale,
                                  lambda i: f"principal value at eta={float(c[i])!r}")
     return value + g_c * np.log((b - c) / c)
-
-
-def _cut_rule(table: DispersionTable, knots: np.ndarray, fine: bool, c: np.ndarray,
-              g_c: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, error estimate) of sum w (g(t) - g(c))/(t - c) on `knot_rule(knots, fine)`.
-
-    The rows go through one work array in blocks of _CUT_ROWS rows of the
-    first rule's size; each row is reduced on its own, so its numbers do not
-    depend on the batch.
-    """
-    nodes, weights, orders = quadrature.knot_rule(knots, fine)
-    g = table.theta_at(nodes) - math.pi
-    block = max(1, _CUT_ROWS * sum(quadrature.KNOT_ORDERS) * (len(knots) - 1) // len(nodes))
-    on_node = np.isin(c, nodes)
-    value, err = np.empty(c.shape), np.empty(c.shape)
-    work = np.empty((2, min(len(c), block), len(nodes)))
-    with np.errstate(invalid="ignore"):  # 0/0 at a node on the pole
-        for s in range(0, len(c), block):
-            rows = slice(s, s + block)
-            n = len(c[rows])
-            q, d = work[0, :n], work[1, :n]
-            np.subtract(g, g_c[rows, None], out=q)
-            np.subtract(nodes, c[rows, None], out=d)
-            q /= d
-            if on_node[rows].any():
-                np.copyto(q, slope[rows, None], where=d == 0.0)
-            q *= weights
-            value[rows], err[rows] = quadrature.knot_sums(q, orders)
-    return value, err
 
 
 def x_factor(data: FactorizationData, z) -> complex:
@@ -284,11 +269,11 @@ def _cexp(w: complex) -> complex:
                    math.exp(w.real) * math.sin(w.imag))
 
 
-def n_coefficient(data: FactorizationData, eta, *, vp=None):
+def n_coefficient(data: FactorizationData, eta):
     """Continuum coefficient n(eta) from the jump of C0/X across the cut.
 
     Real closed form N_SIGN * (2 l0 K / pi) e^{-Vp} sin(pi - theta), for a
-    scalar or 1-d array eta (and Vp of the same shape, or None for v_cut).
+    scalar or 1-d array eta, with Vp from v_cut.
     Beyond a slit edge theta == pi and the coefficient vanishes identically;
     beyond the tabulated range of an alpha > 0 table the value is not
     interpolable.
@@ -305,28 +290,20 @@ def n_coefficient(data: FactorizationData, eta, *, vp=None):
     out = np.zeros(etas.shape)
     if data.k != 0.0 and np.any(live):
         e = etas[live]
-        vps = v_cut(data, e) if vp is None else np.atleast_1d(np.asarray(vp, dtype=float))[live]
         amp = 2.0 * data.model.l0_alpha * data.k / math.pi
-        n = N_SIGN * amp * np.exp(-vps) * np.sin(math.pi - table.theta_at(e))
+        n = N_SIGN * amp * np.exp(-v_cut(data, e)) * np.sin(math.pi - table.theta_at(e))
         if not np.all(np.isfinite(n)):
             raise DomainError(f"n({e[~np.isfinite(n)][0]}) is not finite")
         out[live] = n
     return out if arr.ndim else float(out[0])
 
 
-def spectrum_table(data: FactorizationData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tabulate (eta, Vp(eta), n(eta)) over the cut.
+def spectrum_table(data: FactorizationData) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate (eta, n(eta)) over the cut.
 
-    Returns arrays (etas, vp, n). The nodes are the table's nodes,
-    subsampled to at most _SPECTRUM_NODES (n is smooth; each node costs one
-    principal-value integral), strictly inside the tabulated range so the
-    principal value is well defined at each of them.
+    The nodes are the theta table's nodes strictly inside the tabulated
+    range, so the principal value is well defined at each of them.
     """
-    table = data.table
-    mu = table.mu
-    etas = mu[(mu > 0.0) & (mu < table.mu_max)]
-    if len(etas) > _SPECTRUM_NODES:
-        idx = np.unique(np.linspace(0, len(etas) - 1, _SPECTRUM_NODES).astype(int))
-        etas = etas[idx]
-    vps = v_cut(data, etas)
-    return etas, vps, n_coefficient(data, etas, vp=vps)
+    mu = data.table.mu
+    etas = mu[(mu > 0.0) & (mu < data.table.mu_max)]
+    return etas, n_coefficient(data, etas)

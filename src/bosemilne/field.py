@@ -13,7 +13,9 @@ delta-mode coefficient is evaluated in the cancellation-free form
     lam(mu)/xi_a(mu) * n(mu) = N_SIGN * K * mu * e^{-Vp(mu)} * cos(theta(mu)),
 
 where the truncated moment xi_a cancels exactly against the one hiding in
-sin(pi - theta); this keeps the term finite where xi_a underflows. Beyond a
+sin(pi - theta); this keeps the term finite where xi_a underflows. Vp(mu)
+there is the principal value itself (factorization.v_cut, fixed rules on
+the theta table's knots), as in n(eta), not an interpolant. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
 term is absent. At the edge itself (mu = 1) the continuum integrand
 diverges like a log-log, and phi is not evaluated within 2e-6 of it on
@@ -23,14 +25,16 @@ of these raise RangeError, and non-finite x or mu DomainError, before any
 integration.
 
 The tabulated part of the continuum integral runs over the knots [0,
-eta_1, ..., eta_max] of the interpolant of eta n(eta), which is one cubic
-on each knot interval. A fixed 16-point Gauss-Legendre rule on every
-interval gives its value, in the regularised form sum w (f(t) - f(mu)) /
-(t - mu) + f(mu) ln((eta_max - mu)/mu) for a principal value, and an
-8-point rule on the same intervals its error estimate, as QUADPACK pairs
-its rules (Piessens et al., 1983). Rows whose estimate misses the tolerance
-are redone by a 64- and 48-point pair on the same knots, [0, eta_1] split
-further; a row that misses there too raises AccuracyError.
+eta_1, ..., eta_max] of the pchip interpolant of eta n(eta), the one
+interpolant of the solution, which is one cubic on each knot interval. A
+fixed 16-point Gauss-Legendre rule on every interval gives its value, in
+the regularised form sum w (f(t) - f(mu)) / (t - mu) + f(mu) ln((eta_max -
+mu)/mu) for a principal value (quadrature.knot_pv_sums, the kernel of
+v_cut as well), and an 8-point rule on the same intervals its error
+estimate, as QUADPACK pairs its rules (Piessens et al., 1983). Rows whose
+estimate misses the tolerance are redone by a 64- and 48-point pair on the
+same knots, [0, eta_1] split further; a row that misses there too raises
+AccuracyError.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -59,18 +63,18 @@ __all__ = [
     "mode_equation_residual",
 ]
 
-_EXP_UNDERFLOW = 745.0
-# e^{-x/eta} is taken as 0 beyond this argument in the fixed rule, and
-# products below _TINY are flushed, so no subnormal reaches the sums
+# e^{-x/eta} and e^{-x/mu} are taken as 0 beyond this argument (a term
+# below 1e-304 beside O(1) values), and products below _TINY are flushed in
+# the fixed rule, so no subnormal reaches the sums
 _EXP_CUT = 700.0
 _TINY = np.finfo(float).tiny
+# off the continuum table the delta term is dropped beyond this x/mu (e^-50
+# = 2e-22): below eta_min it takes no Vp there, and beyond eta_max the
+# range check asks for none
+_DELTA_FAR = 50.0
 # rows per lockstep call of the adaptive quadrature of the alpha > 0 tail;
 # bounds the node arrays of one step
 ROWS = 32
-# field points per block of the first fixed rule: its two (points, nodes)
-# work arrays take 0.6 MB at alpha 0, and 16 points a block added about 2 MB
-# of peak memory for no time. Fine-rule blocks hold as many numbers
-_FIXED_ROWS = 4
 # |mu - edge| below which phi is not evaluated next to the slit edge. Set
 # when the field was adaptive: beyond the edge the plain row's pole sat so
 # close to the table end (eta_max = 1 - 1.13e-13) that its quadrature
@@ -101,7 +105,6 @@ class MilneSolution:
 
     factorization: FactorizationData
     _etas: np.ndarray = dc_field(repr=False)
-    _vps: np.ndarray = dc_field(repr=False)
     _ns: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
@@ -134,10 +137,6 @@ class MilneSolution:
         nodes, weights, orders = quadrature.knot_rule(np.concatenate([[0.0], self._etas]), fine)
         return nodes, weights, self.eta_n_interp(nodes), orders
 
-    @cached_property
-    def vp_interp(self):
-        return _pchip(self._etas, self._vps)
-
     @property
     def eta_min(self) -> float:
         return float(self._etas[0])
@@ -152,8 +151,8 @@ def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSoluti
     if table is None:
         table = build_theta_table(model)
     data = build_factorization(model, table, k=k)
-    etas, vps, ns = spectrum_table(data)
-    return MilneSolution(factorization=data, _etas=etas, _vps=vps, _ns=ns)
+    etas, ns = spectrum_table(data)
+    return MilneSolution(factorization=data, _etas=etas, _ns=ns)
 
 
 def _tail_law(sol: MilneSolution) -> float | None:
@@ -173,7 +172,7 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
     edge = sol.factorization.table.slit_edge
     beyond = mu > sol.eta_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        needs_vp = beyond & (x / mu <= 50.0)
+        needs_vp = beyond & (x / mu <= _DELTA_FAR)
     if edge is not None:
         needs_vp &= mu < edge
     span = f"the continuum table [{sol.eta_min:.3g}, {sol.eta_max:.17g}]"
@@ -218,18 +217,13 @@ def _continuum_integral(sol: MilneSolution, x, mu):
 def _fixed_rule(sol: MilneSolution, rule, x: np.ndarray, mu: np.ndarray):
     """The tabulated part of the continuum integral by `rule` (`MilneSolution._knot_rule`).
 
-    Returns (value, error estimate) per row: the high-order sum and the sum
-    over knot intervals of |high - low|. Principal-value rows (0 < mu <
-    eta_max) are regularised, sum w (f(t) - f(mu)) / (t - mu) + f(mu)
-    ln((eta_max - mu)/mu) with f = e^{-x/eta} eta n(eta); the others sum
-    w f(t) / (t - mu). A node on a pole gives a NaN estimate. The rows that
-    share an x share one table of f, and go through one work array in
-    blocks of _FIXED_ROWS rows of `continuum_rule`'s size (fresh
-    megabyte-sized arrays would cost a page fault per page); each row is
-    reduced on its own, so its numbers do not depend on the batch.
+    Returns (value, error estimate) per row from `quadrature.knot_pv_sums`,
+    one call per distinct x on its table of f = e^{-x/eta} eta n(eta).
+    Principal-value rows (0 < mu < eta_max) are regularised, sum w (f(t) -
+    f(mu)) / (t - mu) + f(mu) ln((eta_max - mu)/mu); the others sum w f(t)
+    / (t - mu).
     """
     nodes, weights, eta_n, orders = rule
-    block = max(1, _FIXED_ROWS * len(sol.continuum_rule[0]) // len(nodes))
     b = sol.eta_max
     pv = (0.0 < mu) & (mu < b)
     f_mu = np.zeros(mu.shape)
@@ -239,28 +233,20 @@ def _fixed_rule(sol: MilneSolution, rule, x: np.ndarray, mu: np.ndarray):
                             sol.eta_n_interp(mu[pv]) * np.exp(-np.minimum(arg, _EXP_CUT)))
     value, err = np.empty(mu.shape), np.empty(mu.shape)
     f = np.empty(nodes.shape)
-    work = np.empty((2, min(len(mu), block), len(nodes)))
     order = np.argsort(x, kind="stable")
     xs, counts = np.unique(x[order], return_counts=True)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a node on a pole
-        for x0, group in zip(xs.tolist(), np.split(order, np.cumsum(counts)[:-1])):
-            # arguments past the cut are zeroed before exp, which is slow on
-            # results that underflow or go subnormal
-            np.divide(x0, nodes, out=f)
-            gone = f > _EXP_CUT
-            f[gone] = 0.0
-            np.exp(np.negative(f, out=f), out=f)
-            f[gone] = 0.0
-            f *= eta_n
-            f[(f < _TINY) & (f > -_TINY)] = 0.0
-            for s in range(0, len(group), block):
-                rows = group[s:s + block]
-                g, d = work[0, :len(rows)], work[1, :len(rows)]
-                np.subtract(f, f_mu[rows, None], out=g)
-                np.subtract(nodes, mu[rows, None], out=d)
-                g /= d
-                g *= weights
-                value[rows], err[rows] = quadrature.knot_sums(g, orders)
+    for x0, rows in zip(xs.tolist(), np.split(order, np.cumsum(counts)[:-1])):
+        # arguments past the cut are zeroed before exp, which is slow on
+        # results that underflow or go subnormal
+        np.divide(x0, nodes, out=f)
+        gone = f > _EXP_CUT
+        f[gone] = 0.0
+        np.exp(np.negative(f, out=f), out=f)
+        f[gone] = 0.0
+        f *= eta_n
+        f[(f < _TINY) & (f > -_TINY)] = 0.0
+        value[rows], err[rows] = quadrature.knot_pv_sums(f, f_mu[rows], mu[rows], nodes,
+                                                         weights, orders)
     value[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
     return value, err
 
@@ -286,25 +272,23 @@ def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.nda
 
 
 def _delta_term(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Delta-mode contribution for mu > 0, in the xi-cancelled form; 0 elsewhere."""
-    table = sol.factorization.table
+    """Delta-mode contribution for mu > 0, in the xi-cancelled form; 0 elsewhere.
+
+    Vp comes from one v_cut call on the distinct mu that keep a term.
+    """
+    data = sol.factorization
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = x / mu
-    live = (mu > 0.0) & (arg <= _EXP_UNDERFLOW)
-    if table.slit_edge is not None:
-        live &= mu < table.slit_edge
+    live = (mu > 0.0) & (arg <= _EXP_CUT)
+    if data.table.slit_edge is not None:
+        live &= mu < data.table.slit_edge
     off_table = (mu < sol.eta_min) | (mu > sol.eta_max)
-    live &= ~(off_table & (x > 0.0) & (arg > 50.0))
+    live &= ~(off_table & (arg > _DELTA_FAR))
     out = np.zeros(mu.shape)
-    m = mu[live]
-    # below the continuum table Vp comes from its principal-value integral
-    below = m < sol.eta_min
-    vp = np.empty(m.shape)
-    if np.any(below):
-        vp[below] = v_cut(sol.factorization, m[below])
-    vp[~below] = sol.vp_interp(m[~below])
-    theta = table.theta_at(m)
-    out[live] = N_SIGN * sol.factorization.k * m * np.exp(-vp) * np.cos(theta) * np.exp(-arg[live])
+    if np.any(live):
+        m, inverse = np.unique(mu[live], return_inverse=True)
+        coeff = N_SIGN * data.k * m * np.exp(-v_cut(data, m)) * np.cos(data.table.theta_at(m))
+        out[live] = coeff[inverse] * np.exp(-arg[live])
     return out
 
 

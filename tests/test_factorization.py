@@ -158,7 +158,7 @@ class TestSpectrumCoefficient:
         data = sol.factorization
         amp = 2.0 * data.model.l0_alpha * data.k / math.pi
         ref = [fz.N_SIGN * amp * math.exp(-vp) * math.sin(math.pi - data.table.theta_at(e))
-               for e, vp in zip(sol._etas.tolist(), sol._vps.tolist())]
+               for e, vp in zip(sol._etas.tolist(), fz.v_cut(data, sol._etas).tolist())]
         np.testing.assert_allclose(sol._ns, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
         if alpha == 0.0:
             got = fz.n_coefficient(data, np.array([0.4, 1.0, 3.7]))
@@ -228,7 +228,7 @@ class TestVCut:
         data = fz.build_factorization(model, table, k=1.0, v1_est=ctx.v1(alpha))
         etas = np.concatenate([[1e-5, 5e-5], np.geomspace(1e-4, 0.999 * table.mu_max, 38)])
         got = fz.v_cut(data, etas)
-        assert len(etas) > fz._CUT_ROWS
+        assert len(etas) > quadrature._PV_ROWS
         assert got.tolist() == [fz.v_cut(data, float(e)) for e in etas]
         with pytest.raises(RangeError):
             fz.v_cut(data, np.array([0.5, table.mu_max]))
@@ -241,7 +241,7 @@ class TestVCut:
         data = sol.factorization
         rng = np.random.default_rng(11)
         etas = np.exp(rng.uniform(math.log(1e-6), math.log(data.table.mu_max), 2000))
-        assert np.max(np.abs(sol._vps - pv_reference(data, sol._etas))) <= 1e-10
+        assert np.max(np.abs(fz.v_cut(data, sol._etas) - pv_reference(data, sol._etas))) <= 1e-10
         assert np.max(np.abs(fz.v_cut(data, etas) - pv_reference(data, etas))) <= 1e-10
 
     def test_slit_nodes_against_adaptive_reference(self, sol0):
@@ -249,7 +249,7 @@ class TestVCut:
         # edge the adaptive reference is itself up to 5.6e-4 off (see the
         # mpmath test below)
         etas = sol0._etas[1.0 - sol0._etas >= 1e-4]
-        got = sol0._vps[1.0 - sol0._etas >= 1e-4]
+        got = fz.v_cut(sol0.factorization, etas)
         assert np.max(np.abs(got - pv_reference(sol0.factorization, etas))) <= 1e-10
 
     def test_pinned_alpha_one_eta(self, ctx):
@@ -258,6 +258,26 @@ class TestVCut:
         data = ctx.solution(1.0).factorization
         eta = 6.892294976729862e-4
         assert abs(fz.v_cut(data, eta) - pv_reference(data, np.array([eta]))[0]) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_node_on_pole_falls_back(self, ctx, alpha, monkeypatch):
+        # an eta on a node of the first pair divides 0 by 0 there: its
+        # estimate is NaN, and the fine pair takes the row. Near 0.3, away
+        # from the alpha-0 edge, where the 64/48 pair's rounding floor is higher
+        data = ctx.solution(alpha).factorization
+        nodes = data.cut_rule[0]
+        eta = float(nodes[np.argmin(np.abs(nodes - 0.3))])
+        redone, sums = [], quadrature.knot_pv_sums
+
+        def spy(f, f_c, c, nodes, weights, orders):
+            if orders == quadrature.FINE_KNOT_ORDERS:
+                redone.extend(c.tolist())
+            return sums(f, f_c, c, nodes, weights, orders)
+
+        monkeypatch.setattr(quadrature, "knot_pv_sums", spy)
+        got = fz.v_cut(data, eta)
+        assert redone == [eta]
+        assert abs(got - pv_reference(data, np.array([eta]))[0]) <= 1e-10
 
     @pytest.mark.parametrize("eta", [0.9999999999998872, 0.9999999999988711,
                                      0.9999999998561573])
@@ -293,7 +313,7 @@ class TestVCut:
 class TestReconstruction:
     def test_n_reproduces_cauchy_transform(self, data0):
         # N(z) from the tabulated continuum must match -2 l0 (K0 - K z) + C0/X(z)
-        etas, vps, ns = fz.spectrum_table(data0)
+        etas, ns = fz.spectrum_table(data0)
         eni = PchipInterpolator(np.concatenate([[0.0], etas]),
                                 np.concatenate([[0.0], etas * ns]))
         rng = np.random.default_rng(3)
@@ -308,7 +328,7 @@ class TestReconstruction:
 
     def test_alpha_one_with_tail(self, ctx, model1, table1):
         data = fz.build_factorization(model1, table1, k=1.0, v1_est=ctx.v1(1.0))
-        etas, vps, ns = fz.spectrum_table(data)
+        etas, ns = fz.spectrum_table(data)
         eni = PchipInterpolator(np.concatenate([[0.0], etas]),
                                 np.concatenate([[0.0], etas * ns]))
         p = table1.tail_exponent

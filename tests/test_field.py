@@ -256,8 +256,8 @@ class TestCallCounts:
     The field reads its interpolant once per solution at each fixed rule's
     nodes and once per call at the principal-value poles; rows the first
     rule cannot settle read it once more at their poles, and the fine rule's
-    nodes once per solution. v_cut reads theta once at its poles and once
-    at the nodes of its fixed rule. One adaptive quadrature per value made
+    nodes once per solution. v_cut reads theta once at its poles, and once
+    per factorisation at the nodes of its fixed rule. One adaptive quadrature per value made
     about 130 calls per field point and 80 per Vp node.
     """
 
@@ -290,15 +290,40 @@ class TestBoundaryResidual:
     def test_default_grid_level(self, sol0):
         assert boundary_residual(sol0) <= 1e-3
 
-    def test_alpha_one_pipeline(self, ctx):
+    @staticmethod
+    def tail_pipeline_residual(ctx, alpha):
         # exercises the algebraic-tail branches of Vp, n, and the eta integral
-        sol = ctx.solution(1.0)
-        assert sol.factorization.k0 == pytest.approx(ctx.v1(1.0).value, rel=1e-12)
-        assert boundary_residual(sol) <= 5e-4
+        sol = ctx.solution(alpha)
+        assert sol.factorization.k0 == pytest.approx(ctx.v1(alpha).value, rel=1e-12)
+        return boundary_residual(sol)
+
+    def test_alpha_one_pipeline(self, ctx):
+        # measured 1.6e-6; 1.5e-5 while the delta term read Vp from a pchip
+        # of the continuum nodes
+        assert self.tail_pipeline_residual(ctx, 1.0) <= 5e-6
+
+    def test_alpha_half_pipeline(self, ctx):
+        # measured 2.3e-6; 1.3e-5 with the pchip of Vp
+        assert self.tail_pipeline_residual(ctx, 0.5) <= 5e-6
+
+    @pytest.mark.parametrize("alpha,med,worst", [(0.0, 3e-8, 2e-5), (0.5, 2.5e-7, 2e-5),
+                                                 (1.0, 1e-6, 4e-5)])
+    def test_zero_inflow_on_3000_points(self, ctx, alpha, med, worst):
+        # |phi(0, mu)| / (|K| (1 + V1)) on geometric mu up to 0.99 (alpha 0)
+        # or 0.95 eta_max. Measured median 1.0e-8 / 8.3e-8 / 5.3e-7 and max
+        # 1.28e-5 / 1.60e-5 / 3.05e-5 at alpha 0 / 0.5 / 1; the delta term
+        # on a pchip of Vp gave medians of 2.7e-7 / 1.3e-6 / 1.6e-6. The max
+        # comes from the pchip of eta n(eta)
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        end = 0.99 if alpha == 0.0 else 0.95 * sol.eta_max
+        res = np.abs(evaluate(sol, 0.0, np.geomspace(0.002, end, 3000)))
+        res /= abs(data.k) * (1.0 + data.v1)
+        assert np.median(res) <= med and np.max(res) <= worst
 
     def test_sign_flip_detector(self, sol0):
         flipped = MilneSolution(factorization=sol0.factorization,
-                                _etas=sol0._etas, _vps=sol0._vps, _ns=-sol0._ns)
+                                _etas=sol0._etas, _ns=-sol0._ns)
         assert boundary_residual(flipped) > 0.1
 
     def test_invariant_k0_over_k(self, sol0):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
-from bosemilne.quadrature import (PvIntegrand, gauss_rule, integrate,
-                                  integrate_rows, integrate_with_error, pv_integral, pv_rows)
+from bosemilne.quadrature import (PvIntegrand, gauss_rule, integrate, integrate_rows,
+                                  integrate_with_error, knot_pv_sums, knot_rule, pv_integral,
+                                  pv_rows)
 from bosemilne.special import einstein
 
 
@@ -255,3 +256,33 @@ class TestBatchedRows:
                            weight="cauchy", wvar=c)
             assert g == one
             assert g == pytest.approx(want, rel=1e-9)
+
+
+class TestKnotPvSums:
+    """The regularised principal-value sum of the fixed rules on knot intervals."""
+
+    knots = np.array([0.0, 0.1, 0.35, 1.0])
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_polynomial_is_exact(self, fine):
+        # (t^2 - c^2)/(t - c) = t + c: the value is its integral 1/2 + c and
+        # the estimate rounding. More rows than one block, each equal to its
+        # one-row sum bit for bit
+        nodes, weights, orders = knot_rule(self.knots, fine)
+        c = np.linspace(0.05, 0.95, 11)
+        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders)
+        np.testing.assert_allclose(value, 0.5 + c, rtol=1e-14, atol=0.0)
+        assert np.all(err <= 1e-14)
+        rows = [knot_pv_sums(nodes ** 2, c[i:i + 1] ** 2, c[i:i + 1], nodes, weights, orders)
+                for i in range(len(c))]
+        assert value.tolist() == [v[0] for v, _ in rows]
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_node_on_pole_gives_nan_estimate(self, fine):
+        # 0/0 where f_c is f at the node, and x/0 where it is not: both
+        # estimates are NaN, which no tolerance test passes
+        nodes, weights, orders = knot_rule(self.knots, fine)
+        c = np.full(2, nodes[5])
+        _, err = knot_pv_sums(2.0 * nodes, np.array([2.0 * c[0], 2.0 * c[0] + 1e-3]), c,
+                              nodes, weights, orders)
+        assert np.all(np.isnan(err))
