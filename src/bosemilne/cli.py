@@ -22,6 +22,11 @@ it), because the benchmark's command lines pass it.
 A config file takes the keys of its command's flags (dashes or underscores);
 any other key is a configuration error.
 
+Every command runs with numpy's OpenBLAS on the calling thread alone
+(util.blas_one_thread), and the previous thread count comes back when it
+returns: the dense calls are small, and a second BLAS worker would only
+spin through the work between them and double oracle's CPU time.
+
 Start-up: importing this module loads numpy but not scipy, so v1,
 dispersion and oracle run without it. profile loads scipy.interpolate when
 it first builds the field's PCHIP interpolant of eta n(eta), and validate
@@ -45,6 +50,7 @@ from . import __version__, acceptance, dispersion, dom, factorization as fz, fie
 from .errors import BoseMilneError, ConfigurationError, ConsistencyError, DivergenceError
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_ORDER
 from .special import AlphaModel
+from .util import blas_one_thread
 
 _CONFIG_KEYS = {
     "alpha": float, "k": float, "tol": float, "threads": int,
@@ -381,7 +387,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with blas_one_thread():
+            return args.fn(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -25,17 +25,17 @@ problem), so a direction has n_angle / 2 channels instead of
 n_angle / 2 * n_freq; at alpha > 0 no two rates are equal. Both directions
 advance in one cell loop over a cells x channels layout (negative channels
 stored in reversed cell order), three in-place numpy calls and two dot
-products per cell: about 4 ms per sweep on the default grid at alpha = 0
+products per cell: 2-4 ms per sweep on the default grid at alpha = 0
 (600 cells, 2 x 16 channels) and 5-9 ms at alpha > 0 (2 x 768 channels),
-2 vCPUs.
+one BLAS thread.
 
 The far-end intercept is a fixed linear functional of S (the intercept row of
 the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
 its fixed point solves a linear system of len(x_nodes) unknowns; with
 conservative scattering the plain iteration contracts only like 1 - O(1/L^2),
 too slow at L = 30. `solve` assembles the sweep's linear map once and
-LU-solves the system: 2 sweeps, and 0.03-0.04 s at alpha = 0 and 0.09-0.13 s
-at alpha > 0 on the default grid (2 vCPUs).
+LU-solves the system: 2 sweeps, and 0.02-0.04 s at alpha = 0 and 0.08-0.09 s
+at alpha > 0 on the default grid (one BLAS thread, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ def freq_rule(model: AlphaModel, n: int, omega_max: float) -> tuple[np.ndarray, 
         p_prev, p_cur = p_cur, t / sqrt_b[k + 1]
 
     # numpy's eigh, not scipy.linalg (see solve); on these Jacobi matrices it
-    # gives the bits of scipy's eigh_tridiagonal
+    # gives the bits of scipy's eigh_tridiagonal. With more than one OpenBLAS
+    # thread it wakes a worker that then spins through the solve, so the CLI
+    # runs on one (util.blas_one_thread)
     jacobi = np.diag(a_coef) + np.diag(sqrt_b[1:], 1) + np.diag(sqrt_b[1:], -1)
     nodes, vecs = np.linalg.eigh(jacobi)
     weights = beta0 * vecs[0, :] ** 2
@@ -265,8 +267,8 @@ class _Sweeper:
 
     def operator(self) -> np.ndarray:
         """The sweep's linear map T0, ``apply(S, 0, 0) == T0 @ S``, assembled
-        one direction at a time by blocks of cells: 12-15 ms on the default
-        grid at alpha = 0 and 53-73 ms at alpha > 0 (2 vCPUs).
+        one direction at a time by blocks of cells: 8-14 ms on the default
+        grid at alpha = 0 and 48-60 ms at alpha > 0 (one BLAS thread).
 
         C[l] holds d phi(node j0) / dS_l, l <= j0, per channel. Across a block
         the rows get ``(D * cw) @ C[:j0 + 1].T``, D the running product of the
@@ -367,9 +369,9 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     A[:, sel] += np.outer(sweeper.far_response(), p)
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += 1.0
-    # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh): the
-    # two wheels bundle separate OpenBLAS thread pools, whose idle workers
-    # spin against each other, and importing scipy.linalg costs start-up
+    # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh):
+    # importing scipy.linalg costs start-up. The CLI runs this on one BLAS
+    # thread (util.blas_one_thread): a second worker would only spin
     try:
         S = line + np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:

@@ -167,7 +167,9 @@ def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
     """
     z = np.atleast_1d(z)
     p, c = data.table.tail_exponent, data.table.tail_coeff
-    if p is None:
+    # c is 0 where theta reaches pi within the table (small alpha): no tail,
+    # and no quadrature, which stalls for z within 1e-9 below mu_max
+    if p is None or c == 0.0:
         return np.zeros(z.shape)
     u_max = 1.0 / data.table.mu_max
 

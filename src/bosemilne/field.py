@@ -19,9 +19,12 @@ the theta table's knots), as in n(eta), not an interpolant. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
 term is absent. At the edge itself (mu = 1) the continuum integrand
 diverges like a log-log, and phi is not evaluated within 2e-6 of it on
-either side (see _EDGE_BAND); beyond the table of an alpha > 0 solution
-(mu >= eta_max) the algebraic tail has its pole inside its integral. All
-of these raise RangeError, and non-finite x or mu DomainError, before any
+either side (see _EDGE_BAND). Beyond the continuum table (mu >= eta_max)
+of a solution with an algebraic tail (`_tail_law`: alpha from about
+0.285 on), the tail has its pole inside its integral; without one, mu in
+(eta_max, mu_max) takes Vp from v_cut, and at or beyond the theta table's
+end mu_max the delta mode has no Vp (unless x/mu > 50 drops it). All of
+these raise RangeError, and non-finite x or mu DomainError, before any
 integration.
 
 The tabulated part of the continuum integral runs over the knots [0,
@@ -69,7 +72,7 @@ __all__ = [
 _EXP_CUT = 700.0
 _TINY = np.finfo(float).tiny
 # off the continuum table the delta term is dropped beyond this x/mu (e^-50
-# = 2e-22): below eta_min it takes no Vp there, and beyond eta_max the
+# = 2e-22): below eta_min it takes no Vp there, and from mu_max on the
 # range check asks for none
 _DELTA_FAR = 50.0
 # rows per lockstep call of the adaptive quadrature of the alpha > 0 tail;
@@ -169,10 +172,11 @@ def _tail_law(sol: MilneSolution) -> float | None:
 
 def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
     """RangeError for the points phi cannot be evaluated at, before any integration."""
-    edge = sol.factorization.table.slit_edge
+    table = sol.factorization.table
+    edge = table.slit_edge
     beyond = mu > sol.eta_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        needs_vp = beyond & (x / mu <= _DELTA_FAR)
+        needs_vp = (mu >= table.mu_max) & (x / mu <= _DELTA_FAR)
     if edge is not None:
         needs_vp &= mu < edge
     span = f"the continuum table [{sol.eta_min:.3g}, {sol.eta_max:.17g}]"
@@ -188,7 +192,8 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
          f"continuum integral sits against the end of {span}"),
         (beyond & (_tail_law(sol) is not None),
          f"lies beyond {span}: the continuum tail would have its pole u = 1/mu inside"),
-        (needs_vp, f"lies beyond {span}: the delta mode has no Vp(mu) there"),
+        (needs_vp, f"lies at or beyond the end {table.mu_max:.17g} of the theta table: "
+                   "the delta mode has no Vp(mu) there"),
     )
     for bad, why in checks:
         if np.any(bad):

@@ -22,7 +22,7 @@ import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "bosemilne"
 MODULES = ("special", "quadrature", "dispersion", "factorization", "field", "saddle", "dom",
-           "acceptance")
+           "acceptance", "util")
 
 # "module.name" for a public name, "module.function(param)" for a parameter
 EXEMPT = {

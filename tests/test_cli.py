@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from bosemilne import acceptance, cli
+from bosemilne import acceptance, cli, util
 from bosemilne.dispersion import lambda_case_boundary
+from bosemilne.errors import BoseMilneError, ConfigurationError
 
 
 COMMANDS = ["v1", "dispersion", "profile", "oracle", "validate"]
@@ -437,3 +438,60 @@ def test_output_files_identical_across_threads(argv, tmp_path, capsys):
         assert code == 0
         blobs[threads] = (out.read_bytes(), stdout)
     assert blobs[1] == blobs[4]
+
+
+class TestBlasScope:
+    """Every command runs with numpy's OpenBLAS on one thread, and the
+    previous count comes back after it, whatever the exit code."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        """A reader of OpenBLAS's thread count, which is 2 during the test."""
+        set_local = util._openblas_set_local()
+        if set_local is None:
+            pytest.skip("numpy links no OpenBLAS with openblas_set_num_threads_local")
+
+        def count():
+            n = set_local(1)
+            set_local(n)
+            return n
+
+        previous = set_local(2)
+        yield count
+        set_local(previous)
+
+    def stub(self, monkeypatch, blas_threads, exc=None):
+        seen = []
+
+        def command(args):
+            seen.append(blas_threads())
+            if exc is not None:
+                raise exc
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_v1", command)
+        return seen
+
+    @pytest.mark.parametrize("exc,code", [(None, 0), (BoseMilneError("failed"), 1),
+                                          (ConfigurationError("bad"), 2)],
+                             ids=["exit0", "exit1", "exit2"])
+    def test_one_thread_inside_and_restored_after(self, blas_threads, monkeypatch, capsys,
+                                                  exc, code):
+        seen = self.stub(monkeypatch, blas_threads, exc)
+        assert cli.main(["v1"]) == code
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_without_openblas_the_scope_does_nothing(self, blas_threads, monkeypatch):
+        seen = self.stub(monkeypatch, blas_threads)
+        monkeypatch.setattr(util, "_openblas_set_local", lambda: None)
+        assert cli.main(["v1"]) == 0
+        assert seen == [2]
+        assert blas_threads() == 2
+
+    def test_import_looks_up_no_symbol(self):
+        script = ("import bosemilne.cli, bosemilne.util\n"
+                  "print(bosemilne.util._openblas_set_local.cache_info().misses)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"

@@ -178,14 +178,19 @@ class TestEvaluate:
 
     def test_range_checked_before_integration(self, ctx, sol0, monkeypatch):
         # mu = 1 (alpha 0): the continuum integrand diverges like a log-log;
-        # mu > eta_max (alpha 0.5): the tail has its pole inside its integral
-        sol05 = ctx.solution(0.5)
+        # mu > eta_max (alpha 0.5): the tail has its pole inside its integral;
+        # mu = mu_max (alpha 0.1, no tail): v_cut gives no Vp there, while
+        # mu = 29.9 beyond eta_max passes
+        sol05, sol01 = ctx.solution(0.5), ctx.solution(0.1)
         calls = []
         monkeypatch.setattr(quadrature, "integrate_rows", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(quadrature, "knot_pv_sums", lambda *a, **k: calls.append(1))
         with pytest.raises(RangeError, match="slit edge"):
             evaluate(sol0, 0.0, np.array([0.5, 0.75, 1.0]))
         with pytest.raises(RangeError, match="tail"):
             evaluate(sol05, np.array([0.0, 5.0]), 40.0)
+        with pytest.raises(RangeError, match="no Vp"):
+            evaluate(sol01, 0.0, np.array([29.9, sol01.factorization.table.mu_max]))
         assert not calls
 
 
@@ -320,6 +325,20 @@ class TestBoundaryResidual:
         res = np.abs(evaluate(sol, 0.0, np.geomspace(0.002, end, 3000)))
         res /= abs(data.k) * (1.0 + data.v1)
         assert np.median(res) <= med and np.max(res) <= worst
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    def test_zero_inflow_beyond_continuum_table(self, ctx, alpha):
+        # no algebraic tail here, so mu in (eta_max, mu_max) takes Vp from
+        # v_cut. Measured max 1.45e-9 / 1.54e-9 at alpha 0.1 / 0.2, down to
+        # 1e-9 from either end and at the last float below mu_max; the
+        # bounds are those of the 3000-point test at alpha 0.5
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        lo, hi = sol.eta_max, data.table.mu_max
+        mus = np.concatenate([[lo + 1e-9], np.linspace(lo, hi, 52)[1:-1],
+                              [hi - 1e-9, np.nextafter(hi, 0.0)]])
+        res = np.abs(evaluate(sol, 0.0, mus)) / (abs(data.k) * (1.0 + data.v1))
+        assert np.median(res) <= 2.5e-7 and np.max(res) <= 2e-5
 
     def test_sign_flip_detector(self, sol0):
         flipped = MilneSolution(factorization=sol0.factorization,
