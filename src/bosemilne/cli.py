@@ -235,8 +235,8 @@ def cmd_dispersion(args) -> int:
               "mu_max": _val(table.mu_max, "exact-by-construction")}
     diagnostics = []
     if table.slit_edge is None:
-        # for 0 < alpha < 0.3 theta reaches pi at working precision within the
-        # table, so ln(pi - theta) has no line to fit on the last decade
+        # up to alpha 0.29 (0.295 fits; measured in steps of 0.005) theta reaches
+        # pi at working precision on the last decade, so ln(pi - theta) has no line
         try:
             p, residual = table.tail_fit
         except ConsistencyError as exc:

@@ -12,20 +12,21 @@ the power-law collision rate:
 The weight exponent a+4 (not 2a+4) is forced by self-consistency of the
 characteristic equation: only this normalisation gives lam(0) = 1 and reduces
 lam to lam_C at a = 0. For a > 0 the union of the stretched slits covers the
-whole real axis, so the boundary values carry an imaginary part
+whole real axis; swapping the integrals gives lam(z) = 1 + z int rho(t)/(t - z)
+dt over the real line, rho = xi_a(|t|)/(2 l0), xi_a the truncated moment from
+`special` (Case & Zweifel 1967, ch. 4). On the cut, as 2 int_0^inf rho = 1,
 
-    Im lam+(mu) = pi mu xi_a(mu) / (2 l0)      for every mu > 0,
+    Im lam+(mu) = pi mu rho(mu),   Re lam+(mu) = 2 P int_0^inf rho t^2/(t^2 - mu^2) dt.
 
-where xi_a is the truncated moment from `special`. The continuous argument
-theta(mu) = arg lam+(mu) runs from 0 to pi; its table drives the
-Riemann-Hilbert factorisation downstream.
+The continuous argument theta(mu) = arg lam+(mu) runs from 0 to pi; its table
+drives the Riemann-Hilbert factorisation downstream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -55,9 +56,9 @@ __all__ = [
 
 _SERIES_RADIUS = 4.0
 _SERIES_TERMS = 18
-# boundary values per batch: bounds the (rows x 192) node arrays of one call;
-# 32-64 rows keep them in cache (a table builds ~30% slower with 256)
-_CHUNK = 64
+# rows per lambda_boundary_batch call of evaluate_boundary: bounds the per-row
+# arrays (the sums block by rows); with 64 a table built ~10% slower (2 vCPUs)
+_CHUNK = 256
 # alpha > 0 tables: Chebyshev-Lobatto points per panel, panels of the
 # default first pass, and the Gauss rule of the tail-exponent fit
 _PANEL_POINTS = 24
@@ -67,6 +68,8 @@ _FIT_ORDER = 64
 _MAX_PASSES = 8
 # slit tables: nodes end at y = mu/edge = 1 - _SLIT_GAP
 _SLIT_GAP = 1e-13
+# alpha > 0: the boundary rule's knots in t end here
+_T_END = 2.0 ** 26
 
 
 def _case_series(z2inv):
@@ -224,82 +227,62 @@ def _samples(mus, re, im, theta) -> list[DispersionSample]:
 _ORIGIN = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
 
 
-def _pv_integrand(w, mu, shift, a):
-    """w^(a+4) E(w) (pv lam_C(w^a mu) - shift), elementwise."""
-    vals = w ** (a + 4) * special.einstein(w) * (lambda_case_pv(w ** a * mu) - shift)
-    # points rounding exactly onto the singular frequency carry zero measure
-    return np.where(np.isfinite(vals), vals, 0.0)
+def _boundary_rule(model: AlphaModel):
+    """pair(fine) -> (t^2, weights, orders, 2 rho t^2) at `quadrature.knot_rule`'s
+    nodes t, each pair built on first use; no cache outlives the returned function.
 
-
-def _re_part(model: AlphaModel, mu: np.ndarray, tol: float, max_depth: int) -> np.ndarray:
-    """Re lam+(mu) for every mu, a > 0, as
-    shift + (1/l0) int_0^cut w^(a+4) E(w) (pv lam_C(w^a mu) - shift) dw.
-
-    shift = 1 for mu <= 1 keeps the integrand small on the long stretch
-    below the singular frequency ws = mu^(-1/a), where one Gauss panel must
-    resolve it. shift = 0 for mu > 1, where Re lam+ decays to 0: 1 + (an
-    integral near -l0)/l0 would cancel there (a relative 7.5e-8 at alpha 2,
-    mu = 1000).
-
-    Where ws lies below the cut, the integral is split there: plain pieces
-    away from it, and its two neighbourhoods under w = ws -+ e^-t, which maps
-    ln|w - ws| to a smooth, exponentially damped integrand, up to t_cap, where
-    e^-t falls below 16 eps max(ws, 1); a neighbourhood that starts past
-    t_cap is left out. Below ws = 16 eps (small alpha, mu > 1) the weight
-    w^(a+4) leaves nothing to split for. Pieces are summed in a fixed order.
+    rho is full up to the kink t = cut^-alpha and falls to 0 over a width of
+    about alpha in ln t. So the knots follow frequency, t = w^-alpha at
+    `special.frequency_knots`, go on geometric in t - kink to _T_END, split
+    to a ratio of at most 2 (the 8-point rule settles 1/(t + mu) and 1/t^2
+    there), and are mirrored below the kink for the poles in the step.
     """
-    a, cut = model.alpha, model.omega_cut
-    eps16 = 16 * np.finfo(float).eps
-    shift = np.where(mu <= 1.0, 1.0, 0.0)
-    log_ws = -np.log(mu) / a
-    split = (math.log(eps16) <= log_ws) & (log_ws < math.log(cut))
-    ws = np.exp(np.where(split, log_ws, 0.0))
-    dl = np.minimum(0.5 * ws, 1.0)
-    dr = np.minimum(0.5 * (cut - ws), 1.0)
-    t_cap = -np.log(eps16 * np.maximum(ws, 1.0))
+    t_w = special.frequency_knots(model.omega_cut) ** -model.alpha  # falls to the kink
+    kink = t_w[-1]
+    upper = np.concatenate([t_w, kink + (t_w[0] - kink) * 2.0 ** np.arange(1, 64)])
+    t = np.unique(np.minimum(upper, _T_END))
+    n = np.ceil(np.log2(t[1:] / t[:-1])).astype(int)  # parts of each interval
+    i = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+    split = t[i] * (t[i + 1] / t[i]) ** (j / n[i])
+    knots = np.unique(np.concatenate([[0.0, _T_END], np.maximum(2.0 * kink - t, 0.0), split]))
 
-    def plain(w, mu, ws, shift):
-        return _pv_integrand(w, mu, shift, a)
+    @cache
+    def pair(fine):
+        nodes, weights, orders = quadrature.knot_rule(knots, fine)
+        t2 = nodes ** 2
+        return t2, weights, orders, special.xi_alpha(model, nodes) / model.l0_alpha * t2
 
-    def left(t, mu, ws, shift):
-        return _pv_integrand(ws - np.exp(-t), mu, shift, a) * np.exp(-t)
-
-    def right(t, mu, ws, shift):
-        return _pv_integrand(ws + np.exp(-t), mu, shift, a) * np.exp(-t)
-
-    pieces = (  # (integrand, lower, upper, rows that have the piece)
-        (plain, np.zeros_like(mu), np.where(split, ws - dl, cut), ~split | (ws - dl > 0.0)),
-        (left, -np.log(dl), t_cap, split & (-np.log(dl) < t_cap)),
-        (right, -np.log(dr), t_cap, split & (-np.log(dr) < t_cap)),
-        (plain, ws + dr, np.full_like(mu, cut), split & (ws + dr < cut)),
-    )
-    total = np.zeros_like(mu)
-    for f, lo, hi, rows in pieces:
-        part = np.zeros_like(mu)
-        part[rows] = quadrature.integrate_rows(
-            f, lo[rows], hi[rows], tol, params=(mu[rows], ws[rows], shift[rows]),
-            max_depth=max_depth, scale=model.l0_alpha)
-        total += part
-    return shift + total / model.l0_alpha
+    return pair
 
 
-def lambda_boundary_batch(model: AlphaModel, mu) -> list[DispersionSample]:
+def lambda_boundary_batch(model: AlphaModel, mu, *, rule=None) -> list[DispersionSample]:
     """Boundary values lam+(mu) for an array of mu > 0, in input order.
 
-    The real part integrates the principal value of lam_C(w^a mu) over the
-    weight; the imaginary part is exact in terms of the truncated moment
-    xi_a. All mus share one rule evaluation per piece (one Gauss panel with
-    the embedded half-panel error test); a mu whose panel fails the test at
-    tolerance 1e-10 is redone adaptively, to depth 20. Each value depends
-    only on its own mu.
+    For alpha > 0, with G = rho t^2 and P int_0^inf dt/(t^2 - mu^2) = 0, Re
+    lam+ is sum w 2 (G(t) - G(mu))/(t^2 - mu^2) + (G(mu)/mu) ln((b - mu)/(b +
+    mu)) on `rule` (`_boundary_rule`, built if None), b = _T_END (beyond: below
+    1e-20), each row by `quadrature.knot_rows` on the scale Im lam+, so on its
+    own mu only. Nothing cancels where Re lam+ is ~1e-9 (alpha 2, mu >> 1).
     """
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
     if np.any(mus <= 0):
         raise DomainError(f"lambda_boundary requires mu > 0, got {mus[mus <= 0][0]}")
     if model.alpha == 0.0:
         return _samples(mus, *_slit_parts(mus), _case_theta(mus))
-    im = 0.5 * math.pi * mus * special.xi_alpha(model, mus) / model.l0_alpha
-    re = _re_part(model, mus, 1e-10, 20)
+    if np.any(mus >= _T_END):
+        raise DomainError(f"lambda_boundary requires mu < {_T_END:g} for alpha > 0")
+    rule = rule or _boundary_rule(model)
+    g_mu = 0.5 * mus * special.xi_alpha(model, mus) / model.l0_alpha  # G(mu)/mu = mu rho(mu)
+    im = math.pi * g_mu
+
+    def by_pair(fine, rows):  # knot_pv_sums in the variable t^2, pole mu^2
+        t2, weights, orders, g = rule(fine)
+        c = mus[rows]
+        return quadrature.knot_pv_sums(g, 2.0 * g_mu[rows] * c, c * c, t2, weights, orders)
+
+    re = quadrature.knot_rows(by_pair, len(mus), im, lambda i: f"Re lam+ at mu={mus[i]!r}")
+    re += g_mu * np.log((_T_END - mus) / (_T_END + mus))
     return _samples(mus, re, im, map(math.atan2, im, re))
 
 
@@ -498,7 +481,7 @@ def require_convergent_tail(alpha: float) -> None:
             f"alpha={alpha}; use the saddle-point approximation")
 
 
-def default_mu_grid(model: AlphaModel) -> np.ndarray:
+def default_mu_grid(model: AlphaModel, *, rule=None) -> np.ndarray:
     """Default sampling grid for the theta table, from mu = 1e-4.
 
     alpha = 0: the 400 slit-table nodes (`_slit_grid`), which seed the
@@ -510,7 +493,7 @@ def default_mu_grid(model: AlphaModel) -> np.ndarray:
         return _slit_grid(1.0, 400, 1e-4)
     mu_max = 3000.0
     probes = (30.0, 100.0, 300.0, 1000.0)
-    for probe, s in zip(probes, lambda_boundary_batch(model, probes)):
+    for probe, s in zip(probes, lambda_boundary_batch(model, probes, rule=rule)):
         if math.pi - s.theta < 1e-4:
             mu_max = probe
             break
@@ -543,29 +526,32 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
     `_slit_grid`) only fixes the nodes. alpha > 0 gives a panel table
     (`_panel_table`), whose grid is the first set of panel breaks; theta_tol
     is the accuracy its interpolant is refined to, in at most _MAX_PASSES
-    passes. Neither applies to slit tables, which are exact.
+    passes. Neither applies to slit tables, which are exact. One
+    `_boundary_rule` serves the whole build.
     """
+    rule = _boundary_rule(model)
     if grid is None:
-        grid = default_mu_grid(model)
+        grid = default_mu_grid(model, rule=rule)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ConsistencyError("grid must be a nonempty 1-d array")
     if model.alpha > 0.0:
-        return _panel_table(model, grid, theta_tol)
+        return _panel_table(model, grid, theta_tol, rule)
     return _slit_table(grid, model.alpha, 1.0)
 
 
-def evaluate_boundary(model: AlphaModel, mus) -> list[DispersionSample]:
+def evaluate_boundary(model: AlphaModel, mus, *, rule=None) -> list[DispersionSample]:
     """lambda_boundary_batch over mus in fixed-size chunks, in input order.
 
     Chunks bound the memory of one batch; a row's value never depends on the
-    chunk it lands in.
+    chunk it lands in. All chunks share one boundary rule, `rule` if given.
     """
     mus = np.asarray(mus, dtype=float)
+    rule = rule or _boundary_rule(model)
     chunks = [mus[i:i + _CHUNK] for i in range(0, len(mus), _CHUNK)]
-    return [s for part in ordered_map(lambda c: lambda_boundary_batch(model, c), chunks)
-            for s in part]
+    parts = ordered_map(lambda c: lambda_boundary_batch(model, c, rule=rule), chunks)
+    return [s for part in parts for s in part]
 
 
 def _slit_table(grid, alpha: float, edge: float) -> DispersionTable:
@@ -591,14 +577,15 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     return x, to_coeffs
 
 
-def _panel_table(model: AlphaModel, breaks, theta_tol: float) -> DispersionTable:
+def _panel_table(model: AlphaModel, breaks, theta_tol: float, rule) -> DispersionTable:
     """Panel table: theta as Chebyshev series in s = ln mu, refined by bisection.
 
     Every pass sends the Chebyshev-Lobatto points of all open panels that
-    are not yet computed through one evaluate_boundary call. A panel is kept
-    once its last three Chebyshev coefficients are all at most theta_tol/10
-    (the interpolant's error estimate) and bisected in s otherwise; a panel
-    still open after _MAX_PASSES passes is a ResolutionError.
+    are not yet computed through one evaluate_boundary call on `rule`. A
+    panel is kept once its last three Chebyshev coefficients are all at most
+    theta_tol/10 (the interpolant's error estimate) and bisected in s
+    otherwise; a panel still open after _MAX_PASSES passes is a
+    ResolutionError.
     """
     x, to_coeffs = _lobatto()
     breaks = np.unique(np.asarray(breaks, dtype=float))
@@ -614,7 +601,7 @@ def _panel_table(model: AlphaModel, breaks, theta_tol: float) -> DispersionTable
             inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
             nodes.append(np.concatenate([[lo], inner, [hi]]))
         new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in samples]
-        samples.update(zip(new, evaluate_boundary(model, new)))
+        samples.update(zip(new, evaluate_boundary(model, new, rule=rule)))
         theta = np.array([[samples[m].theta for m in row] for row in nodes])
         coeffs = theta @ to_coeffs.T
         fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * theta_tol

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import quadrature
 from .errors import ConfigurationError, DivergenceError, DomainError
@@ -25,6 +26,7 @@ __all__ = [
     "einstein",
     "einstein_reg",
     "moment_l0",
+    "frequency_knots",
     "xi_alpha",
 ]
 
@@ -32,6 +34,8 @@ OMEGA_CUT_DEFAULT = 80.0
 
 # Laurent coefficients of E(x) - 1/x^2 + 1/12 = sum c_k x^(2k), k >= 1
 _REG_COEFFS = (1.0 / 240.0, -1.0 / 6048.0, 1.0 / 172800.0, -1.0 / 5322240.0)
+# the Laurent series E = 1/x^2 - 1/12 + ... stands in for E below this |x|
+_LAURENT_RADIUS = 0.25
 
 
 def einstein(x):
@@ -59,7 +63,7 @@ def einstein_reg(x):
     """
     arr = np.asarray(x, dtype=float)
     out = np.empty_like(arr)
-    small = np.abs(arr) < 0.25
+    small = np.abs(arr) < _LAURENT_RADIUS
     xs = arr[small]
     x2 = xs * xs
     acc = np.zeros_like(xs)
@@ -131,15 +135,23 @@ class AlphaModel:
             raise ConfigurationError("moments l0(alpha), l0(2 alpha) must be positive")
 
 
+def frequency_knots(cut: float) -> np.ndarray:
+    """Fixed knots on (0, cut]: 2^k for k = -20..1, then steps of 4, and cut;
+    16-point Gauss rules between them resolve w^p E(w), whose poles are 2 pi i k."""
+    w = np.concatenate([2.0 ** np.arange(-20, 2), np.arange(4.0, cut, 4.0)])
+    return np.append(w[w < cut], cut)
+
+
 def xi_alpha(model: AlphaModel, mu):
-    """Truncated moment int_0^cut w^(2 alpha + 4) E(w) dw with cut = mu^(-1/alpha).
+    """Truncated moment int_0^c w^(2 alpha + 4) E(w) dw, c = min(mu^(-1/alpha), cut).
 
     The cutoff collects exactly the frequencies whose stretched slit
     (-w^-alpha, w^-alpha) still contains mu, i.e. w^alpha * mu < 1. At
     alpha = 0 the slit is (-1, 1) for every frequency, so the moment is full
-    inside it and zero outside. Scalar or ndarray mu; an array is integrated
-    in one batch (quadrature.integrate_rows), value by value identical to
-    scalar calls.
+    inside it and zero outside. For alpha > 0 a full cutoff gives l0(2 alpha);
+    any other integrates the Laurent series of E up to min(c, _LAURENT_RADIUS)
+    term by term and adds Gauss sums between the `frequency_knots` below c
+    and from the last of them to c. Each value depends on its own mu only.
     """
     arr = np.asarray(mu, dtype=float)
     if np.any(arr <= 0):
@@ -147,27 +159,20 @@ def xi_alpha(model: AlphaModel, mu):
     if model.alpha == 0.0:
         out = np.where(arr < 1.0, model.l0_2alpha, 0.0)
         return out if arr.ndim else float(out)
+    a2 = 2 * model.alpha
     log_cut = -np.log(np.atleast_1d(arr)) / model.alpha
     full = log_cut >= math.log(model.omega_cut)
     cut = np.exp(np.where(full, 0.0, log_cut))
-    a2 = 2 * model.alpha
-
-    def plain(w):
-        return w ** (a2 + 4) * einstein(w)
-
-    def regular(w):
-        return w ** (a2 + 4) * einstein_reg(w)
-
-    # Laurent expansion of E keeps the relative accuracy at tiny cutoffs; a
-    # cutoff that underflows to 0 (small alpha, large mu) leaves nothing
-    live = ~full & (cut > 0.0)
-    laurent = live & (cut <= 0.25)
-    out = np.where(cut == 0.0, 0.0, model.l0_2alpha)
-    for rows, integrand in ((live & ~laurent, plain), (laurent, regular)):
-        c = cut[rows]
-        vals = quadrature.integrate_rows(integrand, np.zeros_like(c), c, 1e-12)
-        if integrand is regular:
-            vals = c ** (a2 + 3) / (a2 + 3) - c ** (a2 + 5) / (12 * (a2 + 5)) + vals
-        out[rows] = vals
+    head = np.minimum(cut, _LAURENT_RADIUS)
+    terms = [c / (a2 + 3 + 2 * k) for k, c in enumerate((1.0, -1.0 / 12.0, *_REG_COEFFS))]
+    out = np.where(full, model.l0_2alpha, head ** (a2 + 3) * polyval(head * head, terms))
+    body = np.flatnonzero(~full & (cut > _LAURENT_RADIUS))
+    knots = np.unique(np.maximum(frequency_knots(model.omega_cut), _LAURENT_RADIUS))
+    k = np.searchsorted(knots, cut[body], side="right") - 1
+    lo, hi = np.concatenate([knots[:-1], knots[k]]), np.concatenate([knots[1:], cut[body]])
+    w, weights = quadrature.gauss_rule(16).map_to(lo[:, None], hi[:, None])
+    # row by row: a matrix-vector product rounds differently with the row count
+    sums = (w ** (a2 + 4) * einstein(w) * weights).sum(axis=1)
+    below = np.concatenate([[0.0], np.cumsum(sums[:len(knots) - 1])])
+    out[body] += below[k] + sums[len(knots) - 1:]
     return out if arr.ndim else float(out[0])
-

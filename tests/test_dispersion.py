@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+import adaptive_reference
 from bosemilne import dispersion, quadrature, saddle
 from bosemilne.dispersion import (DispersionTable, build_theta_table,
                                   evaluate_boundary, index_kappa,
@@ -189,8 +190,9 @@ class TestLambdaBoundary:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_fallback_rows_agree(self, ctx, alpha, monkeypatch):
-        # tol=1e-15 is below what the first 64-point panel can certify, so
-        # rows go on to bisection steps (panels evaluated with a known whole)
+        # the fixed rule uses no adaptive panel; the reference at tol=1e-15,
+        # below what its first 64-point panel can certify, goes on to
+        # bisection steps (panels evaluated with a known whole)
         model = ctx.model(alpha)
         mus = np.array([1e-5, 79.5 ** -alpha, 0.3, 1.0, 7.0, 100.0])
         calls = []
@@ -204,8 +206,8 @@ class TestLambdaBoundary:
         monkeypatch.setattr(quadrature, "_panels", spy)
         default = lambda_boundary_batch(model, mus)
         assert not calls
-        # lambda_boundary_batch's real part at its depth 20, tolerance 1e-15
-        strict = dispersion._re_part(model, mus, 1e-15, 20)
+        # the adaptive frequency integral at depth 20, tolerance 1e-15
+        strict = adaptive_reference.re_part(model, mus, 1e-15, 20)
         assert calls
         for got, want in zip(strict, default):
             assert got == pytest.approx(want.lambda_real, rel=1e-10, abs=1e-10)
@@ -230,9 +232,44 @@ class TestLambdaBoundary:
                          / (mp.gamma(a + 5) * mp.zeta(a + 4)))
         assert lambda_boundary(model, mu).lambda_real == pytest.approx(want, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_against_adaptive_reference(self, ctx, alpha):
+        # the fixed rule against the adaptive routes at tolerance 1e-10,
+        # depth 20, on the default table's nodes and on 200 log-uniform mu
+        # in (1e-6, mu_max)
+        model, table = ctx.model(alpha), ctx.table(alpha)
+        rng = np.random.default_rng(22)
+        mus = np.concatenate([table.mu[1:], np.exp(rng.uniform(
+            math.log(1e-6), math.log(table.mu_max), 200))])
+        got = lambda_boundary_batch(model, mus)
+        for part, want in zip(("lambda_real", "im_plus", "theta"),
+                              adaptive_reference.boundary_values(model, mus)):
+            values = np.array([getattr(s, part) for s in got])
+            assert np.max(np.abs(values - want)) <= 1e-12, part
+
+    @pytest.mark.parametrize("alpha", [0.006, 0.1])
+    def test_small_alpha_against_strict_reference(self, ctx, alpha):
+        # the step of rho from full to 0 is alpha wide in ln t; the adaptive
+        # route's own error here is 3e-11 at tolerance 1e-10, so the
+        # reference runs at 1e-13, its cutoffs at 1e-14
+        model = ctx.model(alpha)
+        rng = np.random.default_rng(23)
+        mus = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(30.0), 60)),
+                              80.0 ** -alpha * np.array([0.999, 1.001, 1.01, 1.05])])
+        got = lambda_boundary_batch(model, mus)
+        re = adaptive_reference.re_part(model, mus, 1e-13, 30)
+        im = 0.5 * math.pi * mus * adaptive_reference.xi_alpha(model, mus, 1e-14) / model.l0_alpha
+        assert np.max(np.abs([s.lambda_real for s in got] - re)) <= 1e-12
+        assert np.max(np.abs([s.im_plus for s in got] - im)) <= 1e-12
+
     def test_nonpositive_mu_rejected(self, model1):
         with pytest.raises(DomainError):
             lambda_boundary(model1, -0.5)
+
+    def test_mu_beyond_the_rule_rejected(self, model1):
+        assert lambda_boundary(model1, 0.99 * dispersion._T_END).theta == pytest.approx(math.pi)
+        with pytest.raises(DomainError, match="requires mu <"):
+            lambda_boundary(model1, dispersion._T_END)
 
 
 class TestThetaTable:
@@ -320,6 +357,21 @@ class TestPanelTable:
         monkeypatch.setattr(dispersion, "lambda_boundary_batch", counting)
         build_theta_table(ctx.model(alpha))
         assert sum(counts) <= 400
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_one_boundary_rule_per_build(self, ctx, alpha, monkeypatch):
+        # the mu_max probes and every pass share one first pair of the
+        # boundary rule, and no row of a default table needs the fine pair
+        pairs = []
+        real = quadrature.knot_rule
+
+        def spy(knots, fine):
+            pairs.append(fine)
+            return real(knots, fine)
+
+        monkeypatch.setattr(quadrature, "knot_rule", spy)
+        build_theta_table(ctx.model(alpha))
+        assert pairs == [False]
 
     def test_tail_continues_the_last_panel(self, ctx):
         table = ctx.table(1.0)

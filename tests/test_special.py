@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma, zeta
 
+import adaptive_reference
 from bosemilne.errors import ConfigurationError, DivergenceError, DomainError
 from bosemilne.special import AlphaModel, einstein, einstein_reg, moment_l0, xi_alpha
 
@@ -114,3 +115,16 @@ class TestXiAlpha:
     def test_domain(self, model1):
         with pytest.raises(DomainError):
             xi_alpha(model1, 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.006, 0.1, 0.5, 1.0, 2.0])
+    def test_against_adaptive_reference(self, alpha):
+        # the cumulative Gauss sums and the Laurent head against adaptive
+        # quadrature at tolerance 1e-14, on cutoffs from below 0.25 (the
+        # Laurent head) through the frequency knots to the full moment
+        model = AlphaModel.build(alpha)
+        cuts = np.concatenate([np.geomspace(1e-3, 79.9, 300), [0.25, 0.2499, 0.2501, 4.0, 79.0]])
+        mus = cuts ** -alpha
+        got = xi_alpha(model, mus)
+        want = adaptive_reference.xi_alpha(model, mus, 1e-14)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        assert np.array_equal(got, [xi_alpha(model, float(m)) for m in mus])
