@@ -331,6 +331,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command's flags; `main` keeps the first it builds."""
     parser = argparse.ArgumentParser(
         prog="bosemilne",
         description="Temperature-jump coefficients for radiative transport "
@@ -354,18 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("v1", help="exact and saddle jump coefficients")
     common(p, "--alpha")
-    p.set_defaults(fn=cmd_v1)
 
     p = sub.add_parser("dispersion", help="boundary-value table and index")
     common(p, "--alpha", "--format")
     p.add_argument("--grid-mu", dest="grid_mu", help="min:max:count (geometric)")
-    p.set_defaults(fn=cmd_dispersion)
 
     p = sub.add_parser("profile", help="field values phi(x, mu)")
     common(p, "--alpha", "--k", "--format")
     p.add_argument("--grid-x", dest="grid_x", help="min:max:count (linear)")
     p.add_argument("--grid-mu", dest="grid_mu", help="min:max:count (linear)")
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("oracle", help="discrete-ordinates cross-check")
     common(p, "--alpha", "--k")
@@ -375,20 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dom-length", dest="dom_length", type=float)
     p.add_argument("--tol", type=float,
                    help="bound on the check sweep's residual, times max(1, |k| L)")
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("validate", help="run the acceptance suite")
     common(p)
-    p.set_defaults(fn=cmd_validate)
     return parser
 
 
+# built on the first main call, not at import: start-up does not pay for it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so a replaced cmd_* function takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
         with blas_one_thread():
-            return args.fn(args)
+            return command(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

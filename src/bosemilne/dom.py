@@ -34,8 +34,12 @@ the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
 its fixed point solves a linear system of len(x_nodes) unknowns; with
 conservative scattering the plain iteration contracts only like 1 - O(1/L^2),
 too slow at L = 30. `solve` assembles the sweep's linear map once and
-LU-solves the system: 2 sweeps, and 0.02-0.04 s at alpha = 0 and 0.08-0.09 s
-at alpha > 0 on the default grid (one BLAS thread, 2 vCPUs).
+LU-solves the system: 2 sweeps, and 0.03 s at alpha = 0 and 0.09-0.11 s at
+alpha > 0 on the default grid (one BLAS thread, 2 vCPUs). The assembly
+goes by blocks of cells: what a block's channels carry in from upstream is
+one matrix product, and so is what the block's own sources add, for every
+channel whose transmission across the block is still a normal float; the
+few channels whose transmission underflows keep a per-cell recurrence.
 """
 
 from __future__ import annotations
@@ -78,14 +82,9 @@ def freq_rule(model: AlphaModel, n: int, omega_max: float) -> tuple[np.ndarray, 
         raise ConfigurationError(f"frequency node count out of range: {n}")
     # discretise the measure: geometric panels resolve the w^(alpha+2) origin
     edges = np.concatenate([[0.0], np.geomspace(1e-3 * omega_max, omega_max, 40)])
-    rule = quadrature.gauss_rule(24)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = rule.map_to(a, b)
-        xs.append(x)
-        ws.append(w * x ** (model.alpha + 4) * einstein(x))
-    xd = np.concatenate(xs)
-    wd = np.concatenate(ws)
+    x, w = quadrature.gauss_rule(24).map_to(edges[:-1, None], edges[1:, None])
+    xd = x.ravel()
+    wd = (w * x ** (model.alpha + 4) * einstein(x)).ravel()
 
     beta0 = float(np.sum(wd))
     a_coef = np.zeros(n)
@@ -208,22 +207,27 @@ class _Sweeper:
         self.mu_neg, self.cw_neg = _merge_equal_rates(
             (vm[:, None] / wa[None, :]).ravel(),
             (np.outer(am, grid.w_weights) / (2.0 * l0d)).ravel())
-        m = len(self.mu_pos)
-        tau = np.empty((len(h), m + len(self.mu_neg)))
-        np.multiply(h[:, None], 1.0 / self.mu_pos, out=tau[:, :m])
-        np.multiply(h[::-1, None], 1.0 / np.abs(self.mu_neg), out=tau[:, m:])
-        # E and F are built in place: full-size temporaries would raise the
-        # peak memory of a solve
-        self.E = np.negative(tau)
-        np.exp(self.E, out=self.E)
-        self.F = tau - 1.0
-        self.F += self.E
-        self.F /= tau
-        # cancellation-free series where tau is small
-        small = tau < 1e-4
-        ts = tau[small]
-        self.F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
-        del tau
+        n, m = len(h), len(self.mu_pos)
+        rate_pos, rate_neg = 1.0 / self.mu_pos, 1.0 / np.abs(self.mu_neg)
+        # E and F are built in place, _BLOCK cells at a time: full-size
+        # temporaries (tau among them) would raise the peak memory of a solve
+        self.E = np.empty((n, m + len(self.mu_neg)))
+        self.F = np.empty_like(self.E)
+        for j0 in range(0, n, _BLOCK):
+            j1 = min(j0 + _BLOCK, n)
+            tau = np.empty((j1 - j0, self.E.shape[1]))
+            np.multiply(h[j0:j1, None], rate_pos, out=tau[:, :m])
+            np.multiply(h[::-1][j0:j1, None], rate_neg, out=tau[:, m:])
+            E, F = self.E[j0:j1], self.F[j0:j1]
+            np.negative(tau, out=E)
+            np.exp(E, out=E)
+            np.subtract(tau, 1.0, out=F)
+            F += E
+            F /= tau
+            # cancellation-free series where tau is small
+            small = tau < 1e-4
+            ts = tau[small]
+            F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
 
     def apply(self, S: np.ndarray, inflow_pos: np.ndarray, inflow_neg: np.ndarray,
               keep_phi: bool = False):
@@ -267,18 +271,24 @@ class _Sweeper:
 
     def operator(self) -> np.ndarray:
         """The sweep's linear map T0, ``apply(S, 0, 0) == T0 @ S``, assembled
-        one direction at a time by blocks of cells: 8-14 ms on the default
-        grid at alpha = 0 and 48-60 ms at alpha > 0 (one BLAS thread).
+        one direction at a time by blocks of cells: 3-9 ms on the default
+        grid at alpha = 0 and 48-63 ms at alpha > 0 (one BLAS thread).
 
         C[l] holds d phi(node j0) / dS_l, l <= j0, per channel. Across a block
         the rows get ``(D * cw) @ C[:j0 + 1].T``, D the running product of the
-        block's E rows, plus the block's own recurrence over S_j0..S_j1; C
-        then moves on by D[-1] and that local part. The negative channels run
-        the same loop in reversed cell order and land in ``T0[::-1, ::-1]``.
-        Entries of D and C below the smallest normal float are set to zero:
-        they add nothing to T0 (the default grids give the same T0 bit for
-        bit), while subnormal operands would stall the GEMMs and the C
-        updates wherever a block's transmission underflows.
+        block's E rows. The block's own sources reach node j0 + i + 1 as the
+        lower triangle of ``(D * cw) @ (coef / D).T``, coef_l the weight of
+        S_(j0 + l) in the update of its cell, plus F_i cw from S_(j0 + i + 1);
+        C then moves on by D[-1] and gains ``(coef / D) D[-1]``. This product
+        needs D[-1] to be a normal float, and where a channel's transmission
+        across the block underflows that channel keeps the recurrence cell by
+        cell. Against that recurrence for every channel the product moves
+        entries of T0 by a few ulps (2.9e-15 relative at most on the default
+        grids). The negative channels run the same loop in reversed cell
+        order and land in ``T0[::-1, ::-1]``. Entries of D and C below the
+        smallest normal float are set to zero: they add nothing to T0, while
+        subnormal operands would stall the GEMMs and the C updates wherever a
+        block's transmission underflows.
         """
         n, m = self.E.shape[0], len(self.mu_pos)
         T = np.zeros((n + 1, n + 1))
@@ -289,19 +299,40 @@ class _Sweeper:
             C.fill(0.0)
             for j0 in range(0, n, _BLOCK):
                 j1 = min(j0 + _BLOCK, n)
-                D = np.cumprod(E[j0:j1], axis=0)
+                b = j1 - j0
+                # np.cumprod(E[j0:j1], axis=0) bit for bit, a row at a time:
+                # numpy's accumulate walks the columns one by one, 3x slower
+                D = E[j0:j1].copy()
+                for i in range(1, b):
+                    D[i] *= D[i - 1]
                 D[D < _TINY] = 0.0
-                rows[j0 + 1:j1 + 1, :j0 + 1] += (D * cw) @ C[:j0 + 1].T
-                # phi(j + 1) = E phi(j) + (1 - E - F) S_j + F S_(j+1)
-                a = 1.0 - E[j0:j1] - F[j0:j1]
-                local = np.zeros((j1 - j0 + 1, m))
-                for i in range(j1 - j0):
-                    local[:i + 1] *= E[j0 + i]
-                    local[i] += a[i]
-                    local[i + 1] = F[j0 + i]
-                    rows[j0 + i + 1, j0:j0 + i + 2] += local[:i + 2] @ cw
+                Dcw = D * cw
+                rows[j0 + 1:j1 + 1, :j0 + 1] += Dcw @ C[:j0 + 1].T
                 C[:j0 + 1] *= D[-1]
-                C[j0:j1 + 1] += local
+                C[j1] = F[j1 - 1]
+                # phi(j + 1) = E phi(j) + (1 - E - F) S_j + F S_(j+1), so
+                # coef_l D_i / D_l is the recurrence's coef_l E_(l+1) ... E_i
+                coef = 1.0 - E[j0:j1] - F[j0:j1]
+                coef[1:] += F[j0:j1 - 1] * E[j0 + 1:j1]
+                blk = rows[j0 + 1:j1 + 1, j0:j1 + 1]
+                blk[np.arange(b), np.arange(1, b + 1)] += F[j0:j1] @ cw
+                thick = D[-1] == 0.0
+                if thick.any():
+                    # channels whose block transmission underflows keep the
+                    # per-cell recurrence, and drop out of the product below
+                    Ek, ck, cwk = E[j0:j1, thick], coef[:, thick], cw[thick]
+                    for i in range(b):
+                        ck[:i] *= Ek[i]
+                        blk[i, :i + 1] += ck[:i + 1] @ cwk
+                    C[j0:j1, thick] += ck
+                    coef[:, thick] = 0.0
+                    D[:, thick] = 1.0
+                # D >= D[-1] >= _TINY keeps coef / D finite; the upper
+                # triangle (l > i) may overflow and is dropped
+                coef /= D
+                blk[:, :b] += np.tril(Dcw @ coef.T)
+                coef *= D[-1]
+                C[j0:j1] += coef
                 # C >= 0, as E, F and 1 - E - F are: this catches every
                 # subnormal
                 Cb = C[:j1 + 1]

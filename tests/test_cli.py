@@ -365,6 +365,26 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_main_builds_one_parser(monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counting_build():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "cmd_v1", lambda args: 0)
+    assert cli.main(["v1"]) == 0
+    assert cli.main(["v1", "--alpha", "1"]) == 0
+    assert len(built) == 1 and cli._parser is built[0]
+    # a usage error after a successful call still exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["v1", "--nonsense"])
+    assert exc.value.code == 2
+    assert len(built) == 1
+
+
 # (command, flag, value) for flags a command never reads; the --tol rows keep
 # the command alone as their id
 UNREAD_FLAGS = [(command, "--tol", "1e-9") for command in ("v1", "dispersion", "profile",

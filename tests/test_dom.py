@@ -52,6 +52,43 @@ class TestFreqRule:
         assert seen == list(range(2, 201))
 
 
+def _reference_freq_rule(model, n, omega_max):
+    """freq_rule as first written: the weight discretised one panel per step."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-3 * omega_max, omega_max, 40)])
+    rule = quadrature.gauss_rule(24)
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = rule.map_to(a, b)
+        xs.append(x)
+        ws.append(w * x ** (model.alpha + 4) * einstein(x))
+    xd = np.concatenate(xs)
+    wd = np.concatenate(ws)
+    beta0 = float(np.sum(wd))
+    a_coef = np.zeros(n)
+    sqrt_b = np.zeros(n)
+    p_prev = np.zeros_like(xd)
+    p_cur = np.full_like(xd, 1.0 / np.sqrt(beta0))
+    for k in range(n):
+        a_coef[k] = float(wd @ (xd * p_cur * p_cur))
+        if k == n - 1:
+            break
+        t = (xd - a_coef[k]) * p_cur - (sqrt_b[k] if k > 0 else 0.0) * p_prev
+        sqrt_b[k + 1] = np.sqrt(float(wd @ (t * t)))
+        p_prev, p_cur = p_cur, t / sqrt_b[k + 1]
+    jacobi = np.diag(a_coef) + np.diag(sqrt_b[1:], 1) + np.diag(sqrt_b[1:], -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
+    return nodes, beta0 * vecs[0, :] ** 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [8, 48])
+def test_freq_rule_matches_reference(ctx, alpha, n):
+    nodes, weights = freq_rule(ctx.model(alpha), n, 30.0)
+    want_nodes, want_weights = _reference_freq_rule(ctx.model(alpha), n, 30.0)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
+
+
 class TestGrid:
     def test_direction_weights(self, small_grid0):
         assert abs(small_grid0.v_weights.sum() - 2.0) <= 1e-12
@@ -113,24 +150,39 @@ class TestChannels:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _reference_cells(mu, h):
+    """E and F of every (channel, cell) from one full-size tau, channel-major."""
+    tau = np.outer(1.0 / np.abs(mu), h)
+    F = np.empty_like(tau)
+    small = tau < 1e-4
+    ts = tau[small]
+    F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
+    tb = tau[~small]
+    F[~small] = (tb - 1.0 + np.exp(-tb)) / tb
+    return np.exp(-tau), F
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_freq,n_cells", [(8, 600), (48, 600), (48, 77)])
+def test_cell_arrays_match_reference(ctx, alpha, n_freq, n_cells):
+    # E and F, built _BLOCK cells at a time, hold the full-size build's bits
+    model = ctx.model(alpha)
+    grid = DomGrid.build(model, n_cells=n_cells, n_freq=n_freq)
+    sweeper = dom._Sweeper(model, grid)
+    h = np.diff(grid.x_nodes)
+    Ep, Fp = _reference_cells(sweeper.mu_pos, h)
+    Em, Fm = _reference_cells(sweeper.mu_neg, h)
+    assert np.array_equal(sweeper.E, np.hstack([Ep.T, Em.T[::-1]]))
+    assert np.array_equal(sweeper.F, np.hstack([Fp.T, Fm.T[::-1]]))
+
+
 def _reference_sweep(sweeper, grid, S, inflow_pos, inflow_neg):
     """One loop per direction over channel-major columns, as the sweep was
     first written: the arithmetic the fused loop must reproduce bit for bit."""
     h = np.diff(grid.x_nodes)
     n = len(h)
-
-    def cells(mu):
-        tau = np.outer(1.0 / np.abs(mu), h)
-        F = np.empty_like(tau)
-        small = tau < 1e-4
-        ts = tau[small]
-        F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
-        tb = tau[~small]
-        F[~small] = (tb - 1.0 + np.exp(-tb)) / tb
-        return np.exp(-tau), F
-
-    Ep, Fp = cells(sweeper.mu_pos)
-    Em, Fm = cells(sweeper.mu_neg)
+    Ep, Fp = _reference_cells(sweeper.mu_pos, h)
+    Em, Fm = _reference_cells(sweeper.mu_neg, h)
     Sl, Sr = S[:-1], S[1:]
     dS = Sr - Sl
     out = np.zeros_like(S)
@@ -201,16 +253,73 @@ def test_operator_matches_sweep(ctx, alpha, n_cells):
     _check_operator(model, grid, n_cells)
 
 
+# optically thick cells: the propagated state passes through the subnormal
+# range, where operator and far_response set it to zero
+UNDERFLOW_GRID = dict(L=30.0, n_cells=120, n_angle=8, n_freq=16)
+
+
 def test_operator_matches_sweep_through_underflow(ctx):
-    # optically thick cells: the propagated state passes through the
-    # subnormal range, where operator and far_response set it to zero
     model = ctx.model(1.0)
-    grid = DomGrid.build(model, L=30.0, n_cells=120, n_angle=8, n_freq=16)
+    grid = DomGrid.build(model, **UNDERFLOW_GRID)
     sweeper = _check_operator(model, grid, 120)
     tiny = np.finfo(float).tiny
     for E in np.hsplit(sweeper.E, [len(sweeper.mu_pos)]):
         through = np.cumprod(E, axis=0)
         assert np.any((through > 0) & (through < tiny))
+
+
+def _reference_operator(sweeper):
+    """`_Sweeper.operator` as first written: each block's in-block part by a
+    recurrence over its cells, one row of T0 per cell."""
+    tiny, block = np.finfo(float).tiny, dom._BLOCK
+    n, m = sweeper.E.shape[0], len(sweeper.mu_pos)
+    T = np.zeros((n + 1, n + 1))
+    C = np.empty((n + 1, m))
+    for cols, cw, rows in ((slice(None, m), sweeper.cw_pos, T),
+                           (slice(m, None), sweeper.cw_neg, T[::-1, ::-1])):
+        E, F = sweeper.E[:, cols], sweeper.F[:, cols]
+        C.fill(0.0)
+        for j0 in range(0, n, block):
+            j1 = min(j0 + block, n)
+            D = np.cumprod(E[j0:j1], axis=0)
+            D[D < tiny] = 0.0
+            rows[j0 + 1:j1 + 1, :j0 + 1] += (D * cw) @ C[:j0 + 1].T
+            a = 1.0 - E[j0:j1] - F[j0:j1]
+            local = np.zeros((j1 - j0 + 1, m))
+            for i in range(j1 - j0):
+                local[:i + 1] *= E[j0 + i]
+                local[i] += a[i]
+                local[i + 1] = F[j0 + i]
+                rows[j0 + i + 1, j0:j0 + i + 2] += local[:i + 2] @ cw
+            C[:j0 + 1] *= D[-1]
+            C[j0:j1 + 1] += local
+            Cb = C[:j1 + 1]
+            Cb[Cb < tiny] = 0.0
+    return T
+
+
+@pytest.mark.parametrize("alpha,grid_kw", [(0.0, {}), (0.5, {}), (1.0, {}),
+                                           (1.0, UNDERFLOW_GRID)],
+                         ids=["a0", "a0.5", "a1", "a1-underflow"])
+def test_operator_matches_per_cell_reference(ctx, alpha, grid_kw):
+    # the in-block products move each entry by a few ulps (2.9e-15 seen);
+    # a zero entry must stay zero
+    model = ctx.model(alpha)
+    sweeper = dom._Sweeper(model, DomGrid.build(model, **grid_kw))
+    T, want = sweeper.operator(), _reference_operator(sweeper)
+    assert np.all(np.abs(T - want) <= 1e-14 * np.abs(want))
+
+
+def test_underflow_grid_has_thin_and_thick_blocks(ctx):
+    # the underflow grid runs both in-block paths: in each direction some
+    # channel-blocks keep a normal transmission and some underflow
+    model = ctx.model(1.0)
+    sweeper = dom._Sweeper(model, DomGrid.build(model, **UNDERFLOW_GRID))
+    n, tiny = sweeper.E.shape[0], np.finfo(float).tiny
+    for E in np.hsplit(sweeper.E, [len(sweeper.mu_pos)]):
+        through = np.array([np.cumprod(E[j0:j0 + dom._BLOCK], axis=0)[-1]
+                            for j0 in range(0, n, dom._BLOCK)])
+        assert np.any(through >= tiny) and np.any(through < tiny)
 
 
 class TestModes:
