@@ -22,24 +22,27 @@ cells positive. A channel is one rate mu = v / w^a: (direction, frequency)
 pairs of equal rate carry the same phi, so they merge into one channel with
 their summed source weight. At alpha = 0 the rate is v alone (the grey
 problem), so a direction has n_angle / 2 channels instead of
-n_angle / 2 * n_freq; at alpha > 0 no two rates are equal. Both directions
-advance in one cell loop over a cells x channels layout (negative channels
-stored in reversed cell order), three in-place numpy calls and two dot
-products per cell: 2-4 ms per sweep on the default grid at alpha = 0
-(600 cells, 2 x 16 channels) and 5-9 ms at alpha > 0 (2 x 768 channels),
-one BLAS thread.
+n_angle / 2 * n_freq; at alpha > 0 no two rates are equal. The direction
+rule is a mirror bit for bit, so each negative channel is a positive one run
+over the cells in reverse (the +- symmetry of discrete ordinates): the cell
+arrays are stored once, cells x channels for the positive channels, and the
+negative channels read them in reversed cell order. Both directions advance
+in one cell loop, three in-place numpy calls and two dot products per cell:
+4 ms per sweep on the default grid at alpha = 0 (600 cells, 2 x 16
+channels) and 9-11 ms at alpha > 0 (2 x 768 channels), one BLAS thread.
 
 The far-end intercept is a fixed linear functional of S (the intercept row of
 the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
 its fixed point solves a linear system of len(x_nodes) unknowns; with
 conservative scattering the plain iteration contracts only like 1 - O(1/L^2),
 too slow at L = 30. `solve` assembles the sweep's linear map once and
-LU-solves the system: 2 sweeps, and 0.03 s at alpha = 0 and 0.09-0.11 s at
-alpha > 0 on the default grid (one BLAS thread, 2 vCPUs). The assembly
-goes by blocks of cells: what a block's channels carry in from upstream is
-one matrix product, and so is what the block's own sources add, for every
-channel whose transmission across the block is still a normal float; the
-few channels whose transmission underflows keep a per-cell recurrence.
+LU-solves the system, with a right-hand side in closed form: one sweep (the
+check), and 0.03 s at alpha = 0 and 0.09-0.11 s at alpha > 0 on the
+default grid (one BLAS thread, 2 vCPUs). The assembly goes by blocks of
+cells: what a block's channels carry in from upstream is one matrix product,
+and so is what the block's own sources add, for every channel whose
+transmission across the block is still a normal float; the few channels
+whose transmission underflows keep a per-cell recurrence.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ class DomGrid:
 class DomResult:
     """Converged source with the extracted far-field intercept.
 
-    `residual` is the max-norm of G(S) - S after one more sweep of the
+    `residual` is the max-norm of G(S) - S after a check sweep of the
     solved source S with the extracted far-end value.
     """
 
@@ -182,42 +185,46 @@ class _Sweeper:
 
     Channels are the distinct rates mu of each direction (`_merge_equal_rates`),
     with summed source weights cw: n_pos of them per direction at alpha = 0,
-    n_pos * n_freq at alpha > 0. The cell arrays ``E = exp(-tau)`` and
-    ``F = (tau - 1 + E) / tau`` are stored cell-major as (cells, 2 m), m
-    channels per direction: positive channels first, in cell order, then
-    negative channels in reversed cell order. Step j of the loop moves the
-    positive channels across cell j and the negative ones across cell
-    n - 1 - j, in three in-place calls on one contiguous row that keep the
-    rounding of ``phi E + (1 - E) S_upwind + F dS`` term by term. The cell
-    sources are formed _BLOCK cells at a time.
+    n_pos * n_freq at alpha > 0. The direction rule must be a bit-for-bit
+    mirror (numpy's Gauss-Legendre rule is), so the negative channels are the
+    positive ones mirrored, ``mu_neg = -mu_pos`` and ``cw_neg = cw_pos`` in
+    the same order, and each crosses a cell at its positive twin's rate: the
+    cell arrays ``E = exp(-tau)`` and ``F = (tau - 1 + E) / tau`` are stored
+    once, cell-major as (cells, m) for the positive channels, and the
+    negative channels read them in reversed cell order. Step j of the sweep
+    moves the positive channels across cell j and the negative ones across
+    cell n - 1 - j, in three in-place calls on one contiguous row of both
+    directions' E that keep the rounding of
+    ``phi E + (1 - E) S_upwind + F dS`` term by term. The cell sources and
+    those rows are formed _BLOCK cells at a time.
     """
 
     def __init__(self, model: AlphaModel, grid: DomGrid):
         h = np.diff(grid.x_nodes)
-        pos = grid.v_nodes > 0
-        vp, ap = grid.v_nodes[pos], grid.v_weights[pos]
-        vm, am = grid.v_nodes[~pos], grid.v_weights[~pos]
+        v, a = grid.v_nodes, grid.v_weights
+        pos = v > 0
+        if not (np.array_equal(v[~pos], -v[pos][::-1])
+                and np.array_equal(a[~pos], a[pos][::-1])):
+            raise ConfigurationError(
+                "direction rule is not a bit-for-bit mirror: the negative nodes "
+                "and weights must be the positive ones reversed, nodes negated")
         wa = grid.w_nodes ** model.alpha
         l0d = float(np.sum(grid.w_weights))
         # (direction, frequency) pairs flattened, source weights
         # a_k w_i / (2 l0_disc), merged to one channel per rate
         self.mu_pos, self.cw_pos = _merge_equal_rates(
-            (vp[:, None] / wa[None, :]).ravel(),
-            (np.outer(ap, grid.w_weights) / (2.0 * l0d)).ravel())
-        self.mu_neg, self.cw_neg = _merge_equal_rates(
-            (vm[:, None] / wa[None, :]).ravel(),
-            (np.outer(am, grid.w_weights) / (2.0 * l0d)).ravel())
+            (v[pos][:, None] / wa[None, :]).ravel(),
+            (np.outer(a[pos], grid.w_weights) / (2.0 * l0d)).ravel())
+        self.mu_neg, self.cw_neg = -self.mu_pos, self.cw_pos
         n, m = len(h), len(self.mu_pos)
-        rate_pos, rate_neg = 1.0 / self.mu_pos, 1.0 / np.abs(self.mu_neg)
+        rate = 1.0 / self.mu_pos
         # E and F are built in place, _BLOCK cells at a time: full-size
         # temporaries (tau among them) would raise the peak memory of a solve
-        self.E = np.empty((n, m + len(self.mu_neg)))
+        self.E = np.empty((n, m))
         self.F = np.empty_like(self.E)
         for j0 in range(0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
-            tau = np.empty((j1 - j0, self.E.shape[1]))
-            np.multiply(h[j0:j1, None], rate_pos, out=tau[:, :m])
-            np.multiply(h[::-1][j0:j1, None], rate_neg, out=tau[:, m:])
+            tau = np.multiply(h[j0:j1, None], rate)
             E, F = self.E[j0:j1], self.F[j0:j1]
             np.negative(tau, out=E)
             np.exp(E, out=E)
@@ -234,7 +241,7 @@ class _Sweeper:
         """One transport sweep from the inflow at x = 0 (positive channels) and
         x = L (negative channels); returns the recomputed source, and if asked
         phi of each direction as (n_x, channels) arrays indexed by node."""
-        n, m = len(S) - 1, len(self.mu_pos)
+        n, m = self.E.shape
         dS = S[1:] - S[:-1]
         # upwind source value and slope term of step j, per direction
         s_up = np.stack([S[:-1], S[:0:-1]], axis=1)[:, :, None]
@@ -250,10 +257,14 @@ class _Sweeper:
         for j0 in range(0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
             b = j1 - j0
-            P = np.subtract(1.0, self.E[j0:j1]).reshape(b, 2, m)
+            # the rows of steps j0..j1-1: cells j0..j1-1 for the positive
+            # channels, cells n-1-j0 down to n-j1 for the negative ones
+            E = np.concatenate([self.E[j0:j1], self.E[n - j1:n - j0][::-1]], axis=1)
+            F = np.concatenate([self.F[j0:j1], self.F[n - j1:n - j0][::-1]], axis=1)
+            P = np.subtract(1.0, E).reshape(b, 2, m)
             P *= s_up[j0:j1]
-            Q = self.F[j0:j1].reshape(b, 2, m) * ds[j0:j1]
-            for j, e, p, q in zip(range(j0 + 1, j1 + 1), self.E[j0:j1],
+            Q = F.reshape(b, 2, m) * ds[j0:j1]
+            for j, e, p, q in zip(range(j0 + 1, j1 + 1), E,
                                   P.reshape(b, 2 * m), Q.reshape(b, 2 * m)):
                 phi *= e
                 phi += p
@@ -271,8 +282,8 @@ class _Sweeper:
 
     def operator(self) -> np.ndarray:
         """The sweep's linear map T0, ``apply(S, 0, 0) == T0 @ S``, assembled
-        one direction at a time by blocks of cells: 3-9 ms on the default
-        grid at alpha = 0 and 48-63 ms at alpha > 0 (one BLAS thread).
+        one direction at a time by blocks of cells: 5-9 ms on the default
+        grid at alpha = 0 and 50-70 ms at alpha > 0 (one BLAS thread).
 
         C[l] holds d phi(node j0) / dS_l, l <= j0, per channel. Across a block
         the rows get ``(D * cw) @ C[:j0 + 1].T``, D the running product of the
@@ -283,44 +294,42 @@ class _Sweeper:
         needs D[-1] to be a normal float, and where a channel's transmission
         across the block underflows that channel keeps the recurrence cell by
         cell. Against that recurrence for every channel the product moves
-        entries of T0 by a few ulps (2.9e-15 relative at most on the default
-        grids). The negative channels run the same loop in reversed cell
-        order and land in ``T0[::-1, ::-1]``. Entries of D and C below the
-        smallest normal float are set to zero: they add nothing to T0, while
-        subnormal operands would stall the GEMMs and the C updates wherever a
-        block's transmission underflows.
+        entries of T0 by a few ulps (3.2e-15 relative at most on the default
+        grids). The negative channels run the same loop on the cell arrays in
+        reversed cell order and land in ``T0[::-1, ::-1]``. Entries of D and C
+        below the smallest normal float are set to zero: they add nothing to
+        T0, while subnormal operands would stall the GEMMs and the C updates
+        wherever a block's transmission underflows.
         """
-        n, m = self.E.shape[0], len(self.mu_pos)
+        n, m = self.E.shape
         T = np.zeros((n + 1, n + 1))
         C = np.empty((n + 1, m))
-        for cols, cw, rows in ((slice(None, m), self.cw_pos, T),
-                               (slice(m, None), self.cw_neg, T[::-1, ::-1])):
-            E, F = self.E[:, cols], self.F[:, cols]
+        for E, F, cw, rows in ((self.E, self.F, self.cw_pos, T),
+                               (self.E[::-1], self.F[::-1], self.cw_neg, T[::-1, ::-1])):
             C.fill(0.0)
             for j0 in range(0, n, _BLOCK):
                 j1 = min(j0 + _BLOCK, n)
                 b = j1 - j0
-                # np.cumprod(E[j0:j1], axis=0) bit for bit, a row at a time:
-                # numpy's accumulate walks the columns one by one, 3x slower
-                D = E[j0:j1].copy()
-                for i in range(1, b):
-                    D[i] *= D[i - 1]
+                # the negative pass reads E and F reversed: a contiguous copy
+                # of the block keeps its products on BLAS
+                Eb, Fb = np.ascontiguousarray(E[j0:j1]), np.ascontiguousarray(F[j0:j1])
+                D = _running_product(Eb)
                 D[D < _TINY] = 0.0
                 Dcw = D * cw
                 rows[j0 + 1:j1 + 1, :j0 + 1] += Dcw @ C[:j0 + 1].T
                 C[:j0 + 1] *= D[-1]
-                C[j1] = F[j1 - 1]
+                C[j1] = Fb[-1]
                 # phi(j + 1) = E phi(j) + (1 - E - F) S_j + F S_(j+1), so
                 # coef_l D_i / D_l is the recurrence's coef_l E_(l+1) ... E_i
-                coef = 1.0 - E[j0:j1] - F[j0:j1]
-                coef[1:] += F[j0:j1 - 1] * E[j0 + 1:j1]
+                coef = 1.0 - Eb - Fb
+                coef[1:] += Fb[:-1] * Eb[1:]
                 blk = rows[j0 + 1:j1 + 1, j0:j1 + 1]
-                blk[np.arange(b), np.arange(1, b + 1)] += F[j0:j1] @ cw
+                blk[np.arange(b), np.arange(1, b + 1)] += Fb @ cw
                 thick = D[-1] == 0.0
                 if thick.any():
                     # channels whose block transmission underflows keep the
                     # per-cell recurrence, and drop out of the product below
-                    Ek, ck, cwk = E[j0:j1, thick], coef[:, thick], cw[thick]
+                    Ek, ck, cwk = Eb[:, thick], coef[:, thick], cw[thick]
                     for i in range(b):
                         ck[:i] *= Ek[i]
                         blk[i, :i + 1] += ck[:i + 1] @ cwk
@@ -339,29 +348,42 @@ class _Sweeper:
                 Cb[Cb < _TINY] = 0.0
         return T
 
-    def far_response(self) -> np.ndarray:
-        """``apply(0, 0, ones)``, the response to unit inflow at x = L with no
-        source, without a sweep.
+    def inflow_response(self, inflow: np.ndarray, far: bool) -> np.ndarray:
+        """The source a sweep makes of `inflow` at x = 0 (the positive
+        channels), or with `far` at x = L (the negative ones), with no source
+        and no inflow at the other end, without a sweep.
 
-        With no source a negative channel only decays, so its phi at node j
-        is the running product of its E from x = L down to j. np.cumprod
-        forms it _BLOCK cells at a time, seeded with the previous block's
-        last row, in the sweep's order of multiplication, and the source
-        takes the sweep's per-node dot products. As in `operator`, states
-        below the smallest normal float are set to zero, which the sums do
-        not feel (the default grids give the sweep's g bit for bit) and
-        which keeps subnormal operands out of the products and dots.
+        With no source a channel only decays, so its phi at a node is the
+        inflow times the running product of its E from the slab end to that
+        node, formed _BLOCK cells at a time in the sweep's order of
+        multiplication (`np.cumprod`'s bits), and the source takes the sweep's
+        per-node dot products. As in `operator`, states below the smallest
+        normal float are set to zero, which the sums do not feel (the default
+        grids give the sweep's values bit for bit) and which keeps subnormal
+        operands out of the products and dots.
         """
-        n, m = self.E.shape[0], len(self.mu_pos)
-        phi = np.ones(len(self.mu_neg))
-        red = [self.cw_neg @ phi]
+        n = self.E.shape[0]
+        E, cw = (self.E[::-1], self.cw_neg) if far else (self.E, self.cw_pos)
+        phi = inflow
+        red = [cw @ phi]
         for j0 in range(0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
-            R = np.cumprod(np.vstack([phi, self.E[j0:j1, m:]]), axis=0)
+            R = _running_product(E[j0:j1], phi)
             R[R < _TINY] = 0.0
-            red.extend(self.cw_neg @ r for r in R[1:])
+            red.extend(cw @ r for r in R)
             phi = R[-1]
-        return np.array(red[::-1])
+        return np.array(red[::-1] if far else red)
+
+
+def _running_product(E: np.ndarray, first: np.ndarray | float = 1.0) -> np.ndarray:
+    """Row i is ``first * E[0] * ... * E[i]``, in np.cumprod's order and
+    bits, formed a row at a time: numpy's accumulate walks the columns one by
+    one, about 3x slower."""
+    D = E.copy()
+    D[0] *= first
+    for i in range(1, len(D)):
+        D[i] *= D[i - 1]
+    return D
 
 
 def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9) -> DomResult:
@@ -369,18 +391,25 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     far-end closure. The intercept K0 is fitted over the fixed window
     [0.6 L, 0.9 L] of the slab.
 
-    One sweep G(S) = T S + G(0) is affine in S: G(0) is the sweep of a zero
-    source at gradient k, and T = T0 + g p^T, where T0 (`_Sweeper.operator`)
-    sweeps with zero inflow at both ends and g (`_Sweeper.far_response`,
-    the running products of the negative channels' transmissions, no sweep)
-    answers a zero source with unit far inflow, which the intercept row p
-    scales by k0(S) = p . S[window]. LU solves for u = S - k x,
+    One sweep G(S) = T S + G(0) is affine in S: T = T0 + g p^T, where T0
+    (`_Sweeper.operator`) sweeps with zero inflow at both ends and g answers
+    a zero source with unit far inflow, which the intercept row p scales by
+    k0(S) = p . S[window]. LU solves for u = S - k x,
     (I - T) u = G(k x) - k x: u stays O(k0) while S grows to k L, and the
     intercept's rounding error scales with the size of the unknown (40-115
-    times larger for S itself). One more sweep with the extracted k0 checks
-    the result: its max|G(S) - S| is `residual`, and it must not exceed
-    tol * max(1, |k| L). The intercept check enforces slope agreement with k
-    and fit linearity. The two sweeps, G(k x) and the check, are
+    times larger for S itself). The right-hand side needs no sweep: the
+    sweep carries k (x - mu) exactly, so with no inflow at x = 0 and
+    k (L - mu) at x = L it returns k [h(x) + x (sum cw - 1)], h the
+    positive channels' response to an inflow of mu at x = 0 with no source
+    (the mirror makes sum cw mu exactly 0). h and g are running products of
+    the transmissions (`_Sweeper.inflow_response`), and sum cw - 1 is one
+    correctly rounded sum over both directions, with none of the
+    cancellation of a swept G(k x) less k x: on the default grids the
+    intercept lies within 2e-13 (relative) of a long-double refinement of
+    the same discrete system at alpha 0, 0.5 and 1. One sweep with the
+    extracted k0 checks the result: its max|G(S) - S| is `residual`, and it
+    must not exceed tol * max(1, |k| L). The intercept check enforces slope
+    agreement with k and fit linearity. That check sweep is the one sweep of
     `iterations`.
     """
     sweeper = _Sweeper(model, grid)
@@ -391,13 +420,12 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
         raise ExtractionError("fit window contains fewer than 8 nodes")
     # intercept row of the least-squares fit S ~ a + b x over the window
     p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
-    zero_inflow = np.zeros_like(sweeper.mu_pos)
-    far = grid.L - sweeper.mu_neg
+    mu, cw = sweeper.mu_pos, sweeper.cw_pos
     line = k * x
 
-    rhs = sweeper.apply(line, zero_inflow, k * far) - line
+    rhs = k * (sweeper.inflow_response(mu, far=False) + x * math.fsum([*cw, *cw, -1.0]))
     A = sweeper.operator()
-    A[:, sel] += np.outer(sweeper.far_response(), p)
+    A[:, sel] += np.outer(sweeper.inflow_response(np.ones_like(mu), far=True), p)
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += 1.0
     # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh):
@@ -409,13 +437,13 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
         raise ConvergenceError(f"sweep fixed point is singular: {exc}") from exc
 
     k0, slope = extract_k0(x, S, window, k)
-    G = sweeper.apply(S, zero_inflow, k0 + k * far)
+    G = sweeper.apply(S, np.zeros_like(mu), k0 + k * (grid.L - sweeper.mu_neg))
     residual = float(np.max(np.abs(G - S)))
     bound = tol * max(1.0, abs(k) * grid.L)
     if not residual <= bound:
         raise ConvergenceError(
             f"check sweep residual {residual:.3e} exceeds tol * max(1, |k| L) = {bound:.3e}")
-    return DomResult(source=S, k0_extracted=k0, slope=slope, iterations=2,
+    return DomResult(source=S, k0_extracted=k0, slope=slope, iterations=1,
                      residual=residual, diagnostics=grid.diagnostics)
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,42 +168,48 @@ def _reference_cells(mu, h):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n_freq,n_cells", [(8, 600), (48, 600), (48, 77)])
 def test_cell_arrays_match_reference(ctx, alpha, n_freq, n_cells):
-    # E and F, built _BLOCK cells at a time, hold the full-size build's bits
+    # E and F, built _BLOCK cells at a time for the positive channels alone,
+    # hold the full-size build's bits, and those of the negative channels
     model = ctx.model(alpha)
     grid = DomGrid.build(model, n_cells=n_cells, n_freq=n_freq)
     sweeper = dom._Sweeper(model, grid)
     h = np.diff(grid.x_nodes)
     Ep, Fp = _reference_cells(sweeper.mu_pos, h)
     Em, Fm = _reference_cells(sweeper.mu_neg, h)
-    assert np.array_equal(sweeper.E, np.hstack([Ep.T, Em.T[::-1]]))
-    assert np.array_equal(sweeper.F, np.hstack([Fp.T, Fm.T[::-1]]))
+    assert np.array_equal(sweeper.E, Ep.T)
+    assert np.array_equal(sweeper.F, Fp.T)
+    assert np.array_equal(Em, Ep) and np.array_equal(Fm, Fp)
 
 
-def _reference_sweep(sweeper, grid, S, inflow_pos, inflow_neg):
+def _reference_sweep(sweeper, grid, S, inflow_pos, inflow_neg, dtype=float):
     """One loop per direction over channel-major columns, as the sweep was
-    first written: the arithmetic the fused loop must reproduce bit for bit."""
+    first written: the arithmetic the fused loop must reproduce bit for bit.
+    With another dtype it runs the same discrete system (the float E, F and
+    source weights) in that precision."""
     h = np.diff(grid.x_nodes)
     n = len(h)
-    Ep, Fp = _reference_cells(sweeper.mu_pos, h)
-    Em, Fm = _reference_cells(sweeper.mu_neg, h)
+    Ep, Fp, Em, Fm = (a.astype(dtype) for a in (*_reference_cells(sweeper.mu_pos, h),
+                                                *_reference_cells(sweeper.mu_neg, h)))
+    cw_pos, cw_neg = sweeper.cw_pos.astype(dtype), sweeper.cw_neg.astype(dtype)
+    S = S.astype(dtype)
     Sl, Sr = S[:-1], S[1:]
     dS = Sr - Sl
     out = np.zeros_like(S)
-    store_p = np.empty((len(sweeper.mu_pos), n + 1))
-    store_m = np.empty((len(sweeper.mu_neg), n + 1))
-    phi = inflow_pos
-    out[0] += sweeper.cw_pos @ phi
+    store_p = np.empty((len(sweeper.mu_pos), n + 1), dtype)
+    store_m = np.empty((len(sweeper.mu_neg), n + 1), dtype)
+    phi = np.asarray(inflow_pos, dtype)
+    out[0] += cw_pos @ phi
     store_p[:, 0] = phi
     for j in range(n):
         phi = phi * Ep[:, j] + Sl[j] * (1.0 - Ep[:, j]) + dS[j] * Fp[:, j]
-        out[j + 1] += sweeper.cw_pos @ phi
+        out[j + 1] += cw_pos @ phi
         store_p[:, j + 1] = phi
-    phi = inflow_neg
-    out[n] += sweeper.cw_neg @ phi
+    phi = np.asarray(inflow_neg, dtype)
+    out[n] += cw_neg @ phi
     store_m[:, n] = phi
     for j in range(n - 1, -1, -1):
         phi = phi * Em[:, j] + Sr[j] * (1.0 - Em[:, j]) - dS[j] * Fm[:, j]
-        out[j] += sweeper.cw_neg @ phi
+        out[j] += cw_neg @ phi
         store_m[:, j] = phi
     return out, store_p.T, store_m.T
 
@@ -226,15 +235,20 @@ def test_fused_sweep_matches_reference(ctx, alpha, n_cells):
 def _check_operator(model, grid, seed):
     # T v + g (p . v[sel]) is one sweep of v with far-end value p . v[sel]:
     # block edges and the reversed negative direction must line up, and g
-    # must be the sweep's response to unit far inflow
+    # must be the sweep's response to unit far inflow; the near-end response
+    # to an inflow of mu, which solve's right-hand side reads, must be the
+    # sweep's too
     sweeper = dom._Sweeper(model, grid)
     x = grid.x_nodes
     sel = (x >= 0.6 * grid.L) & (x <= 0.9 * grid.L)
     p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
     zero_inflow = np.zeros_like(sweeper.mu_pos)
-    g = sweeper.far_response()
+    g = sweeper.inflow_response(np.ones_like(sweeper.mu_neg), far=True)
     assert np.array_equal(
         g, sweeper.apply(np.zeros_like(x), zero_inflow, np.ones_like(sweeper.mu_neg)))
+    assert np.array_equal(
+        sweeper.inflow_response(sweeper.mu_pos, far=False),
+        sweeper.apply(np.zeros_like(x), sweeper.mu_pos, np.zeros_like(sweeper.mu_neg)))
     T = sweeper.operator()
     rng = np.random.default_rng(seed)
     for _ in range(3):
@@ -254,7 +268,7 @@ def test_operator_matches_sweep(ctx, alpha, n_cells):
 
 
 # optically thick cells: the propagated state passes through the subnormal
-# range, where operator and far_response set it to zero
+# range, where operator and inflow_response set it to zero
 UNDERFLOW_GRID = dict(L=30.0, n_cells=120, n_angle=8, n_freq=16)
 
 
@@ -263,7 +277,8 @@ def test_operator_matches_sweep_through_underflow(ctx):
     grid = DomGrid.build(model, **UNDERFLOW_GRID)
     sweeper = _check_operator(model, grid, 120)
     tiny = np.finfo(float).tiny
-    for E in np.hsplit(sweeper.E, [len(sweeper.mu_pos)]):
+    # the negative channels cross the cells in reversed order
+    for E in (sweeper.E, sweeper.E[::-1]):
         through = np.cumprod(E, axis=0)
         assert np.any((through > 0) & (through < tiny))
 
@@ -272,12 +287,11 @@ def _reference_operator(sweeper):
     """`_Sweeper.operator` as first written: each block's in-block part by a
     recurrence over its cells, one row of T0 per cell."""
     tiny, block = np.finfo(float).tiny, dom._BLOCK
-    n, m = sweeper.E.shape[0], len(sweeper.mu_pos)
+    n, m = sweeper.E.shape
     T = np.zeros((n + 1, n + 1))
     C = np.empty((n + 1, m))
-    for cols, cw, rows in ((slice(None, m), sweeper.cw_pos, T),
-                           (slice(m, None), sweeper.cw_neg, T[::-1, ::-1])):
-        E, F = sweeper.E[:, cols], sweeper.F[:, cols]
+    for E, F, cw, rows in ((sweeper.E, sweeper.F, sweeper.cw_pos, T),
+                           (sweeper.E[::-1], sweeper.F[::-1], sweeper.cw_neg, T[::-1, ::-1])):
         C.fill(0.0)
         for j0 in range(0, n, block):
             j1 = min(j0 + block, n)
@@ -302,7 +316,7 @@ def _reference_operator(sweeper):
                                            (1.0, UNDERFLOW_GRID)],
                          ids=["a0", "a0.5", "a1", "a1-underflow"])
 def test_operator_matches_per_cell_reference(ctx, alpha, grid_kw):
-    # the in-block products move each entry by a few ulps (2.9e-15 seen);
+    # the in-block products move each entry by a few ulps (3.2e-15 seen);
     # a zero entry must stay zero
     model = ctx.model(alpha)
     sweeper = dom._Sweeper(model, DomGrid.build(model, **grid_kw))
@@ -316,10 +330,31 @@ def test_underflow_grid_has_thin_and_thick_blocks(ctx):
     model = ctx.model(1.0)
     sweeper = dom._Sweeper(model, DomGrid.build(model, **UNDERFLOW_GRID))
     n, tiny = sweeper.E.shape[0], np.finfo(float).tiny
-    for E in np.hsplit(sweeper.E, [len(sweeper.mu_pos)]):
+    for E in (sweeper.E, sweeper.E[::-1]):
         through = np.array([np.cumprod(E[j0:j0 + dom._BLOCK], axis=0)[-1]
                             for j0 in range(0, n, dom._BLOCK)])
         assert np.any(through >= tiny) and np.any(through < tiny)
+
+
+class TestMirror:
+    # the negative channels are the positive ones mirrored, which needs the
+    # direction rule to be a mirror bit for bit
+    @pytest.mark.parametrize("field", ["v_nodes", "v_weights"])
+    def test_rule_off_by_one_ulp_rejected(self, ctx, field):
+        model = ctx.model(0.5)
+        grid = DomGrid.build(model, L=20.0, n_cells=20, n_angle=8, n_freq=4)
+        moved = getattr(grid, field).copy()
+        moved[1] = np.nextafter(moved[1], 0.0)
+        with pytest.raises(ConfigurationError, match="mirror"):
+            dom._Sweeper(model, dataclasses.replace(grid, **{field: moved}))
+
+    @pytest.mark.parametrize("n_angle", [4, 32, 200])
+    def test_gauss_rule_is_a_mirror(self, ctx, n_angle):
+        model = ctx.model(0.5)
+        grid = DomGrid.build(model, L=20.0, n_cells=20, n_angle=n_angle, n_freq=4)
+        sweeper = dom._Sweeper(model, grid)
+        assert np.array_equal(sweeper.mu_neg, -sweeper.mu_pos)
+        assert np.array_equal(sweeper.cw_neg, sweeper.cw_pos)
 
 
 class TestModes:
@@ -382,9 +417,74 @@ class TestSolve:
     def test_default_solves_pinned(self, ctx, alpha, k0):
         # the session's default-grid solves, which criterion 10 also reads
         res = ctx.dom_result(alpha)
-        assert res.iterations == 2   # the constant term and the check
+        assert res.iterations == 1   # the check sweep
         assert res.residual <= 1e-12
         assert res.k0_extracted == pytest.approx(k0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_right_hand_side_is_the_sweep_of_the_line(self, ctx, alpha):
+        # solve's closed form k [h(x) + x (sum cw - 1)] is G(k x) - k x, the
+        # sweep of the line with the far inflow k (L - mu), up to the
+        # sweep's rounding
+        model = ctx.model(alpha)
+        grid = DomGrid.build(model, L=25.0, n_cells=150, n_angle=8, n_freq=8)
+        sweeper = dom._Sweeper(model, grid)
+        x, k = grid.x_nodes, 0.985749
+        cw = sweeper.cw_pos
+        closed = k * (sweeper.inflow_response(sweeper.mu_pos, far=False)
+                      + x * math.fsum([*cw, *cw, -1.0]))
+        swept = sweeper.apply(k * x, np.zeros_like(cw), k * (grid.L - sweeper.mu_neg)) - k * x
+        assert np.max(np.abs(closed - swept)) <= 1e-14 * k * grid.L
+
+    def test_one_sweep_and_half_the_cell_arrays(self, ctx, monkeypatch):
+        # the right-hand side needs no sweep, so the check is the only one,
+        # and E and F hold the positive channels alone
+        model = ctx.model(1.0)
+        grid = DomGrid.build(model)
+        apply, calls = dom._Sweeper.apply, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return apply(self, *args, **kwargs)
+
+        monkeypatch.setattr(dom._Sweeper, "apply", counted)
+        tracemalloc.start()
+        try:
+            solve(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [len(grid.x_nodes)]
+        assert peak <= 16 * 2 ** 20   # 15.5 MiB seen; full-width E and F took 21.8
+        sweeper = dom._Sweeper(model, grid)
+        assert sweeper.E.shape == sweeper.F.shape == (600, len(sweeper.mu_pos))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double has no extra precision here")
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_intercept_against_long_double_refinement(self, ctx, alpha):
+        # iterative refinement of the same discrete system: the sweep's
+        # residual in long double, corrected by the float operator's LU
+        model = ctx.model(alpha)
+        grid = DomGrid.build(model)
+        res = ctx.dom_result(alpha)
+        sweeper = dom._Sweeper(model, grid)
+        x, ld = grid.x_nodes, np.longdouble
+        sel = (x >= 0.6 * grid.L) & (x <= 0.9 * grid.L)
+        p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
+        zero_pos, far = np.zeros_like(sweeper.mu_pos), grid.L - sweeper.mu_neg.astype(ld)
+        g, _, _ = _reference_sweep(sweeper, grid, np.zeros_like(x), zero_pos,
+                                   np.ones_like(sweeper.mu_neg))
+        A = -sweeper.operator()
+        A[:, sel] -= np.outer(g, p)
+        A[np.diag_indices_from(A)] += 1.0
+        S = res.source.astype(ld)
+        for _ in range(3):
+            G, _, _ = _reference_sweep(sweeper, grid, S, zero_pos,
+                                       p.astype(ld) @ S[sel] + far, dtype=ld)
+            S += np.linalg.solve(A, (G - S).astype(float))
+        k0 = p.astype(ld) @ S[sel]
+        assert abs(res.k0_extracted - k0) <= 1e-12 * k0
 
     def test_alpha_two_intercept_drifts_with_slab_length(self, ctx):
         # the exact V1 integral diverges at alpha = 2, and consistently the
