@@ -12,9 +12,9 @@ from .errors import (AccuracyError, BoseMilneError, ConfigurationError,
                      DomainError, ExtractionError, RangeError, ResolutionError)
 from .quadrature import PvIntegrand, QuadratureRule, gauss_rule, integrate, pv_integral
 from .special import AlphaModel, einstein, moment_l0, xi_alpha
-from .dispersion import (DispersionSample, DispersionTable, build_theta_table,
-                         index_kappa, lambda_boundary, lambda_case,
-                         lambda_case_boundary, lambda_general)
+from .dispersion import (DispersionTable, build_theta_table, index_kappa,
+                         lambda_boundary, lambda_case, lambda_case_boundary,
+                         lambda_general)
 from .factorization import (FactorizationData, V1Estimate, build_factorization,
                             n_coefficient, v1_coefficient, v_cut, v_transform,
                             x_boundary, x_factor)

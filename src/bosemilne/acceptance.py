@@ -174,8 +174,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
         for mu in np.geomspace(0.02, hi, 50):
             xp = fz.x_boundary(data, float(mu), "above")
             xm = fz.x_boundary(data, float(mu), "below")
-            s = dispersion.lambda_boundary(ctx.model(a), float(mu))
-            lp = complex(s.lambda_real, s.im_plus)
+            lp = dispersion.lambda_boundary(ctx.model(a), float(mu))
             worst = max(worst, abs(xp / xm - lp / lp.conjugate()))
     return CriterionResult(
         7, "factorization identity", worst <= 1e-6,
@@ -256,7 +255,8 @@ def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
         m = ctx.model(0.5)
         tab = dispersion.build_theta_table(m, np.geomspace(1e-3, 20.0, 120), theta_tol=1e-6)
         est = fz.v1_coefficient(m, tab)
-        rows = [f"{s.mu!r},{s.theta!r}" for s in tab.samples[:: max(1, len(tab.samples) // 50)]]
+        nodes = tab.samples[:: max(1, len(tab.samples) // 50)].tolist()
+        rows = [f"{mu!r},{theta!r}" for mu, theta in nodes]
         return ("\n".join(rows) + f"\n{est.value!r}").encode()
 
     ok = probe() == probe()

@@ -225,8 +225,7 @@ def cmd_dispersion(args) -> int:
     else:
         grid = _parse_range(cfg["grid_mu"], "grid-mu", geometric=True)
 
-    rows = [[s.mu, s.lambda_real, s.im_plus, s.theta]
-            for s in dispersion.evaluate_boundary(model, grid)]
+    rows = np.column_stack([grid, *dispersion.evaluate_boundary(model, grid)]).tolist()
     _write_table(cfg["out"], ["mu", "lambda_real", "im_plus", "theta"],
                  rows, cfg["format"], digits=17)
 

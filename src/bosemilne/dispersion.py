@@ -37,7 +37,6 @@ from .special import AlphaModel
 from .util import ordered_map
 
 __all__ = [
-    "DispersionSample",
     "DispersionTable",
     "weighted_case_average",
     "lambda_case",
@@ -204,29 +203,6 @@ def lambda_general(model: AlphaModel, z) -> complex:
     return weighted_case_average(model, zc, tol=1e-11)
 
 
-@dataclass(frozen=True)
-class DispersionSample:
-    """Boundary data at one point mu > 0 of the cut.
-
-    lambda_real is the principal-value real part of lam+(mu), im_plus its
-    (nonnegative) imaginary part, theta the continuous argument in [0, pi].
-    """
-
-    mu: float
-    lambda_real: float
-    im_plus: float
-    theta: float
-
-
-def _samples(mus, re, im, theta) -> list[DispersionSample]:
-    return [DispersionSample(mu=float(m), lambda_real=float(r), im_plus=float(i),
-                             theta=float(t)) for m, r, i, t in zip(mus, re, im, theta)]
-
-
-# the exact origin limit every table starts with: lam = 1, theta = 0
-_ORIGIN = DispersionSample(mu=0.0, lambda_real=1.0, im_plus=0.0, theta=0.0)
-
-
 def _boundary_rule(model: AlphaModel):
     """pair(fine) -> (t^2, weights, orders, 2 rho t^2) at `quadrature.knot_rule`'s
     nodes t, each pair built on first use; no cache outlives the returned function.
@@ -256,8 +232,11 @@ def _boundary_rule(model: AlphaModel):
     return pair
 
 
-def lambda_boundary_batch(model: AlphaModel, mu, *, rule=None) -> list[DispersionSample]:
-    """Boundary values lam+(mu) for an array of mu > 0, in input order.
+def lambda_boundary_batch(model: AlphaModel, mu, *,
+                          rule=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary values lam+(mu) for an array of mu > 0: arrays (Re lam+, Im
+    lam+, theta) in input order, Im lam+ >= 0 and theta = atan2(Im, Re) in
+    [0, pi].
 
     For alpha > 0, with G = rho t^2 and P int_0^inf dt/(t^2 - mu^2) = 0, Re
     lam+ is sum w 2 (G(t) - G(mu))/(t^2 - mu^2) + (G(mu)/mu) ln((b - mu)/(b +
@@ -269,7 +248,7 @@ def lambda_boundary_batch(model: AlphaModel, mu, *, rule=None) -> list[Dispersio
     if np.any(mus <= 0):
         raise DomainError(f"lambda_boundary requires mu > 0, got {mus[mus <= 0][0]}")
     if model.alpha == 0.0:
-        return _samples(mus, *_slit_parts(mus), _case_theta(mus))
+        return (*_slit_parts(mus), _case_theta(mus))
     if np.any(mus >= _T_END):
         raise DomainError(f"lambda_boundary requires mu < {_T_END:g} for alpha > 0")
     rule = rule or _boundary_rule(model)
@@ -283,20 +262,23 @@ def lambda_boundary_batch(model: AlphaModel, mu, *, rule=None) -> list[Dispersio
 
     re = quadrature.knot_rows(by_pair, len(mus), im, lambda i: f"Re lam+ at mu={mus[i]!r}")
     re += g_mu * np.log((_T_END - mus) / (_T_END + mus))
-    return _samples(mus, re, im, map(math.atan2, im, re))
+    return re, im, np.fromiter(map(math.atan2, im, re), float, len(mus))
 
 
-def lambda_boundary(model: AlphaModel, mu: float) -> DispersionSample:
-    """Boundary value lam+(mu) for one mu > 0, with theta = atan2(Im, Re)."""
-    return lambda_boundary_batch(model, [mu])[0]
+def lambda_boundary(model: AlphaModel, mu: float) -> complex:
+    """Boundary value lam+(mu) for one mu > 0; its phase (cmath.phase, the
+    same atan2) is theta."""
+    re, im, _ = lambda_boundary_batch(model, [mu])
+    return complex(re[0], im[0])
 
 
 @dataclass(frozen=True)
 class DispersionTable:
-    """Boundary data {mu, Re lam+, Im lam+, theta} and theta between them.
+    """theta = arg lam+ at the nodes and between them.
 
-    `samples` starts with the exact origin limit (mu=0: lam=1, theta=0) and is
-    strictly increasing in mu. Two kinds of table share this interface:
+    `samples` is the (n, 2) array of nodes (mu, theta), `mu` and `theta` its
+    columns; row 0 is the exact origin limit (mu=0: lam=1, theta=0) and mu
+    is strictly increasing. Two kinds of table share this interface:
 
     * slit tables (alpha = 0 and saddle surrogates, `slit_edge` set): lam+ is
       lam_C(mu/edge + i0) in closed form, so theta and its slope are exact,
@@ -314,34 +296,25 @@ class DispersionTable:
     A table holds numbers only, no callables, so it pickles.
     """
 
-    samples: tuple[DispersionSample, ...]
+    samples: np.ndarray = field(repr=False, compare=False)
     alpha: float
     slit_edge: float | None
     breaks: np.ndarray | None = field(default=None, repr=False, compare=False)
     coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        mus = np.array([s.mu for s in self.samples])
-        if len(mus) < 2 or np.any(np.diff(mus) <= 0):
+        if len(self.samples) < 2 or np.any(np.diff(self.mu) <= 0):
             raise ConsistencyError("table nodes must be strictly increasing in mu")
         if self.slit_edge is None and self.coeffs is None:
             raise ConsistencyError("a table without a slit edge needs its Chebyshev panels")
 
-    @cached_property
+    @property
     def mu(self) -> np.ndarray:
-        return np.array([s.mu for s in self.samples])
+        return self.samples[:, 0]
 
-    @cached_property
+    @property
     def theta(self) -> np.ndarray:
-        return np.array([s.theta for s in self.samples])
-
-    @cached_property
-    def lambda_real(self) -> np.ndarray:
-        return np.array([s.lambda_real for s in self.samples])
-
-    @cached_property
-    def im_plus(self) -> np.ndarray:
-        return np.array([s.im_plus for s in self.samples])
+        return self.samples[:, 1]
 
     @property
     def mu_max(self) -> float:
@@ -493,8 +466,8 @@ def default_mu_grid(model: AlphaModel, *, rule=None) -> np.ndarray:
         return _slit_grid(1.0, 400, 1e-4)
     mu_max = 3000.0
     probes = (30.0, 100.0, 300.0, 1000.0)
-    for probe, s in zip(probes, lambda_boundary_batch(model, probes, rule=rule)):
-        if math.pi - s.theta < 1e-4:
+    for probe, theta in zip(probes, lambda_boundary_batch(model, probes, rule=rule)[2]):
+        if math.pi - theta < 1e-4:
             mu_max = probe
             break
     return np.geomspace(1e-4, mu_max, _FIRST_PANELS + 1)
@@ -541,8 +514,10 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
     return _slit_table(grid, model.alpha, 1.0)
 
 
-def evaluate_boundary(model: AlphaModel, mus, *, rule=None) -> list[DispersionSample]:
-    """lambda_boundary_batch over mus in fixed-size chunks, in input order.
+def evaluate_boundary(model: AlphaModel, mus, *,
+                      rule=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda_boundary_batch over mus in fixed-size chunks: (Re lam+, Im
+    lam+, theta) in input order.
 
     Chunks bound the memory of one batch; a row's value never depends on the
     chunk it lands in. All chunks share one boundary rule, `rule` if given.
@@ -551,19 +526,23 @@ def evaluate_boundary(model: AlphaModel, mus, *, rule=None) -> list[DispersionSa
     rule = rule or _boundary_rule(model)
     chunks = [mus[i:i + _CHUNK] for i in range(0, len(mus), _CHUNK)]
     parts = ordered_map(lambda c: lambda_boundary_batch(model, c, rule=rule), chunks)
-    return [s for part in parts for s in part]
+    return tuple(np.concatenate(parts, axis=1))
 
 
 def _slit_table(grid, alpha: float, edge: float) -> DispersionTable:
     """Slit table (alpha = 0, saddle surrogates) on the sorted, distinct grid:
-    lam+ = lam_C(mu/edge + i0) and theta at the nodes, by the closed forms
-    (`_slit_parts`, `_case_theta`) that DispersionTable also evaluates between
-    and beyond them, so theta_at gives the nodes' own theta bits.
+    theta = arg lam_C(mu/edge + i0) at the nodes, by the closed form
+    (`_case_theta`) that DispersionTable also evaluates between and beyond
+    them, so theta_at gives the nodes' own theta bits.
     """
     mus = np.unique(np.asarray(grid, dtype=float))
-    y = mus / edge
-    return DispersionTable(samples=(_ORIGIN, *_samples(mus, *_slit_parts(y), _case_theta(y))),
+    return DispersionTable(samples=_nodes(mus, _case_theta(mus / edge)),
                            alpha=alpha, slit_edge=edge)
+
+
+def _nodes(mus, theta) -> np.ndarray:
+    """The (n + 1, 2) node array of a table: the origin (0, 0), then (mu, theta)."""
+    return np.column_stack([np.append(0.0, mus), np.append(0.0, theta)])
 
 
 @lru_cache(maxsize=1)
@@ -591,7 +570,7 @@ def _panel_table(model: AlphaModel, breaks, theta_tol: float, rule) -> Dispersio
     breaks = np.unique(np.asarray(breaks, dtype=float))
     if len(breaks) < 2 or breaks[0] <= 0.0:
         raise ConsistencyError("a panel table needs at least two positive breaks")
-    samples: dict[float, DispersionSample] = {}
+    theta_of: dict[float, float] = {}
     todo = list(zip(breaks[:-1], breaks[1:]))
     done = []
     for _ in range(_MAX_PASSES):
@@ -600,9 +579,9 @@ def _panel_table(model: AlphaModel, breaks, theta_tol: float, rule) -> Dispersio
             a, b = math.log(lo), math.log(hi)
             inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
             nodes.append(np.concatenate([[lo], inner, [hi]]))
-        new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in samples]
-        samples.update(zip(new, evaluate_boundary(model, new, rule=rule)))
-        theta = np.array([[samples[m].theta for m in row] for row in nodes])
+        new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in theta_of]
+        theta_of.update(zip(new, evaluate_boundary(model, new, rule=rule)[2].tolist()))
+        theta = np.array([[theta_of[m] for m in row] for row in nodes])
         coeffs = theta @ to_coeffs.T
         fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * theta_tol
         split = []
@@ -620,7 +599,7 @@ def _panel_table(model: AlphaModel, breaks, theta_tol: float, rule) -> Dispersio
             f"{len(todo)} theta panels still miss {theta_tol:g} after {_MAX_PASSES} passes")
     done.sort(key=lambda panel: panel[0])
     nodes = sorted({m for *_, row in done for m in row.tolist()})
-    return DispersionTable(samples=(_ORIGIN, *(samples[m] for m in nodes)),
+    return DispersionTable(samples=_nodes(nodes, [theta_of[m] for m in nodes]),
                            alpha=model.alpha, slit_edge=None,
                            breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
                            coeffs=np.array([c for _, _, c, _ in done]))
@@ -637,7 +616,7 @@ def index_kappa(table: DispersionTable) -> int:
         raise ConsistencyError("table too coarse to determine the winding index")
     if table.slit_edge is None and table.tail_exponent >= 0:
         raise ConsistencyError("tail model does not decay; cannot close the winding")
-    theta0 = table.samples[0].theta
+    theta0 = float(table.theta[0])
     theta_inf = table.theta_at(math.inf)
     kappa_real = -(theta_inf - theta0) / math.pi
     kappa = round(kappa_real)

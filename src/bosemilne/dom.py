@@ -55,6 +55,7 @@ import numpy as np
 from . import quadrature
 from .errors import ConfigurationError, ConvergenceError, DomainError, ExtractionError
 from .special import AlphaModel, einstein
+from .util import blas_one_thread
 
 __all__ = [
     "DomGrid",
@@ -386,6 +387,7 @@ def _running_product(E: np.ndarray, first: np.ndarray | float = 1.0) -> np.ndarr
     return D
 
 
+@blas_one_thread()
 def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9) -> DomResult:
     """Fixed point of the sweep map by one dense linear solve, with the
     far-end closure. The intercept K0 is fitted over the fixed window
@@ -410,7 +412,9 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     extracted k0 checks the result: its max|G(S) - S| is `residual`, and it
     must not exceed tol * max(1, |k| L). The intercept check enforces slope
     agreement with k and fit linearity. That check sweep is the one sweep of
-    `iterations`.
+    `iterations`. The solve runs on one OpenBLAS thread
+    (`util.blas_one_thread`), whoever calls it: the GEMMs' and the LU's last
+    bits depend on the thread count, and a second worker would only spin.
     """
     sweeper = _Sweeper(model, grid)
     x = grid.x_nodes
@@ -429,8 +433,7 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += 1.0
     # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh):
-    # importing scipy.linalg costs start-up. The CLI runs this on one BLAS
-    # thread (util.blas_one_thread): a second worker would only spin
+    # importing scipy.linalg costs start-up
     try:
         S = line + np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:

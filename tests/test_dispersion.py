@@ -135,19 +135,19 @@ class TestLambdaGeneral:
 class TestLambdaBoundary:
     def test_alpha_zero_reduction(self, model0):
         s = lambda_boundary(model0, 0.5)
-        assert s.lambda_real == pytest.approx(1 - 0.25 * math.log(3), rel=1e-14)
-        assert s.im_plus == pytest.approx(math.pi / 4, rel=1e-15)
+        assert s.real == pytest.approx(1 - 0.25 * math.log(3), rel=1e-14)
+        assert s.imag == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_small_mu(self, model0):
         s = lambda_boundary(model0, 1e-9)
-        assert s.lambda_real == pytest.approx(1.0, abs=1e-8)
-        assert s.im_plus == pytest.approx(0.0, abs=1e-8)
+        assert s.real == pytest.approx(1.0, abs=1e-8)
+        assert s.imag == pytest.approx(0.0, abs=1e-8)
 
     def test_alpha_zero_outside_slit(self, model0):
         s = lambda_boundary(model0, 2.0)
-        assert s.im_plus == 0.0
-        assert s.lambda_real == pytest.approx(LAM_C_2, rel=1e-13)
-        assert s.theta == math.pi
+        assert s.imag == 0.0
+        assert s.real == pytest.approx(LAM_C_2, rel=1e-13)
+        assert lambda_boundary_batch(model0, [2.0])[2][0] == math.pi
 
     def test_against_independent_quadrature(self, ctx):
         # scipy QUADPACK on the raw integrand, split at the log singularity;
@@ -172,21 +172,24 @@ class TestLambdaBoundary:
                 s = lambda_boundary(model, mu)
                 # Re lam+ = 1 + O(1) integral: near mu = 100 it cancels to ~1e-7,
                 # so the two quadratures agree only to an absolute ~1e-14 there
-                assert s.lambda_real == pytest.approx(1.0 + val / model.l0_alpha,
-                                                      rel=1e-9, abs=1e-13)
-                assert s.im_plus == pytest.approx(
+                assert s.real == pytest.approx(1.0 + val / model.l0_alpha,
+                                               rel=1e-9, abs=1e-13)
+                assert s.imag == pytest.approx(
                     0.5 * math.pi * mu * xi / model.l0_alpha, rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_batch_rows_independent(self, ctx, alpha):
         # one call, the reversed call and one-row calls give the same bits,
-        # which keeps tables identical whatever chunk or worker a mu lands in
+        # which keeps tables identical whatever chunk or worker a mu lands in;
+        # the phase of the one-row lam+ is the batch's theta
         model = ctx.model(alpha)
         mus = np.concatenate([np.geomspace(1e-6, 3000.0, 37), [79.5 ** -alpha, 1.0]])
-        batch = lambda_boundary_batch(model, mus)
-        backwards = lambda_boundary_batch(model, mus[::-1])[::-1]
-        single = [lambda_boundary(model, float(m)) for m in mus]
-        assert batch == backwards == single
+        batch = np.array(lambda_boundary_batch(model, mus))
+        backwards = np.array(lambda_boundary_batch(model, mus[::-1]))[:, ::-1]
+        single = np.array([(s.real, s.imag, cmath.phase(s))
+                           for s in (lambda_boundary(model, float(m)) for m in mus)]).T
+        assert np.array_equal(batch, backwards)
+        assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_fallback_rows_agree(self, ctx, alpha, monkeypatch):
@@ -204,13 +207,13 @@ class TestLambdaBoundary:
             return panels(f, lo, hi, rule, whole)
 
         monkeypatch.setattr(quadrature, "_panels", spy)
-        default = lambda_boundary_batch(model, mus)
+        default, _, _ = lambda_boundary_batch(model, mus)
         assert not calls
         # the adaptive frequency integral at depth 20, tolerance 1e-15
         strict = adaptive_reference.re_part(model, mus, 1e-15, 20)
         assert calls
         for got, want in zip(strict, default):
-            assert got == pytest.approx(want.lambda_real, rel=1e-10, abs=1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("alpha,mu", [(2.0, 100.0), (2.0, 1000.0), (1.0, 100.0)])
     def test_real_part_at_large_mu_oracle(self, ctx, alpha, mu):
@@ -230,7 +233,7 @@ class TestLambdaBoundary:
             ws = m ** (-1 / a)  # the singular frequency, where w^a mu = 1
             want = float(mp.quad(f, [0, ws / 2, ws, 2 * ws, 1, 10, model.omega_cut])
                          / (mp.gamma(a + 5) * mp.zeta(a + 4)))
-        assert lambda_boundary(model, mu).lambda_real == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert lambda_boundary(model, mu).real == pytest.approx(want, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_against_adaptive_reference(self, ctx, alpha):
@@ -242,9 +245,8 @@ class TestLambdaBoundary:
         mus = np.concatenate([table.mu[1:], np.exp(rng.uniform(
             math.log(1e-6), math.log(table.mu_max), 200))])
         got = lambda_boundary_batch(model, mus)
-        for part, want in zip(("lambda_real", "im_plus", "theta"),
-                              adaptive_reference.boundary_values(model, mus)):
-            values = np.array([getattr(s, part) for s in got])
+        for part, values, want in zip(("lambda_real", "im_plus", "theta"), got,
+                                      adaptive_reference.boundary_values(model, mus)):
             assert np.max(np.abs(values - want)) <= 1e-12, part
 
     @pytest.mark.parametrize("alpha", [0.006, 0.1])
@@ -256,26 +258,28 @@ class TestLambdaBoundary:
         rng = np.random.default_rng(23)
         mus = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(30.0), 60)),
                               80.0 ** -alpha * np.array([0.999, 1.001, 1.01, 1.05])])
-        got = lambda_boundary_batch(model, mus)
+        got_re, got_im, _ = lambda_boundary_batch(model, mus)
         re = adaptive_reference.re_part(model, mus, 1e-13, 30)
         im = 0.5 * math.pi * mus * adaptive_reference.xi_alpha(model, mus, 1e-14) / model.l0_alpha
-        assert np.max(np.abs([s.lambda_real for s in got] - re)) <= 1e-12
-        assert np.max(np.abs([s.im_plus for s in got] - im)) <= 1e-12
+        assert np.max(np.abs(got_re - re)) <= 1e-12
+        assert np.max(np.abs(got_im - im)) <= 1e-12
 
     def test_nonpositive_mu_rejected(self, model1):
         with pytest.raises(DomainError):
             lambda_boundary(model1, -0.5)
 
     def test_mu_beyond_the_rule_rejected(self, model1):
-        assert lambda_boundary(model1, 0.99 * dispersion._T_END).theta == pytest.approx(math.pi)
+        assert cmath.phase(lambda_boundary(model1, 0.99 * dispersion._T_END)) == pytest.approx(
+            math.pi)
         with pytest.raises(DomainError, match="requires mu <"):
             lambda_boundary(model1, dispersion._T_END)
 
 
 class TestThetaTable:
     def test_starts_at_zero(self, table0):
-        assert table0.samples[0].mu == 0.0
-        assert table0.samples[0].theta == 0.0
+        # one (mu, theta) row a node, the origin first
+        assert table0.samples.shape == (len(table0.samples), 2)
+        assert np.array_equal(table0.samples[0], [0.0, 0.0])
 
     def test_alpha_zero_closure_beyond_slit(self, table0):
         assert float(table0.theta_at(1.5)) == math.pi
@@ -292,14 +296,22 @@ class TestThetaTable:
         table = saddle.surrogate_theta_table(2.0) if surrogate else table0
         assert np.array_equal(table.theta, table.theta_at(table.mu))
 
-    def test_im_plus_nonnegative(self, table1):
-        assert np.all(table1.im_plus >= 0.0)
+    def test_im_plus_nonnegative(self, model1, table1):
+        _, im, _ = lambda_boundary_batch(model1, table1.mu[1:])
+        assert np.all(im >= 0.0)
 
-    def test_no_zeros_of_lambda_plus_on_cut(self, table0, table1):
+    def test_no_zeros_of_lambda_plus_on_cut(self, model0, model1, table0, table1):
         # lam+ lam- = |lam+|^2 must stay strictly positive along the cut
-        for t in (table0, table1):
-            mod2 = t.lambda_real[1:] ** 2 + t.im_plus[1:] ** 2
-            assert np.all(mod2 > 0.0)
+        for model, t in ((model0, table0), (model1, table1)):
+            re, im, _ = lambda_boundary_batch(model, t.mu[1:])
+            assert np.all(re ** 2 + im ** 2 > 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_panel_nodes_hold_boundary_theta(self, ctx, alpha):
+        # a panel table's node thetas are the boundary values' own bits
+        table = ctx.table(alpha)
+        _, _, theta = lambda_boundary_batch(ctx.model(alpha), table.mu[1:])
+        assert np.array_equal(table.theta[1:], theta)
 
     def test_theta_nondecreasing_near_origin(self, table0, table1):
         for t in (table0, table1):
@@ -340,7 +352,7 @@ class TestPanelTable:
         table = ctx.table(alpha)
         rng = np.random.default_rng(20)
         mus = np.exp(rng.uniform(math.log(1e-6), math.log(table.mu_max), 20000))
-        fresh = np.array([s.theta for s in evaluate_boundary(ctx.model(alpha), mus)])
+        _, _, fresh = evaluate_boundary(ctx.model(alpha), mus)
         assert np.max(np.abs(table.theta_at(mus) - fresh)) <= 2e-8
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -406,5 +418,5 @@ def test_table_pickles(ctx, alpha, surrogate):
              else build_theta_table(ctx.model(alpha)))
     loaded = pickle.loads(pickle.dumps(table))
     mus = np.concatenate([[0.0], np.geomspace(1e-6, 10.0 * table.mu_max, 2000)])
-    assert loaded.samples == table.samples
+    assert np.array_equal(loaded.samples, table.samples)
     assert loaded.theta_at(mus).tobytes() == table.theta_at(mus).tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bosemilne import dom, quadrature
+from bosemilne import cli, dom, quadrature, util
 from bosemilne.dom import DomGrid, extract_k0, freq_rule, mode_sweep_residual, solve
 from bosemilne.errors import ConfigurationError, ConvergenceError, ExtractionError
 from bosemilne.special import einstein
@@ -410,16 +411,34 @@ class TestSolve:
         assert rk.k0_extracted == pytest.approx(k * r1.k0_extracted, rel=1e-9)
 
     @pytest.mark.parametrize("alpha,k0", [
-        (0.0, 0.7102351139823959),
-        (0.5, 0.37656277864699916),
-        (1.0, 0.2640116749161027),
+        (0.0, 0.7102351139815647),
+        (0.5, 0.3765627786472844),
+        (1.0, 0.2640116749160705),
     ])
     def test_default_solves_pinned(self, ctx, alpha, k0):
-        # the session's default-grid solves, which criterion 10 also reads
+        # the session's default-grid solves, which criterion 10 also reads;
+        # abs=0, or approx's default abs=1e-12 would pass 1e-12 relative gaps
         res = ctx.dom_result(alpha)
         assert res.iterations == 1   # the check sweep
         assert res.residual <= 1e-12
-        assert res.k0_extracted == pytest.approx(k0, rel=1e-12)
+        assert res.k0_extracted == pytest.approx(k0, rel=1e-12, abs=0.0)
+
+    def test_solve_bits_do_not_depend_on_blas_threads(self, ctx, tmp_path):
+        # solve runs its GEMMs and LU on one BLAS thread whoever calls it, so a
+        # library call under two OpenBLAS threads returns the oracle command's bits
+        out = tmp_path / "oracle.json"
+        assert cli.main(["oracle", "--alpha", "0.5", "--out", str(out)]) == 0
+        want = json.loads(out.read_text())["values"]["k0_extracted"]["value"]
+        model = ctx.model(0.5)
+        grid = DomGrid.build(model)
+        set_local = util._openblas_set_local()
+        previous = set_local(2) if set_local else None
+        try:
+            got = solve(model, grid).k0_extracted
+        finally:
+            if set_local:
+                set_local(previous)
+        assert got == want
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_right_hand_side_is_the_sweep_of_the_line(self, ctx, alpha):

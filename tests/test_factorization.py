@@ -121,8 +121,7 @@ class TestXFactor:
         xm = fz.x_boundary(data0, mu, "below")
         theta = float(data0.table.theta_at(mu))
         assert xp / xm == pytest.approx(cmath.exp(2j * (theta - math.pi)), rel=1e-12)
-        s = dispersion.lambda_boundary(ctx.model(0.0), mu)
-        lp = complex(s.lambda_real, s.im_plus)
+        lp = dispersion.lambda_boundary(ctx.model(0.0), mu)
         assert xp / xm == pytest.approx(lp / lp.conjugate(), rel=1e-6)
 
 

@@ -90,7 +90,7 @@ class TestSurrogate:
     # the surrogate is lam_C(w0^alpha z): alpha 0's slit table, stretched
     def test_alpha_zero_is_case_function(self, table0):
         # w0^0 = 1: the surrogate slit is Case's own, node for node
-        assert saddle.surrogate_theta_table(0.0).samples == table0.samples
+        assert np.array_equal(saddle.surrogate_theta_table(0.0).samples, table0.samples)
 
     def test_origin(self):
         # lam = 1 at z = 0, so theta starts at 0 on every slit
