@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -203,9 +203,9 @@ def lambda_general(model: AlphaModel, z) -> complex:
     return weighted_case_average(model, zc, tol=1e-11)
 
 
-def _boundary_rule(model: AlphaModel):
-    """pair(fine) -> (t^2, weights, orders, 2 rho t^2) at `quadrature.knot_rule`'s
-    nodes t, each pair built on first use; no cache outlives the returned function.
+def _boundary_rule(model: AlphaModel) -> quadrature.KnotPv:
+    """The `quadrature.KnotPv` of Re lam+: in the variable t^2, 2 rho t^2 at
+    the nodes t; no cache outlives it.
 
     rho is full up to the kink t = cut^-alpha and falls to 0 over a width of
     about alpha in ln t. So the knots follow frequency, t = w^-alpha at
@@ -223,13 +223,11 @@ def _boundary_rule(model: AlphaModel):
     split = t[i] * (t[i + 1] / t[i]) ** (j / n[i])
     knots = np.unique(np.concatenate([[0.0, _T_END], np.maximum(2.0 * kink - t, 0.0), split]))
 
-    @cache
-    def pair(fine):
-        nodes, weights, orders = quadrature.knot_rule(knots, fine)
+    def at(nodes):
         t2 = nodes ** 2
-        return t2, weights, orders, special.xi_alpha(model, nodes) / model.l0_alpha * t2
+        return t2, special.xi_alpha(model, nodes) / model.l0_alpha * t2
 
-    return pair
+    return quadrature.KnotPv(knots, at)
 
 
 def lambda_boundary_batch(model: AlphaModel, mu, *,
@@ -241,8 +239,9 @@ def lambda_boundary_batch(model: AlphaModel, mu, *,
     For alpha > 0, with G = rho t^2 and P int_0^inf dt/(t^2 - mu^2) = 0, Re
     lam+ is sum w 2 (G(t) - G(mu))/(t^2 - mu^2) + (G(mu)/mu) ln((b - mu)/(b +
     mu)) on `rule` (`_boundary_rule`, built if None), b = _T_END (beyond: below
-    1e-20), each row by `quadrature.knot_rows` on the scale Im lam+, so on its
-    own mu only. Nothing cancels where Re lam+ is ~1e-9 (alpha 2, mu >> 1).
+    1e-20), in the variable t^2 with the pole mu^2, each row on the scale Im
+    lam+, so on its own mu only. Nothing cancels where Re lam+ is ~1e-9
+    (alpha 2, mu >> 1).
     """
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
     if np.any(mus <= 0):
@@ -254,13 +253,7 @@ def lambda_boundary_batch(model: AlphaModel, mu, *,
     rule = rule or _boundary_rule(model)
     g_mu = 0.5 * mus * special.xi_alpha(model, mus) / model.l0_alpha  # G(mu)/mu = mu rho(mu)
     im = math.pi * g_mu
-
-    def by_pair(fine, rows):  # knot_pv_sums in the variable t^2, pole mu^2
-        t2, weights, orders, g = rule(fine)
-        c = mus[rows]
-        return quadrature.knot_pv_sums(g, 2.0 * g_mu[rows] * c, c * c, t2, weights, orders)
-
-    re = quadrature.knot_rows(by_pair, len(mus), im, lambda i: f"Re lam+ at mu={mus[i]!r}")
+    re = rule.sums(2.0 * g_mu * mus, mus * mus, im, lambda i: f"Re lam+ at mu={mus[i]!r}")
     re += g_mu * np.log((_T_END - mus) / (_T_END + mus))
     return re, im, np.fromiter(map(math.atan2, im, re), float, len(mus))
 

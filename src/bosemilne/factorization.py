@@ -22,7 +22,10 @@ where Vp is the principal value of V on the cut. The overall sign is frozen
 by the zero-inflow boundary condition (see N_SIGN below); flipping it leaves
 a boundary residual of order one.
 
-For alpha >= 3/2 the tail pi - theta ~ C mu^((alpha-3)/alpha) decays too
+Vp sums theta - pi on the theta table's knots with quadrature.KnotPv, the
+fixed-rule Cauchy integral that lam+ and the field take too, and adds the
+tail beyond mu_max with quadrature.power_tail, which the field shares. For
+alpha >= 3/2 the tail pi - theta ~ C mu^((alpha-3)/alpha) decays too
 slowly and the V1 integral diverges; the table's tail law reports this as a
 DivergenceError pointing at the saddle-point route.
 """
@@ -132,24 +135,12 @@ class FactorizationData:
         return self.v1 * self.k
 
     @cached_property
-    def cut_rule(self):
-        """(nodes, weights, theta - pi at the nodes, orders) of v_cut's first fixed rules.
-
-        `quadrature.knot_rule` on the theta table's nodes [0, mu_1, ...,
-        mu_max], and the slit edge after them on a slit table.
-        """
-        return self._knot_rule(fine=False)
-
-    @cached_property
-    def fine_cut_rule(self):
-        """As cut_rule for the finer pair, whose knots also split [0, mu_1]."""
-        return self._knot_rule(fine=True)
-
-    def _knot_rule(self, fine):
+    def vp_rule(self) -> quadrature.KnotPv:
+        """The `quadrature.KnotPv` of v_cut: theta - pi on the theta table's
+        nodes [0, mu_1, ..., mu_max], and the slit edge after them on a slit table."""
         table = self.table
         knots = table.mu if table.slit_edge is None else np.append(table.mu, table.slit_edge)
-        nodes, weights, orders = quadrature.knot_rule(knots, fine)
-        return nodes, weights, table.theta_at(nodes) - math.pi, orders
+        return quadrature.KnotPv(knots, lambda t: (t, table.theta_at(t) - math.pi))
 
 
 def build_factorization(model: AlphaModel, table: DispersionTable,
@@ -162,8 +153,8 @@ def build_factorization(model: AlphaModel, table: DispersionTable,
 def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
     """int_{mu_max}^inf (theta - pi)/(t - z) dt via the table's tail law, for every z.
 
-    Substituting u = 1/t maps it to a regular integral on (0, 1/mu_max);
-    valid whenever z is not on (mu_max, inf). Real or complex z.
+    `quadrature.power_tail` in u = 1/t; valid whenever z is not on (mu_max,
+    inf). Real or complex z.
     """
     z = np.atleast_1d(z)
     p, c = data.table.tail_exponent, data.table.tail_coeff
@@ -171,14 +162,7 @@ def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
     # and no quadrature, which stalls for z within 1e-9 below mu_max
     if p is None or c == 0.0:
         return np.zeros(z.shape)
-    u_max = 1.0 / data.table.mu_max
-
-    def f(u, z):
-        return u ** (-p - 1.0) / (1.0 - z * u)
-
-    val = quadrature.integrate_rows(f, np.zeros(z.shape), np.full(z.shape, u_max), 1e-10,
-                                    params=(z,), max_depth=24)
-    return -c * val
+    return -c * quadrature.power_tail(p, data.table.mu_max, z, 1e-10)
 
 
 def v_transform(data: FactorizationData, z) -> complex:
@@ -225,22 +209,15 @@ def v_cut(data: FactorizationData, eta):
 def _cut_body(data: FactorizationData, c: np.ndarray) -> np.ndarray:
     """P int_0^b g(t)/(t - c) dt, g = theta - pi, for every 0 < c < b, by fixed rules.
 
-    The knots are those of `FactorizationData.cut_rule`; theta is smooth on
+    The knots are those of `FactorizationData.vp_rule`; theta is smooth on
     each interval. In the regularised form sum w (g(t) - g(c))/(t - c) + g(c)
-    ln((b - c)/c) each row goes through `quadrature.knot_rows` on the scale
-    max(|g(c)|, |g'(c)| b).
+    ln((b - c)/c) each row is settled on the scale max(|g(c)|, |g'(c)| b).
     """
     table = data.table
     b = table.mu_max if table.slit_edge is None else table.slit_edge
     g_c = table.theta_at(c) - math.pi
     scale = np.maximum(np.maximum(np.abs(g_c), np.abs(table.theta_slope(c)) * b), 1e-30)
-
-    def by_pair(fine, rows):
-        nodes, weights, g, orders = data.fine_cut_rule if fine else data.cut_rule
-        return quadrature.knot_pv_sums(g, g_c[rows], c[rows], nodes, weights, orders)
-
-    value = quadrature.knot_rows(by_pair, len(c), scale,
-                                 lambda i: f"principal value at eta={float(c[i])!r}")
+    value = data.vp_rule.sums(g_c, c, scale, lambda i: f"principal value at eta={float(c[i])!r}")
     return value + g_c * np.log((b - c) / c)
 
 

@@ -29,15 +29,16 @@ integration.
 
 The tabulated part of the continuum integral runs over the knots [0,
 eta_1, ..., eta_max] of the pchip interpolant of eta n(eta), the one
-interpolant of the solution, which is one cubic on each knot interval. A
-fixed 16-point Gauss-Legendre rule on every interval gives its value, in
-the regularised form sum w (f(t) - f(mu)) / (t - mu) + f(mu) ln((eta_max -
-mu)/mu) for a principal value (quadrature.knot_pv_sums, the kernel of
-v_cut as well), and an 8-point rule on the same intervals its error
+interpolant of the solution, which is one cubic on each knot interval. It
+is summed by quadrature.KnotPv, the fixed-rule Cauchy integral that Vp and
+lam+ take too, in the regularised form sum w (f(t) - f(mu)) / (t - mu) +
+f(mu) ln((eta_max - mu)/mu) for a principal value: a 16-point Gauss-Legendre
+rule on every interval gives the value and an 8-point rule the error
 estimate, as QUADPACK pairs its rules (Piessens et al., 1983). Rows whose
 estimate misses the tolerance are redone by a 64- and 48-point pair on the
 same knots, [0, eta_1] split further; a row that misses there too raises
-AccuracyError.
+AccuracyError. The alpha > 0 tail beyond eta_max is quadrature.power_tail,
+the one adaptive integral of the field, which Vp's tail shares.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -66,18 +67,10 @@ __all__ = [
     "mode_equation_residual",
 ]
 
-# e^{-x/eta} and e^{-x/mu} are taken as 0 beyond this argument (a term
-# below 1e-304 beside O(1) values), and products below _TINY are flushed in
-# the fixed rule, so no subnormal reaches the sums
-_EXP_CUT = 700.0
-_TINY = np.finfo(float).tiny
 # off the continuum table the delta term is dropped beyond this x/mu (e^-50
 # = 2e-22): below eta_min it takes no Vp there, and from mu_max on the
 # range check asks for none
 _DELTA_FAR = 50.0
-# rows per lockstep call of the adaptive quadrature of the alpha > 0 tail;
-# bounds the node arrays of one step
-ROWS = 32
 # |mu - edge| below which phi is not evaluated next to the slit edge. Set
 # when the field was adaptive: beyond the edge the plain row's pole sat so
 # close to the table end (eta_max = 1 - 1.13e-13) that its quadrature
@@ -122,23 +115,13 @@ class MilneSolution:
         return _pchip(grid, vals)
 
     @cached_property
-    def continuum_rule(self):
-        """(nodes, weights, eta n(eta) at the nodes, orders) of the first fixed rules.
-
-        `quadrature.knot_rule` on the knots 0 and the table nodes, so the
-        interpolant is one cubic on each interval.
-        """
-        return self._knot_rule(fine=False)
-
-    @cached_property
-    def fine_rule(self):
-        """As continuum_rule for the finer pair, whose knots also split [0,
-        eta_1], where e^{-x/eta} turns over for x of about eta_1 / 100."""
-        return self._knot_rule(fine=True)
-
-    def _knot_rule(self, fine):
-        nodes, weights, orders = quadrature.knot_rule(np.concatenate([[0.0], self._etas]), fine)
-        return nodes, weights, self.eta_n_interp(nodes), orders
+    def eta_n_rule(self) -> quadrature.KnotPv:
+        """The `quadrature.KnotPv` of the continuum integral: eta n(eta) on the
+        knots 0 and the table nodes, so the interpolant is one cubic on each
+        interval. The fine pair also splits [0, eta_1], where e^{-x/eta}
+        turns over for x of about eta_1 / 100."""
+        interp = self.eta_n_interp  # not self: a cycle would hold the pairs until gc
+        return quadrature.KnotPv(np.concatenate([[0.0], self._etas]), lambda t: (t, interp(t)))
 
     @property
     def eta_min(self) -> float:
@@ -203,77 +186,34 @@ def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
 def _continuum_integral(sol: MilneSolution, x, mu):
     """P int e^{-x/eta} eta n(eta) / (eta - mu) deta over the tabulated range, plus the tail.
 
-    x and mu broadcast. The rows go through `quadrature.knot_rows` on the
-    scale max|n|: `continuum_rule` first, `fine_rule` for the rows it cannot
-    settle.
+    x and mu broadcast. Every row is summed by `MilneSolution.eta_n_rule` on
+    the scale max|n|: principal-value rows (0 < mu < eta_max) regularised,
+    sum w (f(t) - f(mu)) / (t - mu) + f(mu) ln((eta_max - mu)/mu) with f =
+    e^{-x/eta} eta n(eta), the others as sum w f(t) / (t - mu).
     """
     xb, mb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(mu, dtype=float))
     x, mu = xb.ravel(), mb.ravel()
-
-    def by_pair(fine, rows):
-        return _fixed_rule(sol, sol.fine_rule if fine else sol.continuum_rule, x[rows], mu[rows])
-
-    out = quadrature.knot_rows(
-        by_pair, len(mu), float(np.max(np.abs(sol._ns)) + 1e-300),
-        lambda i: f"continuum integral at x={float(x[i])!r}, mu={float(mu[i])!r}")
-    return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
-
-
-def _fixed_rule(sol: MilneSolution, rule, x: np.ndarray, mu: np.ndarray):
-    """The tabulated part of the continuum integral by `rule` (`MilneSolution._knot_rule`).
-
-    Returns (value, error estimate) per row from `quadrature.knot_pv_sums`,
-    one call per distinct x on its table of f = e^{-x/eta} eta n(eta).
-    Principal-value rows (0 < mu < eta_max) are regularised, sum w (f(t) -
-    f(mu)) / (t - mu) + f(mu) ln((eta_max - mu)/mu); the others sum w f(t)
-    / (t - mu).
-    """
-    nodes, weights, eta_n, orders = rule
     b = sol.eta_max
     pv = (0.0 < mu) & (mu < b)
     f_mu = np.zeros(mu.shape)
     if np.any(pv):
         arg = x[pv] / mu[pv]
-        f_mu[pv] = np.where(arg > _EXP_CUT, 0.0,
-                            sol.eta_n_interp(mu[pv]) * np.exp(-np.minimum(arg, _EXP_CUT)))
-    value, err = np.empty(mu.shape), np.empty(mu.shape)
-    f = np.empty(nodes.shape)
-    order = np.argsort(x, kind="stable")
-    xs, counts = np.unique(x[order], return_counts=True)
-    for x0, rows in zip(xs.tolist(), np.split(order, np.cumsum(counts)[:-1])):
-        # arguments past the cut are zeroed before exp, which is slow on
-        # results that underflow or go subnormal
-        np.divide(x0, nodes, out=f)
-        gone = f > _EXP_CUT
-        f[gone] = 0.0
-        np.exp(np.negative(f, out=f), out=f)
-        f[gone] = 0.0
-        f *= eta_n
-        f[(f < _TINY) & (f > -_TINY)] = 0.0
-        value[rows], err[rows] = quadrature.knot_pv_sums(f, f_mu[rows], mu[rows], nodes,
-                                                         weights, orders)
-    value[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
-    return value, err
+        f_mu[pv] = np.where(arg > quadrature.EXP_CUT, 0.0, sol.eta_n_interp(mu[pv])
+                            * np.exp(-np.minimum(arg, quadrature.EXP_CUT)))
+    out = sol.eta_n_rule.sums(
+        f_mu, mu, float(np.max(np.abs(sol._ns)) + 1e-300),
+        lambda i: f"continuum integral at x={float(x[i])!r}, mu={float(mu[i])!r}", x)
+    out[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
+    return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
 
 
 def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Algebraic continuum tail (alpha > 0), adaptive in u = 1/eta; mu < eta_max."""
+    """Algebraic continuum tail (alpha > 0) by `quadrature.power_tail`; mu < eta_max."""
     p = _tail_law(sol)
     if p is None:
         return np.zeros(mu.shape)
-    eta_ref = sol.eta_max
-    n_ref = float(sol._ns[-1])
-
-    def f(u, x, mu):
-        return u ** (-p - 2.0) * np.exp(-x * u) / (1.0 - mu * u)
-
-    val = np.empty(mu.shape)
-    for s in range(0, len(mu), ROWS):
-        xr, mr = x[s:s + ROWS], mu[s:s + ROWS]
-        val[s:s + ROWS] = quadrature.integrate_rows(
-            f, np.zeros(len(mr)), np.full(len(mr), 1.0 / eta_ref), 1e-9, params=(xr, mr),
-            max_depth=24)
-    return n_ref * eta_ref ** (-p) * val
+    val = quadrature.power_tail(p + 1.0, sol.eta_max, mu, 1e-9, x)
+    return float(sol._ns[-1]) * sol.eta_max ** (-p) * val
 
 
 def _delta_term(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -284,7 +224,7 @@ def _delta_term(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray
     data = sol.factorization
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = x / mu
-    live = (mu > 0.0) & (arg <= _EXP_CUT)
+    live = (mu > 0.0) & (arg <= quadrature.EXP_CUT)
     if data.table.slit_edge is not None:
         live &= mu < data.table.slit_edge
     off_table = (mu < sol.eta_min) | (mu > sol.eta_max)

@@ -2,11 +2,13 @@
 
 Fixed Gauss-Legendre rules, also as pairs on every interval of a set of
 knots (`knot_rule`: the rule and a lower-order one for the error estimate;
-`knot_pv_sums`: regularised principal values on them; `knot_rows`: a finer
-pair for the rows the first cannot settle), one
-deterministic globally-adaptive algorithm run in lockstep over many rows
+`knot_pv_sums`: regularised principal values on them; `KnotPv`: the
+Cauchy integral on the cut of lam+, Vp and the field, the first pair and a
+finer one for the rows it cannot settle), one deterministic
+globally-adaptive algorithm run in lockstep over many rows
 (`integrate_rows`: one integrand call per step for all rows;
-`integrate_with_error` and `integrate` are its one-row call), and Cauchy
+`integrate_with_error` and `integrate` are its one-row call; `power_tail`:
+the Cauchy integral of a power-law tail, for Vp and the field), and Cauchy
 principal values by singularity subtraction, one row (`pv_integral`) or
 many (`pv_rows`):
 
@@ -35,7 +37,8 @@ __all__ = [
     "gauss_rule",
     "knot_rule",
     "knot_pv_sums",
-    "knot_rows",
+    "KnotPv",
+    "power_tail",
     "integrate",
     "integrate_with_error",
     "integrate_rows",
@@ -55,6 +58,11 @@ FINE_KNOT_ORDERS = (64, 48)
 # work arrays take 0.6 MB at alpha 0, and 8 or 16 rows a block added peak
 # memory for no time. Fine-pair blocks hold about as many numbers
 _PV_ROWS = 4
+# `KnotPv` and the field take e^(-x/t) as 0 beyond this argument (a term
+# below 1e-304 beside O(1) values); `KnotPv` flushes damped values below
+# _TINY, so no subnormal reaches the sums
+EXP_CUT = 700.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
     value is the high-order sum, the estimate the sum over intervals of
     |high - low|, as QUADPACK pairs its rules (Piessens et al., 1983). A node
     on a pole makes the row's sum non-finite and its estimate NaN, so
-    `knot_rows` hands the row to the fine pair. The rows go through one
+    `KnotPv` hands the row to the fine pair. The rows go through one
     work array in blocks of _PV_ROWS rows of the first pair's size (fresh
     megabyte-sized arrays would cost a page fault per page); each row is
     reduced on its own, so its numbers do not depend on the batch.
@@ -160,29 +168,90 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
     return value, err
 
 
-def knot_rows(by_pair: Callable, n: int, scale, label: Callable) -> np.ndarray:
-    """Values of n rows by the first pair of `knot_rule`, and by the fine pair where it misses.
+class KnotPv:
+    """Principal values on fixed knots: `knot_rule`'s pairs with the integrand at their nodes.
 
-    by_pair(fine, rows) returns (value, error estimate) of the rows, an index
-    array. A row is settled when its estimate is at most 1e-9 max(|value|,
-    scale), scale one number or one per row. A row the fine pair leaves
-    unsettled raises AccuracyError, its message starting with label(row).
+    `at(nodes)` maps the rule's nodes to (t, f): the pole variable and the
+    integrand there, one table for all rows. Each pair is built on its
+    first use, the fine one only when a row misses the first.
     """
-    scale = np.broadcast_to(scale, (n,))
 
-    def missed(rows, value, err):
-        return rows[~(err <= 1e-9 * np.maximum(np.abs(value), scale[rows]))]  # NaN too
+    def __init__(self, knots: np.ndarray, at: Callable):
+        self._knots, self._at, self._pairs = knots, at, {}
 
-    value, err = by_pair(False, np.arange(n))
-    redo = missed(np.arange(n), value, err)
-    if len(redo):
-        value[redo], err[redo] = by_pair(True, redo)
-        bad = missed(redo, value[redo], err[redo])
-        if len(bad):
-            i = bad[0]
-            raise AccuracyError(f"{label(i)}: the fine rule misses its tolerance, "
-                                f"error {err[i]:.3e}", best=float(value[i]), bound=float(err[i]))
-    return value
+    def pair(self, fine: bool) -> tuple:
+        """(t, f, weights, orders) of the first pair, or with `fine` of the fine one."""
+        if fine not in self._pairs:
+            nodes, weights, orders = knot_rule(self._knots, fine)
+            self._pairs[fine] = (*self._at(nodes), weights, orders)
+        return self._pairs[fine]
+
+    def sums(self, f_c, c, scale, label: Callable, x=0.0) -> np.ndarray:
+        """sum w (f(t) e^(-x/t) - f_c)/(t - c) for every row (f_c, c, x).
+
+        The first pair's sums, and the fine pair's for the rows it misses. A
+        row is settled when its estimate is at most 1e-9 max(|value|,
+        scale), scale one number or one per row; a row the fine pair leaves
+        unsettled raises AccuracyError, its message starting with label(row).
+        """
+        scale, x = np.broadcast_to(scale, c.shape), np.broadcast_to(x, c.shape)
+
+        def missed(rows, value, err):
+            return rows[~(err <= 1e-9 * np.maximum(np.abs(value), scale[rows]))]  # NaN too
+
+        value, err = self._pass(False, f_c, c, x)
+        redo = missed(np.arange(len(c)), value, err)
+        if len(redo):
+            value[redo], err[redo] = self._pass(True, f_c[redo], c[redo], x[redo])
+            bad = missed(redo, value[redo], err[redo])
+            if len(bad):
+                i = bad[0]
+                raise AccuracyError(f"{label(i)}: the fine rule misses its tolerance, "
+                                    f"error {err[i]:.3e}", best=float(value[i]), bound=float(err[i]))
+        return value
+
+    def _pass(self, fine, f_c, c, x):
+        """(value, error estimate) of the rows by one pair: one `knot_pv_sums`
+        call per distinct x, on f e^(-x/t) for x > 0 and on f itself for x = 0.
+        """
+        t, f, weights, orders = self.pair(fine)
+        value, err = np.empty(c.shape), np.empty(c.shape)
+        damped = np.empty(t.shape)
+        order = np.argsort(x, kind="stable")
+        xs, counts = np.unique(x[order], return_counts=True)
+        for x0, rows in zip(xs.tolist(), np.split(order, np.cumsum(counts)[:-1])):
+            g = f
+            if x0 != 0.0:
+                # arguments past the cut are zeroed before exp, which is slow on
+                # results that underflow or go subnormal; so are products below
+                # the smallest normal
+                g = damped
+                np.divide(x0, t, out=g)
+                gone = g > EXP_CUT
+                g[gone] = 0.0
+                np.exp(np.negative(g, out=g), out=g)
+                g[gone] = 0.0
+                g *= f
+                g[(g < _TINY) & (g > -_TINY)] = 0.0
+            value[rows], err[rows] = knot_pv_sums(g, f_c[rows], c[rows], t, weights, orders)
+        return value, err
+
+
+def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
+    """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du for every row (z, x), real or complex z.
+
+    A power-law tail c t^q beyond t = end against e^(-x/t)/(t - z), in u =
+    1/t; z must not lie on (end, inf). The rows go through one
+    `integrate_rows` call at depth 24.
+    """
+    z = np.atleast_1d(z)
+    x = np.broadcast_to(x, z.shape)
+
+    def f(u, z, x):
+        return u ** (-q - 1.0) * np.exp(-x * u) / (1.0 - z * u)
+
+    return integrate_rows(f, np.zeros(z.shape), np.full(z.shape, 1.0 / end), tol,
+                          params=(z, x), max_depth=24)
 
 
 def _converged(err, total, tol, scale):

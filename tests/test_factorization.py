@@ -264,7 +264,7 @@ class TestVCut:
         # estimate is NaN, and the fine pair takes the row. Near 0.3, away
         # from the alpha-0 edge, where the 64/48 pair's rounding floor is higher
         data = ctx.solution(alpha).factorization
-        nodes = data.cut_rule[0]
+        nodes = data.vp_rule.pair(False)[0]
         eta = float(nodes[np.argmin(np.abs(nodes - 0.3))])
         redone, sums = [], quadrature.knot_pv_sums
 
@@ -295,8 +295,8 @@ class TestVCut:
         data = ctx.solution(alpha).factorization
         etas = np.geomspace(1e-6, 0.99 * data.table.mu_max, 25)
         want = fz.v_cut(data, etas)
-        monkeypatch.setattr(quadrature, "knot_rows",
-                            lambda by_pair, n, scale, label: by_pair(True, np.arange(n))[0])
+        pair = quadrature.KnotPv.pair
+        monkeypatch.setattr(quadrature.KnotPv, "pair", lambda self, fine: pair(self, True))
         assert np.max(np.abs(fz.v_cut(data, etas) - want)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])

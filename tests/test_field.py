@@ -10,17 +10,18 @@ from bosemilne.field import (MilneSolution, boundary_residual, evaluate,
                              mode_equation_residual, solve_milne)
 
 
-def spy_redo(monkeypatch) -> list:
-    """Record the (x, mu) of every row the first fixed rule hands to the fine rule."""
+def spy_redo(monkeypatch, sol) -> list:
+    """Record the (x, mu) of every row the first fixed rule of sol's continuum
+    integral hands to the fine rule."""
     redone = []
-    fixed = field._fixed_rule
+    rule, real = sol.eta_n_rule, quadrature.KnotPv._pass
 
-    def spy(sol, rule, x, mu):
-        if rule[3] == quadrature.FINE_KNOT_ORDERS:
-            redone.extend(zip(x.tolist(), mu.tolist()))
-        return fixed(sol, rule, x, mu)
+    def spy(self, fine, f_c, c, x):
+        if fine and self is rule:
+            redone.extend(zip(x.tolist(), c.tolist()))
+        return real(self, fine, f_c, c, x)
 
-    monkeypatch.setattr(field, "_fixed_rule", spy)
+    monkeypatch.setattr(quadrature.KnotPv, "_pass", spy)
     return redone
 
 
@@ -143,6 +144,8 @@ class TestEvaluate:
         # the same with the algebraic tail, up to mu = 20 < eta_max
         (0.5, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
         (1.0, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
+        # 40 points, every one with the algebraic tail, in one adaptive batch
+        (0.5, [-2.0, -0.7, -1e-3, 0.0, 5e-5, 0.02, 0.3, 0.9, 2.0, 20.0]),
     ])
     def test_array_equals_pointwise(self, ctx, alpha, mus):
         # x = 1e-3 keeps the delta term of mu = 5e-5 (x/mu = 20); x = 0.5
@@ -158,7 +161,7 @@ class TestEvaluate:
         # at x = 0 the first fixed rule's estimate misses its tolerance for mu
         # = 0.64, 0.7 and 0.79 (next to a knot of the continuum table), so one
         # batch holds fine-rule and first-rule rows
-        redone = spy_redo(monkeypatch)
+        redone = spy_redo(monkeypatch, sol0)
         x, mu = (g.ravel() for g in np.meshgrid(
             [0.0, 0.5], [0.3, 0.64, -0.5, 0.7, 0.5, 0.79, 1.5], indexing="ij"))
         got = evaluate(sol0, x, mu)
@@ -172,7 +175,7 @@ class TestEvaluate:
         calls = []
         for name in ("pv_rows", "integrate_rows", "integrate_with_error"):
             monkeypatch.setattr(quadrature, name, lambda *a, _n=name, **k: calls.append(_n))
-        redone = spy_redo(monkeypatch)
+        redone = spy_redo(monkeypatch, sol0)
         evaluate(sol0, np.array([0.0, 0.0, 0.0, 0.5]), np.array([0.64, 0.7, 0.79, 0.3]))
         assert len(redone) == 3 and calls == []
 
@@ -212,8 +215,8 @@ class TestFixedRule:
     def test_node_on_pole_falls_back(self, sol0, monkeypatch):
         # a principal value whose pole is a node of the 16-point rule divides
         # by zero there: its estimate is NaN, and the fine rule takes the row
-        redone = spy_redo(monkeypatch)
-        mu = float(sol0.continuum_rule[0][5000])
+        redone = spy_redo(monkeypatch, sol0)
+        mu = float(sol0.eta_n_rule.pair(False)[0][5000])
         val = evaluate(sol0, 1.0, mu)
         assert redone == [(1.0, mu)] and math.isfinite(val)
         assert reference_gap(sol0, 1.0, mu, 1e-12) <= 1e-10
@@ -222,18 +225,18 @@ class TestFixedRule:
         # x and mu about eta_1 / 100: e^{-x/eta} turns over inside [0, eta_1 =
         # 1e-4], which the fine rule splits. Adaptive quadrature at tolerance
         # 1e-9 is 2e-7 off here
-        redone = spy_redo(monkeypatch)
         sol = ctx.solution(1.0)
+        redone = spy_redo(monkeypatch, sol)
         assert reference_gap(sol, 6.44e-7, 6.59e-7, 1e-13) <= 1e-10
         assert redone == [(6.44e-7, 6.59e-7)]
 
     def test_fine_rule_on_a_coarse_table(self, ctx, monkeypatch):
         # criterion 9's 60-node slit table: a 32-point rule with a 24-point
         # estimate missed its tolerance here
-        redone = spy_redo(monkeypatch)
         coarse = dispersion.build_theta_table(ctx.model(0.0),
                                               dispersion._slit_grid(1.0, 60, 1e-4))
         sol = solve_milne(ctx.model(0.0), k=1.0, table=coarse)
+        redone = spy_redo(monkeypatch, sol)
         assert reference_gap(sol, 0.0, 0.30299561107258116, 1e-12) <= 1e-10
         assert redone == [(0.0, 0.30299561107258116)]
 
@@ -248,11 +251,49 @@ class TestFixedRule:
     def test_fallback_rows_on_profile_grid(self, sol0, monkeypatch):
         # an alpha-0 31 x 33 grid like the profile benchmark's: 3 of 1023 rows
         # miss the first fixed rule's tolerance (x = 0, mu next to a table knot)
-        redone = spy_redo(monkeypatch)
+        redone = spy_redo(monkeypatch, sol0)
         x, mu = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 20.0, 31),
                                                 np.linspace(0.01, 0.97, 33), indexing="ij"))
         evaluate(sol0, x, mu)
         assert len(redone) <= 3
+
+
+class TestPinnedBits:
+    """v_cut and evaluate at a few points of the default solutions, pinned with ==.
+
+    Vp by the fixed rule and the tail, and phi at x = 0 (the undamped sum),
+    x > 0 (the damped one), beyond the slit and with the algebraic tail. A
+    change that moves any of these values states the move.
+    """
+
+    PINS = {
+        0.0: ([1e-5, 0.3, 0.9, 0.999],
+              [-10.963551081993138, -0.1364364104198614, 1.8204344969355317,
+               2.7803106556886465],
+              [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (0.5, 1.5)],
+              [3.9194128059749644e-07, 1.8972761640266131, 0.5799629759555,
+               -0.26770392892803063]),
+        0.5: ([1e-5, 0.3, 2.0, 20.0],
+              [-10.244467147783613, 0.9581881363009895, 0.22348590521406794,
+               0.019096411650122956],
+              [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
+              [2.858862698795761e-07, 1.5686259868460484, 0.2838956312811442,
+               0.26529949444169887]),
+        1.0: ([1e-5, 0.3, 2.0, 20.0],
+              [-9.539301171484006, 0.67528100119107, 0.15077264657765246,
+               0.013865624368129704],
+              [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
+              [-5.7149410108703336e-06, 1.4396691763547071, 0.14187330925148542,
+               0.24758910273623513]),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_values_pinned(self, ctx, alpha):
+        etas, vps, points, phis = self.PINS[alpha]
+        sol = ctx.solution(alpha)
+        assert fz.v_cut(sol.factorization, np.array(etas)).tolist() == vps
+        x, mu = np.array(points).T
+        assert evaluate(sol, x, mu).tolist() == phis
 
 
 class TestCallCounts:
