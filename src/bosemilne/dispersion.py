@@ -19,6 +19,7 @@ dt over the real line, rho = xi_a(|t|)/(2 l0), xi_a the truncated moment from
     Im lam+(mu) = pi mu rho(mu),   Re lam+(mu) = 2 P int_0^inf rho t^2/(t^2 - mu^2) dt.
 
 The continuous argument theta(mu) = arg lam+(mu) runs from 0 to pi; its table
+(for alpha > 0 `quadrature.ChebPanels` with one tail law, `DispersionTable.tail`)
 drives the Riemann-Hilbert factorisation downstream.
 """
 
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import quadrature, special
-from .errors import ConsistencyError, DivergenceError, DomainError, ResolutionError
+from .errors import ConsistencyError, DivergenceError, DomainError
 from .special import AlphaModel
 from .util import ordered_map
 
@@ -58,9 +59,8 @@ _SERIES_TERMS = 18
 # rows per lambda_boundary_batch call of evaluate_boundary: bounds the per-row
 # arrays (the sums block by rows); with 64 a table built ~10% slower (2 vCPUs)
 _CHUNK = 256
-# alpha > 0 tables: Chebyshev-Lobatto points per panel, panels of the
-# default first pass, and the Gauss rule of the tail-exponent fit
-_PANEL_POINTS = 24
+# alpha > 0 tables: panels of the default first pass, and the Gauss rule
+# of the tail-exponent fit
 _FIRST_PANELS = 8
 _FIT_ORDER = 64
 # refinement passes of a panel table before it is a ResolutionError
@@ -277,14 +277,12 @@ class DispersionTable:
       lam_C(mu/edge + i0) in closed form, so theta and its slope are exact,
       not interpolated, and theta == pi from the edge on. The nodes only
       seed the continuum table (`spectrum_table`) and the winding check;
-    * panel tables (alpha > 0): theta is a Chebyshev series in s = ln mu on
-      each panel [breaks[i], breaks[i+1]] (`coeffs[i]`). Below the first
-      break it is the odd cubic A mu + B mu^3 with the value and slope of
-      the first panel there (Im lam+ is odd in mu, Re lam+ even). Beyond
-      the last break pi - theta = tail_coeff * mu^tail_exponent, with the
-      asymptotic exponent (alpha - 3)/alpha and the coefficient matched at
-      the last node. `samples` holds the Chebyshev-Lobatto points of the
-      panels.
+    * panel tables (alpha > 0): theta is `panels`, a `quadrature.ChebPanels`
+      series in s = ln mu. Below the first break it is the odd cubic A mu +
+      B mu^3 with the value and slope of the first panel there (Im lam+ is
+      odd in mu, Re lam+ even). Beyond the last break pi - theta = c mu^p,
+      the law `tail` gives. `samples` holds the Chebyshev-Lobatto points of
+      the panels.
 
     A table holds numbers only, no callables, so it pickles.
     """
@@ -292,13 +290,12 @@ class DispersionTable:
     samples: np.ndarray = field(repr=False, compare=False)
     alpha: float
     slit_edge: float | None
-    breaks: np.ndarray | None = field(default=None, repr=False, compare=False)
-    coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    panels: quadrature.ChebPanels | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.samples) < 2 or np.any(np.diff(self.mu) <= 0):
             raise ConsistencyError("table nodes must be strictly increasing in mu")
-        if self.slit_edge is None and self.coeffs is None:
+        if self.slit_edge is None and self.panels is None:
             raise ConsistencyError("a table without a slit edge needs its Chebyshev panels")
 
     @property
@@ -314,39 +311,24 @@ class DispersionTable:
         return float(self.mu[-1])
 
     @property
-    def tail_exponent(self) -> float | None:
-        """Asymptotic exponent of pi - theta beyond the table; None for slit tables."""
-        return None if self.slit_edge is not None else tail_exponent(self.alpha)
+    def tail(self) -> tuple[float, float] | None:
+        """(c, p) of the tail pi - theta = c mu^p beyond mu_max, or None without one.
 
-    @property
-    def tail_coeff(self) -> float | None:
-        if self.slit_edge is not None:
-            return None
+        p is the asymptotic exponent (alpha - 3)/alpha and c matches theta at
+        mu_max. None for slit tables, and where theta reaches pi at working
+        precision at mu_max (small alpha), where mu_max^-p may overflow.
+        """
         r = math.pi - float(self.theta[-1])
-        # r is 0 where theta reaches pi at working precision (small alpha),
-        # and mu_max^-p may overflow there
-        return r * self.mu_max ** -self.tail_exponent if r else 0.0
-
-    def _panel_eval(self, mu: np.ndarray, slope: bool = False) -> np.ndarray:
-        """theta (or d theta/d mu) at breaks[0] <= mu <= mu_max from the panel series."""
-        sb = np.log(self.breaks)
-        s = np.log(mu)
-        i = np.clip(np.searchsorted(sb, s, side="right") - 1, 0, len(self.coeffs) - 1)
-        half = 0.5 * (sb[i + 1] - sb[i])
-        x = (s - sb[i]) / half - 1.0
-        if not slope:
-            return chebyshev.chebval(x, self.coeffs[i].T, tensor=False)
-        return chebyshev.chebval(x, self._dcoeffs[i].T, tensor=False) / (half * mu)
-
-    @cached_property
-    def _dcoeffs(self) -> np.ndarray:
-        return chebyshev.chebder(self.coeffs, axis=1)
+        if self.slit_edge is not None or not r:
+            return None
+        p = tail_exponent(self.alpha)
+        return r * self.mu_max ** -p, p
 
     @cached_property
     def _head(self) -> tuple[float, float]:
         """(A, B) of the closure theta = A mu + B mu^3 below the first break."""
-        m = float(self.breaks[0])
-        value, slope = float(self.theta[1]), float(self._panel_eval(np.array([m]), True)[0])
+        m = float(self.panels.breaks[0])
+        value, slope = float(self.theta[1]), float(self.panels.slope(np.array([m]))[0])
         b = (slope - value / m) / (2.0 * m * m)
         return value / m - b * m * m, b
 
@@ -357,14 +339,15 @@ class DispersionTable:
             out = _case_theta(arr / self.slit_edge)
             return out if arr.ndim else float(out)
         out = np.full(arr.shape, np.nan)
-        mu_min = self.breaks[0]
+        mu_min = self.panels.breaks[0]
         head = (0.0 <= arr) & (arr < mu_min)
         body = (mu_min <= arr) & (arr <= self.mu_max)
         tail = arr > self.mu_max
         a, b = self._head
+        c, p = self.tail or (0.0, 0.0)  # no tail: theta is pi beyond mu_max
         out[head] = arr[head] * (a + b * arr[head] ** 2)
-        out[body] = self._panel_eval(arr[body])
-        out[tail] = math.pi - self.tail_coeff * arr[tail] ** self.tail_exponent
+        out[body] = self.panels.value(arr[body])
+        out[tail] = math.pi - c * arr[tail] ** p
         return out if arr.ndim else float(out)
 
     def theta_slope(self, mu) -> np.ndarray:
@@ -372,10 +355,10 @@ class DispersionTable:
         arr = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.slit_edge is not None:
             return _case_theta(arr / self.slit_edge, slope=True) / self.slit_edge
-        mu_min = self.breaks[0]
+        mu_min = self.panels.breaks[0]
         a, b = self._head
         return np.where(arr < mu_min, a + 3.0 * b * arr ** 2,
-                        self._panel_eval(np.maximum(arr, mu_min), slope=True))
+                        self.panels.slope(np.maximum(arr, mu_min)))
 
     @cached_property
     def tail_fit(self) -> tuple[float, float]:
@@ -398,12 +381,12 @@ class DispersionTable:
         slope = (w @ (sc * yc)) / (w @ (sc * sc))
         return float(slope), float(np.sqrt(w @ (yc - slope * sc) ** 2 / w.sum()))
 
-    def excess_integral(self, rule) -> tuple[float, float]:
+    def excess_integral(self) -> tuple[float, float]:
         """(value, error) of int_0^inf (pi - theta(mu)) dmu for a panel table.
 
-        Each panel is integrated with the Gauss rule `rule` in s, the origin
+        Each panel is integrated with the 64-point Gauss rule in s, the origin
         piece is the exact integral of its cubic closure and the tail is the
-        closed form of the asymptotic law. The error sums, per panel, the
+        closed form of the law `tail`. The error sums, per panel, the
         size of the last three Chebyshev coefficients times the panel's
         length in mu, and the change of the tail when its exponent is
         replaced by the local slope of ln(pi - theta) at mu_max. Raises
@@ -413,22 +396,22 @@ class DispersionTable:
         if self.slit_edge is not None:
             raise ConsistencyError("slit tables integrate theta in closed form")
         require_convergent_tail(self.alpha)
-        p = self.tail_exponent
-        sb = np.log(self.breaks)
+        breaks, coeffs, rule = self.panels.breaks, self.panels.coeffs, quadrature.gauss_rule(64)
+        sb = np.log(breaks)
         half = 0.5 * np.diff(sb)
         s = 0.5 * (sb[:-1] + sb[1:])[:, None] + half[:, None] * rule.nodes
-        theta = chebyshev.chebval(rule.nodes, self.coeffs.T)
+        theta = chebyshev.chebval(rule.nodes, coeffs.T)
         body = float(np.sum(half * ((math.pi - theta) * np.exp(s) @ rule.weights)))
-        mu_min, mu_max = self.breaks[0], self.mu_max
+        mu_min, mu_max = breaks[0], self.mu_max
         a, b = self._head
         head = mu_min * (math.pi - mu_min * (0.5 * a + 0.25 * b * mu_min ** 2))
-        r = math.pi - float(self.theta[-1])
         tail = tail_err = 0.0
-        if r:  # else theta is pi at mu_max to working precision: no tail
+        if self.tail is not None:  # from r, not c: c mu_max^p rounds differently
+            r, p = math.pi - float(self.theta[-1]), self.tail[1]
             tail = r * mu_max / -(p + 1.0)
             q = -mu_max * float(self.theta_slope(mu_max)[0]) / r
             tail_err = r * mu_max * abs(1.0 / (p + 1.0) - 1.0 / (q + 1.0))
-        body_err = float(np.abs(self.coeffs[:, -3:]).max(axis=1) @ np.diff(self.breaks))
+        body_err = float(np.abs(coeffs[:, -3:]).max(axis=1) @ np.diff(breaks))
         return head + body + tail, body_err + tail_err
 
 
@@ -490,10 +473,10 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
     continuous branch with theta(0+) = 0. alpha = 0 gives a slit table
     (`_slit_table`): theta is exact, and the grid (default: 400 nodes of
     `_slit_grid`) only fixes the nodes. alpha > 0 gives a panel table
-    (`_panel_table`), whose grid is the first set of panel breaks; theta_tol
-    is the accuracy its interpolant is refined to, in at most _MAX_PASSES
-    passes. Neither applies to slit tables, which are exact. One
-    `_boundary_rule` serves the whole build.
+    (`quadrature.ChebPanels.fit` of theta), whose grid is the first set of
+    panel breaks; theta_tol is the accuracy its interpolant is refined to, in
+    at most _MAX_PASSES passes. Neither applies to slit tables, which are
+    exact. One `_boundary_rule` serves the whole build.
     """
     rule = _boundary_rule(model)
     if grid is None:
@@ -502,9 +485,12 @@ def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ConsistencyError("grid must be a nonempty 1-d array")
-    if model.alpha > 0.0:
-        return _panel_table(model, grid, theta_tol, rule)
-    return _slit_table(grid, model.alpha, 1.0)
+    if model.alpha == 0.0:
+        return _slit_table(grid, model.alpha, 1.0)
+    panels, mus, theta = quadrature.ChebPanels.fit(
+        lambda m: evaluate_boundary(model, m, rule=rule)[2], grid, theta_tol, _MAX_PASSES)
+    return DispersionTable(samples=_nodes(mus, theta), alpha=model.alpha, slit_edge=None,
+                           panels=panels)
 
 
 def evaluate_boundary(model: AlphaModel, mus, *,
@@ -538,66 +524,6 @@ def _nodes(mus, theta) -> np.ndarray:
     return np.column_stack([np.append(0.0, mus), np.append(0.0, theta)])
 
 
-@lru_cache(maxsize=1)
-def _lobatto() -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev-Lobatto points on [-1, 1], ascending, and the matrix that
-    maps values there to Chebyshev coefficients."""
-    x = -np.cos(np.pi * np.arange(_PANEL_POINTS) / (_PANEL_POINTS - 1))
-    to_coeffs = np.linalg.inv(chebyshev.chebvander(x, _PANEL_POINTS - 1))
-    x.setflags(write=False)
-    to_coeffs.setflags(write=False)
-    return x, to_coeffs
-
-
-def _panel_table(model: AlphaModel, breaks, theta_tol: float, rule) -> DispersionTable:
-    """Panel table: theta as Chebyshev series in s = ln mu, refined by bisection.
-
-    Every pass sends the Chebyshev-Lobatto points of all open panels that
-    are not yet computed through one evaluate_boundary call on `rule`. A
-    panel is kept once its last three Chebyshev coefficients are all at most
-    theta_tol/10 (the interpolant's error estimate) and bisected in s
-    otherwise; a panel still open after _MAX_PASSES passes is a
-    ResolutionError.
-    """
-    x, to_coeffs = _lobatto()
-    breaks = np.unique(np.asarray(breaks, dtype=float))
-    if len(breaks) < 2 or breaks[0] <= 0.0:
-        raise ConsistencyError("a panel table needs at least two positive breaks")
-    theta_of: dict[float, float] = {}
-    todo = list(zip(breaks[:-1], breaks[1:]))
-    done = []
-    for _ in range(_MAX_PASSES):
-        nodes = []
-        for lo, hi in todo:
-            a, b = math.log(lo), math.log(hi)
-            inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
-            nodes.append(np.concatenate([[lo], inner, [hi]]))
-        new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in theta_of]
-        theta_of.update(zip(new, evaluate_boundary(model, new, rule=rule)[2].tolist()))
-        theta = np.array([[theta_of[m] for m in row] for row in nodes])
-        coeffs = theta @ to_coeffs.T
-        fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * theta_tol
-        split = []
-        for (lo, hi), row, c, ok in zip(todo, nodes, coeffs, fine):
-            if ok:
-                done.append((lo, hi, c, row))
-            else:
-                mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-                split += [(lo, mid), (mid, hi)]
-        todo = split
-        if not todo:
-            break
-    else:
-        raise ResolutionError(
-            f"{len(todo)} theta panels still miss {theta_tol:g} after {_MAX_PASSES} passes")
-    done.sort(key=lambda panel: panel[0])
-    nodes = sorted({m for *_, row in done for m in row.tolist()})
-    return DispersionTable(samples=_nodes(nodes, [theta_of[m] for m in nodes]),
-                           alpha=model.alpha, slit_edge=None,
-                           breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
-                           coeffs=np.array([c for _, _, c, _ in done]))
-
-
 def index_kappa(table: DispersionTable) -> int:
     """Winding index of the factorisation coefficient: -(theta(inf)-theta(0))/pi.
 
@@ -607,7 +533,7 @@ def index_kappa(table: DispersionTable) -> int:
     """
     if len(table.samples) < 8:
         raise ConsistencyError("table too coarse to determine the winding index")
-    if table.slit_edge is None and table.tail_exponent >= 0:
+    if table.tail is not None and table.tail[1] >= 0:
         raise ConsistencyError("tail model does not decay; cannot close the winding")
     theta0 = float(table.theta[0])
     theta_inf = table.theta_at(math.inf)

@@ -93,7 +93,7 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None) -> V
         table = build_theta_table(model)
     if table.slit_edge is not None:
         return _v1_slit(table.slit_edge, 1e-10)
-    value, error = table.excess_integral(quadrature.gauss_rule(64))
+    value, error = table.excess_integral()
     return V1Estimate(value=value / math.pi, error=error / math.pi)
 
 
@@ -154,14 +154,12 @@ def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
     """int_{mu_max}^inf (theta - pi)/(t - z) dt via the table's tail law, for every z.
 
     `quadrature.power_tail` in u = 1/t; valid whenever z is not on (mu_max,
-    inf). Real or complex z.
+    inf). Real or complex z; 0 for a table without a tail.
     """
     z = np.atleast_1d(z)
-    p, c = data.table.tail_exponent, data.table.tail_coeff
-    # c is 0 where theta reaches pi within the table (small alpha): no tail,
-    # and no quadrature, which stalls for z within 1e-9 below mu_max
-    if p is None or c == 0.0:
+    if data.table.tail is None:
         return np.zeros(z.shape)
+    c, p = data.table.tail
     return -c * quadrature.power_tail(p, data.table.mu_max, z, 1e-10)
 
 

@@ -143,14 +143,8 @@ def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSoluti
 
 def _tail_law(sol: MilneSolution) -> float | None:
     """Exponent p of the algebraic continuum tail beyond the grid, or None without one."""
-    # tail_coeff is 0 where theta reaches pi within the table (small alpha):
-    # n beyond it is rounding noise, and eta_max^-p may overflow
-    table = sol.factorization.table
-    p = table.tail_exponent
-    if (table.slit_edge is not None or p is None or p >= -1.0 or table.tail_coeff == 0.0
-            or sol._ns[-1] == 0.0):
-        return None
-    return p
+    tail = sol.factorization.table.tail
+    return None if tail is None or sol._ns[-1] == 0.0 else tail[1]
 
 
 def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Reusable numerical integration.
+"""Reusable numerical integration, and adaptive Chebyshev panels.
 
 Fixed Gauss-Legendre rules, also as pairs on every interval of a set of
 knots (`knot_rule`: the rule and a lower-order one for the error estimate;
@@ -17,19 +17,23 @@ many (`pv_rows`):
 Integrands are called with ndarray arguments and must evaluate elementwise.
 All refinement decisions depend only on the integrand values of their own
 row, so results are bit-reproducible for a given tolerance, whatever rows
-share a batch.
+share a batch. `ChebPanels` is a piecewise Chebyshev series in ln x,
+fitted by bisection to a batched function: the theta table of lam+.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .errors import AccuracyError, ConfigurationError, DomainError
+from .errors import (AccuracyError, ConfigurationError, ConsistencyError, DomainError,
+                     ResolutionError)
 
 __all__ = [
     "QuadratureRule",
@@ -38,6 +42,7 @@ __all__ = [
     "knot_rule",
     "knot_pv_sums",
     "KnotPv",
+    "ChebPanels",
     "power_tail",
     "integrate",
     "integrate_with_error",
@@ -63,6 +68,8 @@ _PV_ROWS = 4
 # _TINY, so no subnormal reaches the sums
 EXP_CUT = 700.0
 _TINY = np.finfo(float).tiny
+# `ChebPanels`: Chebyshev-Lobatto points per panel
+_PANEL_POINTS = 24
 
 
 @dataclass(frozen=True)
@@ -237,21 +244,125 @@ class KnotPv:
         return value, err
 
 
+@lru_cache(maxsize=1)
+def _lobatto() -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto points on [-1, 1], ascending, and the matrix that
+    maps values there to Chebyshev coefficients."""
+    x = -np.cos(np.pi * np.arange(_PANEL_POINTS) / (_PANEL_POINTS - 1))
+    to_coeffs = np.linalg.inv(chebyshev.chebvander(x, _PANEL_POINTS - 1))
+    x.setflags(write=False)
+    to_coeffs.setflags(write=False)
+    return x, to_coeffs
+
+
+@dataclass(frozen=True)
+class ChebPanels:
+    """A piecewise Chebyshev series in s = ln x: `coeffs[i]` on [breaks[i], breaks[i+1]].
+
+    `fit` builds one by adaptive bisection (Battles & Trefethen, SISC 25,
+    2004); `value` and `slope` evaluate it on [breaks[0], breaks[-1]].
+    """
+
+    breaks: np.ndarray
+    coeffs: np.ndarray
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """The series at breaks[0] <= x <= breaks[-1]."""
+        i, t, _ = self._locate(x)
+        return chebyshev.chebval(t, self.coeffs[i].T, tensor=False)
+
+    def slope(self, x: np.ndarray) -> np.ndarray:
+        """d/dx of the series at breaks[0] <= x <= breaks[-1]."""
+        i, t, half = self._locate(x)
+        return chebyshev.chebval(t, self._dcoeffs[i].T, tensor=False) / (half * x)
+
+    def _locate(self, x):
+        """(panel, Chebyshev variable in [-1, 1], half-width in s) of every x."""
+        sb = np.log(self.breaks)
+        s = np.log(x)
+        i = np.clip(np.searchsorted(sb, s, side="right") - 1, 0, len(self.coeffs) - 1)
+        half = 0.5 * (sb[i + 1] - sb[i])
+        return i, (s - sb[i]) / half - 1.0, half
+
+    @cached_property
+    def _dcoeffs(self) -> np.ndarray:
+        return chebyshev.chebder(self.coeffs, axis=1)
+
+    @classmethod
+    def fit(cls, f: Callable, breaks, tol: float,
+            max_passes: int) -> tuple[ChebPanels, np.ndarray, np.ndarray]:
+        """(panels, nodes, f at the nodes) of f on the first panels `breaks`, x > 0.
+
+        Every pass sends the Chebyshev-Lobatto points of all open panels that
+        are not yet computed through one call of f, which maps an array of x
+        to an array of values. A panel is kept once its last three Chebyshev
+        coefficients are all at most tol/10 (the interpolant's error
+        estimate) and bisected in s otherwise; a panel still open after
+        max_passes passes is a ResolutionError. The nodes are the kept
+        panels' points, ascending, with f's own values there.
+        """
+        x, to_coeffs = _lobatto()
+        breaks = np.unique(np.asarray(breaks, dtype=float))
+        if len(breaks) < 2 or breaks[0] <= 0.0:
+            raise ConsistencyError("Chebyshev panels need at least two positive breaks")
+        value_of: dict[float, float] = {}
+        todo = list(zip(breaks[:-1], breaks[1:]))
+        done = []
+        for _ in range(max_passes):
+            nodes = []
+            for lo, hi in todo:
+                a, b = math.log(lo), math.log(hi)
+                inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
+                nodes.append(np.concatenate([[lo], inner, [hi]]))
+            new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in value_of]
+            value_of.update(zip(new, f(np.array(new)).tolist()))
+            coeffs = np.array([[value_of[m] for m in row] for row in nodes]) @ to_coeffs.T
+            fine = np.abs(coeffs[:, -3:]).max(axis=1) <= 0.1 * tol
+            split = []
+            for (lo, hi), row, c, ok in zip(todo, nodes, coeffs, fine):
+                if ok:
+                    done.append((lo, hi, c, row))
+                else:
+                    mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+                    split += [(lo, mid), (mid, hi)]
+            todo = split
+            if not todo:
+                break
+        else:
+            raise ResolutionError(
+                f"{len(todo)} Chebyshev panels still miss {tol:g} after {max_passes} passes")
+        done.sort(key=lambda panel: panel[0])
+        nodes = sorted({m for *_, row in done for m in row.tolist()})
+        panels = cls(breaks=np.array([lo for lo, *_ in done] + [done[-1][1]]),
+                     coeffs=np.array([c for _, _, c, _ in done]))
+        return panels, np.array(nodes), np.array([value_of[m] for m in nodes])
+
+
 def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
     """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du for every row (z, x), real or complex z.
 
     A power-law tail c t^q beyond t = end against e^(-x/t)/(t - z), in u =
-    1/t; z must not lie on (end, inf). The rows go through one
-    `integrate_rows` call at depth 24.
+    1/t; z must not lie on (end, inf), and q < 0. The rows go through one
+    `integrate_rows` call at depth 24. Where a = -q - 1 < 0, u^a is singular
+    at 0, and the integral runs in s = (u end)^(a + 1), where it is
+    end^(-a-1)/(a + 1) int_0^1 e^(-x u)/(1 - z u) ds, smooth in s.
     """
     z = np.atleast_1d(z)
     x = np.broadcast_to(x, z.shape)
+    a = -q - 1.0
+    if a >= 0.0:
+        def f(u, z, x):
+            return u ** a * np.exp(-x * u) / (1.0 - z * u)
 
-    def f(u, z, x):
-        return u ** (-q - 1.0) * np.exp(-x * u) / (1.0 - z * u)
+        return integrate_rows(f, np.zeros(z.shape), np.full(z.shape, 1.0 / end), tol,
+                              params=(z, x), max_depth=24)
 
-    return integrate_rows(f, np.zeros(z.shape), np.full(z.shape, 1.0 / end), tol,
-                          params=(z, x), max_depth=24)
+    def g(s, z, x):
+        u = s ** (1.0 / (a + 1.0)) / end
+        return np.exp(-x * u) / (1.0 - z * u)
+
+    return end ** (-a - 1.0) / (a + 1.0) * integrate_rows(
+        g, np.zeros(z.shape), np.ones(z.shape), tol, params=(z, x), max_depth=24)
 
 
 def _converged(err, total, tol, scale):

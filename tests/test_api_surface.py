@@ -49,8 +49,6 @@ EXEMPT = {
         "the saddle slit pushed through the V1 machinery must give w0^-alpha V1(0)",
     "dom.mode_sweep_residual":
         "exactness of one sweep on both discrete modes",
-    "saddle._brentq(maxiter)":
-        "a port of scipy's brentq.c; its test runs out of iterations at maxiter=3",
 }
 
 

@@ -58,6 +58,10 @@ def test_alpha_rejection(capsys):
     ["v1", "--alpha", "0.5"],
     ["dispersion", "--alpha", "0.5"],
     ["profile", "--alpha", "0", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
+    # between alpha 1 and 3/2 the continuum tail's integrand u^(-p-2) is
+    # singular at u = 0, and power_tail takes it in a smooth variable
+    pytest.param(["profile", "--alpha", "1.25", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
+                 id="profile-1.25"),
     ["oracle", "--alpha", "0", "--dom-cells", "150", "--dom-angles", "8",
      "--dom-freqs", "8", "--dom-length", "25"],
 ], ids=lambda argv: argv[0])

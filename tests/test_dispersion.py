@@ -334,7 +334,7 @@ class TestThetaTable:
     def test_tail_exponent_alpha_half(self, ctx):
         t = ctx.table(0.5)
         want = (0.5 - 3.0) / 0.5
-        assert abs(t.tail_exponent - want) <= 0.1 * abs(want)
+        assert abs(t.tail[1] - want) <= 0.1 * abs(want)
 
     def test_bad_grid_rejected(self, model0):
         with pytest.raises(ConsistencyError):
@@ -343,6 +343,32 @@ class TestThetaTable:
 
 class TestPanelTable:
     """alpha > 0 tables: Chebyshev panels in ln mu."""
+
+    # theta_at at a head point (below the first break), two panel points and
+    # one tail point beyond mu_max, and theta_slope at the first three,
+    # pinned with ==: a change that moves them states the move
+    PINS = {
+        0.5: ([0.0001770234590760742, 1.253674352557799, 3.141587327730094,
+               3.141592653474219],
+              [3.540469202195073, 6.1093911491377435, 3.7976612913432944e-06]),
+        1.0: ([0.0004623385147810707, 2.402864450525051, 3.1389431776018166,
+               3.141589386874387],
+              [9.246770866219098, 3.177449259841259, 0.000752697973275756]),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_theta_pinned(self, ctx, alpha):
+        table = ctx.table(alpha)
+        mus = np.array([5e-5, 0.3, 7.0, 2.0 * table.mu_max])
+        theta, slope = self.PINS[alpha]
+        assert table.theta_at(mus).tolist() == theta
+        assert table.theta_slope(mus[:3]).tolist() == slope
+
+    def test_no_tail_where_theta_reaches_pi(self, ctx):
+        # alpha 0.1: theta is pi at working precision at mu_max
+        table = ctx.table(0.1)
+        assert table.tail is None
+        assert table.theta_at(2.0 * table.mu_max) == math.pi
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_fresh_values_within_theta_tol(self, ctx, alpha):
@@ -387,7 +413,7 @@ class TestPanelTable:
 
     def test_tail_continues_the_last_panel(self, ctx):
         table = ctx.table(1.0)
-        assert table.tail_exponent == -2.0
+        assert table.tail[1] == -2.0
         mu = table.mu_max
         assert table.theta_at(np.nextafter(mu, np.inf)) == pytest.approx(
             table.theta_at(mu), abs=1e-14)

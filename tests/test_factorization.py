@@ -31,6 +31,16 @@ def n_transform(data, z):
 
 
 class TestV1:
+    @pytest.mark.parametrize("alpha, value, error", [
+        (0.5, 0.3766922805580285, 1.7573083252693844e-12),
+        (1.0, 0.26865649209656023, 4.166527895043527e-08),
+        (1.25, 0.31368538675714436, 1.9397878149518496e-06)])
+    def test_exact_route_pinned(self, ctx, alpha, value, error):
+        # the panel integral and the tail's closed form, pinned with ==: a
+        # change that moves V1 states the move
+        est = ctx.v1(alpha)
+        assert (est.value, est.error) == (value, error)
+
     def test_alpha_zero_exact(self, ctx):
         est = ctx.v1(0.0)
         assert est.value == pytest.approx(V1_MILNE, abs=1e-8)
@@ -330,7 +340,7 @@ class TestReconstruction:
         etas, ns = fz.spectrum_table(data)
         eni = PchipInterpolator(np.concatenate([[0.0], etas]),
                                 np.concatenate([[0.0], etas * ns]))
-        p = table1.tail_exponent
+        _, p = table1.tail
         n_ref, eta_ref = float(ns[-1]), float(etas[-1])
         for z in (0.6 + 0.8j, -1.1 - 0.5j, 2.4 + 1.7j):
             body = quadrature.integrate(lambda t: eni(t) / (t - z), 0.0,

@@ -352,6 +352,11 @@ class TestBoundaryResidual:
         # measured 2.3e-6; 1.3e-5 with the pchip of Vp
         assert self.tail_pipeline_residual(ctx, 0.5) <= 5e-6
 
+    def test_alpha_one_and_a_quarter_pipeline(self, ctx):
+        # measured 1.4e-5; the continuum tail's integrand u^(-p-2) is
+        # singular at u = 0 here, and power_tail takes it in a smooth variable
+        assert self.tail_pipeline_residual(ctx, 1.25) <= 1e-4
+
     @pytest.mark.parametrize("alpha,med,worst", [(0.0, 3e-8, 2e-5), (0.5, 2.5e-7, 2e-5),
                                                  (1.0, 1e-6, 4e-5)])
     def test_zero_inflow_on_3000_points(self, ctx, alpha, med, worst):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
-from bosemilne.quadrature import (PvIntegrand, gauss_rule, integrate, integrate_rows,
-                                  integrate_with_error, knot_pv_sums, knot_rule, pv_integral,
-                                  pv_rows)
+from bosemilne.quadrature import (ChebPanels, PvIntegrand, gauss_rule, integrate,
+                                  integrate_rows, integrate_with_error, knot_pv_sums, knot_rule,
+                                  power_tail, pv_integral, pv_rows)
 from bosemilne.special import einstein
 
 
@@ -286,3 +286,40 @@ class TestKnotPvSums:
         _, err = knot_pv_sums(2.0 * nodes, np.array([2.0 * c[0], 2.0 * c[0] + 1e-3]), c,
                               nodes, weights, orders)
         assert np.all(np.isnan(err))
+
+
+class TestPowerTail:
+    """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du against mpmath's tanh-sinh quadrature."""
+
+    @pytest.mark.parametrize("q", [-0.4, -2.0])  # u^-0.6 singular at 0, and u^1
+    @pytest.mark.parametrize("x", [0.0, 1.0, 5.0])
+    def test_against_mpmath(self, q, x):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        z = np.array([0.7, 1.5 + 0.5j, -3.0])
+        got = power_tail(q, 2.0, z, 1e-13, x)
+        for zi, g in zip(z.tolist(), got.tolist()):
+            want = complex(mpmath.quad(
+                lambda u: u ** (-q - 1) * mpmath.exp(-x * u) / (1 - zi * u), [0, 0.5]))
+            assert abs(g - want) <= 1e-13 * abs(want)
+
+
+class TestChebPanels:
+    """The adaptive Chebyshev panels in s = ln x, on atan(ln x)."""
+
+    @staticmethod
+    def f(x):
+        return np.arctan(np.log(x))
+
+    def test_values_and_slopes_within_tol(self):
+        panels, _, _ = ChebPanels.fit(self.f, np.geomspace(1e-3, 1e3, 3), 1e-10, 8)
+        x = np.exp(np.random.default_rng(4).uniform(math.log(1e-3), math.log(1e3), 1000))
+        assert np.max(np.abs(panels.value(x) - self.f(x))) <= 1e-10
+        assert np.max(np.abs(panels.slope(x) - 1.0 / (x * (1.0 + np.log(x) ** 2)))) <= 1e-10
+
+    def test_nodes_ascend_with_the_function_bits(self):
+        panels, nodes, values = ChebPanels.fit(self.f, np.geomspace(1e-3, 1e3, 3), 1e-10, 8)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert nodes[0] == 1e-3 and nodes[-1] == 1e3
+        assert np.array_equal(values, self.f(nodes))
+        assert set(panels.breaks.tolist()) <= set(nodes.tolist())
