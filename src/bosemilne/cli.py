@@ -229,10 +229,15 @@ def cmd_dispersion(args) -> int:
     _write_table(cfg["out"], ["mu", "lambda_real", "im_plus", "theta"],
                  rows, cfg["format"], digits=17)
 
-    kappa = dispersion.index_kappa(table)
-    values = {"kappa": _val(kappa, "exact-by-construction"),
-              "mu_max": _val(table.mu_max, "exact-by-construction")}
-    diagnostics = []
+    values, diagnostics = {}, []
+    if table.tail is not None and table.tail[1] >= 0.0:
+        # alpha = 3: the tail exponent (alpha - 3)/alpha is 0
+        diagnostics.append(f"kappa omitted: at alpha = {alpha:g} the tail law pi - theta = "
+                           f"c mu^p has p = {table.tail[1]:g} and does not decay, so the "
+                           "winding cannot be closed")
+    else:
+        values["kappa"] = _val(dispersion.index_kappa(table), "exact-by-construction")
+    values["mu_max"] = _val(table.mu_max, "exact-by-construction")
     if table.slit_edge is None:
         # up to alpha 0.29 (0.295 fits; measured in steps of 0.005) theta reaches
         # pi at working precision on the last decade, so ln(pi - theta) has no line

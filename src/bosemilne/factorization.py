@@ -22,12 +22,14 @@ where Vp is the principal value of V on the cut. The overall sign is frozen
 by the zero-inflow boundary condition (see N_SIGN below); flipping it leaves
 a boundary residual of order one.
 
-Vp sums theta - pi on the theta table's knots with quadrature.KnotPv, the
-fixed-rule Cauchy integral that lam+ and the field take too, and adds the
-tail beyond mu_max with quadrature.power_tail, which the field shares. For
-alpha >= 3/2 the tail pi - theta ~ C mu^((alpha-3)/alpha) decays too
-slowly and the V1 integral diverges; the table's tail law reports this as a
-DivergenceError pointing at the saddle-point route.
+Vp sums theta - pi with quadrature.KnotPv, the fixed-rule Cauchy integral
+that lam+ and the field take too, on knots of its own: the theta table's
+nodes thinned to neighbours at most a factor 2 apart
+(FactorizationData.vp_rule). It adds the tail beyond mu_max with
+quadrature.power_tail, which the field shares. For alpha >= 3/2 the tail
+pi - theta ~ C mu^((alpha-3)/alpha) decays too slowly and the V1 integral
+diverges; the table's tail law reports this as a DivergenceError pointing
+at the saddle-point route.
 """
 
 from __future__ import annotations
@@ -136,10 +138,24 @@ class FactorizationData:
 
     @cached_property
     def vp_rule(self) -> quadrature.KnotPv:
-        """The `quadrature.KnotPv` of v_cut: theta - pi on the theta table's
-        nodes [0, mu_1, ..., mu_max], and the slit edge after them on a slit table."""
+        """The `quadrature.KnotPv` of v_cut: theta - pi on knots chosen for theta.
+
+        The knots are 0 and the theta table's nodes from mu_1 to mu_max,
+        thinned so that neighbours are at most a factor 2 apart in mu and, on
+        a slit table, in edge - mu (the ratio of `dispersion._boundary_rule`);
+        every panel break stays a knot, and a slit table ends at its edge.
+        """
         table = self.table
-        knots = table.mu if table.slit_edge is None else np.append(table.mu, table.slit_edge)
+        mu, edge = table.mu[1:], table.slit_edge
+        breaks = mu[-1:] if table.panels is None else table.panels.breaks
+        keep = [0]
+        while keep[-1] < len(mu) - 1:  # each test holds on a prefix of mu
+            k = keep[-1]
+            ok = (mu <= 2.0 * mu[k]) & (mu <= breaks[np.searchsorted(breaks, mu[k], "right")])
+            if edge is not None:
+                ok &= edge - mu >= 0.5 * (edge - mu[k])
+            keep.append(max(int(ok.sum()) - 1, k + 1))
+        knots = np.concatenate([[0.0], mu[keep], [] if edge is None else [edge]])
         return quadrature.KnotPv(knots, lambda t: (t, table.theta_at(t) - math.pi))
 
 

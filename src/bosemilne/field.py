@@ -15,7 +15,7 @@ delta-mode coefficient is evaluated in the cancellation-free form
 where the truncated moment xi_a cancels exactly against the one hiding in
 sin(pi - theta); this keeps the term finite where xi_a underflows. Vp(mu)
 there is the principal value itself (factorization.v_cut, fixed rules on
-the theta table's knots), as in n(eta), not an interpolant. Beyond a
+Vp's own knots, `vp_rule`), as in n(eta), not an interpolant. Beyond a
 slit edge (alpha = 0, mu > 1) the continuum carries no delta mode and the
 term is absent. At the edge itself (mu = 1) the continuum integrand
 diverges like a log-log, and phi is not evaluated within 2e-6 of it on

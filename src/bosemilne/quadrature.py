@@ -59,10 +59,11 @@ DEFAULT_MAX_DEPTH = 12
 # the same for the rows the first pair cannot settle
 KNOT_ORDERS = (16, 8)
 FINE_KNOT_ORDERS = (64, 48)
-# rows per block of `knot_pv_sums` on the first pair: its two (rows, nodes)
-# work arrays take 0.6 MB at alpha 0, and 8 or 16 rows a block added peak
-# memory for no time. Fine-pair blocks hold about as many numbers
-_PV_ROWS = 4
+# entries of one (rows, nodes) block of `knot_pv_sums`, 0.6 MB in its two
+# work arrays: 4 rows on the field's alpha-0 first pair (9576 nodes), where 8
+# or 16 rows added peak memory for no time, and 22-66 rows on Vp's and lam+'s
+# rules (600-1752 nodes), where 4 rows a numpy call were overhead-bound
+_PV_WORK = 40000
 # `KnotPv` and the field take e^(-x/t) as 0 beyond this argument (a term
 # below 1e-304 beside O(1) values); `KnotPv` flushes damped values below
 # _TINY, so no subnormal reaches the sums
@@ -150,12 +151,12 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
     |high - low|, as QUADPACK pairs its rules (Piessens et al., 1983). A node
     on a pole makes the row's sum non-finite and its estimate NaN, so
     `KnotPv` hands the row to the fine pair. The rows go through one
-    work array in blocks of _PV_ROWS rows of the first pair's size (fresh
+    work array in blocks of _PV_WORK entries, at least one row (fresh
     megabyte-sized arrays would cost a page fault per page); each row is
     reduced on its own, so its numbers do not depend on the batch.
     """
     high_order, low_order = orders
-    block = max(1, _PV_ROWS * sum(KNOT_ORDERS) // (high_order + low_order))
+    block = max(1, _PV_WORK // len(nodes))
     value, err = np.empty(c.shape), np.empty(c.shape)
     work = np.empty((2, min(len(c), block), len(nodes)))
     with np.errstate(divide="ignore", invalid="ignore"):  # a node on a pole

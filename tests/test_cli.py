@@ -92,6 +92,17 @@ class TestDispersionCommand:
         env = json.loads(out)
         assert env["values"]["kappa"]["value"] == -1
 
+    def test_alpha_three_omits_kappa(self, tmp_path, capsys):
+        # the tail law's exponent (alpha - 3)/alpha is 0 there, so the
+        # winding cannot be closed: kappa is left out and the command says why
+        code, out = run_cli(["dispersion", "--alpha", "3", "--grid-mu", "0.5:2:3",
+                             "--out", str(tmp_path / "d.csv")], capsys)
+        assert code == 0
+        env = json.loads(out)
+        assert "kappa" not in env["values"] and "mu_max" in env["values"]
+        assert any(d.startswith("kappa omitted") and "does not decay" in d
+                   for d in env["diagnostics"])
+
     def test_17_digit_roundtrip(self, tmp_path, capsys):
         out_csv = tmp_path / "d.csv"
         run_cli(["dispersion", "--alpha", "0",

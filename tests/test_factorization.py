@@ -230,17 +230,51 @@ def slit_vp_mpmath(c, dps=30):
 class TestVCut:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_array_equals_per_eta(self, ctx, alpha):
-        # more etas than one block of the fixed rule, from below the
-        # continuum table to next to the end of the theta table; alpha 1
+        # etas over more than two blocks of the fixed rule's sums, from below
+        # the continuum table to next to the end of the theta table; alpha 1
         # adds the tail
         model, table = ctx.model(alpha), ctx.table(alpha)
         data = fz.build_factorization(model, table, k=1.0, v1_est=ctx.v1(alpha))
-        etas = np.concatenate([[1e-5, 5e-5], np.geomspace(1e-4, 0.999 * table.mu_max, 38)])
+        block = quadrature._PV_WORK // len(data.vp_rule.pair(False)[0])
+        etas = np.concatenate([[1e-5, 5e-5],
+                               np.geomspace(1e-4, 0.999 * table.mu_max, 2 * block)])
         got = fz.v_cut(data, etas)
-        assert len(etas) > quadrature._PV_ROWS
+        assert len(etas) > 2 * block
         assert got.tolist() == [fz.v_cut(data, float(e)) for e in etas]
         with pytest.raises(RangeError):
             fz.v_cut(data, np.array([0.5, table.mu_max]))
+
+    @pytest.mark.parametrize("alpha, most", [(0.0, 70), (0.5, 32), (1.0, 30)])
+    def test_knots_at_most_a_factor_two_apart(self, ctx, alpha, most):
+        # 0, then table nodes from the first to mu_max, neighbours at most a
+        # factor 2 apart in mu and, on the slit, in edge - mu; every panel
+        # break is a knot, and the slit edge comes last. 64 / 28 / 26 knots,
+        # where every table node was one (402 / 232 / 186)
+        table = ctx.table(alpha)
+        data = fz.build_factorization(ctx.model(alpha), table, k=1.0, v1_est=ctx.v1(alpha))
+        knots = data.vp_rule._knots
+        edge = table.slit_edge
+        inner = knots[1:] if edge is None else knots[1:-1]
+        assert knots[0] == 0.0 and inner[0] == table.mu[1] and inner[-1] == table.mu_max
+        assert np.all(np.isin(inner, table.mu)) and np.all(np.diff(inner) > 0)
+        assert np.all(inner[1:] <= 2.0 * inner[:-1])
+        if edge is None:
+            assert np.all(np.isin(table.panels.breaks, inner))
+        else:
+            gap = edge - inner
+            assert knots[-1] == edge and np.all(gap[:-1] <= 2.0 * gap[1:])
+        assert len(knots) <= most
+
+    def test_slit_vp_does_not_follow_the_table_sampling(self, ctx, data0):
+        # the slit table on twice the default nodes gives other knots but the
+        # same Vp: 50 etas with 1 - eta >= 1e-4, measured within 4.4e-14
+        table = dispersion.build_theta_table(
+            data0.model, grid=dispersion._slit_grid(1.0, 800, 1e-4))
+        data = fz.build_factorization(data0.model, table, k=1.0, v1_est=ctx.v1(0.0))
+        assert len(data.vp_rule._knots) != len(data0.vp_rule._knots)
+        etas = np.concatenate([np.geomspace(1e-6, 0.5, 25, endpoint=False),
+                               1.0 - np.geomspace(0.5, 1e-4, 25)])
+        assert np.max(np.abs(fz.v_cut(data, etas) - fz.v_cut(data0, etas))) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_against_adaptive_reference(self, ctx, alpha):

@@ -268,23 +268,23 @@ class TestPinnedBits:
 
     PINS = {
         0.0: ([1e-5, 0.3, 0.9, 0.999],
-              [-10.963551081993138, -0.1364364104198614, 1.8204344969355317,
+              [-10.963551081993138, -0.13643641041986126, 1.8204344969355315,
                2.7803106556886465],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (0.5, 1.5)],
-              [3.9194128059749644e-07, 1.8972761640266131, 0.5799629759555,
+              [3.9194128070851875e-07, 1.8972761640266131, 0.5799629759555,
                -0.26770392892803063]),
         0.5: ([1e-5, 0.3, 2.0, 20.0],
-              [-10.244467147783613, 0.9581881363009895, 0.22348590521406794,
-               0.019096411650122956],
+              [-10.244467147783613, 0.9581881363009884, 0.22348590521408318,
+               0.019096411650122335],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
-              [2.858862698795761e-07, 1.5686259868460484, 0.2838956312811442,
-               0.26529949444169887]),
+              [2.858862699905984e-07, 1.5686259868460484, 0.28389563128114426,
+               0.265299494441706]),
         1.0: ([1e-5, 0.3, 2.0, 20.0],
-              [-9.539301171484006, 0.67528100119107, 0.15077264657765246,
-               0.013865624368129704],
+              [-9.539301171484004, 0.67528100119107, 0.1507726465776523,
+               0.013865624368131883],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
-              [-5.7149410108703336e-06, 1.4396691763547071, 0.14187330925148542,
-               0.24758910273623513]),
+              [-5.7149410109397225e-06, 1.4396691763547071, 0.14187330925148542,
+               0.24758910273619605]),
     }
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosemilne import quadrature
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
 from bosemilne.quadrature import (ChebPanels, PvIntegrand, gauss_rule, integrate,
                                   integrate_rows, integrate_with_error, knot_pv_sums, knot_rule,
@@ -266,16 +267,24 @@ class TestKnotPvSums:
     @pytest.mark.parametrize("fine", [False, True])
     def test_polynomial_is_exact(self, fine):
         # (t^2 - c^2)/(t - c) = t + c: the value is its integral 1/2 + c and
-        # the estimate rounding. More rows than one block, each equal to its
-        # one-row sum bit for bit
+        # the estimate rounding
         nodes, weights, orders = knot_rule(self.knots, fine)
         c = np.linspace(0.05, 0.95, 11)
         value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders)
         np.testing.assert_allclose(value, 0.5 + c, rtol=1e-14, atol=0.0)
         assert np.all(err <= 1e-14)
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_rows_do_not_depend_on_blocks(self, fine):
+        # rows over three blocks of the work array and part of a fourth, each
+        # equal to its one-row sum bit for bit
+        nodes, weights, orders = knot_rule(self.knots, fine)
+        c = np.linspace(0.05, 0.95, 3 * (quadrature._PV_WORK // len(nodes)) + 1)
+        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders)
         rows = [knot_pv_sums(nodes ** 2, c[i:i + 1] ** 2, c[i:i + 1], nodes, weights, orders)
                 for i in range(len(c))]
         assert value.tolist() == [v[0] for v, _ in rows]
+        assert err.tolist() == [e[0] for _, e in rows]
 
     @pytest.mark.parametrize("fine", [False, True])
     def test_node_on_pole_gives_nan_estimate(self, fine):
