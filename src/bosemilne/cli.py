@@ -27,11 +27,10 @@ Every command runs with numpy's OpenBLAS on the calling thread alone
 returns: the dense calls are small, and a second BLAS worker would only
 spin through the work between them and double oracle's CPU time.
 
-Start-up: importing this module loads numpy but not scipy, so v1,
-dispersion and oracle run without it. profile loads scipy.interpolate when
-it first builds the field's PCHIP interpolant of eta n(eta), and validate
-loads that and scipy.special (criterion 4's Gamma/zeta oracle, kept
-independent of the package).
+Start-up: importing this module loads numpy but not scipy, and v1,
+dispersion, profile and oracle run without it (the field's continuum is
+Chebyshev panels of the package's own). Only validate loads scipy.special,
+for criterion 4's Gamma/zeta oracle, kept independent of the package.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """

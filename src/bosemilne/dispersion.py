@@ -276,7 +276,8 @@ class DispersionTable:
     * slit tables (alpha = 0 and saddle surrogates, `slit_edge` set): lam+ is
       lam_C(mu/edge + i0) in closed form, so theta and its slope are exact,
       not interpolated, and theta == pi from the edge on. The nodes only
-      seed the continuum table (`spectrum_table`) and the winding check;
+      seed Vp's knots, the continuum's panels (`spectrum_table`: their ends
+      and count, in the variable of `panel_x`) and the winding check;
     * panel tables (alpha > 0): theta is `panels`, a `quadrature.ChebPanels`
       series in s = ln mu. Below the first break it is the odd cubic A mu +
       B mu^3 with the value and slope of the first panel there (Im lam+ is
@@ -349,6 +350,19 @@ class DispersionTable:
         out[body] = self.panels.value(arr[body])
         out[tail] = math.pi - c * arr[tail] ** p
         return out if arr.ndim else float(out)
+
+    def panel_x(self, mu) -> np.ndarray:
+        """The variable x of the table's Chebyshev panels, series in ln x: mu
+        itself, or on a slit e^s of `_slit_grid`'s s, y/sqrt(1 - y) with y =
+        mu/edge, where the continuum coefficient is smooth up to the edge."""
+        if self.slit_edge is None:
+            return mu
+        y = mu / self.slit_edge
+        return y / np.sqrt(1.0 - y)
+
+    def panel_mu(self, x) -> np.ndarray:
+        """mu at the panel variable x: the inverse of `panel_x`."""
+        return x if self.slit_edge is None else self.slit_edge * _slit_y(np.log(x))
 
     def theta_slope(self, mu) -> np.ndarray:
         """d theta / d mu at 0 < mu < mu_max: exact on a slit, else the interpolant's."""
@@ -460,9 +474,14 @@ def _slit_grid(edge: float, n: int, mu_min: float) -> np.ndarray:
     y_hi = 1.0 - _SLIT_GAP
     s = np.linspace(math.log(mu_min) - 0.5 * math.log1p(-mu_min),
                     math.log(y_hi) - 0.5 * math.log(_SLIT_GAP), n)
-    y = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * s)))
+    y = _slit_y(s)
     y[0], y[-1] = mu_min, y_hi
     return edge * y
+
+
+def _slit_y(s: np.ndarray) -> np.ndarray:
+    """y at `_slit_grid`'s variable s; `DispersionTable.panel_x` is e^s."""
+    return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * np.exp(-2.0 * s)))
 
 
 def build_theta_table(model: AlphaModel, grid: np.ndarray | None = None, *,

@@ -23,13 +23,13 @@ by the zero-inflow boundary condition (see N_SIGN below); flipping it leaves
 a boundary residual of order one.
 
 Vp sums theta - pi with quadrature.KnotPv, the fixed-rule Cauchy integral
-that lam+ and the field take too, on knots of its own: the theta table's
-nodes thinned to neighbours at most a factor 2 apart
-(FactorizationData.vp_rule). It adds the tail beyond mu_max with
-quadrature.power_tail, which the field shares. For alpha >= 3/2 the tail
-pi - theta ~ C mu^((alpha-3)/alpha) decays too slowly and the V1 integral
-diverges; the table's tail law reports this as a DivergenceError pointing
-at the saddle-point route.
+that lam+ and the field take too, on the theta table's nodes thinned to
+neighbours at most a factor 2 apart (FactorizationData.knots, the knot rule
+of the field's continuum too; FactorizationData.vp_rule). It adds the tail
+beyond mu_max with quadrature.power_tail, which the field shares. For alpha
+>= 3/2 the tail pi - theta ~ C mu^((alpha-3)/alpha) decays too slowly and
+the V1 integral diverges; the table's tail law reports this as a
+DivergenceError pointing at the saddle-point route.
 """
 
 from __future__ import annotations
@@ -138,16 +138,23 @@ class FactorizationData:
 
     @cached_property
     def vp_rule(self) -> quadrature.KnotPv:
-        """The `quadrature.KnotPv` of v_cut: theta - pi on knots chosen for theta.
-
-        The knots are 0 and the theta table's nodes from mu_1 to mu_max,
-        thinned so that neighbours are at most a factor 2 apart in mu and, on
-        a slit table, in edge - mu (the ratio of `dispersion._boundary_rule`);
-        every panel break stays a knot, and a slit table ends at its edge.
-        """
+        """The `quadrature.KnotPv` of v_cut: theta - pi on `knots`, up to mu_max
+        with every panel break kept, and on a slit table on to its edge."""
         table = self.table
-        mu, edge = table.mu[1:], table.slit_edge
-        breaks = mu[-1:] if table.panels is None else table.panels.breaks
+        breaks = table.mu[-1:] if table.panels is None else table.panels.breaks
+        knots = self.knots(breaks)
+        if table.slit_edge is not None:
+            knots = np.append(knots, table.slit_edge)
+        return quadrature.KnotPv(knots, lambda t: (t, table.theta_at(t) - math.pi))
+
+    def knots(self, breaks: np.ndarray) -> np.ndarray:
+        """The knots of Vp and of the field's continuum: 0, then the theta
+        table's nodes from mu_1 and `breaks` up to breaks[-1], thinned so that
+        neighbours are at most a factor 2 apart in mu and, on a slit table, in
+        edge - mu (the ratio of `dispersion._boundary_rule`); every break
+        stays a knot."""
+        mu, edge = self.table.mu[1:], self.table.slit_edge
+        mu = np.union1d(mu[mu < breaks[-1]], breaks)
         keep = [0]
         while keep[-1] < len(mu) - 1:  # each test holds on a prefix of mu
             k = keep[-1]
@@ -155,8 +162,27 @@ class FactorizationData:
             if edge is not None:
                 ok &= edge - mu >= 0.5 * (edge - mu[k])
             keep.append(max(int(ok.sum()) - 1, k + 1))
-        knots = np.concatenate([[0.0], mu[keep], [] if edge is None else [edge]])
-        return quadrature.KnotPv(knots, lambda t: (t, table.theta_at(t) - math.pi))
+        return np.append(0.0, mu[keep])
+
+    @cached_property
+    def continuum_breaks(self) -> np.ndarray:
+        """The breaks in eta of the continuum's Chebyshev panels (`spectrum_table`).
+
+        A panel table's are theta's, the last moved to mu_max (1 - 1e-8), as
+        v_cut needs eta < mu_max. A slit table's run from its first node to
+        its last below mu_max, equal in `_slit_grid`'s variable s, each panel
+        spanning about as many of the grid's intervals as it has
+        Chebyshev-Lobatto intervals, so a coarser grid gives a coarser
+        continuum.
+        """
+        table = self.table
+        if table.slit_edge is None:
+            return np.append(table.panels.breaks[:-1], table.mu_max * (1.0 - 1e-8))
+        nodes = table.mu[1:-1]
+        count = max(1, round((len(nodes) - 1) / (quadrature._PANEL_POINTS - 1)))
+        s = np.log(table.panel_x(nodes[[0, -1]]))
+        inner = table.panel_mu(np.exp(np.linspace(s[0], s[1], count + 1)[1:-1]))
+        return np.concatenate([nodes[:1], inner, nodes[-1:]])
 
 
 def build_factorization(model: AlphaModel, table: DispersionTable,
@@ -225,13 +251,15 @@ def _cut_body(data: FactorizationData, c: np.ndarray) -> np.ndarray:
 
     The knots are those of `FactorizationData.vp_rule`; theta is smooth on
     each interval. In the regularised form sum w (g(t) - g(c))/(t - c) + g(c)
-    ln((b - c)/c) each row is settled on the scale max(|g(c)|, |g'(c)| b).
+    ln((b - c)/c) each row is settled on the scale max(|g(c)|, |g'(c)| b),
+    and a node on c takes g'(c) as its quotient.
     """
     table = data.table
     b = table.mu_max if table.slit_edge is None else table.slit_edge
-    g_c = table.theta_at(c) - math.pi
-    scale = np.maximum(np.maximum(np.abs(g_c), np.abs(table.theta_slope(c)) * b), 1e-30)
-    value = data.vp_rule.sums(g_c, c, scale, lambda i: f"principal value at eta={float(c[i])!r}")
+    g_c, slope = table.theta_at(c) - math.pi, table.theta_slope(c)
+    scale = np.maximum(np.maximum(np.abs(g_c), np.abs(slope) * b), 1e-30)
+    value = data.vp_rule.sums(g_c, c, scale, lambda i: f"principal value at eta={float(c[i])!r}",
+                              slope=slope)
     return value + g_c * np.log((b - c) / c)
 
 
@@ -291,12 +319,18 @@ def n_coefficient(data: FactorizationData, eta):
     return out if arr.ndim else float(out[0])
 
 
-def spectrum_table(data: FactorizationData) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate (eta, n(eta)) over the cut.
+def spectrum_table(data: FactorizationData) -> quadrature.ChebPanels:
+    """eta n(eta) as Chebyshev panels on `FactorizationData.continuum_breaks`,
+    a series in ln x of the table's panel variable x (`DispersionTable.panel_x`).
 
-    The nodes are the theta table's nodes strictly inside the tabulated
-    range, so the principal value is well defined at each of them.
+    One n_coefficient call at the panels' Chebyshev-Lobatto points, which on
+    a panel table are theta's nodes but on the last panel; no tolerance: the
+    fixed panels interpolate fresh values to about 1e-13 of max |eta n|.
     """
-    mu = data.table.mu
-    etas = mu[(mu > 0.0) & (mu < data.table.mu_max)]
-    return etas, n_coefficient(data, etas)
+    table = data.table
+
+    def eta_n(x):
+        eta = table.panel_mu(x)
+        return eta * n_coefficient(data, eta)
+
+    return quadrature.ChebPanels.through(table.panel_x(data.continuum_breaks), eta_n)

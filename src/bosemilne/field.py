@@ -27,18 +27,23 @@ end mu_max the delta mode has no Vp (unless x/mu > 50 drops it). All of
 these raise RangeError, and non-finite x or mu DomainError, before any
 integration.
 
-The tabulated part of the continuum integral runs over the knots [0,
-eta_1, ..., eta_max] of the pchip interpolant of eta n(eta), the one
-interpolant of the solution, which is one cubic on each knot interval. It
-is summed by quadrature.KnotPv, the fixed-rule Cauchy integral that Vp and
-lam+ take too, in the regularised form sum w (f(t) - f(mu)) / (t - mu) +
-f(mu) ln((eta_max - mu)/mu) for a principal value: a 16-point Gauss-Legendre
-rule on every interval gives the value and an 8-point rule the error
-estimate, as QUADPACK pairs its rules (Piessens et al., 1983). Rows whose
-estimate misses the tolerance are redone by a 64- and 48-point pair on the
-same knots, [0, eta_1] split further; a row that misses there too raises
-AccuracyError. The alpha > 0 tail beyond eta_max is quadrature.power_tail,
-the one adaptive integral of the field, which Vp's tail shares.
+The tabulated part of the continuum integral runs over [0, eta_max] of
+eta n(eta) as Chebyshev panels (`factorization.spectrum_table`, the
+quadrature.ChebPanels type of theta's table, after Battles & Trefethen,
+2004): theta's own panels for alpha > 0, ending at mu_max (1 - 1e-8), and on
+a slit equal panels in the slit grid's variable, ending at its last node
+below mu_max. Below the first break eta_min it is the line from 0. It is
+summed by quadrature.KnotPv, the fixed-rule Cauchy integral that Vp and
+lam+ take too, on the knots of Vp's rule (`FactorizationData.knots`:
+neighbours at most a factor 2 apart, every panel break kept), in the
+regularised form sum w (f(t) - f(mu)) / (t - mu) + f(mu) ln((eta_max -
+mu)/mu) for a principal value: a 16-point Gauss-Legendre rule on every
+interval gives the value and an 8-point rule the error estimate, as QUADPACK
+pairs its rules (Piessens et al., 1983). Rows whose estimate misses the
+tolerance are redone by a 64- and 48-point pair on the same knots, [0,
+eta_1] split further; a row that misses there too raises AccuracyError. The
+alpha > 0 tail beyond eta_max is quadrature.power_tail, the one adaptive
+integral of the field, which Vp's tail shares.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -73,78 +78,69 @@ __all__ = [
 _DELTA_FAR = 50.0
 # |mu - edge| below which phi is not evaluated next to the slit edge. Set
 # when the field was adaptive: beyond the edge the plain row's pole sat so
-# close to the table end (eta_max = 1 - 1.13e-13) that its quadrature
-# stalled up to mu - 1 = 1.40e-6. The first fixed rule settles every x in
-# (0, 1e-3, 0.01, 0.1, 0.3, 1, 30) down to mu - 1 = 1e-11, within 2.4e-12
-# |K| (1 + V1) of the fine rule; at 1e-12, against the table end, it
-# misses for x <= 0.3 and the fine rule settles those rows. Below the
-# edge the principal value sits on the log-log divergence: at x = 0
-# |phi|/(1 + V1) is 2.7e-8 at 1 - 1e-6, 1.6e-7 at 1 - 1e-7, 1.3e-6 at
-# 1 - 1e-8, 8.1e-6 at 1 - 1e-9 and 8.0e-4 at 1 - 1e-10, where the exact
+# close to the continuum's end (eta_max = 1 - 1.13e-13) that its quadrature
+# stalled up to mu - 1 = 1.40e-6. On the Chebyshev panels of eta n the
+# first fixed rule settles every x in (0, 1e-3, 0.01, 0.1, 0.3, 1, 30) down
+# to mu - 1 = 1e-11, within 1.3e-11 |K| (1 + V1) of the fine rule; at
+# 1e-12, against the continuum's end, it misses for x <= 1, and at x = 0
+# the fine rule misses too. Below the edge the principal value sits on the
+# log-log divergence: at x = 0 |phi|/(|K| (1 + V1)) grows like 3e-17/(1 -
+# mu), from 3.0e-11 at 1 - 1e-6 to 3.0e-7 at 1 - 1e-10, where the exact
 # value is 0.
 _EDGE_BAND = 2e-6
 
 
-def _pchip(x: np.ndarray, y: np.ndarray):
-    """scipy's PchipInterpolator on (x, y), no extrapolation.
-
-    Imported here, not at module level, so that only the commands that
-    evaluate the field (profile, validate) load scipy.
-    """
-    from scipy.interpolate import PchipInterpolator
-    return PchipInterpolator(x, y, extrapolate=False)
-
-
 @dataclass(frozen=True)
 class MilneSolution:
-    """The factorisation (model, K, K0 = V1 K) plus the tabulated continuum coefficient."""
+    """The factorisation (model, K, K0 = V1 K) plus the continuum coefficient
+    eta n(eta) as `spectrum_table`'s Chebyshev panels."""
 
     factorization: FactorizationData
-    _etas: np.ndarray = dc_field(repr=False)
-    _ns: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self):
-        if len(self._etas) < 4 or np.any(np.diff(self._etas) <= 0):
-            raise DomainError("continuum nodes must be positive and strictly increasing")
-
-    @cached_property
-    def eta_n_interp(self):
-        # eta * n(eta) with the exact 0 limit prepended
-        grid = np.concatenate([[0.0], self._etas])
-        vals = np.concatenate([[0.0], self._etas * self._ns])
-        return _pchip(grid, vals)
-
-    @cached_property
-    def eta_n_rule(self) -> quadrature.KnotPv:
-        """The `quadrature.KnotPv` of the continuum integral: eta n(eta) on the
-        knots 0 and the table nodes, so the interpolant is one cubic on each
-        interval. The fine pair also splits [0, eta_1], where e^{-x/eta}
-        turns over for x of about eta_1 / 100."""
-        interp = self.eta_n_interp  # not self: a cycle would hold the pairs until gc
-        return quadrature.KnotPv(np.concatenate([[0.0], self._etas]), lambda t: (t, interp(t)))
+    panels: quadrature.ChebPanels = dc_field(repr=False)
 
     @property
     def eta_min(self) -> float:
-        return float(self._etas[0])
+        return float(self.factorization.continuum_breaks[0])
 
     @property
     def eta_max(self) -> float:
-        return float(self._etas[-1])
+        return float(self.factorization.continuum_breaks[-1])
+
+    @cached_property
+    def eta_n(self):
+        """eta n(eta) at 0 <= eta <= eta_max: the panels, and below eta_min the
+        line from 0 to their first value."""
+        table, panels, lo = self.factorization.table, self.panels, self.eta_min
+
+        def eta_n(eta):
+            value = panels.value(table.panel_x(np.maximum(eta, lo)))
+            return np.where(eta < lo, value * (eta / lo), value)
+
+        return eta_n
+
+    @cached_property
+    def eta_n_rule(self) -> quadrature.KnotPv:
+        """The `quadrature.KnotPv` of the continuum integral: eta n(eta) on
+        `FactorizationData.knots`, every panel break kept, to eta_max. The fine
+        pair also splits [0, eta_1], where e^{-x/eta} turns over for x of
+        about eta_1 / 100."""
+        eta_n = self.eta_n  # not self: a cycle would hold the pairs until gc
+        knots = self.factorization.knots(self.factorization.continuum_breaks)
+        return quadrature.KnotPv(knots, lambda t: (t, eta_n(t)))
 
 
 def solve_milne(model: AlphaModel, k: float = 1.0, *, table=None) -> MilneSolution:
-    """Build the full solution: theta table, factorisation, continuum table."""
+    """Build the full solution: theta table, factorisation, continuum panels."""
     if table is None:
         table = build_theta_table(model)
     data = build_factorization(model, table, k=k)
-    etas, ns = spectrum_table(data)
-    return MilneSolution(factorization=data, _etas=etas, _ns=ns)
+    return MilneSolution(factorization=data, panels=spectrum_table(data))
 
 
 def _tail_law(sol: MilneSolution) -> float | None:
     """Exponent p of the algebraic continuum tail beyond the grid, or None without one."""
     tail = sol.factorization.table.tail
-    return None if tail is None or sol._ns[-1] == 0.0 else tail[1]
+    return None if tail is None or sol.eta_n(sol.eta_max) == 0.0 else tail[1]
 
 
 def _check_range(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> None:
@@ -192,10 +188,11 @@ def _continuum_integral(sol: MilneSolution, x, mu):
     f_mu = np.zeros(mu.shape)
     if np.any(pv):
         arg = x[pv] / mu[pv]
-        f_mu[pv] = np.where(arg > quadrature.EXP_CUT, 0.0, sol.eta_n_interp(mu[pv])
+        f_mu[pv] = np.where(arg > quadrature.EXP_CUT, 0.0, sol.eta_n(mu[pv])
                             * np.exp(-np.minimum(arg, quadrature.EXP_CUT)))
+    # the scale: a bound on max |eta n| of the panels
     out = sol.eta_n_rule.sums(
-        f_mu, mu, float(np.max(np.abs(sol._ns)) + 1e-300),
+        f_mu, mu, float(np.max(np.abs(sol.panels.coeffs).sum(axis=1)) + 1e-300),
         lambda i: f"continuum integral at x={float(x[i])!r}, mu={float(mu[i])!r}", x)
     out[pv] += f_mu[pv] * np.log((b - mu[pv]) / mu[pv])
     return (out + _continuum_tail(sol, x, mu)).reshape(mb.shape)[()]
@@ -207,7 +204,7 @@ def _continuum_tail(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.nda
     if p is None:
         return np.zeros(mu.shape)
     val = quadrature.power_tail(p + 1.0, sol.eta_max, mu, 1e-9, x)
-    return float(sol._ns[-1]) * sol.eta_max ** (-p) * val
+    return float(sol.eta_n(sol.eta_max)) * sol.eta_max ** (-p - 1.0) * val
 
 
 def _delta_term(sol: MilneSolution, x: np.ndarray, mu: np.ndarray) -> np.ndarray:

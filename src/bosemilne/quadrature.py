@@ -18,7 +18,8 @@ Integrands are called with ndarray arguments and must evaluate elementwise.
 All refinement decisions depend only on the integrand values of their own
 row, so results are bit-reproducible for a given tolerance, whatever rows
 share a batch. `ChebPanels` is a piecewise Chebyshev series in ln x,
-fitted by bisection to a batched function: the theta table of lam+.
+fitted by bisection to a batched function (the theta table of lam+) or
+through one on given panels (the field's continuum coefficient).
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ DEFAULT_MAX_DEPTH = 12
 KNOT_ORDERS = (16, 8)
 FINE_KNOT_ORDERS = (64, 48)
 # entries of one (rows, nodes) block of `knot_pv_sums`, 0.6 MB in its two
-# work arrays: 4 rows on the field's alpha-0 first pair (9576 nodes), where 8
-# or 16 rows added peak memory for no time, and 22-66 rows on Vp's and lam+'s
-# rules (600-1752 nodes), where 4 rows a numpy call were overhead-bound
+# work arrays: 22-66 rows on the first pairs of Vp, lam+ and the field
+# (600-1752 nodes), where 4 rows a numpy call were overhead-bound; with
+# 9576 nodes 8 or 16 rows added peak memory for no time
 _PV_WORK = 40000
 # `KnotPv` and the field take e^(-x/t) as 0 beyond this argument (a term
 # below 1e-304 beside O(1) values); `KnotPv` flushes damped values below
@@ -143,15 +144,18 @@ def knot_rule(knots: np.ndarray, fine: bool) -> tuple[np.ndarray, np.ndarray, tu
 
 
 def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarray,
-                 weights: np.ndarray, orders: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+                 weights: np.ndarray, orders: tuple[int, int],
+                 slope: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(value, error estimate) of sum w (f(t) - f_c)/(t - c) for every row (f_c, c).
 
     f holds the function at `knot_rule`'s nodes, one table for all rows. The
     value is the high-order sum, the estimate the sum over intervals of
     |high - low|, as QUADPACK pairs its rules (Piessens et al., 1983). A node
-    on a pole makes the row's sum non-finite and its estimate NaN, so
-    `KnotPv` hands the row to the fine pair. The rows go through one
-    work array in blocks of _PV_WORK entries, at least one row (fresh
+    of either rule on a pole makes the row's estimate non-finite: with
+    `slope` (f'(c), one per row) the row is summed again with f'(c) as the
+    quotient there; where that is NaN or not given, the estimate is NaN, so
+    `KnotPv` hands the row to the fine pair. The rows go through one work
+    array in blocks of _PV_WORK entries, at least one row (fresh
     megabyte-sized arrays would cost a page fault per page); each row is
     reduced on its own, so its numbers do not depend on the batch.
     """
@@ -172,6 +176,12 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
             high = by_order[:, :high_order].sum(axis=1)
             low = by_order[:, high_order:].sum(axis=1)
             value[rows], err[rows] = high.sum(axis=1), np.abs(high - low).sum(axis=1)
+            for j in np.flatnonzero(~np.isfinite(err[rows])) if slope is not None else ():
+                on = d[j] == 0.0  # a node of either rule
+                q[j, on] = slope[s + j] * weights[on]
+                high_j = by_order[j, :high_order].sum(axis=0)
+                low_j = by_order[j, high_order:].sum(axis=0)
+                value[s + j], err[s + j] = high_j.sum(), np.abs(high_j - low_j).sum()
     err[~np.isfinite(value)] = np.nan
     return value, err
 
@@ -194,23 +204,27 @@ class KnotPv:
             self._pairs[fine] = (*self._at(nodes), weights, orders)
         return self._pairs[fine]
 
-    def sums(self, f_c, c, scale, label: Callable, x=0.0) -> np.ndarray:
+    def sums(self, f_c, c, scale, label: Callable, x=0.0, slope=None) -> np.ndarray:
         """sum w (f(t) e^(-x/t) - f_c)/(t - c) for every row (f_c, c, x).
 
         The first pair's sums, and the fine pair's for the rows it misses. A
         row is settled when its estimate is at most 1e-9 max(|value|,
         scale), scale one number or one per row; a row the fine pair leaves
         unsettled raises AccuracyError, its message starting with label(row).
+        `slope`, the integrand's derivative at each row's pole, serves a node
+        on that pole (`knot_pv_sums`); without it such a row goes to the fine
+        pair, whose nodes next to a slit edge round onto poles too.
         """
         scale, x = np.broadcast_to(scale, c.shape), np.broadcast_to(x, c.shape)
+        slope = np.broadcast_to(np.nan if slope is None else slope, c.shape)
 
         def missed(rows, value, err):
             return rows[~(err <= 1e-9 * np.maximum(np.abs(value), scale[rows]))]  # NaN too
 
-        value, err = self._pass(False, f_c, c, x)
+        value, err = self._pass(False, f_c, c, x, slope)
         redo = missed(np.arange(len(c)), value, err)
         if len(redo):
-            value[redo], err[redo] = self._pass(True, f_c[redo], c[redo], x[redo])
+            value[redo], err[redo] = self._pass(True, f_c[redo], c[redo], x[redo], slope[redo])
             bad = missed(redo, value[redo], err[redo])
             if len(bad):
                 i = bad[0]
@@ -218,7 +232,7 @@ class KnotPv:
                                     f"error {err[i]:.3e}", best=float(value[i]), bound=float(err[i]))
         return value
 
-    def _pass(self, fine, f_c, c, x):
+    def _pass(self, fine, f_c, c, x, slope):
         """(value, error estimate) of the rows by one pair: one `knot_pv_sums`
         call per distinct x, on f e^(-x/t) for x > 0 and on f itself for x = 0.
         """
@@ -241,7 +255,8 @@ class KnotPv:
                 g[gone] = 0.0
                 g *= f
                 g[(g < _TINY) & (g > -_TINY)] = 0.0
-            value[rows], err[rows] = knot_pv_sums(g, f_c[rows], c[rows], t, weights, orders)
+            value[rows], err[rows] = knot_pv_sums(g, f_c[rows], c[rows], t, weights, orders,
+                                                  slope[rows])
         return value, err
 
 
@@ -256,26 +271,35 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     return x, to_coeffs
 
 
+def _panel_points(lo: float, hi: float) -> np.ndarray:
+    """The Chebyshev-Lobatto points of the panel [lo, hi] in s = ln x, ends exact."""
+    x, _ = _lobatto()
+    a, b = math.log(lo), math.log(hi)
+    return np.concatenate([[lo], np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1]), [hi]])
+
+
 @dataclass(frozen=True)
 class ChebPanels:
     """A piecewise Chebyshev series in s = ln x: `coeffs[i]` on [breaks[i], breaks[i+1]].
 
     `fit` builds one by adaptive bisection (Battles & Trefethen, SISC 25,
-    2004); `value` and `slope` evaluate it on [breaks[0], breaks[-1]].
+    2004), `through` on given breaks; `value` and `slope` evaluate it on
+    [breaks[0], breaks[-1]].
     """
 
     breaks: np.ndarray
     coeffs: np.ndarray
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """The series at breaks[0] <= x <= breaks[-1]."""
+        """The series at breaks[0] <= x <= breaks[-1], x of any shape."""
         i, t, _ = self._locate(x)
-        return chebyshev.chebval(t, self.coeffs[i].T, tensor=False)
+        return chebyshev.chebval(t, np.moveaxis(self.coeffs[i], -1, 0), tensor=False)
 
     def slope(self, x: np.ndarray) -> np.ndarray:
-        """d/dx of the series at breaks[0] <= x <= breaks[-1]."""
+        """d/dx of the series at breaks[0] <= x <= breaks[-1], x of any shape."""
         i, t, half = self._locate(x)
-        return chebyshev.chebval(t, self._dcoeffs[i].T, tensor=False) / (half * x)
+        return chebyshev.chebval(t, np.moveaxis(self._dcoeffs[i], -1, 0),
+                                 tensor=False) / (half * x)
 
     def _locate(self, x):
         """(panel, Chebyshev variable in [-1, 1], half-width in s) of every x."""
@@ -290,6 +314,15 @@ class ChebPanels:
         return chebyshev.chebder(self.coeffs, axis=1)
 
     @classmethod
+    def through(cls, breaks: np.ndarray, f: Callable) -> ChebPanels:
+        """The panels on `breaks` through f at their Chebyshev-Lobatto points,
+        from one call of f on the distinct points, x > 0."""
+        points = np.array([_panel_points(lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])])
+        distinct, where = np.unique(points, return_inverse=True)
+        values = f(distinct)[where].reshape(points.shape)
+        return cls(breaks=breaks, coeffs=values @ _lobatto()[1].T)
+
+    @classmethod
     def fit(cls, f: Callable, breaks, tol: float,
             max_passes: int) -> tuple[ChebPanels, np.ndarray, np.ndarray]:
         """(panels, nodes, f at the nodes) of f on the first panels `breaks`, x > 0.
@@ -302,7 +335,7 @@ class ChebPanels:
         max_passes passes is a ResolutionError. The nodes are the kept
         panels' points, ascending, with f's own values there.
         """
-        x, to_coeffs = _lobatto()
+        _, to_coeffs = _lobatto()
         breaks = np.unique(np.asarray(breaks, dtype=float))
         if len(breaks) < 2 or breaks[0] <= 0.0:
             raise ConsistencyError("Chebyshev panels need at least two positive breaks")
@@ -310,11 +343,7 @@ class ChebPanels:
         todo = list(zip(breaks[:-1], breaks[1:]))
         done = []
         for _ in range(max_passes):
-            nodes = []
-            for lo, hi in todo:
-                a, b = math.log(lo), math.log(hi)
-                inner = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x[1:-1])
-                nodes.append(np.concatenate([[lo], inner, [hi]]))
+            nodes = [_panel_points(lo, hi) for lo, hi in todo]
             new = [m for m in dict.fromkeys(np.concatenate(nodes).tolist()) if m not in value_of]
             value_of.update(zip(new, f(np.array(new)).tolist()))
             coeffs = np.array([[value_of[m] for m in row] for row in nodes]) @ to_coeffs.T
@@ -343,27 +372,37 @@ def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
     """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du for every row (z, x), real or complex z.
 
     A power-law tail c t^q beyond t = end against e^(-x/t)/(t - z), in u =
-    1/t; z must not lie on (end, inf), and q < 0. The rows go through one
-    `integrate_rows` call at depth 24. Where a = -q - 1 < 0, u^a is singular
-    at 0, and the integral runs in s = (u end)^(a + 1), where it is
-    end^(-a-1)/(a + 1) int_0^1 e^(-x u)/(1 - z u) ds, smooth in s.
+    1/t; z must not lie on [end, inf), and q < 0. With a = -q - 1, a pole u
+    = 1/z next to the end (|z - end| < end/2) is subtracted: the numerator
+    u^a e^(-x u) less its value C = z^-a e^(-x/z) there is integrated, and
+    int C/(1 - z u) du = -C ln(1 - z/end)/z added in closed form, as
+    `knot_pv_sums` regularises a principal value. The rows go through one
+    `integrate_rows` call at depth 24, each on the scale |C ln(1 - z/end)/z|.
+    Where a < 0, u^a is singular at 0, and the integral runs in s = (u
+    end)^(a + 1), where u^a du is end^(-a-1)/(a + 1) ds, smooth in s.
     """
     z = np.atleast_1d(z)
     x = np.broadcast_to(x, z.shape)
     a = -q - 1.0
+    near = np.abs(z - end) < 0.5 * end
+    zn = np.where(near, z, 0.5 * end)  # C = 0 on the other rows: their sums keep their bits
+    c = np.where(near, zn ** -a * np.exp(-x / zn), 0.0)
+    pole = -c * np.log((end - zn) / end) / zn
+    zeros, scale = np.zeros(z.shape), np.abs(pole)
     if a >= 0.0:
-        def f(u, z, x):
-            return u ** a * np.exp(-x * u) / (1.0 - z * u)
+        def f(u, z, x, c):
+            return (u ** a * np.exp(-x * u) - c) / (1.0 - z * u)
 
-        return integrate_rows(f, np.zeros(z.shape), np.full(z.shape, 1.0 / end), tol,
-                              params=(z, x), max_depth=24)
+        return pole + integrate_rows(f, zeros, np.full(z.shape, 1.0 / end), tol,
+                                     params=(z, x, c), max_depth=24, scale=scale)
 
-    def g(s, z, x):
+    def g(s, z, x, c):
         u = s ** (1.0 / (a + 1.0)) / end
-        return np.exp(-x * u) / (1.0 - z * u)
+        return (np.exp(-x * u) - c * u ** -a) / (1.0 - z * u)
 
-    return end ** (-a - 1.0) / (a + 1.0) * integrate_rows(
-        g, np.zeros(z.shape), np.ones(z.shape), tol, params=(z, x), max_depth=24)
+    k = end ** (-a - 1.0) / (a + 1.0)
+    return pole + k * integrate_rows(g, zeros, np.ones(z.shape), tol, params=(z, x, c),
+                                     max_depth=24, scale=scale / k)
 
 
 def _converged(err, total, tol, scale):

@@ -362,12 +362,29 @@ class TestValidateCommand:
 
 
 def test_v1_and_oracle_do_not_load_scipy():
-    # scipy costs most of the start-up; only profile and validate may load it
+    # scipy costs most of the start-up; only validate may load it
     script = ("import io, sys, contextlib\n"
               "from bosemilne import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert cli.main(['v1', '--alpha', '2']) == 0\n"
               "    assert cli.main(['oracle', '--alpha', '1', '--dom-cells', '60']) == 0\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_only_validate_loads_scipy(tmp_path):
+    # profile (both kinds of continuum panels), v1 and dispersion in one fresh
+    # interpreter: none imports scipy; validate's criterion 4 alone does
+    out = str(tmp_path / "table")
+    script = ("import io, sys, contextlib\n"
+              "from bosemilne import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    for alpha in ('0', '0.5'):\n"
+              f"        assert cli.main(['profile', '--alpha', alpha, '--out', {out!r}]) == 0\n"
+              "    assert cli.main(['v1', '--alpha', '0.5']) == 0\n"
+              f"    assert cli.main(['dispersion', '--alpha', '1', '--out', {out!r}]) == 0\n"
               "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

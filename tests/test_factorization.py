@@ -5,12 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from bosemilne import dispersion, factorization as fz, quadrature
 from bosemilne.errors import DivergenceError, DomainError, RangeError
 
 V1_MILNE = 0.7104460896  # classical half-space extrapolation constant
+
+
+def cut_nodes(table):
+    """The theta table's nodes inside the cut (0, mu_max), where Vp is defined."""
+    mu = table.mu
+    return mu[(mu > 0.0) & (mu < table.mu_max)]
 
 
 def n_jump_complex(data, eta):
@@ -160,15 +165,16 @@ class TestSpectrumCoefficient:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_array_form_against_scalar_math(self, ctx, alpha):
-        # one numpy pass over the spectrum_table nodes replaced a loop of
-        # math.exp and math.sin, which differ from numpy's by an ulp on a few
-        # nodes; an array through the slit edge is 0 beyond it
-        sol = ctx.solution(alpha)
-        data = sol.factorization
+        # one numpy pass over the table nodes inside the cut replaced a loop
+        # of math.exp and math.sin, which differ from numpy's by an ulp on a
+        # few nodes; an array through the slit edge is 0 beyond it
+        data = ctx.solution(alpha).factorization
+        etas = cut_nodes(data.table)
         amp = 2.0 * data.model.l0_alpha * data.k / math.pi
         ref = [fz.N_SIGN * amp * math.exp(-vp) * math.sin(math.pi - data.table.theta_at(e))
-               for e, vp in zip(sol._etas.tolist(), fz.v_cut(data, sol._etas).tolist())]
-        np.testing.assert_allclose(sol._ns, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+               for e, vp in zip(etas.tolist(), fz.v_cut(data, etas).tolist())]
+        np.testing.assert_allclose(fz.n_coefficient(data, etas), ref,
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
         if alpha == 0.0:
             got = fz.n_coefficient(data, np.array([0.4, 1.0, 3.7]))
             assert got.tolist() == [fz.n_coefficient(data, 0.4), 0.0, 0.0]
@@ -278,20 +284,22 @@ class TestVCut:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_against_adaptive_reference(self, ctx, alpha):
-        # every continuum node and 2000 seeded etas from 1e-6 to mu_max;
-        # measured at most 4.3e-12 (nodes) and 4.4e-12 (random), at alpha 1
-        sol = ctx.solution(alpha)
-        data = sol.factorization
+        # every table node inside the cut and 2000 seeded etas from 1e-6 to
+        # mu_max; measured at most 4.3e-12 (nodes) and 4.4e-12 (random), at
+        # alpha 1
+        data = ctx.solution(alpha).factorization
+        nodes = cut_nodes(data.table)
         rng = np.random.default_rng(11)
         etas = np.exp(rng.uniform(math.log(1e-6), math.log(data.table.mu_max), 2000))
-        assert np.max(np.abs(fz.v_cut(data, sol._etas) - pv_reference(data, sol._etas))) <= 1e-10
+        assert np.max(np.abs(fz.v_cut(data, nodes) - pv_reference(data, nodes))) <= 1e-10
         assert np.max(np.abs(fz.v_cut(data, etas) - pv_reference(data, etas))) <= 1e-10
 
     def test_slit_nodes_against_adaptive_reference(self, sol0):
         # nodes with 1 - eta >= 1e-4; measured at most 4.7e-12. Closer to the
         # edge the adaptive reference is itself up to 5.6e-4 off (see the
         # mpmath test below)
-        etas = sol0._etas[1.0 - sol0._etas >= 1e-4]
+        nodes = cut_nodes(sol0.factorization.table)
+        etas = nodes[1.0 - nodes >= 1e-4]
         got = fz.v_cut(sol0.factorization, etas)
         assert np.max(np.abs(got - pv_reference(sol0.factorization, etas))) <= 1e-10
 
@@ -303,24 +311,45 @@ class TestVCut:
         assert abs(fz.v_cut(data, eta) - pv_reference(data, np.array([eta]))[0]) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_node_on_pole_falls_back(self, ctx, alpha, monkeypatch):
-        # an eta on a node of the first pair divides 0 by 0 there: its
-        # estimate is NaN, and the fine pair takes the row. Near 0.3, away
-        # from the alpha-0 edge, where the 64/48 pair's rounding floor is higher
+    def test_node_on_pole_takes_the_slope(self, ctx, alpha, monkeypatch):
+        # an eta on a node of the first pair divides 0 by 0 there; the node
+        # takes theta's slope instead, and the first pair settles the row
         data = ctx.solution(alpha).factorization
         nodes = data.vp_rule.pair(False)[0]
         eta = float(nodes[np.argmin(np.abs(nodes - 0.3))])
         redone, sums = [], quadrature.knot_pv_sums
 
-        def spy(f, f_c, c, nodes, weights, orders):
+        def spy(f, f_c, c, nodes, weights, orders, slope):
             if orders == quadrature.FINE_KNOT_ORDERS:
                 redone.extend(c.tolist())
-            return sums(f, f_c, c, nodes, weights, orders)
+            return sums(f, f_c, c, nodes, weights, orders, slope)
 
         monkeypatch.setattr(quadrature, "knot_pv_sums", spy)
         got = fz.v_cut(data, eta)
-        assert redone == [eta]
+        assert redone == []
         assert abs(got - pv_reference(data, np.array([eta]))[0]) <= 1e-10
+
+    def test_own_nodes_next_to_the_edge(self, sol0):
+        # the first pair's nodes with 1 - eta < 1e-10 below mu_max: next to
+        # the edge the rounded nodes of both pairs land on such a pole, in
+        # the high- or the low-order rule, where 18 of 276 raised
+        # AccuracyError. Every sixth against mpmath: measured 2.7e-19/(1 - eta)
+        data = sol0.factorization
+        nodes = data.vp_rule.pair(False)[0]
+        etas = nodes[(1.0 - nodes < 1e-10) & (nodes < data.table.mu_max)]
+        got = fz.v_cut(data, etas)
+        assert len(etas) == 276 and np.all(np.isfinite(got))
+        for eta, vp in zip(etas[::46].tolist(), got[::46].tolist()):
+            assert abs(vp - slit_vp_mpmath(eta)) <= 1e-18 / (1.0 - eta)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("gap", [1e-8, 1e-10])
+    def test_just_below_mu_max(self, ctx, alpha, gap):
+        # the tail's pole u = 1/eta within 1e-8 of its end 1/mu_max, where
+        # the adaptive tail stalled at depth 24; measured within 4.3e-16
+        data = ctx.solution(alpha).factorization
+        eta = data.table.mu_max - gap
+        assert abs(fz.v_cut(data, eta) - pv_reference(data, np.array([eta]))[0]) <= 1e-14
 
     @pytest.mark.parametrize("eta", [0.9999999999998872, 0.9999999999988711,
                                      0.9999999998561573])
@@ -354,30 +383,27 @@ class TestVCut:
 
 
 class TestReconstruction:
-    def test_n_reproduces_cauchy_transform(self, data0):
+    def test_n_reproduces_cauchy_transform(self, sol0):
         # N(z) from the tabulated continuum must match -2 l0 (K0 - K z) + C0/X(z)
-        etas, ns = fz.spectrum_table(data0)
-        eni = PchipInterpolator(np.concatenate([[0.0], etas]),
-                                np.concatenate([[0.0], etas * ns]))
+        data0 = sol0.factorization
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2, 2, 10) + 1j * np.where(rng.uniform(size=10) < 0.5, -1, 1) \
             * rng.uniform(0.4, 2.0, 10)
         for z in pts:
             z = complex(z)
-            lhs = quadrature.integrate(lambda t: eni(t) / (t - z), 0.0,
-                                       float(etas[-1]), 1e-10, max_depth=30)
+            lhs = quadrature.integrate(lambda t: sol0.eta_n(t) / (t - z), 0.0,
+                                       sol0.eta_max, 1e-10, max_depth=30)
             rhs = n_transform(data0, z)
             assert abs(lhs - rhs) <= 1e-4 * abs(rhs)
 
-    def test_alpha_one_with_tail(self, ctx, model1, table1):
-        data = fz.build_factorization(model1, table1, k=1.0, v1_est=ctx.v1(1.0))
-        etas, ns = fz.spectrum_table(data)
-        eni = PchipInterpolator(np.concatenate([[0.0], etas]),
-                                np.concatenate([[0.0], etas * ns]))
+    def test_alpha_one_with_tail(self, ctx, table1):
+        sol = ctx.solution(1.0)
+        data = sol.factorization
         _, p = table1.tail
-        n_ref, eta_ref = float(ns[-1]), float(etas[-1])
+        eta_ref = sol.eta_max
+        n_ref = float(sol.eta_n(np.array([eta_ref]))[0]) / eta_ref
         for z in (0.6 + 0.8j, -1.1 - 0.5j, 2.4 + 1.7j):
-            body = quadrature.integrate(lambda t: eni(t) / (t - z), 0.0,
+            body = quadrature.integrate(lambda t: sol.eta_n(t) / (t - z), 0.0,
                                         eta_ref, 1e-10, max_depth=30)
             tail = n_ref * eta_ref ** (-p) * quadrature.integrate(
                 lambda u: u ** (-p - 2.0) / (1.0 - z * u), 0.0, 1.0 / eta_ref,

@@ -16,13 +16,19 @@ def spy_redo(monkeypatch, sol) -> list:
     redone = []
     rule, real = sol.eta_n_rule, quadrature.KnotPv._pass
 
-    def spy(self, fine, f_c, c, x):
+    def spy(self, fine, f_c, c, x, slope):
         if fine and self is rule:
             redone.extend(zip(x.tolist(), c.tolist()))
-        return real(self, fine, f_c, c, x)
+        return real(self, fine, f_c, c, x, slope)
 
     monkeypatch.setattr(quadrature.KnotPv, "_pass", spy)
     return redone
+
+
+def first_pair_nodes(sol, near) -> list:
+    """The nodes of the first pair of sol's continuum rule closest to each of `near`."""
+    nodes = sol.eta_n_rule.pair(False)[0]
+    return [float(nodes[np.argmin(np.abs(nodes - m))]) for m in near]
 
 
 def adaptive_integral(sol, x, mu, tol):
@@ -32,12 +38,11 @@ def adaptive_integral(sol, x, mu, tol):
     eta_max) by quadrature.pv_rows, one call per x, and the other rows by one
     integrate_rows call.
     """
-    interp = sol.eta_n_interp
     b = sol.eta_max
 
     def f(eta, x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return interp(eta) * np.exp(-np.where(eta > 0, x / eta, np.inf))
+            return sol.eta_n(eta) * np.exp(-np.where(eta > 0, x / eta, np.inf))
 
     out = np.empty(mu.shape)
     pv = (0.0 < mu) & (mu < b)
@@ -50,7 +55,7 @@ def adaptive_integral(sol, x, mu, tol):
         out[~pv] = quadrature.integrate_rows(
             lambda eta, x, mu: f(eta, x) / (eta - mu), np.zeros(n), np.full(n, b), tol,
             params=(x[~pv], mu[~pv]), max_depth=30,
-            scale=float(np.max(np.abs(sol._ns)) + 1e-300))
+            scale=float(np.max(np.abs(sol.panels.coeffs).sum(axis=1))))
     return out
 
 
@@ -158,14 +163,15 @@ class TestEvaluate:
         assert got.tolist() == want
 
     def test_mixed_fallback_batch_equals_pointwise(self, sol0, monkeypatch):
-        # at x = 0 the first fixed rule's estimate misses its tolerance for mu
-        # = 0.64, 0.7 and 0.79 (next to a knot of the continuum table), so one
-        # batch holds fine-rule and first-rule rows
+        # mu on a node of the first fixed rule next to 0.64, 0.7 and 0.79:
+        # 0/0 there, so the fine rule takes those rows, and one batch holds
+        # fine-rule and first-rule rows
         redone = spy_redo(monkeypatch, sol0)
+        m1, m2, m3 = first_pair_nodes(sol0, [0.64, 0.7, 0.79])
         x, mu = (g.ravel() for g in np.meshgrid(
-            [0.0, 0.5], [0.3, 0.64, -0.5, 0.7, 0.5, 0.79, 1.5], indexing="ij"))
+            [0.0, 0.5], [0.3, m1, -0.5, m2, 0.5, m3, 1.5], indexing="ij"))
         got = evaluate(sol0, x, mu)
-        assert sorted(redone) == [(0.0, 0.64), (0.0, 0.7), (0.0, 0.79)]
+        assert sorted(redone) == [(x0, m) for x0 in (0.0, 0.5) for m in (m1, m2, m3)]
         want = [evaluate(sol0, float(a), float(b)) for a, b in zip(x, mu)]
         assert got.tolist() == want
 
@@ -176,7 +182,8 @@ class TestEvaluate:
         for name in ("pv_rows", "integrate_rows", "integrate_with_error"):
             monkeypatch.setattr(quadrature, name, lambda *a, _n=name, **k: calls.append(_n))
         redone = spy_redo(monkeypatch, sol0)
-        evaluate(sol0, np.array([0.0, 0.0, 0.0, 0.5]), np.array([0.64, 0.7, 0.79, 0.3]))
+        evaluate(sol0, np.array([0.0, 0.0, 0.0, 0.5]),
+                 np.array(first_pair_nodes(sol0, [0.64, 0.7, 0.79]) + [0.3]))
         assert len(redone) == 3 and calls == []
 
     def test_range_checked_before_integration(self, ctx, sol0, monkeypatch):
@@ -195,6 +202,69 @@ class TestEvaluate:
         with pytest.raises(RangeError, match="no Vp"):
             evaluate(sol01, 0.0, np.array([29.9, sol01.factorization.table.mu_max]))
         assert not calls
+
+
+class TestContinuumPanels:
+    """eta n(eta) as Chebyshev panels against fresh values of n_coefficient."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_fresh_values(self, ctx, alpha):
+        # 500 points geometric in the panel variable x (up to 1.13e-13 below
+        # the alpha-0 edge), each within 10 times its panel's last three
+        # coefficients plus Vp's own accuracy, 1e-12 max |eta n|, plus next
+        # to the edge 1e-16/(1 - eta) relative: there the rounded Lobatto
+        # points sit up to 1.1e-16/(1 - eta) off in ln(1 - eta), and Vp has
+        # its floor (measured 2.0e-17/(1 - eta)). Measured at most 9.6e-14 /
+        # 3.5e-13 / 7.9e-12 of max |eta n| up to 1 - 1e-6 / eta_max / eta_max
+        sol = ctx.solution(alpha)
+        data, coeffs = sol.factorization, sol.panels.coeffs
+        breaks, edge = data.continuum_breaks, data.table.slit_edge or math.inf
+        x = np.geomspace(*data.table.panel_x(breaks[[0, -1]]), 500)
+        eta = np.clip(data.table.panel_mu(x), breaks[0], breaks[-1])
+        fresh = eta * fz.n_coefficient(data, eta)
+        panel = np.clip(np.searchsorted(breaks, eta, "right") - 1, 0, len(coeffs) - 1)
+        bound = (10.0 * np.abs(coeffs[:, -3:]).max(axis=1)[panel]
+                 + 1e-12 * np.max(np.abs(fresh)) + 1e-16 / (edge - eta) * np.abs(fresh))
+        assert np.all(np.abs(sol.eta_n(eta) - fresh) <= bound)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_line_below_the_first_break(self, ctx, alpha):
+        # below eta_min = 1e-4 eta n is the line from 0 to the first panel
+        # value; measured within 5.7e-4 / 1.2e-3 / 2.7e-3 of fresh values
+        # from 1e-7 on
+        sol = ctx.solution(alpha)
+        eta = np.geomspace(1e-7, sol.eta_min, 50, endpoint=False)
+        fresh = eta * fz.n_coefficient(sol.factorization, eta)
+        assert np.all(np.abs(sol.eta_n(eta) - fresh) <= 5e-3 * np.abs(fresh))
+        assert sol.eta_n(np.array([0.0])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_knots_keep_every_break(self, ctx, alpha):
+        # the field's continuum rule has Vp's knot rule: ratios of at most 2
+        # in eta and, on the slit, in 1 - eta, with every panel break a knot
+        sol = ctx.solution(alpha)
+        knots = sol.eta_n_rule._knots
+        breaks = sol.factorization.continuum_breaks
+        assert knots[0] == 0.0 and knots[1] == sol.eta_min and knots[-1] == sol.eta_max
+        assert np.all(np.isin(breaks, knots)) and np.all(knots[2:] <= 2.0 * knots[1:-1])
+        if alpha == 0.0:
+            gap = 1.0 - knots[1:]
+            assert np.all(gap[:-1] <= 2.0 * gap[1:])
+
+    @pytest.mark.parametrize("nodes,panels", [(60, 3), (400, 17), (800, 35)])
+    def test_slit_panels_follow_the_grid(self, ctx, nodes, panels):
+        # equal panels in the slit grid's variable, about 23 grid intervals
+        # each, from the first node to the last below mu_max: criterion 9's
+        # 60-node grid gives a coarser continuum than the default 400 nodes
+        table = dispersion.build_theta_table(ctx.model(0.0),
+                                             dispersion._slit_grid(1.0, nodes, 1e-4))
+        data = fz.build_factorization(ctx.model(0.0), table, k=1.0, v1_est=ctx.v1(0.0))
+        breaks = data.continuum_breaks
+        assert len(breaks) == panels + 1
+        assert breaks[0] == table.mu[1] and breaks[-1] == table.mu[-2]
+        s = np.log(table.panel_x(breaks))  # to the rounding of eta next to the edge
+        dev = np.abs(s - np.linspace(s[0], s[-1], panels + 1))
+        assert np.all(dev <= 1e-13 + 4.0 * np.finfo(float).eps / (1.0 - breaks))
 
 
 class TestFixedRule:
@@ -216,7 +286,7 @@ class TestFixedRule:
         # a principal value whose pole is a node of the 16-point rule divides
         # by zero there: its estimate is NaN, and the fine rule takes the row
         redone = spy_redo(monkeypatch, sol0)
-        mu = float(sol0.eta_n_rule.pair(False)[0][5000])
+        mu = first_pair_nodes(sol0, [0.5])[0]
         val = evaluate(sol0, 1.0, mu)
         assert redone == [(1.0, mu)] and math.isfinite(val)
         assert reference_gap(sol0, 1.0, mu, 1e-12) <= 1e-10
@@ -231,14 +301,15 @@ class TestFixedRule:
         assert redone == [(6.44e-7, 6.59e-7)]
 
     def test_fine_rule_on_a_coarse_table(self, ctx, monkeypatch):
-        # criterion 9's 60-node slit table: a 32-point rule with a 24-point
-        # estimate missed its tolerance here
+        # criterion 9's 60-node slit table, whose continuum is 3 panels: the
+        # first pair's estimate misses its tolerance at x = 0 for mu from
+        # about 0.19 to 0.22
         coarse = dispersion.build_theta_table(ctx.model(0.0),
                                               dispersion._slit_grid(1.0, 60, 1e-4))
         sol = solve_milne(ctx.model(0.0), k=1.0, table=coarse)
         redone = spy_redo(monkeypatch, sol)
-        assert reference_gap(sol, 0.0, 0.30299561107258116, 1e-12) <= 1e-10
-        assert redone == [(0.0, 0.30299561107258116)]
+        assert reference_gap(sol, 0.0, 0.22, 1e-12) <= 1e-10
+        assert redone == [(0.0, 0.22)]
 
     def test_row_the_fine_rule_cannot_settle(self, sol0):
         # 2.1e-13 beyond the end of the alpha-0 table, where evaluate's range
@@ -249,13 +320,15 @@ class TestFixedRule:
         assert math.isfinite(exc.value.best) and exc.value.bound > 1e-9 * abs(exc.value.best)
 
     def test_fallback_rows_on_profile_grid(self, sol0, monkeypatch):
-        # an alpha-0 31 x 33 grid like the profile benchmark's: 3 of 1023 rows
-        # miss the first fixed rule's tolerance (x = 0, mu next to a table knot)
+        # an alpha-0 31 x 33 grid like the profile benchmark's and its
+        # emergent distribution: every row settles on the first fixed rule
+        # (3 of 1023 did not on the pchip of the continuum table)
         redone = spy_redo(monkeypatch, sol0)
         x, mu = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 20.0, 31),
                                                 np.linspace(0.01, 0.97, 33), indexing="ij"))
         evaluate(sol0, x, mu)
-        assert len(redone) <= 3
+        evaluate(sol0, 0.0, np.linspace(-1.0, 0.0, 21))
+        assert redone == []
 
 
 class TestPinnedBits:
@@ -271,20 +344,20 @@ class TestPinnedBits:
               [-10.963551081993138, -0.13643641041986126, 1.8204344969355315,
                2.7803106556886465],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (0.5, 1.5)],
-              [3.9194128070851875e-07, 1.8972761640266131, 0.5799629759555,
-               -0.26770392892803063]),
+              [-8.564260411958458e-13, 1.8972761598902201, 0.5799629601312093,
+               -0.26770392363714557]),
         0.5: ([1e-5, 0.3, 2.0, 20.0],
               [-10.244467147783613, 0.9581881363009884, 0.22348590521408318,
                0.019096411650122335],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
-              [2.858862699905984e-07, 1.5686259868460484, 0.28389563128114426,
-               0.265299494441706]),
+              [2.05398406616375e-11, 1.568626081506802, 0.2838957461142208,
+               0.2652994892752183]),
         1.0: ([1e-5, 0.3, 2.0, 20.0],
               [-9.539301171484004, 0.67528100119107, 0.1507726465776523,
                0.013865624368131883],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
-              [-5.7149410109397225e-06, 1.4396691763547071, 0.14187330925148542,
-               0.24758910273619605]),
+              [5.647482827914052e-07, 1.439669263939752, 0.1418732313341741,
+               0.24758918494114823]),
     }
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -315,13 +388,14 @@ class TestCallCounts:
             self.calls += 1
             return self.fn(*args)
 
-    def test_field_row(self, sol0):
+    def test_field_row(self, sol0, monkeypatch):
         # one 33-point mu row at fixed x: the nodes and the poles, 2 calls
         # (the lockstep adaptive field made 53)
-        sol = dataclasses.replace(sol0)
-        spy = sol.__dict__["eta_n_interp"] = self.Counting(sol0.eta_n_interp)
+        sol, calls, value = dataclasses.replace(sol0), [], quadrature.ChebPanels.value
+        monkeypatch.setattr(quadrature.ChebPanels, "value",
+                            lambda self, x: calls.append(1) or value(self, x))
         evaluate(sol, 1.0, np.linspace(0.01, 0.97, 33))
-        assert spy.calls <= 2
+        assert len(calls) <= 2
 
     def test_spectrum_table(self, data0):
         # 400 nodes at alpha 0: Vp's poles and rule nodes, then n's nodes (the
@@ -344,27 +418,31 @@ class TestBoundaryResidual:
         return boundary_residual(sol)
 
     def test_alpha_one_pipeline(self, ctx):
-        # measured 1.6e-6; 1.5e-5 while the delta term read Vp from a pchip
+        # measured 7.9e-7, what the tail beyond eta_max leaves; 1.6e-6 on the
+        # pchip of eta n, 1.5e-5 while the delta term read Vp from a pchip
         # of the continuum nodes
-        assert self.tail_pipeline_residual(ctx, 1.0) <= 5e-6
+        assert self.tail_pipeline_residual(ctx, 1.0) <= 2e-6
 
     def test_alpha_half_pipeline(self, ctx):
-        # measured 2.3e-6; 1.3e-5 with the pchip of Vp
-        assert self.tail_pipeline_residual(ctx, 0.5) <= 5e-6
+        # measured 4.3e-10; 2.3e-6 on the pchip of eta n, 1.3e-5 with the
+        # pchip of Vp
+        assert self.tail_pipeline_residual(ctx, 0.5) <= 1e-9
 
     def test_alpha_one_and_a_quarter_pipeline(self, ctx):
-        # measured 1.4e-5; the continuum tail's integrand u^(-p-2) is
-        # singular at u = 0 here, and power_tail takes it in a smooth variable
-        assert self.tail_pipeline_residual(ctx, 1.25) <= 1e-4
+        # measured 9.2e-6 (1.4e-5 on the pchip of eta n); the continuum
+        # tail's integrand u^(-p-2) is singular at u = 0 here, and power_tail
+        # takes it in a smooth variable
+        assert self.tail_pipeline_residual(ctx, 1.25) <= 2e-5
 
-    @pytest.mark.parametrize("alpha,med,worst", [(0.0, 3e-8, 2e-5), (0.5, 2.5e-7, 2e-5),
-                                                 (1.0, 1e-6, 4e-5)])
-    def test_zero_inflow_on_3000_points(self, ctx, alpha, med, worst):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_zero_inflow_on_3000_points(self, ctx, alpha):
         # |phi(0, mu)| / (|K| (1 + V1)) on geometric mu up to 0.99 (alpha 0)
-        # or 0.95 eta_max. Measured median 1.0e-8 / 8.3e-8 / 5.3e-7 and max
-        # 1.28e-5 / 1.60e-5 / 3.05e-5 at alpha 0 / 0.5 / 1; the delta term
-        # on a pchip of Vp gave medians of 2.7e-7 / 1.3e-6 / 1.6e-6. The max
-        # comes from the pchip of eta n(eta)
+        # or 0.95 eta_max. Measured median 3.4e-12 / 1.6e-11 / 4.5e-7 and max
+        # 7.7e-11 / 2.0e-10 / 7.9e-7 at alpha 0 / 0.5 / 1; at alpha 1 the
+        # tail beyond eta_max sets both. On a pchip of eta n(eta) the max was
+        # 1.28e-5 / 1.60e-5 / 3.05e-5, and the delta term on a pchip of Vp
+        # gave medians of 2.7e-7 / 1.3e-6 / 1.6e-6
+        med, worst = {0.0: (1e-11, 2e-10), 0.5: (5e-11, 5e-10), 1.0: (1e-6, 2e-6)}[alpha]
         sol = ctx.solution(alpha)
         data = sol.factorization
         end = 0.99 if alpha == 0.0 else 0.95 * sol.eta_max
@@ -374,24 +452,36 @@ class TestBoundaryResidual:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.2])
     def test_zero_inflow_beyond_continuum_table(self, ctx, alpha):
-        # no algebraic tail here, so mu in (eta_max, mu_max) takes Vp from
-        # v_cut. Measured max 1.45e-9 / 1.54e-9 at alpha 0.1 / 0.2, down to
-        # 1e-9 from either end and at the last float below mu_max; the
-        # bounds are those of the 3000-point test at alpha 0.5
+        # no algebraic tail here, so mu in (eta_max, mu_max) = (mu_max (1 -
+        # 1e-8), mu_max) takes Vp from v_cut. Measured median 5.7e-14 /
+        # 8.1e-14 and max 2.0e-13 / 2.2e-13 at alpha 0.1 / 0.2, down to 1e-9
+        # from either end and at the last float below mu_max (max 1.45e-9 /
+        # 1.54e-9 on the pchip of eta n)
         sol = ctx.solution(alpha)
         data = sol.factorization
         lo, hi = sol.eta_max, data.table.mu_max
         mus = np.concatenate([[lo + 1e-9], np.linspace(lo, hi, 52)[1:-1],
                               [hi - 1e-9, np.nextafter(hi, 0.0)]])
         res = np.abs(evaluate(sol, 0.0, mus)) / (abs(data.k) * (1.0 + data.v1))
-        assert np.median(res) <= 2.5e-7 and np.max(res) <= 2e-5
+        assert np.median(res) <= 2.5e-13 and np.max(res) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,worst", [(0.5, 5e-10), (1.0, 2e-6)])
+    def test_zero_inflow_just_below_eta_max(self, ctx, alpha, worst):
+        # the continuum tail's pole u = 1/mu up to 1e-10 eta_max beyond its
+        # end 1/eta_max, where its adaptive integral stalled at depth 24;
+        # measured 8.1e-11 / 8.9e-7, the bounds of the 3000-point test
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        mus = sol.eta_max * (1.0 - np.array([1e-6, 1e-8, 1e-10]))
+        res = np.abs(evaluate(sol, 0.0, mus)) / (abs(data.k) * (1.0 + data.v1))
+        assert np.max(res) <= worst
 
     def test_sign_flip_detector(self, sol0):
-        flipped = MilneSolution(factorization=sol0.factorization,
-                                _etas=sol0._etas, _ns=-sol0._ns)
+        panels = dataclasses.replace(sol0.panels, coeffs=-sol0.panels.coeffs)
+        flipped = MilneSolution(factorization=sol0.factorization, panels=panels)
         assert boundary_residual(flipped) > 0.1
 
     def test_invariant_k0_over_k(self, sol0):
         data = sol0.factorization
         assert data.k0 / data.k == data.v1
-        assert np.all(np.diff(sol0._etas) > 0)
+        assert np.all(np.diff(data.continuum_breaks) > 0)

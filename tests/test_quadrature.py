@@ -296,6 +296,20 @@ class TestKnotPvSums:
                               nodes, weights, orders)
         assert np.all(np.isnan(err))
 
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_node_on_pole_takes_the_slope(self, fine):
+        # poles on a node of the high-order rule, of the low-order one, and on
+        # none: with f'(c) = 2c as the quotient at the node, (t^2 - c^2)/(t -
+        # c) = t + c sums exactly again; the row on no node keeps its bits
+        nodes, weights, orders = knot_rule(self.knots, fine)
+        low = orders[0] * (len(self.knots) - 1)
+        c = np.array([nodes[5], nodes[low + 3], 0.5])
+        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders, 2.0 * c)
+        np.testing.assert_allclose(value, 0.5 + c, rtol=1e-14, atol=0.0)
+        assert np.all(err <= 1e-14)
+        plain = knot_pv_sums(nodes ** 2, c[2:] ** 2, c[2:], nodes, weights, orders)
+        assert (value[2], err[2]) == (plain[0][0], plain[1][0])
+
 
 class TestPowerTail:
     """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du against mpmath's tanh-sinh quadrature."""
@@ -311,6 +325,24 @@ class TestPowerTail:
             want = complex(mpmath.quad(
                 lambda u: u ** (-q - 1) * mpmath.exp(-x * u) / (1 - zi * u), [0, 0.5]))
             assert abs(g - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("q", [-0.4, -2.0])
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_pole_next_to_the_end(self, q, x):
+        # z up to 1e-10 end below end: the pole u = 1/z just beyond 1/end,
+        # where the adaptive integral stalled at depth 24 from a gap of 1e-9
+        # end on; subtracted, it meets the tolerance
+        mpmath = pytest.importorskip("mpmath")
+        end = 30.0
+        z = end * (1.0 - np.array([1e-6, 1e-8, 1e-10]))
+        got = power_tail(q, end, z, 1e-13, x)
+        with mpmath.workdps(30):
+            top = 1 / mpmath.mpf(end)
+            cuts = [0, top / 2] + [top * (1 - mpmath.mpf(10) ** -k) for k in range(1, 14)] + [top]
+            for zi, g in zip(z.tolist(), got.tolist()):
+                want = float(mpmath.quad(lambda u: u ** (-q - 1) * mpmath.exp(-x * u)
+                                         / (1 - mpmath.mpf(zi) * u), cuts))
+                assert abs(g - want) <= 1e-13 * abs(want)
 
 
 class TestChebPanels:
