@@ -47,7 +47,6 @@ import numpy as np
 
 from . import __version__, acceptance, dispersion, dom, factorization as fz, field, saddle
 from .errors import BoseMilneError, ConfigurationError, ConsistencyError, DivergenceError
-from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_ORDER
 from .special import AlphaModel
 from .util import blas_one_thread
 
@@ -135,15 +134,15 @@ def _validate_common(cfg: dict):
 
 def _envelope(command: str, model: AlphaModel, inputs: dict, values: dict,
               diagnostics: list[str]) -> dict:
-    """The result envelope; provenance reports the model and quadrature that ran."""
+    """The result envelope; provenance reports the frequency cutoff of the
+    model that ran, the one setting of quadrature that every command shares."""
     return {
         "command": command,
         "inputs": inputs,
         "values": values,
         "provenance": {
             "version": __version__,
-            "quadrature": {"base_order": DEFAULT_ORDER, "max_depth": DEFAULT_MAX_DEPTH,
-                           "omega_cut": model.omega_cut},
+            "quadrature": {"omega_cut": model.omega_cut},
         },
         "diagnostics": diagnostics,
     }

@@ -74,6 +74,7 @@ _GROWTH = 1.01
 _TINY = np.finfo(float).tiny
 
 
+@blas_one_thread()
 def freq_rule(model: AlphaModel, n: int, omega_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalised Gauss rule for the weight w^(alpha+4) E(w) on (0, omega_max).
 
@@ -105,8 +106,7 @@ def freq_rule(model: AlphaModel, n: int, omega_max: float) -> tuple[np.ndarray, 
 
     # numpy's eigh, not scipy.linalg (see solve); on these Jacobi matrices it
     # gives the bits of scipy's eigh_tridiagonal. With more than one OpenBLAS
-    # thread it wakes a worker that then spins through the solve, so the CLI
-    # runs on one (util.blas_one_thread)
+    # thread it wakes a worker that then spins: one thread, as in solve
     jacobi = np.diag(a_coef) + np.diag(sqrt_b[1:], 1) + np.diag(sqrt_b[1:], -1)
     nodes, vecs = np.linalg.eigh(jacobi)
     weights = beta0 * vecs[0, :] ** 2

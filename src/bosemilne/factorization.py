@@ -78,44 +78,46 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None) -> V
     """Jump coefficient V1 = (1/pi) int_0^inf (pi - theta(mu)) dmu.
 
     Slit-type tables (alpha = 0, saddle surrogates) integrate theta in
-    closed form adaptively; the logarithmically slow approach of theta to pi
-    at the slit edge is tamed by an exponential substitution. This route
-    reads no table values, only the slit edge, so without a table alpha = 0
-    integrates the closed form on the slit (0, 1) directly. For alpha > 0
-    the panel table integrates its interpolant and the asymptotic tail
+    closed form by fixed Gauss rules (`_v1_slit`); the logarithmically slow
+    approach of theta to pi at the slit edge is tamed by an exponential
+    substitution. This route reads no table values, only the slit edge, so
+    without a table alpha = 0 integrates the closed form on the slit (0, 1)
+    directly. For alpha > 0 the panel table integrates its interpolant with
+    the 64-point Gauss rule, and the asymptotic tail
     (DispersionTable.excess_integral); without a table the default one is
     built, unless the tail exponent alone already makes the integral
-    diverge (DivergenceError). Both routes use the 64-point Gauss rule, the
-    slit route at tolerance 1e-10.
+    diverge (DivergenceError).
     """
     if table is None:
         if model.alpha == 0.0:
-            return _v1_slit(1.0, 1e-10)
+            return _v1_slit(1.0)
         require_convergent_tail(model.alpha)
         table = build_theta_table(model)
     if table.slit_edge is not None:
-        return _v1_slit(table.slit_edge, 1e-10)
+        return _v1_slit(table.slit_edge)
     value, error = table.excess_integral()
     return V1Estimate(value=value / math.pi, error=error / math.pi)
 
 
-def _v1_slit(edge: float, tol: float) -> V1Estimate:
-    """V1 of a slit that ends at `edge`, from theta = arg lam_C(mu/edge + i0)."""
-    def resid(mus):
-        return math.pi - _case_theta(mus / edge)
+def _v1_slit(edge: float) -> V1Estimate:
+    """V1 of a slit that ends at `edge`, from theta = arg lam_C(mu/edge + i0).
 
-    body, err1 = quadrature.integrate_with_error(
-        resid, 0.0, 0.9 * edge, tol, max_depth=24)
-    # near the edge substitute mu = edge - e^{-s}: the integrand becomes
-    # exponentially small and smooth in s
+    `quadrature.knot_rule`'s first pair (the 16-point sum; the sum over
+    intervals of |16 - 8| its error) on knots 0.1 edge apart on [0, 0.9
+    edge], then in s, mu = edge - e^{-s}, where the integrand is
+    exponentially small and smooth, on knots 1 apart over 45 units of s.
+    """
     s0 = -math.log(0.1 * edge)
-
-    def edge_piece(s):
-        return resid(edge - np.exp(-s)) * np.exp(-s)
-
-    near, err2 = quadrature.integrate_with_error(
-        edge_piece, s0, s0 + 45.0, tol, max_depth=24)
-    return V1Estimate(value=(body + near) / math.pi, error=(err1 + err2) / math.pi)
+    value = error = 0.0
+    for knots, to_mu in ((np.linspace(0.0, 0.9 * edge, 10), lambda mu: (mu, 1.0)),
+                         (s0 + np.arange(46.0), lambda s: (edge - np.exp(-s), np.exp(-s)))):
+        nodes, weights, (high, low) = quadrature.knot_rule(knots, False)
+        mu, jacobian = to_mu(nodes)
+        q = ((math.pi - _case_theta(mu / edge)) * jacobian * weights).reshape(high + low, -1)
+        by_high = q[:high].sum(axis=0)
+        value += by_high.sum()
+        error += np.abs(by_high - q[high:].sum(axis=0)).sum()
+    return V1Estimate(value=float(value) / math.pi, error=float(error) / math.pi)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ weight w^(p+4) E(w) on the positive frequency axis; the closed form
 
     int_0^inf w^(p+4) E(w) dw = Gamma(p+5) zeta(p+4)
 
-is reserved for verification, while production values come from quadrature so
-the same numerical stack is exercised end to end.
+is reserved for verification. The full moments (moment_l0) and the truncated
+ones (xi_alpha) are one fixed-rule sum, `_planck_sums`: the Laurent series
+of E integrated term by term up to 1/4, then 16-point Gauss sums between
+the fixed `frequency_knots`. No adaptive quadrature runs here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -24,7 +27,6 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 __all__ = [
     "AlphaModel",
     "einstein",
-    "einstein_reg",
     "moment_l0",
     "frequency_knots",
     "xi_alpha",
@@ -55,53 +57,19 @@ def einstein(x):
     return out if arr.ndim else float(out)
 
 
-def einstein_reg(x):
-    """Regularised Einstein function E(x) - 1/x^2 + 1/12.
-
-    Smooth through x = 0; evaluated by series for |x| < 1/4 where the direct
-    subtraction loses all significant digits.
-    """
-    arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    small = np.abs(arr) < _LAURENT_RADIUS
-    xs = arr[small]
-    x2 = xs * xs
-    acc = np.zeros_like(xs)
-    for c in reversed(_REG_COEFFS):
-        acc = x2 * (c + acc)
-    out[small] = acc
-    xb = arr[~small]
-    s = np.sinh(0.5 * xb)
-    out[~small] = 1.0 / (4.0 * s * s) - 1.0 / (xb * xb) + 1.0 / 12.0
-    return out if arr.ndim else float(out)
-
-
 def moment_l0(p: float) -> float:
-    """Frequency moment int_0^inf w^(p+4) E(w) dw by quadrature.
+    """Frequency moment int_0^inf w^(p+4) E(w) dw by quadrature: `_planck_sums`
+    up to OMEGA_CUT_DEFAULT = 80, where the e^-w tail leaves ~1e-30.
 
-    Converges classically for p > -3. On (-4, -3) the small-w divergence is
-    removed analytically (E = 1/w^2 - 1/12 + O(w^2)), which continues the
-    moment to the value Gamma(p+5) zeta(p+4); p = -3 sits on the zeta pole.
-    The e^-w tail makes truncation at OMEGA_CUT_DEFAULT = 80 exact to
-    ~1e-30. Both pieces use quadrature.integrate's default rule and depth at
-    tolerance 1e-12.
+    Converges classically for p > -3. On (-4, -3) the Laurent head's term
+    h^(p+3)/(p+3) is the analytic continuation, so the sum continues the
+    moment to Gamma(p+5) zeta(p+4); p = -3 sits on the zeta pole.
     """
     if p <= -4.0:
         raise DivergenceError(f"moment diverges for p <= -4 (got p={p})")
     if p == -3.0:
         raise DivergenceError("moment has a pole at p = -3")
-
-    def tail_integrand(w):
-        return w ** (p + 4) * einstein(w)
-
-    # (0, 1): subtract the Laurent singularity, integrate the smooth remainder
-    def head_integrand(w):
-        return w ** (p + 4) * einstein_reg(w)
-
-    head = quadrature.integrate(head_integrand, 0.0, 1.0, 1e-12)
-    head += 1.0 / (p + 3.0) - 1.0 / (12.0 * (p + 5.0))
-    tail = quadrature.integrate(tail_integrand, 1.0, OMEGA_CUT_DEFAULT, 1e-12)
-    return head + tail
+    return float(_planck_sums(p, np.array([OMEGA_CUT_DEFAULT]), OMEGA_CUT_DEFAULT)[0])
 
 
 @dataclass(frozen=True)
@@ -110,9 +78,8 @@ class AlphaModel:
 
     The collision frequency scales as w^alpha; l0(alpha), l0(-alpha) and
     l0(2 alpha) are the Planck-weight moments that normalise the transport
-    equation. l0_neg is None at alpha = 3 where the moment hits the zeta pole.
-    omega_cut truncates the frequency integrals, which run at the default
-    rule order and depth of quadrature.
+    equation, all three by moment_l0. l0_neg is None at alpha = 3 where the
+    moment hits the zeta pole. omega_cut truncates the frequency integrals.
     """
 
     alpha: float
@@ -142,16 +109,53 @@ def frequency_knots(cut: float) -> np.ndarray:
     return np.append(w[w < cut], cut)
 
 
+@lru_cache(maxsize=4)
+def _knot_gauss(cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(knots, nodes, weights times w^4 E) of `_planck_sums`: the frequency
+    knots from _LAURENT_RADIUS to cut, and a 16-point Gauss rule on each
+    interval between them, one row per interval; built on first use."""
+    knots = np.unique(np.maximum(frequency_knots(cut), _LAURENT_RADIUS))
+    w, weights = quadrature.gauss_rule(16).map_to(knots[:-1, None], knots[1:, None])
+    w2 = w * w
+    weighted = w2 * w2 * einstein(w) * weights
+    for a in (knots, w, weighted):
+        a.setflags(write=False)
+    return knots, w, weighted
+
+
+def _planck_sums(p: float, cut: np.ndarray, omega_cut: float) -> np.ndarray:
+    """int_0^c w^(p+4) E(w) dw for every cutoff 0 < c <= omega_cut, p > -4, p != -3.
+
+    The Laurent series of E integrated term by term up to min(c,
+    _LAURENT_RADIUS), then Gauss sums between the `frequency_knots` below c
+    and from the last of them to c. Each value depends on its own c only: a
+    cutoff on a knot adds a zero-width interval, so c = omega_cut gives
+    moment_l0's bits.
+    """
+    knots, w, weighted = _knot_gauss(omega_cut)
+    head = np.minimum(cut, _LAURENT_RADIUS)
+    terms = [c / (p + 3 + 2 * k) for k, c in enumerate((1.0, -1.0 / 12.0, *_REG_COEFFS))]
+    out = head ** (p + 3) * polyval(head * head, terms)
+    body = np.flatnonzero(cut > _LAURENT_RADIUS)
+    k = np.searchsorted(knots, cut[body], side="right") - 1
+    # w^p w^4, not w^(p+4): a rounded p + 4 would cost its error times ln w;
+    # row by row: a matrix-vector product rounds differently with the row count
+    below = np.concatenate([[0.0], np.cumsum((w ** p * weighted).sum(axis=1))])
+    wc, weights = quadrature.gauss_rule(16).map_to(knots[k, None], cut[body, None])
+    wc2 = wc * wc
+    out[body] += below[k] + (wc ** p * (wc2 * wc2 * einstein(wc)) * weights).sum(axis=1)
+    return out
+
+
 def xi_alpha(model: AlphaModel, mu):
     """Truncated moment int_0^c w^(2 alpha + 4) E(w) dw, c = min(mu^(-1/alpha), cut).
 
     The cutoff collects exactly the frequencies whose stretched slit
     (-w^-alpha, w^-alpha) still contains mu, i.e. w^alpha * mu < 1. At
     alpha = 0 the slit is (-1, 1) for every frequency, so the moment is full
-    inside it and zero outside. For alpha > 0 a full cutoff gives l0(2 alpha);
-    any other integrates the Laurent series of E up to min(c, _LAURENT_RADIUS)
-    term by term and adds Gauss sums between the `frequency_knots` below c
-    and from the last of them to c. Each value depends on its own mu only.
+    inside it and zero outside. For alpha > 0 it is `_planck_sums` at each
+    cutoff, moment_l0's sum, so a full cutoff gives l0(2 alpha) to the bit.
+    Each value depends on its own mu only.
     """
     arr = np.asarray(mu, dtype=float)
     if np.any(arr <= 0):
@@ -159,20 +163,8 @@ def xi_alpha(model: AlphaModel, mu):
     if model.alpha == 0.0:
         out = np.where(arr < 1.0, model.l0_2alpha, 0.0)
         return out if arr.ndim else float(out)
-    a2 = 2 * model.alpha
     log_cut = -np.log(np.atleast_1d(arr)) / model.alpha
     full = log_cut >= math.log(model.omega_cut)
-    cut = np.exp(np.where(full, 0.0, log_cut))
-    head = np.minimum(cut, _LAURENT_RADIUS)
-    terms = [c / (a2 + 3 + 2 * k) for k, c in enumerate((1.0, -1.0 / 12.0, *_REG_COEFFS))]
-    out = np.where(full, model.l0_2alpha, head ** (a2 + 3) * polyval(head * head, terms))
-    body = np.flatnonzero(~full & (cut > _LAURENT_RADIUS))
-    knots = np.unique(np.maximum(frequency_knots(model.omega_cut), _LAURENT_RADIUS))
-    k = np.searchsorted(knots, cut[body], side="right") - 1
-    lo, hi = np.concatenate([knots[:-1], knots[k]]), np.concatenate([knots[1:], cut[body]])
-    w, weights = quadrature.gauss_rule(16).map_to(lo[:, None], hi[:, None])
-    # row by row: a matrix-vector product rounds differently with the row count
-    sums = (w ** (a2 + 4) * einstein(w) * weights).sum(axis=1)
-    below = np.concatenate([[0.0], np.cumsum(sums[:len(knots) - 1])])
-    out[body] += below[k] + sums[len(knots) - 1:]
+    cut = np.where(full, model.omega_cut, np.exp(np.where(full, 0.0, log_cut)))
+    out = _planck_sums(2 * model.alpha, cut, model.omega_cut)
     return out if arr.ndim else float(out[0])

@@ -15,6 +15,26 @@ from bosemilne import quadrature, special
 from bosemilne.dispersion import lambda_case_pv
 
 
+# Laurent coefficients of E(x) - 1/x^2 + 1/12 = sum c_k x^(2k), k >= 1
+_REG_COEFFS = (1.0 / 240.0, -1.0 / 6048.0, 1.0 / 172800.0, -1.0 / 5322240.0)
+
+
+def einstein_reg(x):
+    """Regularised Einstein function E(x) - 1/x^2 + 1/12.
+
+    Smooth through x = 0; evaluated by series for |x| < 1/4 where the direct
+    subtraction loses all significant digits.
+    """
+    arr = np.asarray(x, dtype=float)
+    out = np.empty_like(arr)
+    small = np.abs(arr) < 0.25
+    x2 = arr[small] ** 2
+    out[small] = x2 * np.polynomial.polynomial.polyval(x2, _REG_COEFFS)
+    xb = arr[~small]
+    out[~small] = special.einstein(xb) - 1.0 / (xb * xb) + 1.0 / 12.0
+    return out if arr.ndim else float(out)
+
+
 def xi_alpha(model, mu, tol=1e-12):
     """xi_alpha for alpha > 0 by quadrature.integrate_rows at tolerance tol."""
     arr = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -27,7 +47,7 @@ def xi_alpha(model, mu, tol=1e-12):
         return w ** (a2 + 4) * special.einstein(w)
 
     def regular(w):
-        return w ** (a2 + 4) * special.einstein_reg(w)
+        return w ** (a2 + 4) * einstein_reg(w)
 
     # the Laurent expansion of E keeps the relative accuracy at tiny cutoffs;
     # a cutoff that underflows to 0 (small alpha, large mu) leaves nothing

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosemilne import dispersion, quadrature, special
+from bosemilne import dispersion, quadrature
 from bosemilne.special import AlphaModel
 
 SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
@@ -55,7 +55,10 @@ def test_scalar_integrals_are_traced_once(tracer):
     def traced():
         return sum(span[1] == "quadrature.integrate" for span in tracer.spans)
 
-    special.moment_l0(0.5)
+    model = AlphaModel.build(0.5)  # its moments are fixed-rule sums: no span
+    assert traced() == 0
+    for z in (1j, -5 + 1j):  # the adaptive Planck-weighted average, one integral each
+        dispersion.weighted_case_average(model, z)
     assert traced() == 2
     quadrature.integrate(np.exp, 0.0, 1.0)
     assert traced() == 3

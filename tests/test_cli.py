@@ -49,6 +49,31 @@ def test_v1_alpha_two_divergence(capsys):
     assert any("divergent" in d for d in env["diagnostics"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["v1", "--alpha", "0"], ["v1", "--alpha", "0.5"], ["v1", "--alpha", "1"],
+    ["v1", "--alpha", "2"],
+    ["oracle", "--alpha", "0", "--dom-cells", "150", "--dom-angles", "8",
+     "--dom-freqs", "8", "--dom-length", "25"],
+    ["dispersion", "--alpha", "0.5"],
+    ["profile", "--alpha", "0"],
+], ids=" ".join)
+def test_commands_run_no_adaptive_quadrature(argv, tmp_path, capsys, monkeypatch):
+    # the moments, the slit V1 and the theta tables are fixed-rule sums;
+    # only validate and the continuum tail of alpha > 0 profile run the
+    # adaptive engine
+    from bosemilne import quadrature
+    adaptive, calls = quadrature._adaptive_rows, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adaptive_rows", spy)
+    code, _ = run_cli(argv + ["--out", str(tmp_path / "out.dat")], capsys)
+    assert code == 0
+    assert calls == []
+
+
 def test_alpha_rejection(capsys):
     code, _ = run_cli(["v1", "--alpha", "-1"], capsys)
     assert code == 2
@@ -241,13 +266,13 @@ def test_profile_just_beyond_slit_edge(tmp_path, capsys):
 
 
 def test_envelope_reports_the_model_that_ran():
-    # every model runs quadrature's default rule order and depth; the
-    # frequency cutoff is the model's own
+    # the frequency cutoff is the model's own; no command but validate and
+    # alpha > 0 profile runs the adaptive engine, so its defaults are not
+    # reported
     from bosemilne.special import AlphaModel
     model = AlphaModel.build(0.0)
     env = cli._envelope("v1", model, {}, {}, [])
-    assert env["provenance"]["quadrature"] == {"base_order": 64, "max_depth": 12,
-                                               "omega_cut": 80.0}
+    assert env["provenance"]["quadrature"] == {"omega_cut": 80.0}
 
 
 class TestOracleCommand:

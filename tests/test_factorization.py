@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosemilne import dispersion, factorization as fz, quadrature
+from bosemilne import dispersion, factorization as fz, quadrature, saddle
 from bosemilne.errors import DivergenceError, DomainError, RangeError
 
 V1_MILNE = 0.7104460896  # classical half-space extrapolation constant
@@ -37,9 +37,9 @@ def n_transform(data, z):
 
 class TestV1:
     @pytest.mark.parametrize("alpha, value, error", [
-        (0.5, 0.3766922805580285, 1.7573083252693844e-12),
-        (1.0, 0.26865649209656023, 4.166527895043527e-08),
-        (1.25, 0.31368538675714436, 1.9397878149518496e-06)])
+        (0.5, 0.37669228055802856, 1.757403809181269e-12),
+        (1.0, 0.26865649209656023, 4.1665278930558144e-08),
+        (1.25, 0.3136853867571443, 1.939787814985398e-06)], ids=["0.5", "1.0", "1.25"])
     def test_exact_route_pinned(self, ctx, alpha, value, error):
         # the panel integral and the tail's closed form, pinned with ==: a
         # change that moves V1 states the move
@@ -50,6 +50,23 @@ class TestV1:
         est = ctx.v1(0.0)
         assert est.value == pytest.approx(V1_MILNE, abs=1e-8)
         assert est.error < 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_slit_against_mpmath(self, ctx, alpha):
+        # the fixed-rule slit route at edge 1 (alpha 0) and at the saddle
+        # surrogates' edges, against 30-digit mpmath: 8.6e-17, 6.2e-18 and
+        # 4.2e-18 off, each inside its reported error
+        mpmath = pytest.importorskip("mpmath")
+        table = ctx.table(0.0) if alpha == 0.0 else saddle.surrogate_theta_table(alpha)
+        est = fz.v1_coefficient(ctx.model(alpha), table)
+        with mpmath.workdps(30):
+            def resid(y):
+                return mpmath.pi - mpmath.atan2(mpmath.pi * y / 2, 1 - y * mpmath.atanh(y))
+
+            want = table.slit_edge * mpmath.quad(resid, [0, 0.5, 0.9, 0.99, 1]) / mpmath.pi
+            gap = abs(est.value - want)
+        assert gap <= 2e-16
+        assert gap <= est.error <= 1e-15
 
     def test_paper_rounding(self, ctx):
         assert abs(ctx.v1(0.0).value - 0.71045) <= 5e-5

@@ -344,19 +344,19 @@ class TestPinnedBits:
               [-10.963551081993138, -0.13643641041986126, 1.8204344969355315,
                2.7803106556886465],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (0.5, 1.5)],
-              [-8.564260411958458e-13, 1.8972761598902201, 0.5799629601312093,
-               -0.26770392363714557]),
+              [-8.560929742884582e-13, 1.8972761598902206, 0.5799629601312097,
+               -0.26770392363714524]),
         0.5: ([1e-5, 0.3, 2.0, 20.0],
-              [-10.244467147783613, 0.9581881363009884, 0.22348590521408318,
-               0.019096411650122335],
+              [-10.244467147783613, 0.9581881363009902, 0.22348590521408324,
+               0.01909641165012234],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
-              [2.05398406616375e-11, 1.568626081506802, 0.2838957461142208,
+              [2.053991698947044e-11, 1.5686260815068023, 0.28389574611422075,
                0.2652994892752183]),
         1.0: ([1e-5, 0.3, 2.0, 20.0],
-              [-9.539301171484004, 0.67528100119107, 0.1507726465776523,
+              [-9.539301171484006, 0.67528100119107, 0.1507726465776523,
                0.013865624368131883],
               [(0.0, 0.3), (0.5, -0.7), (1e-3, 5e-5), (3.0, 20.0)],
-              [5.647482827914052e-07, 1.439669263939752, 0.1418732313341741,
+              [5.647482829163053e-07, 1.439669263939752, 0.1418732313341741,
                0.24758918494114823]),
     }
 

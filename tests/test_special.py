@@ -7,7 +7,7 @@ from scipy.special import gamma, zeta
 
 import adaptive_reference
 from bosemilne.errors import ConfigurationError, DivergenceError, DomainError
-from bosemilne.special import AlphaModel, einstein, einstein_reg, moment_l0, xi_alpha
+from bosemilne.special import AlphaModel, einstein, moment_l0, xi_alpha
 
 E_AT_1 = 0.92067359420779231895  # 50-digit evaluation of e/(e-1)^2
 
@@ -39,10 +39,10 @@ class TestEinstein:
 
     def test_regularised_series_joins_direct_branch(self):
         x = 0.249  # series branch; compare against the direct subtraction
-        series = einstein_reg(x)
+        series = adaptive_reference.einstein_reg(x)
         direct = einstein(x) - 1.0 / x ** 2 + 1.0 / 12.0
         assert series == pytest.approx(direct, rel=1e-10)
-        assert einstein_reg(1e-9) == pytest.approx(0.0, abs=1e-19)
+        assert adaptive_reference.einstein_reg(1e-9) == pytest.approx(0.0, abs=1e-19)
 
 
 class TestMoments:
@@ -51,17 +51,32 @@ class TestMoments:
         (2.0, 732.48700462880338059),            # Gamma(7) zeta(6)
     ])
     def test_closed_forms(self, p, closed):
-        assert moment_l0(p) == pytest.approx(closed, rel=1e-12)
+        assert moment_l0(p) == pytest.approx(closed, rel=5e-16)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
     def test_gamma_zeta_oracle(self, p):
         want = float(gamma(p + 5) * zeta(p + 4))
-        assert abs(moment_l0(p) - want) <= 1e-10 * want
+        assert abs(moment_l0(p) - want) <= 5e-16 * want
 
     def test_continuation_below_minus_three(self):
-        # termwise series continues to Gamma(1.1) zeta(0.1), a negative value
+        # termwise series continues to Gamma(1.1) zeta(0.1), a negative value;
+        # the Laurent head (-3.49) and the Gauss sums (2.92) cancel to it
         got = moment_l0(-3.9)
-        assert got == pytest.approx(-0.57370020877384537994, rel=1e-10)
+        assert got == pytest.approx(-0.57370020877384537994, rel=2e-15)
+
+    def test_against_mpmath(self):
+        # the moments AlphaModel.build takes for alpha = 0, 0.1, ..., 3, and
+        # two points of the continuation, against 30-digit Gamma(p+5)
+        # zeta(p+4) at the double p itself: worst 4.1e-16 on the alpha
+        # grid, 5.0e-16 / 1.6e-15 at -3.5 / -3.9, where the head and the
+        # sums cancel; a rounded p + 4 in the exponent cost 2.5e-15
+        mpmath = pytest.importorskip("mpmath")
+        alphas = np.round(np.arange(31) * 0.1, 12)
+        ps = np.unique(np.concatenate([alphas, -alphas, 2 * alphas, [-3.5, -3.9]]))
+        with mpmath.workdps(30):
+            for p in ps[ps != -3.0].tolist():
+                want = mpmath.gamma(mpmath.mpf(p) + 5) * mpmath.zeta(mpmath.mpf(p) + 4)
+                assert abs(moment_l0(p) - want) <= 2e-15 * abs(want), p
 
     @pytest.mark.parametrize("p", [-4.0, -5.2])
     def test_divergent(self, p):
@@ -76,9 +91,9 @@ class TestMoments:
 class TestAlphaModel:
     def test_moments_match_closed_form(self, model1):
         want = float(gamma(1 + 5) * zeta(1 + 4))
-        assert abs(model1.l0_alpha - want) <= 1e-10 * want
+        assert abs(model1.l0_alpha - want) <= 5e-16 * want
         want2 = float(gamma(2 + 5) * zeta(2 + 4))
-        assert abs(model1.l0_2alpha - want2) <= 1e-10 * want2
+        assert abs(model1.l0_2alpha - want2) <= 5e-16 * want2
 
     @pytest.mark.parametrize("alpha", [-0.1, 3.2, math.nan, math.inf])
     def test_rejects_out_of_range(self, alpha):
