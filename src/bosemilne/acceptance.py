@@ -115,8 +115,12 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     """Quadrature moments match Gamma(a+5) zeta(a+4) to 1e-10 relative."""
     # the oracle stays independent of the package; imported here so that
-    # only validate loads scipy.special
-    from scipy.special import gamma, zeta
+    # only validate loads scipy.special, the 'validate' extra
+    try:
+        from scipy.special import gamma, zeta
+    except ImportError as exc:
+        return CriterionResult(4, "moment oracle l0(alpha)", False,
+                               f"needs scipy, the 'validate' extra: {exc}")
     worst = 0.0
     for a in (0.0, 0.5, 1.0, 2.0):
         got = special.moment_l0(a)

@@ -30,7 +30,8 @@ spin through the work between them and double oracle's CPU time.
 Start-up: importing this module loads numpy but not scipy, and v1,
 dispersion, profile and oracle run without it (the field's continuum is
 Chebyshev panels of the package's own). Only validate loads scipy.special,
-for criterion 4's Gamma/zeta oracle, kept independent of the package.
+for criterion 4's Gamma/zeta oracle, kept independent of the package: scipy
+is the 'validate' extra, and without it criterion 4 alone fails.
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 """

@@ -28,8 +28,8 @@ over the cells in reverse (the +- symmetry of discrete ordinates): the cell
 arrays are stored once, cells x channels for the positive channels, and the
 negative channels read them in reversed cell order. Both directions advance
 in one cell loop, three in-place numpy calls and two dot products per cell:
-4 ms per sweep on the default grid at alpha = 0 (600 cells, 2 x 16
-channels) and 9-11 ms at alpha > 0 (2 x 768 channels), one BLAS thread.
+2 ms per sweep on the default grid at alpha = 0 (600 cells, 2 x 16
+channels) and 9 ms at alpha > 0 (2 x 768 channels), one BLAS thread.
 
 The far-end intercept is a fixed linear functional of S (the intercept row of
 the fit-window least-squares pseudo-inverse), so one sweep is affine in S and
@@ -37,12 +37,10 @@ its fixed point solves a linear system of len(x_nodes) unknowns; with
 conservative scattering the plain iteration contracts only like 1 - O(1/L^2),
 too slow at L = 30. `solve` assembles the sweep's linear map once and
 LU-solves the system, with a right-hand side in closed form: one sweep (the
-check), and 0.03 s at alpha = 0 and 0.09-0.11 s at alpha > 0 on the
-default grid (one BLAS thread, 2 vCPUs). The assembly goes by blocks of
-cells: what a block's channels carry in from upstream is one matrix product,
-and so is what the block's own sources add, for every channel whose
-transmission across the block is still a normal float; the few channels
-whose transmission underflows keep a per-cell recurrence.
+check), and 0.02 s at alpha = 0 and 0.06-0.07 s at alpha > 0 on the
+default grid (one BLAS thread, 2 vCPUs). `_Sweeper.operator` assembles the
+map and the responses to the two slab-end inflows in one pass per direction,
+by blocks of cells, mostly as matrix products.
 """
 
 from __future__ import annotations
@@ -281,33 +279,41 @@ class _Sweeper:
             return out, store[:, :m], store[::-1, m:]
         return out
 
-    def operator(self) -> np.ndarray:
-        """The sweep's linear map T0, ``apply(S, 0, 0) == T0 @ S``, assembled
-        one direction at a time by blocks of cells: 5-9 ms on the default
-        grid at alpha = 0 and 50-70 ms at alpha > 0 (one BLAS thread).
+    def operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sweep's affine map, one pass per direction: views (T0, h, g)
+        of one array W with columns [h, S_0 ... S_n, g]. ``apply(S, 0, 0) ==
+        T0 @ S``; h and g are the sources of an inflow of mu_pos at x = 0 and
+        of a unit inflow at x = L, with no source: an inflow is the channels'
+        state at the slab end, one more source column. 4-6 ms on the default
+        grid at alpha = 0 and 38-47 ms at alpha > 0 (one BLAS thread).
 
-        C[l] holds d phi(node j0) / dS_l, l <= j0, per channel. Across a block
-        the rows get ``(D * cw) @ C[:j0 + 1].T``, D the running product of the
-        block's E rows. The block's own sources reach node j0 + i + 1 as the
-        lower triangle of ``(D * cw) @ (coef / D).T``, coef_l the weight of
+        C[0] holds d phi(node j0) / d inflow and C[l + 1] d phi(node j0) /
+        dS_l, l <= j0, per channel. Across a block the rows get
+        ``(D * cw) @ C[:j0 + 2].T``, D the running product of the block's E
+        rows. The block's own sources reach node j0 + i + 1 as the lower
+        triangle of ``(D * cw) @ (coef / D).T``, coef_l the weight of
         S_(j0 + l) in the update of its cell, plus F_i cw from S_(j0 + i + 1);
         C then moves on by D[-1] and gains ``(coef / D) D[-1]``. This product
         needs D[-1] to be a normal float, and where a channel's transmission
         across the block underflows that channel keeps the recurrence cell by
         cell. Against that recurrence for every channel the product moves
         entries of T0 by a few ulps (3.2e-15 relative at most on the default
-        grids). The negative channels run the same loop on the cell arrays in
-        reversed cell order and land in ``T0[::-1, ::-1]``. Entries of D and C
-        below the smallest normal float are set to zero: they add nothing to
-        T0, while subnormal operands would stall the GEMMs and the C updates
-        wherever a block's transmission underflows.
+        grids; h and g lie within 8.3e-16 of a sweep's max). The negative
+        channels run the same loop on the cell arrays in reversed cell order
+        and land in ``W[::-1, :0:-1]``, columns g, S_n ... S_0. Entries of D
+        and C below the smallest normal float are set to zero: they add
+        nothing to the map, while subnormal operands would stall the GEMMs
+        and the C updates wherever a block's transmission underflows.
         """
         n, m = self.E.shape
-        T = np.zeros((n + 1, n + 1))
-        C = np.empty((n + 1, m))
-        for E, F, cw, rows in ((self.E, self.F, self.cw_pos, T),
-                               (self.E[::-1], self.F[::-1], self.cw_neg, T[::-1, ::-1])):
+        W = np.zeros((n + 1, n + 3))
+        C = np.empty((n + 2, m))
+        for E, F, cw, inflow, rows in (
+                (self.E, self.F, self.cw_pos, self.mu_pos, W[:, :-1]),
+                (self.E[::-1], self.F[::-1], self.cw_neg, np.ones(m), W[::-1, :0:-1])):
             C.fill(0.0)
+            C[0] = inflow
+            rows[0, 0] = cw @ inflow
             for j0 in range(0, n, _BLOCK):
                 j1 = min(j0 + _BLOCK, n)
                 b = j1 - j0
@@ -317,14 +323,14 @@ class _Sweeper:
                 D = _running_product(Eb)
                 D[D < _TINY] = 0.0
                 Dcw = D * cw
-                rows[j0 + 1:j1 + 1, :j0 + 1] += Dcw @ C[:j0 + 1].T
-                C[:j0 + 1] *= D[-1]
-                C[j1] = Fb[-1]
+                rows[j0 + 1:j1 + 1, :j0 + 2] += Dcw @ C[:j0 + 2].T
+                C[:j0 + 2] *= D[-1]
+                C[j1 + 1] = Fb[-1]
                 # phi(j + 1) = E phi(j) + (1 - E - F) S_j + F S_(j+1), so
                 # coef_l D_i / D_l is the recurrence's coef_l E_(l+1) ... E_i
                 coef = 1.0 - Eb - Fb
                 coef[1:] += Fb[:-1] * Eb[1:]
-                blk = rows[j0 + 1:j1 + 1, j0:j1 + 1]
+                blk = rows[j0 + 1:j1 + 1, j0 + 1:j1 + 2]
                 blk[np.arange(b), np.arange(1, b + 1)] += Fb @ cw
                 thick = D[-1] == 0.0
                 if thick.any():
@@ -334,7 +340,7 @@ class _Sweeper:
                     for i in range(b):
                         ck[:i] *= Ek[i]
                         blk[i, :i + 1] += ck[:i + 1] @ cwk
-                    C[j0:j1, thick] += ck
+                    C[j0 + 1:j1 + 1, thick] += ck
                     coef[:, thick] = 0.0
                     D[:, thick] = 1.0
                 # D >= D[-1] >= _TINY keeps coef / D finite; the upper
@@ -342,46 +348,19 @@ class _Sweeper:
                 coef /= D
                 blk[:, :b] += np.tril(Dcw @ coef.T)
                 coef *= D[-1]
-                C[j0:j1] += coef
-                # C >= 0, as E, F and 1 - E - F are: this catches every
-                # subnormal
-                Cb = C[:j1 + 1]
+                C[j0 + 1:j1 + 1] += coef
+                # C >= 0, as the inflows, E, F and 1 - E - F are: this
+                # catches every subnormal
+                Cb = C[:j1 + 2]
                 Cb[Cb < _TINY] = 0.0
-        return T
-
-    def inflow_response(self, inflow: np.ndarray, far: bool) -> np.ndarray:
-        """The source a sweep makes of `inflow` at x = 0 (the positive
-        channels), or with `far` at x = L (the negative ones), with no source
-        and no inflow at the other end, without a sweep.
-
-        With no source a channel only decays, so its phi at a node is the
-        inflow times the running product of its E from the slab end to that
-        node, formed _BLOCK cells at a time in the sweep's order of
-        multiplication (`np.cumprod`'s bits), and the source takes the sweep's
-        per-node dot products. As in `operator`, states below the smallest
-        normal float are set to zero, which the sums do not feel (the default
-        grids give the sweep's values bit for bit) and which keeps subnormal
-        operands out of the products and dots.
-        """
-        n = self.E.shape[0]
-        E, cw = (self.E[::-1], self.cw_neg) if far else (self.E, self.cw_pos)
-        phi = inflow
-        red = [cw @ phi]
-        for j0 in range(0, n, _BLOCK):
-            j1 = min(j0 + _BLOCK, n)
-            R = _running_product(E[j0:j1], phi)
-            R[R < _TINY] = 0.0
-            red.extend(cw @ r for r in R)
-            phi = R[-1]
-        return np.array(red[::-1] if far else red)
+        return W[:, 1:-1], W[:, 0], W[:, -1]
 
 
-def _running_product(E: np.ndarray, first: np.ndarray | float = 1.0) -> np.ndarray:
-    """Row i is ``first * E[0] * ... * E[i]``, in np.cumprod's order and
-    bits, formed a row at a time: numpy's accumulate walks the columns one by
-    one, about 3x slower."""
+def _running_product(E: np.ndarray) -> np.ndarray:
+    """Row i is ``E[0] * ... * E[i]``, in np.cumprod's order and bits, formed
+    a row at a time: numpy's accumulate walks the columns one by one, about
+    3x slower."""
     D = E.copy()
-    D[0] *= first
     for i in range(1, len(D)):
         D[i] *= D[i - 1]
     return D
@@ -394,24 +373,23 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     [0.6 L, 0.9 L] of the slab.
 
     One sweep G(S) = T S + G(0) is affine in S: T = T0 + g p^T, where T0
-    (`_Sweeper.operator`) sweeps with zero inflow at both ends and g answers
-    a zero source with unit far inflow, which the intercept row p scales by
+    (`_Sweeper.operator`) sweeps with zero inflow at both ends and g answers a
+    zero source with unit far inflow, which the intercept row p scales by
     k0(S) = p . S[window]. LU solves for u = S - k x,
     (I - T) u = G(k x) - k x: u stays O(k0) while S grows to k L, and the
     intercept's rounding error scales with the size of the unknown (40-115
-    times larger for S itself). The right-hand side needs no sweep: the
-    sweep carries k (x - mu) exactly, so with no inflow at x = 0 and
-    k (L - mu) at x = L it returns k [h(x) + x (sum cw - 1)], h the
-    positive channels' response to an inflow of mu at x = 0 with no source
-    (the mirror makes sum cw mu exactly 0). h and g are running products of
-    the transmissions (`_Sweeper.inflow_response`), and sum cw - 1 is one
-    correctly rounded sum over both directions, with none of the
-    cancellation of a swept G(k x) less k x: on the default grids the
-    intercept lies within 2e-13 (relative) of a long-double refinement of
-    the same discrete system at alpha 0, 0.5 and 1. One sweep with the
-    extracted k0 checks the result: its max|G(S) - S| is `residual`, and it
-    must not exceed tol * max(1, |k| L). The intercept check enforces slope
-    agreement with k and fit linearity. That check sweep is the one sweep of
+    times larger for S itself). The right-hand side needs no sweep: the sweep
+    carries k (x - mu) exactly, so with no inflow at x = 0 and k (L - mu) at
+    x = L it returns k [h(x) + x (sum cw - 1)], h the positive channels'
+    response to an inflow of mu at x = 0 with no source (the mirror makes
+    sum cw mu exactly 0). h and g are the operator's inflow columns, and
+    sum cw - 1 is one correctly rounded sum over both directions, with none
+    of the cancellation of a swept G(k x) less k x: on the default grids the
+    intercept lies within 2e-13 (relative) of a long-double refinement of the
+    same discrete system at alpha 0, 0.5 and 1. One sweep with the extracted
+    k0 checks the result: its max|G(S) - S| is `residual`, and it must not
+    exceed tol * max(1, |k| L). The intercept check enforces slope agreement
+    with k and fit linearity. That check sweep is the one sweep of
     `iterations`. The solve runs on one OpenBLAS thread
     (`util.blas_one_thread`), whoever calls it: the GEMMs' and the LU's last
     bits depend on the thread count, and a second worker would only spin.
@@ -425,17 +403,16 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
     # intercept row of the least-squares fit S ~ a + b x over the window
     p = np.linalg.pinv(np.vstack([np.ones(int(np.sum(sel))), x[sel]]).T)[0]
     mu, cw = sweeper.mu_pos, sweeper.cw_pos
-    line = k * x
 
-    rhs = k * (sweeper.inflow_response(mu, far=False) + x * math.fsum([*cw, *cw, -1.0]))
-    A = sweeper.operator()
-    A[:, sel] += np.outer(sweeper.inflow_response(np.ones_like(mu), far=True), p)
+    A, h, g = sweeper.operator()
+    rhs = k * (h + x * math.fsum([*cw, *cw, -1.0]))
+    A[:, sel] += np.outer(g, p)
     np.negative(A, out=A)
     A[np.diag_indices_from(A)] += 1.0
     # numpy's LAPACK, not scipy.linalg (here and in freq_rule's eigh):
     # importing scipy.linalg costs start-up
     try:
-        S = line + np.linalg.solve(A, rhs)
+        S = k * x + np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"sweep fixed point is singular: {exc}") from exc
 

@@ -416,6 +416,21 @@ def test_only_validate_loads_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_validate_without_scipy_fails_criterion_4_only():
+    # scipy is the 'validate' extra: without it the table is still printed
+    # whole, criterion 4 fails and names the extra, and the exit code is 1
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from bosemilne import cli\n"
+              "sys.exit(cli.main(['validate']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    rows = {int(line[:2]): line for line in proc.stdout.splitlines() if line[:2].strip().isdigit()}
+    assert sorted(rows) == list(range(1, 13))
+    assert "FAIL" in rows[4] and "'validate' extra" in rows[4]
+    assert "10/12 criteria passed" in proc.stdout
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "bosemilne.cli", "--nonsense"],
                           capture_output=True, text=True)
