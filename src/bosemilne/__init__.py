@@ -13,15 +13,13 @@ from .errors import (AccuracyError, BoseMilneError, ConfigurationError,
 from .quadrature import PvIntegrand, QuadratureRule, gauss_rule, integrate, pv_integral
 from .special import AlphaModel, einstein, moment_l0, xi_alpha
 from .dispersion import (DispersionTable, build_theta_table, index_kappa,
-                         lambda_boundary, lambda_case, lambda_case_boundary,
-                         lambda_general)
+                         lambda_boundary, lambda_case, lambda_general)
 from .factorization import (FactorizationData, V1Estimate, build_factorization,
-                            n_coefficient, v1_coefficient, v_cut, v_transform,
-                            x_boundary, x_factor)
-from .saddle import saddle_root, saddle_root_approx, surrogate_theta_table, v1_saddle
+                            n_coefficient, v1_coefficient, v_cut, x_boundary)
+from .saddle import saddle_root, saddle_root_approx, v1_saddle
 from .field import (MilneSolution, boundary_residual, evaluate,
                     mode_equation_residual, solve_milne)
-from .dom import DomGrid, DomResult, extract_k0, freq_rule, mode_sweep_residual
+from .dom import DomGrid, DomResult, extract_k0, freq_rule
 from .dom import solve as solve_transport
 
 __version__ = "0.1.0"

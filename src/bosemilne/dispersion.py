@@ -42,7 +42,6 @@ __all__ = [
     "weighted_case_average",
     "lambda_case",
     "lambda_case_pv",
-    "lambda_case_boundary",
     "lambda_general",
     "lambda_boundary",
     "lambda_boundary_batch",
@@ -88,7 +87,8 @@ def lambda_case(z):
     """Case dispersion function lam_C(z) = 1 + (z/2) ln((z-1)/(z+1)).
 
     Principal logarithms put the branch cut exactly on [-1, 1]; points on the
-    cut are rejected (use lambda_case_boundary for the one-sided limits).
+    cut are rejected: the one-sided limits inside it are lambda_case_pv(mu)
+    +- i pi mu / 2 (`_slit_parts`).
     Scalar or ndarray input.
     """
     arr = np.asarray(z, dtype=complex)
@@ -126,19 +126,6 @@ def lambda_case_pv(mu):
         with np.errstate(divide="ignore", invalid="ignore"):
             out[~big] = 1.0 - 0.5 * xs * np.log(np.abs((1.0 + xs) / (1.0 - xs)))
     return out if arr.ndim else float(out)
-
-
-def lambda_case_boundary(mu: float, side: str = "above") -> complex:
-    """One-sided boundary value lam_C(mu +- i0) = pv(mu) +- i pi mu / 2, |mu| < 1.
-
-    No command needs it: the tests use it as the reference for slit theta values.
-    """
-    if not abs(mu) < 1.0:
-        raise DomainError(f"boundary values exist only on (-1, 1), got mu={mu}")
-    if side not in ("above", "below"):
-        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    sgn = 1.0 if side == "above" else -1.0
-    return complex(lambda_case_pv(mu), sgn * 0.5 * math.pi * mu)
 
 
 def _slit_parts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

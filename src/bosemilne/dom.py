@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import ConfigurationError, ConvergenceError, DomainError, ExtractionError
+from .errors import ConfigurationError, ConvergenceError, ExtractionError
 from .special import AlphaModel, einstein
 from .util import blas_one_thread
 
@@ -61,7 +61,6 @@ __all__ = [
     "freq_rule",
     "solve",
     "extract_k0",
-    "mode_sweep_residual",
 ]
 
 # cells per block of the sweep's source arrays (memory, not results)
@@ -235,11 +234,12 @@ class _Sweeper:
             ts = tau[small]
             F[small] = ts * (0.5 - ts * (1.0 / 6.0 - ts / 24.0))
 
-    def apply(self, S: np.ndarray, inflow_pos: np.ndarray, inflow_neg: np.ndarray,
-              keep_phi: bool = False):
+    def apply(self, S: np.ndarray, inflow_pos: np.ndarray, inflow_neg: np.ndarray, *,
+              keep_phi: bool):
         """One transport sweep from the inflow at x = 0 (positive channels) and
-        x = L (negative channels); returns the recomputed source, and if asked
-        phi of each direction as (n_x, channels) arrays indexed by node."""
+        x = L (negative channels); returns the recomputed source, and with
+        `keep_phi` phi of each direction as (n_x, channels) arrays indexed by
+        node (the tests' exactness check of the sweep on the discrete modes)."""
         n, m = self.E.shape
         dS = S[1:] - S[:-1]
         # upwind source value and slope term of step j, per direction
@@ -417,7 +417,7 @@ def solve(model: AlphaModel, grid: DomGrid, k: float = 1.0, *, tol: float = 1e-9
         raise ConvergenceError(f"sweep fixed point is singular: {exc}") from exc
 
     k0, slope = extract_k0(x, S, window, k)
-    G = sweeper.apply(S, np.zeros_like(mu), k0 + k * (grid.L - sweeper.mu_neg))
+    G = sweeper.apply(S, np.zeros_like(mu), k0 + k * (grid.L - sweeper.mu_neg), keep_phi=False)
     residual = float(np.max(np.abs(G - S)))
     bound = tol * max(1.0, abs(k) * grid.L)
     if not residual <= bound:
@@ -456,27 +456,3 @@ def extract_k0(x_nodes: np.ndarray, source: np.ndarray,
             f"fitted slope {b:.6g} deviates from the imposed gradient {k:.6g} "
             "by more than 1%; the slab is too short")
     return float(a), float(b)
-
-
-def mode_sweep_residual(model: AlphaModel, grid: DomGrid, mode: str) -> float:
-    """Inject a discrete mode and measure how exactly one sweep reproduces it.
-
-    The injected state fixes both the source (via the discrete reduction) and
-    the inflow at both ends; the exponential-upwind update with a
-    linear-in-cell source propagates both modes exactly, so the residual is
-    floating-point noise. No command runs it: it is the tests' exactness
-    check of the sweep, and the one caller of `_Sweeper.apply(keep_phi=True)`.
-    """
-    if mode not in ("+", "-"):
-        raise DomainError(f"mode must be '+' or '-', got {mode!r}")
-    sweeper = _Sweeper(model, grid)
-    x = grid.x_nodes
-    if mode == "+":
-        phi_pos = np.ones((len(sweeper.mu_pos), len(x)))
-        phi_neg = np.ones((len(sweeper.mu_neg), len(x)))
-    else:
-        phi_pos = x[None, :] - sweeper.mu_pos[:, None]
-        phi_neg = x[None, :] - sweeper.mu_neg[:, None]
-    S = sweeper.cw_pos @ phi_pos + sweeper.cw_neg @ phi_neg
-    _, store_p, store_m = sweeper.apply(S, phi_pos[:, 0], phi_neg[:, -1], keep_phi=True)
-    return float(max(np.max(np.abs(store_p - phi_pos.T)), np.max(np.abs(store_m - phi_neg.T))))

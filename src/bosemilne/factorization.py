@@ -26,7 +26,9 @@ Vp sums theta - pi with quadrature.KnotPv, the fixed-rule Cauchy integral
 that lam+ and the field take too, on the theta table's nodes thinned to
 neighbours at most a factor 2 apart (FactorizationData.knots, the knot rule
 of the field's continuum too; FactorizationData.vp_rule). It adds the tail
-beyond mu_max with quadrature.power_tail, which the field shares. For alpha
+beyond mu_max with quadrature.power_tail, the fixed rule the field's tail
+takes too. No command needs X or V off the cut, so only their boundary
+values are computed here (x_boundary, v_cut). For alpha
 >= 3/2 the tail pi - theta ~ C mu^((alpha-3)/alpha) decays too slowly and
 the V1 integral diverges; the table's tail law reports this as a
 DivergenceError pointing at the saddle-point route.
@@ -52,9 +54,7 @@ __all__ = [
     "N_SIGN",
     "v1_coefficient",
     "build_factorization",
-    "v_transform",
     "v_cut",
-    "x_factor",
     "x_boundary",
     "n_coefficient",
     "spectrum_table",
@@ -195,40 +195,16 @@ def build_factorization(model: AlphaModel, table: DispersionTable,
 
 
 def _tail_cauchy(data: FactorizationData, z) -> np.ndarray:
-    """int_{mu_max}^inf (theta - pi)/(t - z) dt via the table's tail law, for every z.
+    """int_{mu_max}^inf (theta - pi)/(t - z) dt via the table's tail law, for every real z.
 
-    `quadrature.power_tail` in u = 1/t; valid whenever z is not on (mu_max,
-    inf). Real or complex z; 0 for a table without a tail.
+    `quadrature.power_tail` in u = 1/t; valid whenever z is not on [mu_max,
+    inf). 0 for a table without a tail.
     """
     z = np.atleast_1d(z)
     if data.table.tail is None:
         return np.zeros(z.shape)
     c, p = data.table.tail
     return -c * quadrature.power_tail(p, data.table.mu_max, z, 1e-10)
-
-
-def v_transform(data: FactorizationData, z) -> complex:
-    """Cauchy transform V(z) = (1/pi) int_0^inf (theta(t) - pi)/(t - z) dt.
-
-    z must stay off the closed positive real axis (the cut); boundary values
-    on the cut come from v_cut. No command needs V off the cut: this is the
-    reference that x_factor, and through it the tests' reconstruction of
-    N(z) = -2 l0 (K0 - K z) + C0/X(z), are built on.
-    """
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real >= 0.0:
-        raise DomainError("z is on the cut [0, inf); use v_cut for boundary values")
-    table = data.table
-
-    def f(t):
-        return (table.theta_at(t) - math.pi) / (t - zc)
-
-    pts = []
-    if 0.0 < zc.real < table.mu_max:
-        pts.append(zc.real)
-    val = quadrature.integrate(f, 0.0, table.mu_max, 1e-10, max_depth=30, points=pts)
-    val += complex(_tail_cauchy(data, zc)[0])
-    return val / math.pi
 
 
 def v_cut(data: FactorizationData, eta):
@@ -244,7 +220,7 @@ def v_cut(data: FactorizationData, eta):
     outside = ~((0.0 < etas) & (etas < table.mu_max))
     if np.any(outside):
         raise RangeError(f"eta={etas[outside][0]} outside the tabulated cut (0, {table.mu_max})")
-    out = (_cut_body(data, etas) + _tail_cauchy(data, etas).real) / math.pi
+    out = (_cut_body(data, etas) + _tail_cauchy(data, etas)) / math.pi
     return out if arr.ndim else float(out[0])
 
 
@@ -263,18 +239,6 @@ def _cut_body(data: FactorizationData, c: np.ndarray) -> np.ndarray:
     value = data.vp_rule.sums(g_c, c, scale, lambda i: f"principal value at eta={float(c[i])!r}",
                               slope=slope)
     return value + g_c * np.log((b - c) / c)
-
-
-def x_factor(data: FactorizationData, z) -> complex:
-    """Factorisation function X(z) = (1/z) exp V(z); the origin is excluded.
-
-    Kept as a reference: the tests rebuild N(z) = -2 l0 (K0 - K z) + C0/X(z)
-    off the cut from the tabulated continuum coefficient and compare.
-    """
-    zc = complex(z)
-    if zc == 0.0:
-        raise DomainError("X(z) has the explicit 1/z factor; z = 0 is excluded")
-    return (1.0 / zc) * _cexp(v_transform(data, zc))
 
 
 def x_boundary(data: FactorizationData, mu: float, side: str = "above") -> complex:

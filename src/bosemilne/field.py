@@ -42,8 +42,9 @@ interval gives the value and an 8-point rule the error estimate, as QUADPACK
 pairs its rules (Piessens et al., 1983). Rows whose estimate misses the
 tolerance are redone by a 64- and 48-point pair on the same knots, [0,
 eta_1] split further; a row that misses there too raises AccuracyError. The
-alpha > 0 tail beyond eta_max is quadrature.power_tail, the one adaptive
-integral of the field, which Vp's tail shares.
+alpha > 0 tail beyond eta_max is quadrature.power_tail, which Vp's tail
+shares: a fixed rule too, in u = 1/eta, a Taylor head next to u = 0 and the
+first pair on knots geometric in u.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the

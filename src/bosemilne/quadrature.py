@@ -4,13 +4,13 @@ Fixed Gauss-Legendre rules, also as pairs on every interval of a set of
 knots (`knot_rule`: the rule and a lower-order one for the error estimate;
 `knot_pv_sums`: regularised principal values on them; `KnotPv`: the
 Cauchy integral on the cut of lam+, Vp and the field, the first pair and a
-finer one for the rows it cannot settle), one deterministic
-globally-adaptive algorithm run in lockstep over many rows
-(`integrate_rows`: one integrand call per step for all rows;
-`integrate_with_error` and `integrate` are its one-row call; `power_tail`:
-the Cauchy integral of a power-law tail, for Vp and the field), and Cauchy
-principal values by singularity subtraction, one row (`pv_integral`) or
-many (`pv_rows`):
+finer one for the rows it cannot settle; `power_tail`: the Cauchy integral
+of a power-law tail, for Vp and the field, a Taylor head and the first pair
+on knots geometric in u), one deterministic globally-adaptive algorithm run
+in lockstep over many rows (`integrate_rows`: one integrand call per step
+for all rows; `integrate_with_error` and `integrate` are its one-row call;
+of the commands only `validate` reaches it), and Cauchy principal values by
+singularity subtraction, one row (`pv_integral`) or many (`pv_rows`):
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
 
@@ -72,6 +72,10 @@ EXP_CUT = 700.0
 _TINY = np.finfo(float).tiny
 # `ChebPanels`: Chebyshev-Lobatto points per panel
 _PANEL_POINTS = 24
+# `power_tail`: Taylor terms of its head on [0, eps], where |z| eps and x eps
+# are at most _HEAD_REACH, so the first term left out is below 1e-20 of the sum
+_HEAD_TERMS = 16
+_HEAD_REACH = 0.05
 
 
 @dataclass(frozen=True)
@@ -369,40 +373,54 @@ class ChebPanels:
 
 
 def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
-    """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du for every row (z, x), real or complex z.
+    """int_0^(1/end) u^(-q-1) e^(-x u)/(1 - z u) du for every row (z, x), q < 0.
 
     A power-law tail c t^q beyond t = end against e^(-x/t)/(t - z), in u =
-    1/t; z must not lie on [end, inf), and q < 0. With a = -q - 1, a pole u
-    = 1/z next to the end (|z - end| < end/2) is subtracted: the numerator
-    u^a e^(-x u) less its value C = z^-a e^(-x/z) there is integrated, and
-    int C/(1 - z u) du = -C ln(1 - z/end)/z added in closed form, as
-    `knot_pv_sums` regularises a principal value. The rows go through one
-    `integrate_rows` call at depth 24, each on the scale |C ln(1 - z/end)/z|.
-    Where a < 0, u^a is singular at 0, and the integral runs in s = (u
-    end)^(a + 1), where u^a du is end^(-a-1)/(a + 1) ds, smooth in s.
+    1/t; z is real and not on [end, inf). One fixed rule for every q, with a
+    = -q - 1 > -1. On [0, eps], eps = min(1/end, 0.05/max(|z|, x)), the
+    Taylor series sum c_n u^n of e^(-x u)/(1 - z u), c_0 = 1 and c_n = z
+    c_(n-1) + (-x)^n/n!, is integrated against u^a term by term
+    (_HEAD_TERMS terms). From eps to 1/end `knot_rule`'s first pair runs on
+    knots geometric in u, at most a factor 2 apart, the error the sum over
+    intervals of |16 - 8|. A pole u = 1/z next to the end (|z - end| <
+    end/2) is subtracted there: the numerator u^a e^(-x u) less its value C
+    = z^-a e^(-x/z) at the pole goes through the rule, and int C/(1 - z u)
+    du over [eps, 1/end] is added in closed form, as `knot_pv_sums`
+    regularises a principal value. A row whose error exceeds tol
+    max(|value|, |C ln(1 - z/end)/z|) raises AccuracyError.
     """
-    z = np.atleast_1d(z)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.broadcast_to(x, z.shape)
-    a = -q - 1.0
+    a, top = -q - 1.0, 1.0 / end
+    eps = _HEAD_REACH / np.maximum(np.maximum(np.abs(z), x), _HEAD_REACH * end)
+    power = eps ** (a + 1.0)
+    head, c_n, x_n = power / (a + 1.0), np.ones(z.shape), np.ones(z.shape)
+    for n in range(1, _HEAD_TERMS):
+        x_n = x_n * -x / n
+        c_n = z * c_n + x_n
+        power = power * eps
+        head += c_n * power / (a + n + 1.0)
+
     near = np.abs(z - end) < 0.5 * end
-    zn = np.where(near, z, 0.5 * end)  # C = 0 on the other rows: their sums keep their bits
+    zn = np.where(near, z, 0.5 * end)  # C = 0 on the other rows
     c = np.where(near, zn ** -a * np.exp(-x / zn), 0.0)
-    pole = -c * np.log((end - zn) / end) / zn
-    zeros, scale = np.zeros(z.shape), np.abs(pole)
-    if a >= 0.0:
-        def f(u, z, x, c):
-            return (u ** a * np.exp(-x * u) - c) / (1.0 - z * u)
-
-        return pole + integrate_rows(f, zeros, np.full(z.shape, 1.0 / end), tol,
-                                     params=(z, x, c), max_depth=24, scale=scale)
-
-    def g(s, z, x, c):
-        u = s ** (1.0 / (a + 1.0)) / end
-        return (np.exp(-x * u) - c * u ** -a) / (1.0 - z * u)
-
-    k = end ** (-a - 1.0) / (a + 1.0)
-    return pole + k * integrate_rows(g, zeros, np.ones(z.shape), tol, params=(z, x, c),
-                                     max_depth=24, scale=scale / k)
+    k = max(1, math.ceil(math.log2(top / eps.min(initial=top))))
+    knots = eps[:, None] * (top / eps[:, None]) ** (np.arange(k + 1) / k)
+    nodes, weights, (high, _) = knot_rule(np.array([0.0, 1.0]), False)
+    width = np.diff(knots, axis=1)[:, :, None]
+    u = knots[:, :-1, None] + width * nodes  # (row, interval, node)
+    f = (u ** a * np.exp(-x[:, None, None] * u) - c[:, None, None]) / (1.0 - z[:, None, None] * u)
+    terms = f * (width * weights)
+    by_high, by_low = terms[:, :, :high].sum(axis=2), terms[:, :, high:].sum(axis=2)
+    log_end = np.log((end - zn) / end)
+    value = head + by_high.sum(axis=1) - c * (log_end - np.log1p(-zn * eps)) / zn
+    err = np.abs(by_high - by_low).sum(axis=1)
+    bad = np.flatnonzero(~(err <= tol * np.maximum(np.abs(value), np.abs(c * log_end / zn))))
+    if len(bad):
+        i = bad[0]
+        raise AccuracyError(f"power-law tail at z={float(z[i])!r}, x={float(x[i])!r}: error "
+                            f"{err[i]:.3e}", best=float(value[i]), bound=float(err[i]))
+    return value
 
 
 def _converged(err, total, tol, scale):
@@ -434,8 +452,24 @@ def _panels(f, lo, hi, rule, whole=None):
     return m, left, right, fine, np.abs(fine - whole)
 
 
-def _adaptive_rows(f, a, b, tol, params, points, max_depth, scale):
-    """integrate_rows, returning each row's summed error estimate as well."""
+def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
+                   max_depth: int = DEFAULT_MAX_DEPTH,
+                   scale=None) -> tuple[np.ndarray, np.ndarray]:
+    """(integrals, summed error estimates) of f(x, *p[i]) over (a[i], b[i]) for every row i.
+
+    The globally adaptive Gauss scheme (QUADPACK's QAG strategy) on the
+    64-point rule, run on all rows in lockstep. Each parameter reaches f as a
+    column, one entry per row of x. `points` of shape (n,) or (n, k) pre-split
+    the rows (known kinks or singular locations); entries that are NaN or
+    outside (a[i], b[i]) are ignored, and they may come unsorted or repeated.
+    The first panels of all rows are one call of f; rows that pass the
+    stopping test there are done. Each further step pops the worst panel of
+    every unconverged row, bisects it and evaluates all children in one call
+    of f. Every row keeps its own heap, stopping test err <= tol * max(|value|,
+    scale) (scale may be one number per row), bisection order, max_depth and
+    AccuracyError (carrying the row's best estimate and error bound), so a
+    row's value does not depend on the other rows.
+    """
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
     rule = gauss_rule(DEFAULT_ORDER)
@@ -519,26 +553,6 @@ def _adaptive_rows(f, a, b, tol, params, points, max_depth, scale):
     return total, err_total
 
 
-def integrate_rows(f: Callable, a, b, tol: float = 1e-10, *, params=(), points=None,
-                   max_depth: int = DEFAULT_MAX_DEPTH, scale=None) -> np.ndarray:
-    """Integrals of f(x, *p[i]) over (a[i], b[i]) for every row i.
-
-    The globally adaptive Gauss scheme (QUADPACK's QAG strategy) on the
-    64-point rule, run on all rows in lockstep. Each parameter reaches f as a
-    column, one entry per row of x. `points` of shape (n,) or (n, k) pre-split
-    the rows (known kinks or singular locations); entries that are NaN or
-    outside (a[i], b[i]) are ignored, and they may come unsorted or repeated. The first panels of all
-    rows are one call of f; rows that pass the stopping test there are done.
-    Each further step pops the worst panel of every unconverged row, bisects
-    it and evaluates all children in one call of f. Every row keeps its own
-    heap, stopping test err <= tol * max(|value|, scale) (scale may be one
-    number per row), bisection order, max_depth and AccuracyError (carrying
-    the row's best estimate and error bound), so a row's value does not
-    depend on the other rows.
-    """
-    return _adaptive_rows(f, a, b, tol, params, points, max_depth, scale)[0]
-
-
 def integrate_with_error(
     f: Callable,
     a: float,
@@ -556,9 +570,9 @@ def integrate_with_error(
     AccuracyError (carrying the best estimate) if a panel would need to go
     beyond max_depth levels of bisection.
     """
-    value, error = _adaptive_rows(lambda x: np.asarray(f(x.ravel())).reshape(x.shape),
-                                  [a], [b], tol, (), [points] if len(points) else None,
-                                  max_depth, None)
+    value, error = integrate_rows(lambda x: np.asarray(f(x.ravel())).reshape(x.shape),
+                                  [a], [b], tol, points=[points] if len(points) else None,
+                                  max_depth=max_depth)
     return value[0], error[0]
 
 
@@ -611,8 +625,8 @@ def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, slopes=None,
 
     # scale keeps the relative-tolerance test sane when a PV happens to be ~0
     span = np.maximum(np.maximum(np.abs(fc), np.abs(dfc) * (b - a)), 1e-30)
-    val = integrate_rows(reg, a, b, tol, params=(c, fc, dfc), points=c,
-                         max_depth=max_depth, scale=span)
+    val, _ = integrate_rows(reg, a, b, tol, params=(c, fc, dfc), points=c,
+                            max_depth=max_depth, scale=span)
     return val + fc * np.log((b - c) / (c - a))
 
 

@@ -14,22 +14,21 @@ machinery collapses, after rescaling the integration variable, to
     V1_tilde(alpha) = w0^-alpha * V1(0).
 
 `v1_saddle` evaluates it for all alpha, including alpha >= 3/2 where the
-exact V1 integral diverges; the tests check the identity by pushing
-`surrogate_theta_table`, the surrogate's slit table, through that machinery.
+exact V1 integral diverges; the tests check the identity by pushing the
+surrogate's slit table (`dispersion._slit_table` on the slit (0, w0^-alpha))
+through that machinery.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dispersion import DispersionTable, _slit_grid, _slit_table
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "saddle_root",
     "saddle_root_approx",
     "v1_saddle",
-    "surrogate_theta_table",
 ]
 
 
@@ -70,16 +69,3 @@ def v1_saddle(alpha: float, v1_zero: float) -> float:
     """Approximate jump coefficient V1_tilde = w0^-alpha * V1(0)."""
     w0 = saddle_root(alpha)
     return w0 ** (-alpha) * v1_zero
-
-
-def surrogate_theta_table(alpha: float) -> DispersionTable:
-    """Slit-type theta table of the surrogate function on (0, w0^-alpha).
-
-    lam+ = lam_C(mu w0^alpha + i0) and theta are in closed form; the 400
-    nodes only seed the continuum table. No command builds it: it is the
-    reference the tests push through the generic V1 machinery, which must
-    reproduce w0^-alpha * V1(0) (the scaling identity is checked, not
-    assumed).
-    """
-    edge = saddle_root(alpha) ** (-alpha)
-    return _slit_table(_slit_grid(edge, 400, 1e-4), alpha, edge)

@@ -56,7 +56,7 @@ def xi_alpha(model, mu, tol=1e-12):
     out = np.where(cut == 0.0, 0.0, model.l0_2alpha)
     for rows, integrand in ((live & ~laurent, plain), (laurent, regular)):
         c = cut[rows]
-        vals = quadrature.integrate_rows(integrand, np.zeros_like(c), c, tol)
+        vals, _ = quadrature.integrate_rows(integrand, np.zeros_like(c), c, tol)
         if integrand is regular:
             vals = c ** (a2 + 3) / (a2 + 3) - c ** (a2 + 5) / (12 * (a2 + 5)) + vals
         out[rows] = vals
@@ -111,7 +111,7 @@ def re_part(model, mu, tol=1e-10, max_depth=20):
     total = np.zeros_like(mu)
     for f, lo, hi, rows in pieces:
         part = np.zeros_like(mu)
-        part[rows] = quadrature.integrate_rows(
+        part[rows], _ = quadrature.integrate_rows(
             f, lo[rows], hi[rows], tol, params=(mu[rows], ws[rows], shift[rows]),
             max_depth=max_depth, scale=model.l0_alpha)
         total += part

@@ -53,3 +53,16 @@ def data0(ctx):
 @pytest.fixture(scope="session")
 def sol0(ctx):
     return ctx.solution(0.0)
+
+
+@pytest.fixture(scope="session")
+def surrogate_table():
+    """The saddle surrogate's slit table for an alpha: lam+ = lam_C(mu w0^alpha
+    + i0) in closed form on the slit (0, w0^-alpha), 400 nodes."""
+    from bosemilne import dispersion, saddle
+
+    def build(alpha):
+        edge = saddle.saddle_root(alpha) ** (-alpha)
+        return dispersion._slit_table(dispersion._slit_grid(edge, 400, 1e-4), alpha, edge)
+
+    return build

@@ -7,7 +7,10 @@ modules below:
   functions and classes) is referenced somewhere in src/bosemilne outside its
   own definition and `__init__.py`;
 * every defaulted parameter of a function or method there is passed, by
-  keyword or by position, at some call site in src/bosemilne.
+  keyword or by position, at some call site in src/bosemilne;
+* every name `__init__.py` re-exports is a public name of its module with
+  such a caller, so a reference only the tests call cannot come back as an
+  export.
 
 A parameter that nothing sets is a constant with a misleading name, and a
 function that nothing calls is code to keep working for no caller. The few
@@ -24,7 +27,9 @@ SRC = Path(__file__).parents[1] / "src" / "bosemilne"
 MODULES = ("special", "quadrature", "dispersion", "factorization", "field", "saddle", "dom",
            "acceptance", "util")
 
-# "module.name" for a public name, "module.function(param)" for a parameter
+# "module.name" for a public name, "module.function(param)" for a parameter.
+# bench/spans.py wraps pv_integral by name, so it and what only it needs stay
+# until a change of the benchmark drops them
 EXEMPT = {
     "quadrature.pv_integral":
         "bench/spans.py wraps it by name; the tests check the subtraction formula through it",
@@ -37,18 +42,6 @@ EXEMPT = {
         "it goes with pv_integral",
     "quadrature.pv_rows(max_depth)":
         "the tests' references at tolerance 1e-12 and 1e-13 bisect deeper than the default",
-    "dispersion.lambda_case_boundary":
-        "independent reference for slit theta values in the surrogate tests",
-    "dispersion.lambda_case_boundary(side)":
-        "the lower boundary value, lam_C(mu - i0), is checked against the upper one",
-    "factorization.x_factor":
-        "X(z) off the cut: the reconstruction tests compare N(z) with C0/X(z)",
-    "factorization.v_transform":
-        "V(z) off the cut, which x_factor exponentiates; checked against scipy quad",
-    "saddle.surrogate_theta_table":
-        "the saddle slit pushed through the V1 machinery must give w0^-alpha V1(0)",
-    "dom.mode_sweep_residual":
-        "exactness of one sweep on both discrete modes",
 }
 
 
@@ -125,20 +118,27 @@ def _call_sites(trees):
     return sites
 
 
-def _unreferenced_names():
+def _unreferenced_names(modules=MODULES):
     """Public names read nowhere but in their own definition, `__all__`,
     `__init__.py` or the body of an exempted reference implementation."""
     trees = _trees()
     exempt_bodies = {tuple(key.split(".")) for key in EXEMPT if "(" not in key}
     refs = _references(trees)
     missing = []
-    for module in MODULES:
+    for module in modules:
         for name in sorted(_public_names(trees[module])):
             if not any(ref == name and (mod, top) != (module, name)
                        and (mod, top) not in exempt_bodies
                        for mod, top, ref in refs):
                 missing.append(f"{module}.{name}")
     return missing
+
+
+def _reexports():
+    """"module.name" of every name `__init__.py` imports from a module of the package."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [f"{node.module}.{alias.name}" for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
 
 
 def _unset_parameters():
@@ -164,6 +164,16 @@ def test_every_public_name_has_a_caller():
 def test_every_defaulted_parameter_is_set_somewhere():
     unset = [p for p in _unset_parameters() if p not in EXEMPT]
     assert unset == [], "defaulted parameters no call site sets: " + ", ".join(unset)
+
+
+def test_every_export_is_a_public_name_with_a_caller():
+    exports = _reexports()
+    modules = sorted({key.split(".")[0] for key in exports})
+    trees = _trees()
+    public = {f"{m}.{name}" for m in modules for name in _public_names(trees[m])}
+    unused = set(_unreferenced_names(modules)) - set(EXEMPT)
+    bad = [key for key in exports if key not in public or key in unused]
+    assert len(exports) > 30 and bad == [], "exports no source module uses: " + ", ".join(bad)
 
 
 def test_exemptions_are_still_needed():

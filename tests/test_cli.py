@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bosemilne import acceptance, cli, util
-from bosemilne.dispersion import lambda_case_boundary
+from bosemilne.dispersion import lambda_case_pv
 from bosemilne.errors import BoseMilneError, ConfigurationError
 
 
@@ -56,19 +56,21 @@ def test_v1_alpha_two_divergence(capsys):
      "--dom-freqs", "8", "--dom-length", "25"],
     ["dispersion", "--alpha", "0.5"],
     ["profile", "--alpha", "0"],
+    ["profile", "--alpha", "0.5", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
+    ["profile", "--alpha", "1.25", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
 ], ids=" ".join)
 def test_commands_run_no_adaptive_quadrature(argv, tmp_path, capsys, monkeypatch):
-    # the moments, the slit V1 and the theta tables are fixed-rule sums;
-    # only validate and the continuum tail of alpha > 0 profile run the
-    # adaptive engine
+    # the moments, the slit V1, the theta tables and the power-law tails of
+    # Vp and the field are fixed-rule sums; only validate runs the adaptive
+    # engine
     from bosemilne import quadrature
-    adaptive, calls = quadrature._adaptive_rows, []
+    adaptive, calls = quadrature.integrate_rows, []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return adaptive(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_adaptive_rows", spy)
+    monkeypatch.setattr(quadrature, "integrate_rows", spy)
     code, _ = run_cli(argv + ["--out", str(tmp_path / "out.dat")], capsys)
     assert code == 0
     assert calls == []
@@ -84,7 +86,7 @@ def test_alpha_rejection(capsys):
     ["dispersion", "--alpha", "0.5"],
     ["profile", "--alpha", "0", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
     # between alpha 1 and 3/2 the continuum tail's integrand u^(-p-2) is
-    # singular at u = 0, and power_tail takes it in a smooth variable
+    # singular at u = 0, and power_tail integrates it there in closed form
     pytest.param(["profile", "--alpha", "1.25", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
                  id="profile-1.25"),
     ["oracle", "--alpha", "0", "--dom-cells", "150", "--dom-angles", "8",
@@ -109,7 +111,7 @@ class TestDispersionCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "mu,lambda_real,im_plus,theta"
         mu, re, im, theta = (float(v) for v in lines[1].split(","))
-        want = lambda_case_boundary(0.5)
+        want = complex(lambda_case_pv(0.5), 0.5 * math.pi * 0.5)
         assert mu == 0.5
         assert re == pytest.approx(want.real, rel=1e-14)
         assert im == pytest.approx(want.imag, rel=1e-14)
@@ -266,9 +268,8 @@ def test_profile_just_beyond_slit_edge(tmp_path, capsys):
 
 
 def test_envelope_reports_the_model_that_ran():
-    # the frequency cutoff is the model's own; no command but validate and
-    # alpha > 0 profile runs the adaptive engine, so its defaults are not
-    # reported
+    # the frequency cutoff is the model's own; no command but validate runs
+    # the adaptive engine, so its defaults are not reported
     from bosemilne.special import AlphaModel
     model = AlphaModel.build(0.0)
     env = cli._envelope("v1", model, {}, {}, [])

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import adaptive_reference
-from bosemilne import dispersion, quadrature, saddle
+from bosemilne import dispersion, quadrature
 from bosemilne.dispersion import (DispersionTable, build_theta_table,
                                   evaluate_boundary, index_kappa,
                                   lambda_boundary,
-                                  lambda_boundary_batch, lambda_case,
-                                  lambda_case_boundary, lambda_case_pv,
+                                  lambda_boundary_batch, lambda_case, lambda_case_pv,
                                   lambda_general, weighted_case_average)
 from bosemilne.errors import ConsistencyError, DomainError, ResolutionError
 from bosemilne.special import einstein
@@ -51,23 +50,19 @@ class TestCaseFunction:
 
 
 class TestCaseBoundary:
+    # the slit's boundary value lam_C(y + i0) = pv(y) + i pi y / 2, the closed
+    # form of every slit table
     def test_center(self):
-        assert lambda_case_boundary(0.0) == 1.0 + 0.0j
+        re, im = dispersion._slit_parts(np.array([0.0]))
+        assert (re[0], im[0]) == (1.0, 0.0)
 
     def test_half(self):
-        got = lambda_case_boundary(0.5, "above")
-        assert got.real == pytest.approx(1 - 0.25 * math.log(3), rel=1e-14)
-        assert got.imag == pytest.approx(math.pi / 4, rel=1e-15)
-        below = lambda_case_boundary(0.5, "below")
-        assert below == got.conjugate()
+        re, im = dispersion._slit_parts(np.array([0.5]))
+        assert re[0] == pytest.approx(1 - 0.25 * math.log(3), rel=1e-14)
+        assert im[0] == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_log_divergence_at_edge(self):
         assert lambda_case_pv(1 - 1e-12) < -10.0
-
-    @pytest.mark.parametrize("mu", [1.0, -1.0, 1.5])
-    def test_outside_open_slit_rejected(self, mu):
-        with pytest.raises(DomainError):
-            lambda_case_boundary(mu)
 
 
 class TestLambdaGeneral:
@@ -291,9 +286,9 @@ class TestThetaTable:
             assert t.theta[-1] > 2.8  # close to pi at the far end
 
     @pytest.mark.parametrize("surrogate", [False, True], ids=["alpha0", "surrogate2"])
-    def test_slit_nodes_hold_theta_at(self, table0, surrogate):
+    def test_slit_nodes_hold_theta_at(self, table0, surrogate_table, surrogate):
         # a slit table's node thetas are the closed form theta_at evaluates
-        table = saddle.surrogate_theta_table(2.0) if surrogate else table0
+        table = surrogate_table(2.0) if surrogate else table0
         assert np.array_equal(table.theta, table.theta_at(table.mu))
 
     def test_im_plus_nonnegative(self, model1, table1):
@@ -318,10 +313,10 @@ class TestThetaTable:
             assert np.all(np.diff(t.theta[:50]) >= -1e-15)
 
     @pytest.mark.parametrize("surrogate_alpha", [None, 2.0], ids=["alpha0", "surrogate2"])
-    def test_slit_slope_matches_central_difference(self, table0, surrogate_alpha):
+    def test_slit_slope_matches_central_difference(self, table0, surrogate_table,
+                                                   surrogate_alpha):
         # closed-form d theta/d mu of a slit table: alpha 0's and a surrogate's
-        table = (table0 if surrogate_alpha is None
-                 else saddle.surrogate_theta_table(surrogate_alpha))
+        table = table0 if surrogate_alpha is None else surrogate_table(surrogate_alpha)
         edge = table.slit_edge
         mus = edge * np.array([1e-3, 0.05, 0.3, 0.7, 0.95, 0.999])
         h = 1e-6 * mus * (1.0 - mus / edge)
@@ -438,10 +433,9 @@ class TestIndex:
 
 @pytest.mark.parametrize("alpha,surrogate", [(0.0, False), (0.5, False), (2.0, True)],
                          ids=["alpha0", "alpha0.5", "surrogate2"])
-def test_table_pickles(ctx, alpha, surrogate):
+def test_table_pickles(ctx, surrogate_table, alpha, surrogate):
     # tables are plain data: a fresh table survives a pickle round trip bit for bit
-    table = (saddle.surrogate_theta_table(alpha) if surrogate
-             else build_theta_table(ctx.model(alpha)))
+    table = surrogate_table(alpha) if surrogate else build_theta_table(ctx.model(alpha))
     loaded = pickle.loads(pickle.dumps(table))
     mus = np.concatenate([[0.0], np.geomspace(1e-6, 10.0 * table.mu_max, 2000)])
     assert np.array_equal(loaded.samples, table.samples)

@@ -52,7 +52,7 @@ def adaptive_integral(sol, x, mu, tol):
                                        max_depth=30)
     if not np.all(pv):
         n = int(np.sum(~pv))
-        out[~pv] = quadrature.integrate_rows(
+        out[~pv], _ = quadrature.integrate_rows(
             lambda eta, x, mu: f(eta, x) / (eta - mu), np.zeros(n), np.full(n, b), tol,
             params=(x[~pv], mu[~pv]), max_depth=30,
             scale=float(np.max(np.abs(sol.panels.coeffs).sum(axis=1))))
@@ -149,7 +149,7 @@ class TestEvaluate:
         # the same with the algebraic tail, up to mu = 20 < eta_max
         (0.5, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
         (1.0, [-0.7, 0.0, 5e-5, 0.3, 20.0]),
-        # 40 points, every one with the algebraic tail, in one adaptive batch
+        # 40 points, every one with the algebraic tail, in one batch
         (0.5, [-2.0, -0.7, -1e-3, 0.0, 5e-5, 0.02, 0.3, 0.9, 2.0, 20.0]),
     ])
     def test_array_equals_pointwise(self, ctx, alpha, mus):
@@ -431,7 +431,7 @@ class TestBoundaryResidual:
     def test_alpha_one_and_a_quarter_pipeline(self, ctx):
         # measured 9.2e-6 (1.4e-5 on the pchip of eta n); the continuum
         # tail's integrand u^(-p-2) is singular at u = 0 here, and power_tail
-        # takes it in a smooth variable
+        # integrates its Taylor head there in closed form
         assert self.tail_pipeline_residual(ctx, 1.25) <= 2e-5
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -468,8 +468,8 @@ class TestBoundaryResidual:
     @pytest.mark.parametrize("alpha,worst", [(0.5, 5e-10), (1.0, 2e-6)])
     def test_zero_inflow_just_below_eta_max(self, ctx, alpha, worst):
         # the continuum tail's pole u = 1/mu up to 1e-10 eta_max beyond its
-        # end 1/eta_max, where its adaptive integral stalled at depth 24;
-        # measured 8.1e-11 / 8.9e-7, the bounds of the 3000-point test
+        # end 1/eta_max, where an adaptive tail stalled at depth 24; measured
+        # 8.1e-11 / 8.9e-7, the bounds of the 3000-point test
         sol = ctx.solution(alpha)
         data = sol.factorization
         mus = sol.eta_max * (1.0 - np.array([1e-6, 1e-8, 1e-10]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bosemilne import factorization as fz, saddle
-from bosemilne.dispersion import lambda_case_boundary
+from bosemilne.dispersion import lambda_case_pv
 from bosemilne.errors import ConvergenceError, DomainError
 
 W0_EXACT = {0.0: 3.83001609630907, 2.0: 5.96940917071577}
@@ -100,37 +100,39 @@ class TestV1Saddle:
 
 class TestSurrogate:
     # the surrogate is lam_C(w0^alpha z): alpha 0's slit table, stretched
-    def test_alpha_zero_is_case_function(self, table0):
+    def test_alpha_zero_is_case_function(self, table0, surrogate_table):
         # w0^0 = 1: the surrogate slit is Case's own, node for node
-        assert np.array_equal(saddle.surrogate_theta_table(0.0).samples, table0.samples)
+        assert np.array_equal(surrogate_table(0.0).samples, table0.samples)
 
-    def test_origin(self):
+    def test_origin(self, surrogate_table):
         # lam = 1 at z = 0, so theta starts at 0 on every slit
-        assert saddle.surrogate_theta_table(2.0).theta_at(0.0) == 0.0
+        assert surrogate_table(2.0).theta_at(0.0) == 0.0
 
-    def test_argument_substitution(self, table0):
+    def test_argument_substitution(self, table0, surrogate_table):
         w0 = saddle.saddle_root(2.0)
-        table = saddle.surrogate_theta_table(2.0)
+        table = surrogate_table(2.0)
         mus = np.geomspace(1e-4, 0.99, 50) / w0 ** 2
         np.testing.assert_allclose(table.theta_at(mus), table0.theta_at(w0 ** 2 * mus),
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
-    def test_generic_pipeline_reproduces_scaling(self, ctx, alpha):
+    def test_generic_pipeline_reproduces_scaling(self, ctx, surrogate_table, alpha):
         # the theta/V1 machinery on the surrogate slit collapses to w0^-alpha V1(0)
         w0 = saddle.saddle_root(alpha)
-        table = saddle.surrogate_theta_table(alpha)
+        table = surrogate_table(alpha)
         model = ctx.model(alpha)
         est = fz.v1_coefficient(model, table)
         want = w0 ** (-alpha) * ctx.v1(0.0).value
         assert abs(est.value - want) <= 1e-6
 
-    def test_table_matches_fresh_values(self):
+    def test_table_matches_fresh_values(self, surrogate_table):
         # theta of the surrogate table against 20,000 fresh boundary values
-        # lam_C(mu/edge + i0)
-        table = saddle.surrogate_theta_table(2.0)
+        # lam_C(y + i0) = pv(y) + i pi y / 2, y = mu/edge
+        table = surrogate_table(2.0)
         rng = np.random.default_rng(21)
         mus = np.exp(rng.uniform(math.log(1e-6), math.log(table.mu_max), 20000))
-        fresh = np.array([cmath.phase(lambda_case_boundary(m / table.slit_edge)) for m in mus])
+        ys = mus / table.slit_edge
+        fresh = np.array([cmath.phase(complex(lambda_case_pv(y), 0.5 * math.pi * y))
+                          for y in ys.tolist()])
         assert np.max(np.abs(table.theta_at(mus) - fresh)) <= 2e-8
         assert np.all(table.theta_at(table.slit_edge * np.array([1.0, 3.0])) == math.pi)
