@@ -102,16 +102,17 @@ def v1_coefficient(model: AlphaModel, table: DispersionTable | None = None) -> V
 def _v1_slit(edge: float) -> V1Estimate:
     """V1 of a slit that ends at `edge`, from theta = arg lam_C(mu/edge + i0).
 
-    `quadrature.knot_rule`'s first pair (the 16-point sum; the sum over
+    `quadrature.knot_rule`'s pair (the 16-point sum; the sum over
     intervals of |16 - 8| its error) on knots 0.1 edge apart on [0, 0.9
     edge], then in s, mu = edge - e^{-s}, where the integrand is
     exponentially small and smooth, on knots 1 apart over 45 units of s.
     """
     s0 = -math.log(0.1 * edge)
+    high, low = quadrature.KNOT_ORDERS
     value = error = 0.0
     for knots, to_mu in ((np.linspace(0.0, 0.9 * edge, 10), lambda mu: (mu, 1.0)),
                          (s0 + np.arange(46.0), lambda s: (edge - np.exp(-s), np.exp(-s)))):
-        nodes, weights, (high, low) = quadrature.knot_rule(knots, False)
+        nodes, weights = quadrature.knot_rule(knots)
         mu, jacobian = to_mu(nodes)
         q = ((math.pi - _case_theta(mu / edge)) * jacobian * weights).reshape(high + low, -1)
         by_high = q[:high].sum(axis=0)

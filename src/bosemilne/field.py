@@ -40,11 +40,11 @@ regularised form sum w (f(t) - f(mu)) / (t - mu) + f(mu) ln((eta_max -
 mu)/mu) for a principal value: a 16-point Gauss-Legendre rule on every
 interval gives the value and an 8-point rule the error estimate, as QUADPACK
 pairs its rules (Piessens et al., 1983). Rows whose estimate misses the
-tolerance are redone by a 64- and 48-point pair on the same knots, [0,
-eta_1] split further; a row that misses there too raises AccuracyError. The
+tolerance are redone by the same pair on the knots bisected, [0, eta_1]
+graded first; a row that misses there too raises AccuracyError. The
 alpha > 0 tail beyond eta_max is quadrature.power_tail, which Vp's tail
 shares: a fixed rule too, in u = 1/eta, a Taylor head next to u = 0 and the
-first pair on knots geometric in u.
+pair on knots geometric in u.
 
 Zero inflow phi(0, mu > 0) = 0 is not imposed anywhere in this module; it
 emerges from the factorisation constants, so the boundary residual is the
@@ -81,10 +81,10 @@ _DELTA_FAR = 50.0
 # when the field was adaptive: beyond the edge the plain row's pole sat so
 # close to the continuum's end (eta_max = 1 - 1.13e-13) that its quadrature
 # stalled up to mu - 1 = 1.40e-6. On the Chebyshev panels of eta n the
-# first fixed rule settles every x in (0, 1e-3, 0.01, 0.1, 0.3, 1, 30) down
-# to mu - 1 = 1e-11, within 1.3e-11 |K| (1 + V1) of the fine rule; at
+# first pass settles every x in (0, 1e-3, 0.01, 0.1, 0.3, 1, 30) down
+# to mu - 1 = 1e-11, within 2.9e-11 |K| (1 + V1) of the fine pass; at
 # 1e-12, against the continuum's end, it misses for x <= 1, and at x = 0
-# the fine rule misses too. Below the edge the principal value sits on the
+# the fine pass misses too. Below the edge the principal value sits on the
 # log-log divergence: at x = 0 |phi|/(|K| (1 + V1)) grows like 3e-17/(1 -
 # mu), from 3.0e-11 at 1 - 1e-6 to 3.0e-7 at 1 - 1e-10, where the exact
 # value is 0.
@@ -123,7 +123,7 @@ class MilneSolution:
     def eta_n_rule(self) -> quadrature.KnotPv:
         """The `quadrature.KnotPv` of the continuum integral: eta n(eta) on
         `FactorizationData.knots`, every panel break kept, to eta_max. The fine
-        pair also splits [0, eta_1], where e^{-x/eta} turns over for x of
+        pass also grades [0, eta_1], where e^{-x/eta} turns over for x of
         about eta_1 / 100."""
         eta_n = self.eta_n  # not self: a cycle would hold the pairs until gc
         knots = self.factorization.knots(self.factorization.continuum_breaks)

@@ -1,16 +1,17 @@
 """Reusable numerical integration, and adaptive Chebyshev panels.
 
 Fixed Gauss-Legendre rules, also as pairs on every interval of a set of
-knots (`knot_rule`: the rule and a lower-order one for the error estimate;
-`knot_pv_sums`: regularised principal values on them; `KnotPv`: the
-Cauchy integral on the cut of lam+, Vp and the field, the first pair and a
-finer one for the rows it cannot settle; `power_tail`: the Cauchy integral
-of a power-law tail, for Vp and the field, a Taylor head and the first pair
-on knots geometric in u), one deterministic globally-adaptive algorithm run
-in lockstep over many rows (`integrate_rows`: one integrand call per step
-for all rows; `integrate_with_error` and `integrate` are its one-row call;
-of the commands only `validate` reaches it), and Cauchy principal values by
-singularity subtraction, one row (`pv_integral`) or many (`pv_rows`):
+knots (`knot_rule`: the 16-point rule and the 8-point one for the error
+estimate; `knot_pv_sums`: regularised principal values on them; `KnotPv`:
+the Cauchy integral on the cut of lam+, Vp and the field, the pair again
+on bisected knots for the rows it cannot settle; `power_tail`: the Cauchy
+integral of a power-law tail, for Vp and the field, a Taylor head and the
+pair on knots geometric in u), one deterministic globally-adaptive
+algorithm run in lockstep over many rows (`integrate_rows`: one integrand
+call per step for all rows; `integrate_with_error` and `integrate` are its
+one-row call; of the commands only `validate` reaches it), and Cauchy
+principal values by singularity subtraction, one row (`pv_integral`) or
+many (`pv_rows`):
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
 
@@ -56,14 +57,11 @@ _MAX_ORDER = 10000
 DEFAULT_ORDER = 64
 DEFAULT_MAX_DEPTH = 12
 # Gauss-Legendre orders of `knot_rule` on each knot interval: the rule, and
-# the lower-order rule whose difference from it is the error estimate; then
-# the same for the rows the first pair cannot settle
+# the lower-order rule whose difference from it is the error estimate
 KNOT_ORDERS = (16, 8)
-FINE_KNOT_ORDERS = (64, 48)
 # entries of one (rows, nodes) block of `knot_pv_sums`, 0.6 MB in its two
-# work arrays: 22-66 rows on the first pairs of Vp, lam+ and the field
-# (600-1752 nodes), where 4 rows a numpy call were overhead-bound; with
-# 9576 nodes 8 or 16 rows added peak memory for no time
+# work arrays: 22-66 rows on the first passes of Vp, lam+ and the field
+# (600-1752 nodes), where 4 rows a numpy call were overhead-bound
 _PV_WORK = 40000
 # `KnotPv` and the field take e^(-x/t) as 0 beyond this argument (a term
 # below 1e-304 beside O(1) values); `KnotPv` flushes damped values below
@@ -127,28 +125,22 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=n)
 
 
-def knot_rule(knots: np.ndarray, fine: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """(nodes, weights, orders) of a Gauss-Legendre rule pair on every interval of `knots`.
+def knot_rule(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the KNOT_ORDERS Gauss-Legendre pair on every interval of `knots`.
 
-    The pair is KNOT_ORDERS, or with `fine` FINE_KNOT_ORDERS on the knots
-    with [knots[0], knots[1]] also split at knots[1] 10^-k, k = 1..8 (knots[0]
-    is 0 there). Flat arrays laid out as (order, node, interval): the nodes
-    of the high-order rule on every interval, then those of the low-order
-    one; `knot_pv_sums` sums a principal value in this layout.
+    Flat arrays laid out as (order, node, interval): the nodes of the
+    16-point rule on every interval, then those of the 8-point one;
+    `knot_pv_sums` sums a principal value in this layout.
     """
-    orders = KNOT_ORDERS
-    if fine:
-        orders = FINE_KNOT_ORDERS
-        knots = np.concatenate([knots[:1], knots[1] * 10.0 ** np.arange(-8, 0), knots[1:]])
     mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
-    rules = [gauss_rule(n) for n in orders]
+    rules = [gauss_rule(n) for n in KNOT_ORDERS]
     nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes])
     weights = np.concatenate([half * w for r in rules for w in r.weights])
-    return nodes, weights, orders
+    return nodes, weights
 
 
 def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarray,
-                 weights: np.ndarray, orders: tuple[int, int],
+                 weights: np.ndarray,
                  slope: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(value, error estimate) of sum w (f(t) - f_c)/(t - c) for every row (f_c, c).
 
@@ -158,12 +150,12 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
     of either rule on a pole makes the row's estimate non-finite: with
     `slope` (f'(c), one per row) the row is summed again with f'(c) as the
     quotient there; where that is NaN or not given, the estimate is NaN, so
-    `KnotPv` hands the row to the fine pair. The rows go through one work
+    `KnotPv` hands the row to its fine pass. The rows go through one work
     array in blocks of _PV_WORK entries, at least one row (fresh
     megabyte-sized arrays would cost a page fault per page); each row is
     reduced on its own, so its numbers do not depend on the batch.
     """
-    high_order, low_order = orders
+    high_order, low_order = KNOT_ORDERS
     block = max(1, _PV_WORK // len(nodes))
     value, err = np.empty(c.shape), np.empty(c.shape)
     work = np.empty((2, min(len(c), block), len(nodes)))
@@ -191,33 +183,39 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
 
 
 class KnotPv:
-    """Principal values on fixed knots: `knot_rule`'s pairs with the integrand at their nodes.
+    """Principal values on fixed knots: `knot_rule`'s pair with the integrand at its nodes.
 
     `at(nodes)` maps the rule's nodes to (t, f): the pole variable and the
-    integrand there, one table for all rows. Each pair is built on its
-    first use, the fine one only when a row misses the first.
+    integrand there, one table for all rows. The fine pass, for the rows the
+    first misses, runs the pair on the knots with [knots[0], knots[1]] graded
+    at knots[1] 10^-k, k = 1..8 (knots[0] is 0 there), every interval then
+    bisected; it is built only when a row misses the first.
     """
 
     def __init__(self, knots: np.ndarray, at: Callable):
         self._knots, self._at, self._pairs = knots, at, {}
 
     def pair(self, fine: bool) -> tuple:
-        """(t, f, weights, orders) of the first pair, or with `fine` of the fine one."""
+        """(t, f, weights) of the first pass, or with `fine` of the fine one."""
         if fine not in self._pairs:
-            nodes, weights, orders = knot_rule(self._knots, fine)
-            self._pairs[fine] = (*self._at(nodes), weights, orders)
+            k = self._knots
+            if fine:
+                k = np.concatenate([k[:1], k[1] * 10.0 ** np.arange(-8, 0), k[1:]])
+                k = np.append(np.column_stack([k[:-1], 0.5 * (k[:-1] + k[1:])]), k[-1])
+            nodes, weights = knot_rule(k)
+            self._pairs[fine] = (*self._at(nodes), weights)
         return self._pairs[fine]
 
     def sums(self, f_c, c, scale, label: Callable, x=0.0, slope=None) -> np.ndarray:
         """sum w (f(t) e^(-x/t) - f_c)/(t - c) for every row (f_c, c, x).
 
-        The first pair's sums, and the fine pair's for the rows it misses. A
+        The first pass's sums, and the fine pass's for the rows it misses. A
         row is settled when its estimate is at most 1e-9 max(|value|,
-        scale), scale one number or one per row; a row the fine pair leaves
+        scale), scale one number or one per row; a row the fine pass leaves
         unsettled raises AccuracyError, its message starting with label(row).
         `slope`, the integrand's derivative at each row's pole, serves a node
         on that pole (`knot_pv_sums`); without it such a row goes to the fine
-        pair, whose nodes next to a slit edge round onto poles too.
+        pass, whose nodes next to a slit edge round onto poles too.
         """
         scale, x = np.broadcast_to(scale, c.shape), np.broadcast_to(x, c.shape)
         slope = np.broadcast_to(np.nan if slope is None else slope, c.shape)
@@ -237,10 +235,10 @@ class KnotPv:
         return value
 
     def _pass(self, fine, f_c, c, x, slope):
-        """(value, error estimate) of the rows by one pair: one `knot_pv_sums`
+        """(value, error estimate) of the rows by one pass: one `knot_pv_sums`
         call per distinct x, on f e^(-x/t) for x > 0 and on f itself for x = 0.
         """
-        t, f, weights, orders = self.pair(fine)
+        t, f, weights = self.pair(fine)
         value, err = np.empty(c.shape), np.empty(c.shape)
         damped = np.empty(t.shape)
         order = np.argsort(x, kind="stable")
@@ -259,8 +257,7 @@ class KnotPv:
                 g[gone] = 0.0
                 g *= f
                 g[(g < _TINY) & (g > -_TINY)] = 0.0
-            value[rows], err[rows] = knot_pv_sums(g, f_c[rows], c[rows], t, weights, orders,
-                                                  slope[rows])
+            value[rows], err[rows] = knot_pv_sums(g, f_c[rows], c[rows], t, weights, slope[rows])
         return value, err
 
 
@@ -380,7 +377,7 @@ def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
     = -q - 1 > -1. On [0, eps], eps = min(1/end, 0.05/max(|z|, x)), the
     Taylor series sum c_n u^n of e^(-x u)/(1 - z u), c_0 = 1 and c_n = z
     c_(n-1) + (-x)^n/n!, is integrated against u^a term by term
-    (_HEAD_TERMS terms). From eps to 1/end `knot_rule`'s first pair runs on
+    (_HEAD_TERMS terms). From eps to 1/end `knot_rule`'s pair runs on
     knots geometric in u, at most a factor 2 apart, the error the sum over
     intervals of |16 - 8|. A pole u = 1/z next to the end (|z - end| <
     end/2) is subtracted there: the numerator u^a e^(-x u) less its value C
@@ -406,7 +403,8 @@ def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
     c = np.where(near, zn ** -a * np.exp(-x / zn), 0.0)
     k = max(1, math.ceil(math.log2(top / eps.min(initial=top))))
     knots = eps[:, None] * (top / eps[:, None]) ** (np.arange(k + 1) / k)
-    nodes, weights, (high, _) = knot_rule(np.array([0.0, 1.0]), False)
+    nodes, weights = knot_rule(np.array([0.0, 1.0]))
+    high = KNOT_ORDERS[0]
     width = np.diff(knots, axis=1)[:, :, None]
     u = knots[:, :-1, None] + width * nodes  # (row, interval, node)
     f = (u ** a * np.exp(-x[:, None, None] * u) - c[:, None, None]) / (1.0 - z[:, None, None] * u)

@@ -1,15 +1,18 @@
-"""Adaptive-quadrature references for the boundary values at alpha > 0.
+"""Adaptive-quadrature references for the boundary values at alpha > 0 and for Vp.
 
 The program sums Re lam+ on a fixed rule as a Hilbert transform of
 xi_alpha and takes xi_alpha from cumulative Gauss sums. The tests compare
 them with independent routes on the adaptive engine: xi_alpha by adaptive
 quadrature of w^(2a+4) E(w) up to the cutoff, and Re lam+ as the frequency
-integral of pv lam_C(w^a mu) over the Planck weight.
+integral of pv lam_C(w^a mu) over the Planck weight. Vp, which the program
+sums on fixed rules too, is `pv_reference`: adaptive principal values of
+theta - pi, and the table's tail law in closed form (`tail_reference`).
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from bosemilne import quadrature, special
 from bosemilne.dispersion import lambda_case_pv
@@ -124,3 +127,46 @@ def boundary_values(model, mu):
     im = 0.5 * math.pi * mu * xi_alpha(model, mu) / model.l0_alpha
     re = re_part(model, mu)
     return re, im, np.arctan2(im, re)
+
+
+def tail_reference(data, z):
+    """int_{mu_max}^inf (theta - pi)/(t - z) dt of the table's tail law, in closed form.
+
+    With theta - pi = -c t^p beyond mu_max and u = 1/t it is -c int_0^U
+    u^a/(1 - z u) du, a = -p - 1 and U = 1/mu_max: -c U^(a+1)/(a+1) 2F1(1,
+    a+1; a+2; z U), by mpmath at 30 digits, for every z, real below mu_max or
+    complex. 0 for a table without a tail.
+    """
+    z = np.atleast_1d(z)
+    if data.table.tail is None:
+        return np.zeros(z.shape, z.dtype)
+    mpmath = pytest.importorskip("mpmath")
+    c, p = data.table.tail
+    kind = complex if np.iscomplexobj(z) else float
+    with mpmath.workdps(30):
+        a, top = -mpmath.mpf(p) - 1, 1 / mpmath.mpf(data.table.mu_max)
+        scale = -c * top ** (a + 1) / (a + 1)
+        return np.array([kind(scale * mpmath.hyp2f1(1, a + 1, a + 2, zi * top))
+                         for zi in z.tolist()])
+
+
+def pv_reference(data, etas):
+    """Vp(etas) by adaptive principal values (quadrature.pv_rows) at tolerance 1e-13.
+
+    The body runs to mu_max, plus the table's tail beyond it in closed form
+    (tail_reference). A slit table
+    adds the piece from mu_max to the slit edge, 1e-13 wide: for etas at
+    least 1e-4 below the edge, 1/(t - eta) is 1/(edge - eta) there to 1e-9,
+    and int g dt is taken in the edge variable t = edge - e^-s.
+    """
+    table = data.table
+    g = lambda t: table.theta_at(t) - math.pi
+    body = quadrature.pv_rows(g, etas, 0.0, table.mu_max, 1e-13,
+                              slopes=table.theta_slope(etas), max_depth=50)
+    if table.slit_edge is not None:
+        edge, s0 = table.slit_edge, -math.log(table.slit_edge - table.mu_max)
+        assert np.all(edge - etas >= 1e-4)
+        piece = quadrature.integrate(lambda s: g(edge - np.exp(-s)) * np.exp(-s),
+                                     s0, s0 + 45.0, 1e-8, max_depth=30)
+        body += piece / (edge - etas)
+    return (body + tail_reference(data, etas)) / math.pi

@@ -393,18 +393,16 @@ class TestPanelTable:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_one_boundary_rule_per_build(self, ctx, alpha, monkeypatch):
-        # the mu_max probes and every pass share one first pair of the
-        # boundary rule, and no row of a default table needs the fine pair
-        pairs = []
-        real = quadrature.knot_rule
-
-        def spy(knots, fine):
-            pairs.append(fine)
-            return real(knots, fine)
-
-        monkeypatch.setattr(quadrature, "knot_rule", spy)
+        # the mu_max probes and every pass share one first pass of the
+        # boundary rule, and no row of a default table needs the fine pass
+        builds, passes = [], []
+        rule, run = quadrature.knot_rule, quadrature.KnotPv._pass
+        monkeypatch.setattr(quadrature, "knot_rule",
+                            lambda knots: builds.append(len(knots)) or rule(knots))
+        monkeypatch.setattr(quadrature.KnotPv, "_pass",
+                            lambda self, fine, *rows: passes.append(fine) or run(self, fine, *rows))
         build_theta_table(ctx.model(alpha))
-        assert pairs == [False]
+        assert len(builds) == 1 and passes and not any(passes)
 
     def test_tail_continues_the_last_panel(self, ctx):
         table = ctx.table(1.0)

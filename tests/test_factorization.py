@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaptive_reference import pv_reference, tail_reference
 from bosemilne import dispersion, factorization as fz, quadrature
 from bosemilne.errors import DivergenceError, DomainError, RangeError
 
@@ -27,27 +28,6 @@ def n_jump_complex(data, eta):
     xp = fz.x_boundary(data, eta, "above")
     xm = fz.x_boundary(data, eta, "below")
     return -2.0 * data.model.l0_alpha * data.k * (1.0 / xp - 1.0 / xm) / (2.0j * math.pi * eta)
-
-
-def tail_reference(data, z):
-    """int_{mu_max}^inf (theta - pi)/(t - z) dt of the table's tail law, in closed form.
-
-    With theta - pi = -c t^p beyond mu_max and u = 1/t it is -c int_0^U
-    u^a/(1 - z u) du, a = -p - 1 and U = 1/mu_max: -c U^(a+1)/(a+1) 2F1(1,
-    a+1; a+2; z U), by mpmath at 30 digits, for every z, real below mu_max or
-    complex. 0 for a table without a tail.
-    """
-    z = np.atleast_1d(z)
-    if data.table.tail is None:
-        return np.zeros(z.shape, z.dtype)
-    mpmath = pytest.importorskip("mpmath")
-    c, p = data.table.tail
-    kind = complex if np.iscomplexobj(z) else float
-    with mpmath.workdps(30):
-        a, top = -mpmath.mpf(p) - 1, 1 / mpmath.mpf(data.table.mu_max)
-        scale = -c * top ** (a + 1) / (a + 1)
-        return np.array([kind(scale * mpmath.hyp2f1(1, a + 1, a + 2, zi * top))
-                         for zi in z.tolist()])
 
 
 def v_reference(data, z):
@@ -228,28 +208,6 @@ class TestSpectrumCoefficient:
             fz.n_coefficient(d1, 2.0 * table1.mu_max)
 
 
-def pv_reference(data, etas):
-    """Vp(etas) by adaptive principal values (quadrature.pv_rows) at tolerance 1e-13.
-
-    The body runs to mu_max, plus the table's tail beyond it in closed form
-    (tail_reference). A slit table
-    adds the piece from mu_max to the slit edge, 1e-13 wide: for etas at
-    least 1e-4 below the edge, 1/(t - eta) is 1/(edge - eta) there to 1e-9,
-    and int g dt is taken in the edge variable t = edge - e^-s.
-    """
-    table = data.table
-    g = lambda t: table.theta_at(t) - math.pi
-    body = quadrature.pv_rows(g, etas, 0.0, table.mu_max, 1e-13,
-                              slopes=table.theta_slope(etas), max_depth=50)
-    if table.slit_edge is not None:
-        edge, s0 = table.slit_edge, -math.log(table.slit_edge - table.mu_max)
-        assert np.all(edge - etas >= 1e-4)
-        piece = quadrature.integrate(lambda s: g(edge - np.exp(-s)) * np.exp(-s),
-                                     s0, s0 + 45.0, 1e-8, max_depth=30)
-        body += piece / (edge - etas)
-    return (body + tail_reference(data, etas)) / math.pi
-
-
 def slit_vp_mpmath(c, dps=30):
     """Vp(c) on the alpha = 0 slit (edge 1) at dps digits, for c near the edge.
 
@@ -357,14 +315,14 @@ class TestVCut:
         data = ctx.solution(alpha).factorization
         nodes = data.vp_rule.pair(False)[0]
         eta = float(nodes[np.argmin(np.abs(nodes - 0.3))])
-        redone, sums = [], quadrature.knot_pv_sums
+        redone, run = [], quadrature.KnotPv._pass
 
-        def spy(f, f_c, c, nodes, weights, orders, slope):
-            if orders == quadrature.FINE_KNOT_ORDERS:
+        def spy(self, fine, f_c, c, x, slope):
+            if fine:
                 redone.extend(c.tolist())
-            return sums(f, f_c, c, nodes, weights, orders, slope)
+            return run(self, fine, f_c, c, x, slope)
 
-        monkeypatch.setattr(quadrature, "knot_pv_sums", spy)
+        monkeypatch.setattr(quadrature.KnotPv, "_pass", spy)
         got = fz.v_cut(data, eta)
         assert redone == []
         assert abs(got - pv_reference(data, np.array([eta]))[0]) <= 1e-10
@@ -415,8 +373,8 @@ class TestVCut:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_fine_pair_agrees(self, ctx, alpha, monkeypatch):
-        # no eta tried needs the fine pair; forced on every row, it gives the
-        # first pair's values (measured within 1.1e-14)
+        # no eta tried needs the fine pass; forced on every row, it gives the
+        # first pass's values (measured within 1.1e-14)
         data = ctx.solution(alpha).factorization
         etas = np.geomspace(1e-6, 0.99 * data.table.mu_max, 25)
         want = fz.v_cut(data, etas)

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from adaptive_reference import pv_reference
 from bosemilne import dispersion, factorization as fz, field, quadrature
 from bosemilne.errors import AccuracyError, DomainError, RangeError
 from bosemilne.field import (MilneSolution, boundary_residual, evaluate,
                              mode_equation_residual, solve_milne)
 
 
-def spy_redo(monkeypatch, sol) -> list:
-    """Record the (x, mu) of every row the first fixed rule of sol's continuum
-    integral hands to the fine rule."""
+def spy_redo(monkeypatch, rule) -> list:
+    """Record the (x, pole) of every row the first pass of a `quadrature.KnotPv`
+    (a solution's continuum integral, or Vp's rule) hands to the fine pass."""
     redone = []
-    rule, real = sol.eta_n_rule, quadrature.KnotPv._pass
+    real = quadrature.KnotPv._pass
 
     def spy(self, fine, f_c, c, x, slope):
         if fine and self is rule:
@@ -164,9 +165,9 @@ class TestEvaluate:
 
     def test_mixed_fallback_batch_equals_pointwise(self, sol0, monkeypatch):
         # mu on a node of the first fixed rule next to 0.64, 0.7 and 0.79:
-        # 0/0 there, so the fine rule takes those rows, and one batch holds
-        # fine-rule and first-rule rows
-        redone = spy_redo(monkeypatch, sol0)
+        # 0/0 there, so the fine pass takes those rows, and one batch holds
+        # fine-pass and first-pass rows
+        redone = spy_redo(monkeypatch, sol0.eta_n_rule)
         m1, m2, m3 = first_pair_nodes(sol0, [0.64, 0.7, 0.79])
         x, mu = (g.ravel() for g in np.meshgrid(
             [0.0, 0.5], [0.3, m1, -0.5, m2, 0.5, m3, 1.5], indexing="ij"))
@@ -181,7 +182,7 @@ class TestEvaluate:
         calls = []
         for name in ("pv_rows", "integrate_rows", "integrate_with_error"):
             monkeypatch.setattr(quadrature, name, lambda *a, _n=name, **k: calls.append(_n))
-        redone = spy_redo(monkeypatch, sol0)
+        redone = spy_redo(monkeypatch, sol0.eta_n_rule)
         evaluate(sol0, np.array([0.0, 0.0, 0.0, 0.5]),
                  np.array(first_pair_nodes(sol0, [0.64, 0.7, 0.79]) + [0.3]))
         assert len(redone) == 3 and calls == []
@@ -208,19 +209,25 @@ class TestContinuumPanels:
     """eta n(eta) as Chebyshev panels against fresh values of n_coefficient."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_fresh_values(self, ctx, alpha):
+    def test_fresh_values(self, ctx, alpha, monkeypatch):
         # 500 points geometric in the panel variable x (up to 1.13e-13 below
         # the alpha-0 edge), each within 10 times its panel's last three
         # coefficients plus Vp's own accuracy, 1e-12 max |eta n|, plus next
         # to the edge 1e-16/(1 - eta) relative: there the rounded Lobatto
         # points sit up to 1.1e-16/(1 - eta) off in ln(1 - eta), and Vp has
         # its floor (measured 2.0e-17/(1 - eta)). Measured at most 9.6e-14 /
-        # 3.5e-13 / 7.9e-12 of max |eta n| up to 1 - 1e-6 / eta_max / eta_max
+        # 3.5e-13 / 7.9e-12 of max |eta n| up to 1 - 1e-6 / eta_max / eta_max.
+        # At alpha > 0 the fresh Vp is the adaptive reference, one call for
+        # all points: the fixed rule is 7.5e-13 off it 4.4e-6 from one of its
+        # nodes at alpha 1, where the panels are 5e-13 off. At alpha 0 it
+        # stays v_cut, as the reference keeps 1e-4 from the slit edge
         sol = ctx.solution(alpha)
         data, coeffs = sol.factorization, sol.panels.coeffs
         breaks, edge = data.continuum_breaks, data.table.slit_edge or math.inf
         x = np.geomspace(*data.table.panel_x(breaks[[0, -1]]), 500)
         eta = np.clip(data.table.panel_mu(x), breaks[0], breaks[-1])
+        if alpha > 0.0:
+            monkeypatch.setattr(fz, "v_cut", pv_reference)
         fresh = eta * fz.n_coefficient(data, eta)
         panel = np.clip(np.searchsorted(breaks, eta, "right") - 1, 0, len(coeffs) - 1)
         bound = (10.0 * np.abs(coeffs[:, -3:]).max(axis=1)[panel]
@@ -284,8 +291,8 @@ class TestFixedRule:
 
     def test_node_on_pole_falls_back(self, sol0, monkeypatch):
         # a principal value whose pole is a node of the 16-point rule divides
-        # by zero there: its estimate is NaN, and the fine rule takes the row
-        redone = spy_redo(monkeypatch, sol0)
+        # by zero there: its estimate is NaN, and the fine pass takes the row
+        redone = spy_redo(monkeypatch, sol0.eta_n_rule)
         mu = first_pair_nodes(sol0, [0.5])[0]
         val = evaluate(sol0, 1.0, mu)
         assert redone == [(1.0, mu)] and math.isfinite(val)
@@ -293,10 +300,10 @@ class TestFixedRule:
 
     def test_fine_rule_inside_the_first_interval(self, ctx, monkeypatch):
         # x and mu about eta_1 / 100: e^{-x/eta} turns over inside [0, eta_1 =
-        # 1e-4], which the fine rule splits. Adaptive quadrature at tolerance
+        # 1e-4], which the fine pass grades. Adaptive quadrature at tolerance
         # 1e-9 is 2e-7 off here
         sol = ctx.solution(1.0)
-        redone = spy_redo(monkeypatch, sol)
+        redone = spy_redo(monkeypatch, sol.eta_n_rule)
         assert reference_gap(sol, 6.44e-7, 6.59e-7, 1e-13) <= 1e-10
         assert redone == [(6.44e-7, 6.59e-7)]
 
@@ -307,9 +314,27 @@ class TestFixedRule:
         coarse = dispersion.build_theta_table(ctx.model(0.0),
                                               dispersion._slit_grid(1.0, 60, 1e-4))
         sol = solve_milne(ctx.model(0.0), k=1.0, table=coarse)
-        redone = spy_redo(monkeypatch, sol)
+        redone = spy_redo(monkeypatch, sol.eta_n_rule)
         assert reference_gap(sol, 0.0, 0.22, 1e-12) <= 1e-10
         assert redone == [(0.0, 0.22)]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25])
+    def test_fine_pass_at_small_alpha(self, ctx, alpha, monkeypatch):
+        # the first pass misses Vp and phi(0, mu) rows here, and the fine
+        # pass settles them: 120 / 49 of the 120 etas and 400 / 379 of the
+        # 400 mu at alpha 0.1 / 0.25. Measured: Vp within 1.01e-11 / 1.43e-12
+        # of the adaptive reference, and |phi(0, mu)| at most 9.35e-11 /
+        # 1.27e-10 of |K| (1 + V1)
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        vp_redone = spy_redo(monkeypatch, data.vp_rule)
+        field_redone = spy_redo(monkeypatch, sol.eta_n_rule)
+        etas = np.geomspace(1e-3, 0.9 * data.table.mu_max, 120)
+        assert np.max(np.abs(fz.v_cut(data, etas) - pv_reference(data, etas))) <= 5e-11
+        mus = np.geomspace(2e-3, 0.95 * sol.eta_max, 400)
+        res = np.abs(evaluate(sol, 0.0, mus)) / (abs(data.k) * (1.0 + data.v1))
+        assert np.max(res) <= 5e-10
+        assert len(vp_redone) >= 40 and len(field_redone) >= 300
 
     def test_row_the_fine_rule_cannot_settle(self, sol0):
         # 2.1e-13 beyond the end of the alpha-0 table, where evaluate's range
@@ -323,7 +348,7 @@ class TestFixedRule:
         # an alpha-0 31 x 33 grid like the profile benchmark's and its
         # emergent distribution: every row settles on the first fixed rule
         # (3 of 1023 did not on the pchip of the continuum table)
-        redone = spy_redo(monkeypatch, sol0)
+        redone = spy_redo(monkeypatch, sol0.eta_n_rule)
         x, mu = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 20.0, 31),
                                                 np.linspace(0.01, 0.97, 33), indexing="ij"))
         evaluate(sol0, x, mu)
@@ -374,10 +399,11 @@ class TestCallCounts:
 
     The field reads its interpolant once per solution at each fixed rule's
     nodes and once per call at the principal-value poles; rows the first
-    rule cannot settle read it once more at their poles, and the fine rule's
+    pass cannot settle read it once more at their poles, and the fine pass's
     nodes once per solution. v_cut reads theta once at its poles, and once
     per factorisation at the nodes of its fixed rule. One adaptive quadrature per value made
-    about 130 calls per field point and 80 per Vp node.
+    about 130 calls per field point and 80 per Vp node. The fine pass has
+    24 nodes on each of its intervals.
     """
 
     class Counting:
@@ -396,6 +422,14 @@ class TestCallCounts:
                             lambda self, x: calls.append(1) or value(self, x))
         evaluate(sol, 1.0, np.linspace(0.01, 0.97, 33))
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_fine_pass_nodes(self, ctx, alpha):
+        # the 16/8 pair on the knots with 8 more below knots[1], every
+        # interval bisected (the 64/48 pair on the knots took 112 per interval)
+        sol = ctx.solution(alpha)
+        for rule in (sol.eta_n_rule, sol.factorization.vp_rule):
+            assert len(rule.pair(True)[0]) == 24 * 2 * (len(rule._knots) - 1 + 8)
 
     def test_spectrum_table(self, data0):
         # 400 nodes at alpha 0: Vp's poles and rule nodes, then n's nodes (the

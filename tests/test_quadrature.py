@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bosemilne import quadrature
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
-from bosemilne.quadrature import (ChebPanels, PvIntegrand, gauss_rule, integrate,
-                                  integrate_rows, integrate_with_error, knot_pv_sums, knot_rule,
+from bosemilne.quadrature import (KNOT_ORDERS, ChebPanels, KnotPv, PvIntegrand, gauss_rule,
+                                  integrate, integrate_rows, integrate_with_error, knot_pv_sums,
                                   power_tail, pv_integral, pv_rows)
 from bosemilne.special import einstein
 
@@ -264,13 +264,19 @@ class TestKnotPvSums:
 
     knots = np.array([0.0, 0.1, 0.35, 1.0])
 
+    def rule(self, fine):
+        """(nodes, weights) of `KnotPv`'s first pass on the knots, or of its
+        fine pass: the knots graded below 0.1 and bisected."""
+        nodes, _, weights = KnotPv(self.knots, lambda t: (t, t)).pair(fine)
+        return nodes, weights
+
     @pytest.mark.parametrize("fine", [False, True])
     def test_polynomial_is_exact(self, fine):
         # (t^2 - c^2)/(t - c) = t + c: the value is its integral 1/2 + c and
         # the estimate rounding
-        nodes, weights, orders = knot_rule(self.knots, fine)
+        nodes, weights = self.rule(fine)
         c = np.linspace(0.05, 0.95, 11)
-        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders)
+        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights)
         np.testing.assert_allclose(value, 0.5 + c, rtol=1e-14, atol=0.0)
         assert np.all(err <= 1e-14)
 
@@ -278,10 +284,10 @@ class TestKnotPvSums:
     def test_rows_do_not_depend_on_blocks(self, fine):
         # rows over three blocks of the work array and part of a fourth, each
         # equal to its one-row sum bit for bit
-        nodes, weights, orders = knot_rule(self.knots, fine)
+        nodes, weights = self.rule(fine)
         c = np.linspace(0.05, 0.95, 3 * (quadrature._PV_WORK // len(nodes)) + 1)
-        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders)
-        rows = [knot_pv_sums(nodes ** 2, c[i:i + 1] ** 2, c[i:i + 1], nodes, weights, orders)
+        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights)
+        rows = [knot_pv_sums(nodes ** 2, c[i:i + 1] ** 2, c[i:i + 1], nodes, weights)
                 for i in range(len(c))]
         assert value.tolist() == [v[0] for v, _ in rows]
         assert err.tolist() == [e[0] for _, e in rows]
@@ -290,10 +296,10 @@ class TestKnotPvSums:
     def test_node_on_pole_gives_nan_estimate(self, fine):
         # 0/0 where f_c is f at the node, and x/0 where it is not: both
         # estimates are NaN, which no tolerance test passes
-        nodes, weights, orders = knot_rule(self.knots, fine)
+        nodes, weights = self.rule(fine)
         c = np.full(2, nodes[5])
         _, err = knot_pv_sums(2.0 * nodes, np.array([2.0 * c[0], 2.0 * c[0] + 1e-3]), c,
-                              nodes, weights, orders)
+                              nodes, weights)
         assert np.all(np.isnan(err))
 
     @pytest.mark.parametrize("fine", [False, True])
@@ -301,13 +307,13 @@ class TestKnotPvSums:
         # poles on a node of the high-order rule, of the low-order one, and on
         # none: with f'(c) = 2c as the quotient at the node, (t^2 - c^2)/(t -
         # c) = t + c sums exactly again; the row on no node keeps its bits
-        nodes, weights, orders = knot_rule(self.knots, fine)
-        low = orders[0] * (len(self.knots) - 1)
+        nodes, weights = self.rule(fine)
+        low = KNOT_ORDERS[0] * len(nodes) // sum(KNOT_ORDERS)
         c = np.array([nodes[5], nodes[low + 3], 0.5])
-        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, orders, 2.0 * c)
+        value, err = knot_pv_sums(nodes ** 2, c ** 2, c, nodes, weights, 2.0 * c)
         np.testing.assert_allclose(value, 0.5 + c, rtol=1e-14, atol=0.0)
         assert np.all(err <= 1e-14)
-        plain = knot_pv_sums(nodes ** 2, c[2:] ** 2, c[2:], nodes, weights, orders)
+        plain = knot_pv_sums(nodes ** 2, c[2:] ** 2, c[2:], nodes, weights)
         assert (value[2], err[2]) == (plain[0][0], plain[1][0])
 
 
