@@ -10,7 +10,7 @@ cross-validation.
 from .errors import (AccuracyError, BoseMilneError, ConfigurationError,
                      ConsistencyError, ConvergenceError, DivergenceError,
                      DomainError, ExtractionError, RangeError, ResolutionError)
-from .quadrature import PvIntegrand, QuadratureRule, gauss_rule, integrate, pv_integral
+from .quadrature import PvIntegrand, QuadratureRule, gauss_rule, pv_integral
 from .special import AlphaModel, einstein, moment_l0, xi_alpha
 from .dispersion import (DispersionTable, build_theta_table, index_kappa,
                          lambda_boundary, lambda_case, lambda_general)

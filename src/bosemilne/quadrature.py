@@ -1,26 +1,28 @@
 """Reusable numerical integration, and adaptive Chebyshev panels.
 
 Fixed Gauss-Legendre rules, also as pairs on every interval of a set of
-knots (`knot_rule`: the 16-point rule and the 8-point one for the error
-estimate; `knot_pv_sums`: regularised principal values on them; `KnotPv`:
-the Cauchy integral on the cut of lam+, Vp and the field, the pair again
-on bisected knots for the rows it cannot settle; `power_tail`: the Cauchy
-integral of a power-law tail, for Vp and the field, a Taylor head and the
-pair on knots geometric in u), one deterministic globally-adaptive
-algorithm run in lockstep over many rows (`integrate_rows`: one integrand
-call per step for all rows; `integrate_with_error` and `integrate` are its
-one-row call; of the commands only `validate` reaches it), and Cauchy
-principal values by singularity subtraction, one row (`pv_integral`) or
-many (`pv_rows`):
+knots, or of rows of them (`knot_rule`: the 16-point rule and the 8-point
+one; `knot_sums`: the one reduction of a pair, the 16-point sum and the
+sum over intervals of |16 - 8| as its error; `knot_pv_sums`: regularised
+principal values on them; `KnotPv`: the Cauchy integral on the cut of
+lam+, Vp and the field, the pair again on bisected knots for the rows it
+cannot settle; `power_tail`: the Cauchy integral of a power-law tail, for
+Vp and the field, a Taylor head and the pair on knots geometric in u), one
+deterministic globally-adaptive algorithm run in lockstep over many rows
+(`integrate_rows`: one integrand call per step for all rows;
+`integrate_with_error` is its one-row call), and Cauchy principal values by
+singularity subtraction, one row (`pv_integral`) or many (`pv_rows`):
 
     P int f(t)/(t-c) dt = int (f(t)-f(c))/(t-c) dt + f(c) ln((b-c)/(c-a))
 
-Integrands are called with ndarray arguments and must evaluate elementwise.
-All refinement decisions depend only on the integrand values of their own
-row, so results are bit-reproducible for a given tolerance, whatever rows
-share a batch. `ChebPanels` is a piecewise Chebyshev series in ln x,
-fitted by bisection to a batched function (the theta table of lam+) or
-through one on given panels (the field's continuum coefficient).
+No command reaches the adaptive algorithm or the principal values by
+subtraction; bench/spans.py wraps `integrate_with_error` and `pv_integral`
+by name. Integrands are called with ndarray arguments and must evaluate
+elementwise. All refinement decisions depend only on the integrand values
+of their own row, so results are bit-reproducible for a given tolerance,
+whatever rows share a batch. `ChebPanels` is a piecewise Chebyshev series
+in ln x, fitted by bisection to a batched function (the theta table of
+lam+) or through one on given panels (the field's continuum coefficient).
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ __all__ = [
     "PvIntegrand",
     "gauss_rule",
     "knot_rule",
+    "knot_sums",
     "knot_pv_sums",
     "KnotPv",
     "ChebPanels",
     "power_tail",
-    "integrate",
     "integrate_with_error",
     "integrate_rows",
     "pv_rows",
@@ -128,15 +130,32 @@ def gauss_rule(n: int) -> QuadratureRule:
 def knot_rule(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the KNOT_ORDERS Gauss-Legendre pair on every interval of `knots`.
 
-    Flat arrays laid out as (order, node, interval): the nodes of the
-    16-point rule on every interval, then those of the 8-point one;
-    `knot_pv_sums` sums a principal value in this layout.
+    `knots` is one row of knots or rows of them on its last axis; the pair
+    of each row lies flat on the last axis, laid out as (order, node,
+    interval): the nodes of the 16-point rule on every interval, then those
+    of the 8-point one. `knot_sums` reduces a sum in this layout.
     """
-    mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
+    lo, hi = knots[..., :-1], knots[..., 1:]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     rules = [gauss_rule(n) for n in KNOT_ORDERS]
-    nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes])
-    weights = np.concatenate([half * w for r in rules for w in r.weights])
+    nodes = np.concatenate([mid + half * t for r in rules for t in r.nodes], axis=-1)
+    weights = np.concatenate([half * w for r in rules for w in r.weights], axis=-1)
     return nodes, weights
+
+
+def knot_sums(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error estimate) of terms q in `knot_rule`'s layout on the last axis.
+
+    The value is the 16-point sum, the estimate the sum over intervals of
+    |16 - 8|, as QUADPACK pairs its rules (Piessens et al., 1983); one of
+    each per row of q.
+    """
+    high_order, low_order = KNOT_ORDERS
+    by_order = q.reshape(*q.shape[:-1], high_order + low_order,
+                         q.shape[-1] // (high_order + low_order))
+    high = by_order[..., :high_order, :].sum(axis=-2)
+    low = by_order[..., high_order:, :].sum(axis=-2)
+    return high.sum(axis=-1), np.abs(high - low).sum(axis=-1)
 
 
 def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarray,
@@ -144,18 +163,15 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
                  slope: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(value, error estimate) of sum w (f(t) - f_c)/(t - c) for every row (f_c, c).
 
-    f holds the function at `knot_rule`'s nodes, one table for all rows. The
-    value is the high-order sum, the estimate the sum over intervals of
-    |high - low|, as QUADPACK pairs its rules (Piessens et al., 1983). A node
-    of either rule on a pole makes the row's estimate non-finite: with
-    `slope` (f'(c), one per row) the row is summed again with f'(c) as the
-    quotient there; where that is NaN or not given, the estimate is NaN, so
+    f holds the function at `knot_rule`'s nodes, one table for all rows,
+    summed by `knot_sums`. A node of either rule on a pole makes the row's
+    estimate non-finite: with `slope` (f'(c), one per row) the row is
+    summed again with f'(c) as the quotient there; where that is NaN or not given, the estimate is NaN, so
     `KnotPv` hands the row to its fine pass. The rows go through one work
     array in blocks of _PV_WORK entries, at least one row (fresh
     megabyte-sized arrays would cost a page fault per page); each row is
     reduced on its own, so its numbers do not depend on the batch.
     """
-    high_order, low_order = KNOT_ORDERS
     block = max(1, _PV_WORK // len(nodes))
     value, err = np.empty(c.shape), np.empty(c.shape)
     work = np.empty((2, min(len(c), block), len(nodes)))
@@ -168,16 +184,11 @@ def knot_pv_sums(f: np.ndarray, f_c: np.ndarray, c: np.ndarray, nodes: np.ndarra
             np.subtract(nodes, c[rows, None], out=d)
             q /= d
             q *= weights
-            by_order = q.reshape(n, high_order + low_order, -1)
-            high = by_order[:, :high_order].sum(axis=1)
-            low = by_order[:, high_order:].sum(axis=1)
-            value[rows], err[rows] = high.sum(axis=1), np.abs(high - low).sum(axis=1)
+            value[rows], err[rows] = knot_sums(q)
             for j in np.flatnonzero(~np.isfinite(err[rows])) if slope is not None else ():
                 on = d[j] == 0.0  # a node of either rule
                 q[j, on] = slope[s + j] * weights[on]
-                high_j = by_order[j, :high_order].sum(axis=0)
-                low_j = by_order[j, high_order:].sum(axis=0)
-                value[s + j], err[s + j] = high_j.sum(), np.abs(high_j - low_j).sum()
+                value[s + j], err[s + j] = knot_sums(q[j])
     err[~np.isfinite(value)] = np.nan
     return value, err
 
@@ -378,12 +389,12 @@ def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
     Taylor series sum c_n u^n of e^(-x u)/(1 - z u), c_0 = 1 and c_n = z
     c_(n-1) + (-x)^n/n!, is integrated against u^a term by term
     (_HEAD_TERMS terms). From eps to 1/end `knot_rule`'s pair runs on
-    knots geometric in u, at most a factor 2 apart, the error the sum over
-    intervals of |16 - 8|. A pole u = 1/z next to the end (|z - end| <
-    end/2) is subtracted there: the numerator u^a e^(-x u) less its value C
-    = z^-a e^(-x/z) at the pole goes through the rule, and int C/(1 - z u)
-    du over [eps, 1/end] is added in closed form, as `knot_pv_sums`
-    regularises a principal value. A row whose error exceeds tol
+    each row's knots, geometric in u and at most a factor 2 apart, summed
+    by `knot_sums`. A pole u = 1/z next to the end (|z - end| < end/2) is
+    subtracted there: the numerator u^a e^(-x u) less its value C = z^-a
+    e^(-x/z) at the pole goes through the rule, and int C/(1 - z u) du over
+    [eps, 1/end] is added in closed form, as `knot_pv_sums` regularises a
+    principal value. A row whose error exceeds tol
     max(|value|, |C ln(1 - z/end)/z|) raises AccuracyError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -402,17 +413,11 @@ def power_tail(q: float, end: float, z, tol: float, x=0.0) -> np.ndarray:
     zn = np.where(near, z, 0.5 * end)  # C = 0 on the other rows
     c = np.where(near, zn ** -a * np.exp(-x / zn), 0.0)
     k = max(1, math.ceil(math.log2(top / eps.min(initial=top))))
-    knots = eps[:, None] * (top / eps[:, None]) ** (np.arange(k + 1) / k)
-    nodes, weights = knot_rule(np.array([0.0, 1.0]))
-    high = KNOT_ORDERS[0]
-    width = np.diff(knots, axis=1)[:, :, None]
-    u = knots[:, :-1, None] + width * nodes  # (row, interval, node)
-    f = (u ** a * np.exp(-x[:, None, None] * u) - c[:, None, None]) / (1.0 - z[:, None, None] * u)
-    terms = f * (width * weights)
-    by_high, by_low = terms[:, :, :high].sum(axis=2), terms[:, :, high:].sum(axis=2)
+    u, weights = knot_rule(eps[:, None] * (top / eps[:, None]) ** (np.arange(k + 1) / k))
+    f = (u ** a * np.exp(-x[:, None] * u) - c[:, None]) / (1.0 - z[:, None] * u)
+    body, err = knot_sums(f * weights)
     log_end = np.log((end - zn) / end)
-    value = head + by_high.sum(axis=1) - c * (log_end - np.log1p(-zn * eps)) / zn
-    err = np.abs(by_high - by_low).sum(axis=1)
+    value = head + body - c * (log_end - np.log1p(-zn * eps)) / zn
     bad = np.flatnonzero(~(err <= tol * np.maximum(np.abs(value), np.abs(c * log_end / zn))))
     if len(bad):
         i = bad[0]
@@ -572,20 +577,6 @@ def integrate_with_error(
                                   [a], [b], tol, points=[points] if len(points) else None,
                                   max_depth=max_depth)
     return value[0], error[0]
-
-
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    *,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    points: Sequence[float] = (),
-):
-    """Adaptive integral of f over (a, b); see integrate_with_error."""
-    value, _ = integrate_with_error(f, a, b, tol, max_depth=max_depth, points=points)
-    return value
 
 
 def pv_rows(f: Callable, poles, a, b, tol: float = 1e-10, *, slopes=None,

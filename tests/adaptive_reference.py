@@ -1,4 +1,5 @@
-"""Adaptive-quadrature references for the boundary values at alpha > 0 and for Vp.
+"""Adaptive-quadrature references for the boundary values at alpha > 0, for Vp
+and for the weighted Case average.
 
 The program sums Re lam+ on a fixed rule as a Hilbert transform of
 xi_alpha and takes xi_alpha from cumulative Gauss sums. The tests compare
@@ -7,6 +8,9 @@ quadrature of w^(2a+4) E(w) up to the cutoff, and Re lam+ as the frequency
 integral of pv lam_C(w^a mu) over the Planck weight. Vp, which the program
 sums on fixed rules too, is `pv_reference`: adaptive principal values of
 theta - pi, and the table's tail law in closed form (`tail_reference`).
+The average lam(z) off the real axis, a fixed graded rule in the program,
+is `weighted_case_average` here. `integrate` is the engine's scalar
+integral for the tests.
 """
 
 import math
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 
 from bosemilne import quadrature, special
-from bosemilne.dispersion import lambda_case_pv
+from bosemilne.dispersion import lambda_case, lambda_case_pv
 
 
 # Laurent coefficients of E(x) - 1/x^2 + 1/12 = sum c_k x^(2k), k >= 1
@@ -36,6 +40,30 @@ def einstein_reg(x):
     xb = arr[~small]
     out[~small] = special.einstein(xb) - 1.0 / (xb * xb) + 1.0 / 12.0
     return out if arr.ndim else float(out)
+
+
+def integrate(f, a, b, tol=1e-10, **kwargs):
+    """Adaptive integral of f over (a, b): quadrature.integrate_with_error's value."""
+    return quadrature.integrate_with_error(f, a, b, tol, **kwargs)[0]
+
+
+def weighted_case_average(model, z, tol=1e-12):
+    """(1/l0) int_0^cut w^(a+4) E(w) lam_C(w^a z) dw by adaptive quadrature at depth 24.
+
+    The integrand changes character where |w^a z| ~ 1, so for |z| > 1 the
+    panels are seeded at 1, 8 and 64 times that frequency, below half the
+    cutoff.
+    """
+    a, zc = model.alpha, complex(z)
+
+    def f(w):
+        return w ** (a + 4) * special.einstein(w) * lambda_case(w ** a * zc)
+
+    pts = []
+    if a > 0.0 and abs(zc) > 1.0:
+        w_cross = math.exp(-math.log(abs(zc)) / a)
+        pts = [p for p in (w_cross, 8.0 * w_cross, 64.0 * w_cross) if p < 0.5 * model.omega_cut]
+    return integrate(f, 0.0, model.omega_cut, tol, max_depth=24, points=pts) / model.l0_alpha
 
 
 def xi_alpha(model, mu, tol=1e-12):
@@ -166,7 +194,7 @@ def pv_reference(data, etas):
     if table.slit_edge is not None:
         edge, s0 = table.slit_edge, -math.log(table.slit_edge - table.mu_max)
         assert np.all(edge - etas >= 1e-4)
-        piece = quadrature.integrate(lambda s: g(edge - np.exp(-s)) * np.exp(-s),
-                                     s0, s0 + 45.0, 1e-8, max_depth=30)
+        piece = integrate(lambda s: g(edge - np.exp(-s)) * np.exp(-s), s0, s0 + 45.0, 1e-8,
+                          max_depth=30)
         body += piece / (edge - etas)
     return (body + tail_reference(data, etas)) / math.pi

@@ -58,11 +58,13 @@ def test_v1_alpha_two_divergence(capsys):
     ["profile", "--alpha", "0"],
     ["profile", "--alpha", "0.5", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
     ["profile", "--alpha", "1.25", "--grid-x", "0:4:3", "--grid-mu=-0.5:0.5:3"],
+    ["validate"],
 ], ids=" ".join)
 def test_commands_run_no_adaptive_quadrature(argv, tmp_path, capsys, monkeypatch):
-    # the moments, the slit V1, the theta tables and the power-law tails of
-    # Vp and the field are fixed-rule sums; only validate runs the adaptive
-    # engine
+    # the moments, the slit V1, the theta tables, the power-law tails of Vp
+    # and the field, and validate's weighted Case average are fixed-rule
+    # sums: no command runs the adaptive engine. validate exits 1, on
+    # criterion 5 alone
     from bosemilne import quadrature
     adaptive, calls = quadrature.integrate_rows, []
 
@@ -71,8 +73,10 @@ def test_commands_run_no_adaptive_quadrature(argv, tmp_path, capsys, monkeypatch
         return adaptive(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate_rows", spy)
-    code, _ = run_cli(argv + ["--out", str(tmp_path / "out.dat")], capsys)
-    assert code == 0
+    validate = argv == ["validate"]
+    code, out = run_cli(argv + ([] if validate else ["--out", str(tmp_path / "out.dat")]), capsys)
+    failed = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
+    assert (code, failed) == ((1, ["5"]) if validate else (0, []))
     assert calls == []
 
 
@@ -268,8 +272,8 @@ def test_profile_just_beyond_slit_edge(tmp_path, capsys):
 
 
 def test_envelope_reports_the_model_that_ran():
-    # the frequency cutoff is the model's own; no command but validate runs
-    # the adaptive engine, so its defaults are not reported
+    # the frequency cutoff is the model's own; no command runs the adaptive
+    # engine, so its defaults are not reported
     from bosemilne.special import AlphaModel
     model = AlphaModel.build(0.0)
     env = cli._envelope("v1", model, {}, {}, [])

@@ -12,7 +12,7 @@ from bosemilne.dispersion import (DispersionTable, build_theta_table,
                                   lambda_boundary,
                                   lambda_boundary_batch, lambda_case, lambda_case_pv,
                                   lambda_general, weighted_case_average)
-from bosemilne.errors import ConsistencyError, DomainError, ResolutionError
+from bosemilne.errors import AccuracyError, ConsistencyError, DomainError, ResolutionError
 from bosemilne.special import einstein
 
 LAM_C_2 = -0.098612288668109691395  # 1 - ln 3
@@ -125,6 +125,61 @@ class TestLambdaGeneral:
     def test_real_argument_rejected_for_positive_alpha(self, model1):
         with pytest.raises(DomainError):
             lambda_general(model1, 0.7)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.4, 2.0, 2.9])
+    def test_graded_rule_against_adaptive(self, ctx, alpha):
+        # the graded fixed rule against the adaptive average at tol 1e-13
+        # (1.6e-14 apart at most, its estimate at most 8.6e-13 relative, on
+        # 300 such z per alpha); every call meets tol 1e-12 or raises
+        model = ctx.model(alpha)
+        rng = np.random.default_rng(38)
+        arg = rng.uniform(1e-3, math.pi - 1e-3, 20) * rng.choice([-1.0, 1.0], 20)
+        for z in 10.0 ** rng.uniform(-2.0, 3.0, 20) * np.exp(1j * arg):
+            want = adaptive_reference.weighted_case_average(model, z, 1e-13)
+            assert abs(weighted_case_average(model, z) - want) <= 5e-14 * abs(want)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.4])
+    def test_graded_rule_against_mpmath(self, ctx, alpha):
+        # z = -5 + i, where lam_C(w^alpha z) passes near its branch point
+        # (the Gauss sums on the frequency knots alone were 3.0e-8 off): the
+        # defining integral at 20 digits, split at |w^alpha z| = 1
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            z, a = mp.mpc(-5, 1), mp.mpf(alpha)
+
+            def f(w):
+                u = w ** a * z
+                return w ** (a + 4) * mp.exp(w) / mp.expm1(w) ** 2 * (
+                    1 + u / 2 * mp.log((u - 1) / (u + 1)))
+
+            r = abs(z) ** (-1 / a)
+            want = complex(mp.quad(f, [0, r, 16, mp.inf])
+                           / (mp.gamma(a + 5) * mp.zeta(a + 4)))
+        got = weighted_case_average(ctx.model(alpha), -5 + 1j)
+        assert abs(got - want) <= 2e-15 * abs(want)
+
+    def test_graded_rule_raises_on_its_estimate(self, model2):
+        with pytest.raises(AccuracyError) as exc:
+            weighted_case_average(model2, -5 + 1j, tol=1e-18)
+        assert abs(exc.value.best - weighted_case_average(model2, -5 + 1j)) == 0.0
+        assert 0.0 < exc.value.bound <= 1e-12 * abs(exc.value.best)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_graded_rule_at_the_origin(self, ctx, alpha):
+        # lam_C(0) = 1, and no grading is built from |z| = 0
+        assert abs(weighted_case_average(ctx.model(alpha), 0j) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("alpha, z", [
+        (1.0, -5 + 1e-17j), (1.0, 1e10 + 5e-324j), (0.25, 1e100j), (0.5, 1e150j),
+        (1.0, 5e-324j)])
+    def test_graded_rule_finishes_at_extreme_arguments(self, ctx, alpha, z):
+        # arg z within rounding of the real axis, and |z|^(-1/alpha) past
+        # the double range either way: the grading stays finite
+        assert math.isfinite(abs(lambda_general(ctx.model(alpha), z)))
+
+    def test_graded_rule_rejects_real_argument(self, model1):
+        with pytest.raises(DomainError):
+            weighted_case_average(model1, 0.7)
 
 
 class TestLambdaBoundary:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from adaptive_reference import integrate
 from bosemilne import cli, dom, quadrature, util
 from bosemilne.dom import DomGrid, extract_k0, freq_rule, solve
 from bosemilne.errors import ConfigurationError, ConvergenceError, ExtractionError
@@ -21,16 +22,14 @@ def small_grid0(ctx):
 class TestFreqRule:
     def test_weights_sum_to_truncated_moment(self, ctx):
         nodes, weights = freq_rule(ctx.model(1.0), 48, 30.0)
-        want = quadrature.integrate(lambda w: w ** 5 * einstein(w), 0.0, 30.0,
-                                    1e-13, max_depth=20)
+        want = integrate(lambda w: w ** 5 * einstein(w), 0.0, 30.0, 1e-13, max_depth=20)
         assert weights.sum() == pytest.approx(want, rel=1e-12)
         assert np.all(weights > 0)
         assert np.all((nodes > 0) & (nodes < 30.0))
 
     def test_polynomial_exactness(self, ctx):
         nodes, weights = freq_rule(ctx.model(0.0), 24, 30.0)
-        want = quadrature.integrate(lambda w: w ** 7 * einstein(w), 0.0, 30.0,
-                                    1e-13, max_depth=20)
+        want = integrate(lambda w: w ** 7 * einstein(w), 0.0, 30.0, 1e-13, max_depth=20)
         assert weights @ nodes ** 3 == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

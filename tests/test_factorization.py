@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptive_reference import pv_reference, tail_reference
+from adaptive_reference import integrate, pv_reference, tail_reference
 from bosemilne import dispersion, factorization as fz, quadrature
 from bosemilne.errors import DivergenceError, DomainError, RangeError
 
@@ -33,13 +33,13 @@ def n_jump_complex(data, eta):
 def v_reference(data, z):
     """V(z) = (1/pi) int_0^inf (theta(t) - pi)/(t - z) dt off the cut [0, inf).
 
-    The adaptive integral to mu_max (quadrature.integrate), split at Re z
-    when that lies inside, plus the tail's closed form (tail_reference).
+    The adaptive integral to mu_max (`adaptive_reference.integrate`), split
+    at Re z when that lies inside, plus the tail's closed form (tail_reference).
     """
     z, table = complex(z), data.table
     pts = [z.real] if 0.0 < z.real < table.mu_max else []
-    body = quadrature.integrate(lambda t: (table.theta_at(t) - math.pi) / (t - z), 0.0,
-                                table.mu_max, 1e-10, max_depth=30, points=pts)
+    body = integrate(lambda t: (table.theta_at(t) - math.pi) / (t - z), 0.0,
+                     table.mu_max, 1e-10, max_depth=30, points=pts)
     return (body + tail_reference(data, z)[0]) / math.pi
 
 
@@ -401,8 +401,8 @@ class TestReconstruction:
             * rng.uniform(0.4, 2.0, 10)
         for z in pts:
             z = complex(z)
-            lhs = quadrature.integrate(lambda t: sol0.eta_n(t) / (t - z), 0.0,
-                                       sol0.eta_max, 1e-10, max_depth=30)
+            lhs = integrate(lambda t: sol0.eta_n(t) / (t - z), 0.0,
+                            sol0.eta_max, 1e-10, max_depth=30)
             rhs = n_transform(data0, z)
             assert abs(lhs - rhs) <= 1e-4 * abs(rhs)
 
@@ -413,9 +413,9 @@ class TestReconstruction:
         eta_ref = sol.eta_max
         n_ref = float(sol.eta_n(np.array([eta_ref]))[0]) / eta_ref
         for z in (0.6 + 0.8j, -1.1 - 0.5j, 2.4 + 1.7j):
-            body = quadrature.integrate(lambda t: sol.eta_n(t) / (t - z), 0.0,
-                                        eta_ref, 1e-10, max_depth=30)
-            tail = n_ref * eta_ref ** (-p) * quadrature.integrate(
+            body = integrate(lambda t: sol.eta_n(t) / (t - z), 0.0,
+                             eta_ref, 1e-10, max_depth=30)
+            tail = n_ref * eta_ref ** (-p) * integrate(
                 lambda u: u ** (-p - 2.0) / (1.0 - z * u), 0.0, 1.0 / eta_ref,
                 1e-10, max_depth=24)
             rhs = n_transform(data, z)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adaptive_reference import integrate
 from bosemilne import quadrature
 from bosemilne.errors import AccuracyError, ConfigurationError, DomainError
 from bosemilne.quadrature import (KNOT_ORDERS, ChebPanels, KnotPv, PvIntegrand, gauss_rule,
-                                  integrate, integrate_rows, integrate_with_error, knot_pv_sums,
-                                  power_tail, pv_integral, pv_rows)
+                                  integrate_rows, integrate_with_error, knot_pv_sums, knot_rule,
+                                  knot_sums, power_tail, pv_integral, pv_rows)
 from bosemilne.special import einstein
 
 
@@ -257,6 +258,25 @@ class TestBatchedRows:
                            weight="cauchy", wvar=c)
             assert g == one
             assert g == pytest.approx(want, rel=1e-9)
+
+
+class TestKnotRule:
+    """The 16/8 pair on knot intervals, and its one reduction `knot_sums`."""
+
+    def test_rows_of_knots_are_their_one_row_rules(self):
+        # power_tail's rows of knots: each row's nodes and weights, bit for
+        # bit, are those of its own 1-D call
+        knots = np.array([[0.0, 0.1, 0.35, 1.0], [0.2, 0.3, 2.0, 5.0], [1e-3, 1e-2, 0.1, 1.0]])
+        nodes, weights = knot_rule(knots)
+        assert nodes.shape == weights.shape == (3, sum(KNOT_ORDERS) * 3)
+        for row, n, w in zip(knots, nodes, weights):
+            one_n, one_w = knot_rule(row)
+            assert n.tolist() == one_n.tolist() and w.tolist() == one_w.tolist()
+
+    def test_no_rows(self):
+        nodes, weights = knot_rule(np.empty((0, 4)))
+        value, err = knot_sums(nodes * weights)
+        assert value.shape == err.shape == (0,)
 
 
 class TestKnotPvSums:
