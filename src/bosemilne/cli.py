@@ -10,17 +10,20 @@ Subcommands:
 
 Every command prints a JSON result envelope to stdout (schema shipped as
 envelope.schema.json); table commands additionally write a CSV or JSON table
-to --out. A key=value config file supplies defaults that explicit flags
-override. Numbers in JSON are the shortest round-trip decimals; the
+to --out. Numbers in JSON are the shortest round-trip decimals; the
 dispersion CSV uses 17 significant digits. Identical configurations produce
 byte-identical outputs.
 
-Each command takes only the flags it reads (build_parser); any other flag is
-a usage error. --threads is the one exception: every command accepts,
-validates and otherwise ignores it (runs are serial, and no output echoes
-it), because the benchmark's command lines pass it.
-A config file takes the keys of its command's flags (dashes or underscores);
-any other key is a configuration error.
+build_parser is the one definition of every flag: its type, its choices and
+its default for each command. Each command takes only the flags it reads;
+any other flag is a usage error. --threads is the one exception: every
+command accepts, validates and otherwise ignores it (runs are serial, and no
+output echoes it), because the benchmark's command lines pass it.
+A key=value config file (--config) takes the keys of its command's own flags
+(dashes or underscores), each value converted and checked by that flag's
+type and choices; any other key or value is a configuration error. The
+command's arguments are then parsed again into a namespace that holds the
+file's values, so built-in defaults < config file < explicit flags.
 
 Every command runs with numpy's OpenBLAS on the calling thread alone
 (util.blas_one_thread), and the previous thread count comes back when it
@@ -51,14 +54,6 @@ from .errors import BoseMilneError, ConfigurationError, ConsistencyError, Diverg
 from .special import AlphaModel
 from .util import blas_one_thread
 
-_CONFIG_KEYS = {
-    "alpha": float, "k": float, "tol": float, "threads": int,
-    "format": str, "out": str, "grid_mu": str, "grid_x": str,
-    "dom_cells": int, "dom_angles": int, "dom_freqs": int,
-    "dom_length": float,
-}
-
-
 def _parse_range(spec: str, name: str, geometric: bool) -> np.ndarray:
     """Parse 'min:max:count' into a grid; count must be positive."""
     try:
@@ -81,8 +76,10 @@ def _parse_range(spec: str, name: str, geometric: bool) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _load_config(path: str, command: str, keys) -> dict:
-    """Read key=value lines; only the keys of the command's own flags."""
+def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Read key=value lines into {dest: value}: each key names one of the
+    command's own flags, and its value passes that flag's type and choices."""
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -96,41 +93,26 @@ def _load_config(path: str, command: str, keys) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        if key not in keys:
-            raise ConfigurationError(f"{path}:{lineno}: {command} does not read {key!r}")
+        action = flags.get(key)
+        if action is None:
+            raise ConfigurationError(f"{path}:{lineno}: {parser.prog} does not read {key!r}")
         try:
-            cfg[key] = _CONFIG_KEYS[key](value.strip())
+            cfg[key] = (action.type or str)(value.strip())
+            if action.choices is not None and cfg[key] not in action.choices:
+                raise ValueError(f"{cfg[key]!r} is not one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return cfg
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Precedence: built-in defaults < config file < explicit flags. The
-    config keys a command accepts are the destinations of its own flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        keys = vars(args).keys() - {"command", "config", "fn"}
-        cfg.update(_load_config(args.config, args.command, keys))
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
-
-def _validate_common(cfg: dict):
+def _validate_common(args: argparse.Namespace):
     """Checks of the shared flags; alpha's range is AlphaModel.build's."""
-    if cfg.get("k") is not None and not math.isfinite(cfg["k"]):
-        raise ConfigurationError(f"k must be finite, got {cfg['k']}")
-    if cfg.get("tol") is not None and not (0.0 < cfg["tol"] < math.inf):
-        raise ConfigurationError(f"tol must be positive and finite, got {cfg['tol']}")
-    if cfg.get("threads") is not None and cfg["threads"] < 1:
+    if not math.isfinite(getattr(args, "k", 0.0)):
+        raise ConfigurationError(f"k must be finite, got {args.k}")
+    if not (0.0 < getattr(args, "tol", 1.0) < math.inf):
+        raise ConfigurationError(f"tol must be positive and finite, got {args.tol}")
+    if args.threads < 1:
         raise ConfigurationError("threads must be >= 1")
-    if cfg.get("format") not in (None, "csv", "json"):
-        raise ConfigurationError(f"format must be csv or json, got {cfg.get('format')!r}")
 
 
 def _envelope(command: str, model: AlphaModel, inputs: dict, values: dict,
@@ -162,26 +144,18 @@ def _emit(envelope: dict, out: str | None):
 
 def _write_table(path: str, header: list[str], rows: list[list], fmt: str,
                  digits: int | None = None):
-    def render(x) -> str:
-        if isinstance(x, float):
-            x = float(x)  # numpy scalars repr as np.float64(...)
-            return f"{x:.{digits}g}" if digits is not None else repr(x)
-        return str(x)
-
+    """Rows of Python floats (from .tolist()): JSON records, or CSV in
+    shortest round-trip decimals or `digits` significant digits."""
     if fmt == "json":
-        payload = [dict(zip(header, [float(x) if isinstance(x, float) else x
-                                     for x in row])) for row in rows]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", newline="\n")
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
     else:
-        lines = [",".join(header)]
-        lines += [",".join(render(x) for x in row) for row in rows]
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        render = repr if digits is None else (lambda x: format(x, f".{digits}g"))
+        text = "\n".join([",".join(header), *(",".join(map(render, row)) for row in rows)])
+    Path(path).write_text(text + "\n", newline="\n")
 
 
 def cmd_v1(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "threads": 1, "out": None})
-    _validate_common(cfg)
-    alpha = cfg["alpha"]
+    alpha = args.alpha
     model = AlphaModel.build(alpha)
     diagnostics = []
     values = {}
@@ -206,27 +180,23 @@ def cmd_v1(args) -> int:
         diagnostics.append(f"exact V1 integral divergent: {exc}")
 
     env = _envelope("v1", model, {"alpha": alpha}, values, diagnostics)
-    _emit(env, cfg["out"])
+    _emit(env, args.out)
     return 0
 
 
 def cmd_dispersion(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "threads": 1,
-                         "format": "csv", "out": "dispersion.csv",
-                         "grid_mu": None})
-    _validate_common(cfg)
-    alpha = cfg["alpha"]
+    alpha = args.alpha
     model = AlphaModel.build(alpha)
     table = dispersion.build_theta_table(model)
-    if cfg["grid_mu"] is None:
+    if args.grid_mu is None:
         hi = 0.99999 if alpha == 0.0 else table.mu_max
         grid = np.geomspace(1e-3, hi, 200)
     else:
-        grid = _parse_range(cfg["grid_mu"], "grid-mu", geometric=True)
+        grid = _parse_range(args.grid_mu, "grid-mu", geometric=True)
 
     rows = np.column_stack([grid, *dispersion.evaluate_boundary(model, grid)]).tolist()
-    _write_table(cfg["out"], ["mu", "lambda_real", "im_plus", "theta"],
-                 rows, cfg["format"], digits=17)
+    _write_table(args.out, ["mu", "lambda_real", "im_plus", "theta"],
+                 rows, args.format, digits=17)
 
     values, diagnostics = {}, []
     if table.tail is not None and table.tail[1] >= 0.0:
@@ -248,55 +218,47 @@ def cmd_dispersion(args) -> int:
         else:
             values["tail_exponent"] = _val(p, 2.0 * residual)
     env = _envelope("dispersion", model,
-                    {"alpha": alpha, "grid_mu": cfg["grid_mu"] or "default",
-                     "out": cfg["out"], "format": cfg["format"]},
+                    {"alpha": alpha, "grid_mu": args.grid_mu or "default",
+                     "out": args.out, "format": args.format},
                     values, diagnostics)
     _emit(env, None)
     return 0
 
 
 def cmd_profile(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "threads": 1,
-                         "format": "csv", "out": "profile.csv",
-                         "grid_x": "0:20:9", "grid_mu": "-2:0.9:13"})
-    _validate_common(cfg)
-    alpha = cfg["alpha"]
+    alpha = args.alpha
     model = AlphaModel.build(alpha)
-    sol = field.solve_milne(model, k=cfg["k"])
-    xs = _parse_range(cfg["grid_x"], "grid-x", geometric=False)
-    mus = _parse_range(cfg["grid_mu"], "grid-mu", geometric=False)
+    sol = field.solve_milne(model, k=args.k)
+    xs = _parse_range(args.grid_x, "grid-x", geometric=False)
+    mus = _parse_range(args.grid_mu, "grid-mu", geometric=False)
     if np.any(xs < 0):
         raise ConfigurationError("grid-x must be nonnegative")
 
     xg, mug = (g.ravel() for g in np.meshgrid(xs, mus, indexing="ij"))
     phis = field.evaluate(sol, xg, mug)
     rows = [list(r) for r in zip(xg.tolist(), mug.tolist(), phis.tolist())]
-    _write_table(cfg["out"], ["x", "mu", "phi"], rows, cfg["format"])
+    _write_table(args.out, ["x", "mu", "phi"], rows, args.format)
 
     residual = field.boundary_residual(sol)
     values = {
-        "k0": _val(sol.factorization.k0, abs(cfg["k"]) * sol.factorization.v1_error),
+        "k0": _val(sol.factorization.k0, abs(args.k) * sol.factorization.v1_error),
         "v1": _val(sol.factorization.v1, sol.factorization.v1_error),
         "boundary_residual": _val(residual, "exact-by-construction"),
     }
     env = _envelope("profile", model,
-                    {"alpha": alpha, "k": cfg["k"], "grid_x": cfg["grid_x"],
-                     "grid_mu": cfg["grid_mu"], "out": cfg["out"], "format": cfg["format"]},
+                    {"alpha": alpha, "k": args.k, "grid_x": args.grid_x,
+                     "grid_mu": args.grid_mu, "out": args.out, "format": args.format},
                     values, [])
     _emit(env, None)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = _merged(args, {"alpha": 0.0, "k": 1.0, "tol": 1e-9, "threads": 1, "out": None,
-                         "dom_cells": 600, "dom_angles": 32, "dom_freqs": 48,
-                         "dom_length": 30.0})
-    _validate_common(cfg)
-    alpha = cfg["alpha"]
+    alpha = args.alpha
     model = AlphaModel.build(alpha)
-    grid = dom.DomGrid.build(model, L=cfg["dom_length"], n_cells=cfg["dom_cells"],
-                             n_angle=cfg["dom_angles"], n_freq=cfg["dom_freqs"])
-    result = dom.solve(model, grid, k=cfg["k"], tol=cfg["tol"])
+    grid = dom.DomGrid.build(model, L=args.dom_length, n_cells=args.dom_cells,
+                             n_angle=args.dom_angles, n_freq=args.dom_freqs)
+    result = dom.solve(model, grid, k=args.k, tol=args.tol)
     values = {
         "k0_extracted": _val(result.k0_extracted, abs(result.residual)),
         "slope": _val(result.slope, "exact-by-construction"),
@@ -306,35 +268,34 @@ def cmd_oracle(args) -> int:
     diagnostics = list(result.diagnostics)
     try:
         est = fz.v1_coefficient(model)
-        ref = est.value * cfg["k"]
-        values["v1_k_reference"] = _val(ref, est.error * abs(cfg["k"]))
+        ref = est.value * args.k
+        values["v1_k_reference"] = _val(ref, est.error * abs(args.k))
         if ref != 0.0:
             values["rel_gap"] = _val(abs(result.k0_extracted - ref) / abs(ref),
                                      "exact-by-construction")
     except DivergenceError as exc:
         diagnostics.append(f"no exact V1 reference: {exc}")
     env = _envelope("oracle", model,
-                    {"alpha": alpha, "k": cfg["k"], "tol": cfg["tol"],
-                     "dom_cells": cfg["dom_cells"], "dom_angles": cfg["dom_angles"],
-                     "dom_freqs": cfg["dom_freqs"], "dom_length": cfg["dom_length"]},
+                    {"alpha": alpha, "k": args.k, "tol": args.tol,
+                     "dom_cells": args.dom_cells, "dom_angles": args.dom_angles,
+                     "dom_freqs": args.dom_freqs, "dom_length": args.dom_length},
                     values, diagnostics)
-    _emit(env, cfg["out"])
+    _emit(env, args.out)
     return 0
 
 
 def cmd_validate(args) -> int:
-    cfg = _merged(args, {"threads": 1, "out": None})
-    _validate_common(cfg)
     results = acceptance.run_all()
     text = acceptance.render_table(results)
     sys.stdout.write(text + "\n")
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text + "\n", newline="\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n", newline="\n")
     return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of every command's flags; `main` keeps the first it builds."""
+    """A new parser of every command's flags, with their types, choices and
+    defaults; `main` keeps the first it builds."""
     parser = argparse.ArgumentParser(
         prog="bosemilne",
         description="Temperature-jump coefficients for radiative transport "
@@ -343,42 +304,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--alpha": dict(type=float, help="scattering exponent in [0, 3]"),
-        "--k": dict(type=float, help="imposed dimensionless gradient"),
-        "--format": dict(choices=("csv", "json"), help="table format"),
+        "--alpha": dict(type=float, default=0.0, help="scattering exponent in [0, 3]"),
+        "--k": dict(type=float, default=1.0, help="imposed dimensionless gradient"),
+        "--format": dict(choices=("csv", "json"), default="csv", help="table format"),
     }
 
-    def common(p, *flags):
+    def common(p, out, *flags):
         p.add_argument("--config", help="key=value config file (flags override)")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect (runs are serial)")
-        p.add_argument("--out", help="output path")
+        p.add_argument("--out", default=out, help="output path")
 
     p = sub.add_parser("v1", help="exact and saddle jump coefficients")
-    common(p, "--alpha")
+    common(p, None, "--alpha")
 
     p = sub.add_parser("dispersion", help="boundary-value table and index")
-    common(p, "--alpha", "--format")
+    common(p, "dispersion.csv", "--alpha", "--format")
     p.add_argument("--grid-mu", dest="grid_mu", help="min:max:count (geometric)")
 
     p = sub.add_parser("profile", help="field values phi(x, mu)")
-    common(p, "--alpha", "--k", "--format")
-    p.add_argument("--grid-x", dest="grid_x", help="min:max:count (linear)")
-    p.add_argument("--grid-mu", dest="grid_mu", help="min:max:count (linear)")
+    common(p, "profile.csv", "--alpha", "--k", "--format")
+    p.add_argument("--grid-x", dest="grid_x", default="0:20:9", help="min:max:count (linear)")
+    p.add_argument("--grid-mu", dest="grid_mu", default="-2:0.9:13",
+                   help="min:max:count (linear)")
 
     p = sub.add_parser("oracle", help="discrete-ordinates cross-check")
-    common(p, "--alpha", "--k")
-    p.add_argument("--dom-cells", dest="dom_cells", type=int)
-    p.add_argument("--dom-angles", dest="dom_angles", type=int)
-    p.add_argument("--dom-freqs", dest="dom_freqs", type=int)
-    p.add_argument("--dom-length", dest="dom_length", type=float)
-    p.add_argument("--tol", type=float,
+    common(p, None, "--alpha", "--k")
+    p.add_argument("--dom-cells", dest="dom_cells", type=int, default=600)
+    p.add_argument("--dom-angles", dest="dom_angles", type=int, default=32)
+    p.add_argument("--dom-freqs", dest="dom_freqs", type=int, default=48)
+    p.add_argument("--dom-length", dest="dom_length", type=float, default=30.0)
+    p.add_argument("--tol", type=float, default=1e-9,
                    help="bound on the check sweep's residual, times max(1, |k| L)")
 
     p = sub.add_parser("validate", help="run the acceptance suite")
-    common(p)
+    common(p, None)
     return parser
 
 
@@ -390,10 +352,20 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = _parser.parse_args(argv)
     # looked up per call, so a replaced cmd_* function takes effect
     command = globals()[f"cmd_{args.command}"]
     try:
+        if args.config:
+            sub = next(a for a in _parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+            # parsed again by the subparser itself, which fills a default only
+            # where the file gave no value; the top-level parser would copy
+            # every default over them
+            args = sub.parse_args(argv[1:], argparse.Namespace(
+                command=args.command, **_load_config(args.config, sub)))
+        _validate_common(args)
         with blas_one_thread():
             return command(args)
     except ConfigurationError as exc:

@@ -254,11 +254,12 @@ def lambda_boundary_batch(model: AlphaModel, mu, *,
     return re, im, np.fromiter(map(math.atan2, im, re), float, len(mus))
 
 
-def lambda_boundary(model: AlphaModel, mu: float) -> complex:
-    """Boundary value lam+(mu) for one mu > 0; its phase (cmath.phase, the
-    same atan2) is theta."""
-    re, im, _ = lambda_boundary_batch(model, [mu])
-    return complex(re[0], im[0])
+def lambda_boundary(model: AlphaModel, mu):
+    """Boundary value lam+(mu) for mu > 0, from one boundary rule: a complex
+    number for scalar mu, an array for a 1-d array; its phase (cmath.phase,
+    the same atan2) is theta."""
+    re, im, _ = lambda_boundary_batch(model, mu)
+    return re + 1j * im if np.ndim(mu) else complex(re[0], im[0])
 
 
 @dataclass(frozen=True)

@@ -239,19 +239,16 @@ def _cut_body(data: FactorizationData, c: np.ndarray) -> np.ndarray:
     return value + g_c * np.log((b - c) / c)
 
 
-def x_boundary(data: FactorizationData, mu: float, side: str = "above") -> complex:
-    """Boundary value X+-(mu) = (1/mu) exp(Vp(mu) +- i (theta(mu) - pi)) on the cut."""
+def x_boundary(data: FactorizationData, mu, side: str = "above"):
+    """Boundary value X+-(mu) = (1/mu) exp(Vp(mu) +- i (theta(mu) - pi)) on the cut.
+
+    Scalar mu gives a complex number, a 1-d array of mu an array."""
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
     sgn = 1.0 if side == "above" else -1.0
-    vp = v_cut(data, mu)
-    phase = sgn * (float(data.table.theta_at(mu)) - math.pi)
-    return (1.0 / mu) * _cexp(complex(vp, phase))
-
-
-def _cexp(w: complex) -> complex:
-    return complex(math.exp(w.real) * math.cos(w.imag),
-                   math.exp(w.real) * math.sin(w.imag))
+    arr = np.asarray(mu, dtype=float)
+    out = np.exp(v_cut(data, arr) + 1j * sgn * (data.table.theta_at(arr) - math.pi)) / arr
+    return out if arr.ndim else complex(out)
 
 
 def n_coefficient(data: FactorizationData, eta):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,14 +343,15 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_iter=5\n")
         assert cli.main([command, "--config", str(cfg)]) == 2
-        assert "unknown key 'max_iter'" in capsys.readouterr().err
+        assert f"{command} does not read 'max_iter'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,content,message", [
         ("v1", b"alpha=abc\n", "run.cfg:1: bad value for alpha"),
         ("oracle", b"dom_cells=1.5\n", "run.cfg:1: bad value for dom_cells"),
         ("v1", None, "cannot read config file"),
         ("v1", b"alpha=\xff\n", "cannot read config file"),
-    ], ids=["v1-alpha", "oracle-dom_cells", "missing-file", "not-utf8"])
+        ("profile", b"format=xml\n", "run.cfg:1: bad value for format"),
+    ], ids=["v1-alpha", "oracle-dom_cells", "missing-file", "not-utf8", "profile-format"])
     def test_bad_config_is_a_configuration_error(self, command, content, message, tmp_path,
                                                  capsys):
         # exit 2 with a message, not a traceback
@@ -362,12 +364,13 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_keys_are_the_command_flags(self, command, tmp_path, capsys):
-        flags = command_flags()[command]
-        for key, kind in cli._CONFIG_KEYS.items():
-            if "--" + key.replace("_", "-") in flags:
-                continue
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{key}={'0:1:2' if kind is str else 1}\n")
+        # the flags of the other commands, and config itself, are no keys of this one
+        flags = command_flags()
+        others = set().union(*flags.values()) - flags[command] | {"--config"}
+        cfg = tmp_path / "run.cfg"
+        for flag in sorted(others):
+            key = flag[2:].replace("-", "_")
+            cfg.write_text(f"{key}=1\n")
             assert cli.main([command, "--config", str(cfg)]) == 2
             assert f"{command} does not read {key!r}" in capsys.readouterr().err
 
@@ -491,6 +494,22 @@ def test_each_command_takes_only_the_flags_it_reads():
                             "--dom-freqs", "--dom-length"},
         "validate": always,
     }
+
+
+def test_readme_flag_table_is_the_parser():
+    # README's table of each command's flags against the parser, the one
+    # definition of every flag
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags besides `--config` and `--out` |\n|---|---|\n")[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        _, command, flags, _ = line.split("|")
+        rows[command.strip().strip("`")] = {f.strip().strip("`") for f in flags.split(",")
+                                            if f.strip() != "none"}
+    unlisted = {"-h", "--help", "--config", "--out", "--threads"}
+    assert rows == {c: flags - unlisted for c, flags in command_flags().items()}
 
 
 @pytest.mark.parametrize("argv", [

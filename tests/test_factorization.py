@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from adaptive_reference import integrate, pv_reference, tail_reference
-from bosemilne import dispersion, factorization as fz, quadrature
+from bosemilne import dispersion, factorization as fz, field, quadrature
 from bosemilne.errors import DivergenceError, DomainError, RangeError
+from bosemilne.special import AlphaModel
 
 V1_MILNE = 0.7104460896  # classical half-space extrapolation constant
 
@@ -121,6 +122,16 @@ class TestV1:
             fz.v1_coefficient(model2)
         assert built == []
 
+    def test_pole_at_three_halves(self):
+        # V1 has a simple pole at alpha = 3/2 whose residue follows from the
+        # tail pi - theta = c mu^p: V1 (3/2 - alpha) -> 3c/(4 pi), c of the
+        # alpha-1.5 table (0.176168; limit 0.0420570). Measured relative gap
+        # 2.92e-3 / 2.92e-4 at alpha 1.499 / 1.4999, linear in 3/2 - alpha
+        limit = 3.0 * dispersion.build_theta_table(AlphaModel.build(1.5)).tail[0] / (4 * math.pi)
+        for alpha, bound in ((1.499, 4e-3), (1.4999, 4e-4)):
+            v1 = fz.v1_coefficient(AlphaModel.build(alpha)).value
+            assert abs(v1 * (1.5 - alpha) / limit - 1.0) <= bound
+
     def test_independent_of_k(self, ctx, model0, table0):
         d1 = fz.build_factorization(model0, table0, k=1.0)
         d2 = fz.build_factorization(model0, table0, k=-3.5)
@@ -157,6 +168,41 @@ class TestXFactor:
         assert xp / xm == pytest.approx(cmath.exp(2j * (theta - math.pi)), rel=1e-12)
         lp = dispersion.lambda_boundary(ctx.model(0.0), mu)
         assert xp / xm == pytest.approx(lp / lp.conjugate(), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_array_equals_scalar(self, ctx, alpha):
+        # criterion 7 passes arrays of mu; a scalar still gives a complex number
+        data = fz.build_factorization(ctx.model(alpha), ctx.table(alpha), k=1.0,
+                                      v1_est=ctx.v1(alpha))
+        mus = np.array([0.02, 0.3, 0.9])
+        for side in ("above", "below"):
+            got = fz.x_boundary(data, mus, side)
+            want = [fz.x_boundary(data, float(m), side) for m in mus]
+            assert all(type(w) is complex for w in want)
+            assert got == pytest.approx(want, rel=1e-13)
+        got = dispersion.lambda_boundary(ctx.model(alpha), mus)
+        want = [dispersion.lambda_boundary(ctx.model(alpha), float(m)) for m in mus]
+        assert all(type(w) is complex for w in want)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestEmergentClosedForm:
+    @pytest.mark.parametrize("alpha,bound", [(0.0, 1.4e-10), (0.5, 4.2e-10),
+                                             (1.0, 4.5e-7), (1.25, 7.0e-6)])
+    def test_profile_against_closed_form(self, ctx, alpha, bound):
+        # zero inflow gives phi(0, -mu) = -K/X(-mu) = K mu e^(-V(-mu)), a
+        # regular integral of theta alone; X from x_reference. Measured max
+        # 8.8e-11 / 4.2e-10 / 4.5e-7 / 7.0e-6 in units of |K| (1 + V1): from
+        # alpha 1 on a constant gap, the zero-inflow residual's, set by the
+        # one-term continuum tail beyond eta_max
+        sol = ctx.solution(alpha)
+        data = sol.factorization
+        end = 30.0 if alpha == 0.0 else 0.95 * sol.eta_max
+        mus = np.geomspace(1e-3, end, 40)
+        want = np.array([-data.k / x_reference(data, -m) for m in mus])
+        assert np.all(want.imag == 0.0)
+        gap = np.abs(field.evaluate(sol, 0.0, -mus) - want.real)
+        assert np.max(gap) / (abs(data.k) * (1.0 + data.v1)) <= bound
 
 
 class TestSpectrumCoefficient:
